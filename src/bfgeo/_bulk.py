@@ -147,34 +147,6 @@ def inverse(field: Field, mats):
     return out[0] if single else out
 
 
-# ---------------------------------------------------------------------------
-# single-system exact solving (pivot bookkeeping needed)
-# ---------------------------------------------------------------------------
-
-def rref_single(field: Field, mat):
-    """RREF of one matrix together with its pivot column list."""
-    M = np.array(mat, dtype=np.int64, copy=True)
-    m, n = M.shape
-    pivots = []
-    r = 0
-    for j in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(M[r:, j])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            M[[r, i]] = M[[i, r]]
-        M[r] = field.vmul(M[r], np.int64(field.inv(int(M[r, j]))))
-        for t in range(m):
-            if t != r and M[t, j] != 0:
-                M[t] = field.vsub(M[t], field.vmul(np.int64(M[t, j]), M[r]))
-        pivots.append(j)
-        r += 1
-    return M, pivots
-
-
 def solve_affine(field: Field, A, b):
     """All solutions of A x = b over the field.
 
@@ -183,20 +155,60 @@ def solve_affine(field: Field, A, b):
     """
     A = np.asarray(A, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    m, n = A.shape
-    R, pivots = rref_single(field, np.concatenate([A, b[:, None]], axis=1))
-    if n in pivots:
+    n = A.shape[1]
+    R, r = rref(field, np.concatenate([A, b[:, None]], axis=1))
+    R = R[:r]
+    pivots = np.argmax(R != 0, axis=1)
+    if np.any(pivots == n):
         return None
     x = np.zeros(n, dtype=np.int64)
-    for r, j in enumerate(pivots):
-        x[j] = R[r, n]
-    free = [j for j in range(n) if j not in pivots]
+    x[pivots] = R[:, n]
+    free = np.setdiff1d(np.arange(n), pivots)
     basis = np.zeros((len(free), n), dtype=np.int64)
-    for t, j in enumerate(free):
-        basis[t, j] = 1
-        for r, pj in enumerate(pivots):
-            basis[t, pj] = field.neg(int(R[r, j]))
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = field.vneg(R[:, free]).T
     return x, basis
+
+
+# ---------------------------------------------------------------------------
+# monic normalisation
+# ---------------------------------------------------------------------------
+
+def monic(field: Field, vecs):
+    """Scale each vector (last axis) so its first nonzero entry is 1.
+
+    This is the lexicographically smallest representative of the spanned
+    1-dimensional space.
+    """
+    V = np.asarray(vecs)
+    W = V.reshape(-1, V.shape[-1])
+    lead = W[np.arange(len(W)), np.argmax(W != 0, axis=1)]
+    if not lead.all():
+        raise ValueError("zero vector spans nothing")
+    scale = field.inv_table[lead].astype(field.dtype)
+    return field.vmul(V, scale.reshape(V.shape[:-1] + (1,)))
+
+
+def generators(field: Field, mats, axis: str):
+    """Monic column-space ("col") or row-space ("row") generator per matrix.
+
+    The generator is the first nonzero column (row), normalised; for a
+    rank-1 matrix it spans the whole column (row) space.
+    """
+    M = np.asarray(mats)
+    if axis == "row":
+        M = np.swapaxes(M, -2, -1)
+    flat = M.reshape((-1,) + M.shape[-2:])
+    j = np.argmax(flat.any(axis=1), axis=1)
+    return monic(field, flat[np.arange(len(flat)), :, j].reshape(M.shape[:-1]))
+
+
+def common_generator(field: Field, mats, axis: str):
+    """The generator all nonzero rank-1 matrices share along axis, or None."""
+    if len(mats) == 0:
+        return None
+    g = generators(field, mats, axis)
+    return g[0] if (g == g[0]).all() else None
 
 
 # ---------------------------------------------------------------------------

@@ -11,28 +11,21 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
-
-import numpy as np
 
 from . import verify
-from .errors import (BfgeoError, Degenerate, DimDeficient, FormatError,
-                     NoFit, NoHomExists, NotHom, SingularTwist)
-from .fields import (Field, enumerate_homs, field_from_order, identity_hom,
-                     make_field, parse_field_name)
+from .errors import (BfgeoError, Degenerate, DimDeficient, NoFit, NoHomExists,
+                     NotHom, SingularTwist)
+from .fields import (enumerate_homs, field_from_order, identity_hom,
+                     parse_field_name)
 from .grassmann import (check_rigidity_step, check_rigidity_step_cols,
                         check_rigidity_top, check_rigidity_top_cols)
-from .homs import (MapTable, TwistSide, XiMapParams, build_witness_hom,
+from .homs import (TwistSide, XiMapParams, build_witness_hom,
                    hom_exists, is_colouring, is_degenerate, is_graph_hom,
                    make_xi_map, moebius_twist)
 from .mapfile import parse_map_table, write_map_table
-from .matrices import Mat
+from .matrices import Mat, arithmetic_distance
 from .recovery import fit_semiaffine, recover_standard
 from .reports import RunReport, emit_report
-
-
-def _parse_field(text: str) -> Field:
-    return parse_field_name(text)
 
 
 def _parse_shape(text: str):
@@ -52,8 +45,7 @@ def _workers(args) -> int:
     return int(os.environ.get("MATGEO_WORKERS", "1"))
 
 
-def _finish(report: RunReport, args, t0) -> int:
-    report.elapsed_ms = int((time.time() - t0) * 1000)
+def _finish(report: RunReport, args) -> int:
     text = emit_report(report, getattr(args, "out", None))
     sys.stdout.write(text)
     return report.exit_code
@@ -70,48 +62,48 @@ def _verdict_from(info: dict, report: RunReport, keys=("violations", "mismatches
 
 # --- subcommand handlers -----------------------------------------------------
 
-def cmd_field_info(args, t0):
-    F = _parse_field(args.field)
+def cmd_field_info(args):
+    F = parse_field_name(args.field)
     report = RunReport("field-info", {"field": F.name})
     report.counts = {
         "order": F.q, "characteristic": F.p, "degree": F.k,
         "self_homs": len(enumerate_homs(F, F)),
     }
     report.params["modulus"] = ",".join(str(c) for c in F.modulus)
-    return _finish(report, args, t0)
+    return _finish(report, args)
 
 
-def cmd_bfs_check(args, t0):
-    F = _parse_field(args.field)
+def cmd_bfs_check(args):
+    F = parse_field_name(args.field)
     m, n = _parse_shape(args.shape)
     report = RunReport("bfs-check", {"field": F.name, "shape": f"{m}x{n}"})
     info = verify.distance_theorem_check(F, m, n)
-    return _finish(_verdict_from(info, report), args, t0)
+    return _finish(_verdict_from(info, report), args)
 
 
-def cmd_clique_classify(args, t0):
-    F = _parse_field(args.field)
+def cmd_clique_classify(args):
+    F = parse_field_name(args.field)
     m, n = _parse_shape(args.shape)
     report = RunReport("clique-classify", {"field": F.name, "shape": f"{m}x{n}"})
     info = verify.clique_structure_check(F, m, n)
-    return _finish(_verdict_from(info, report), args, t0)
+    return _finish(_verdict_from(info, report), args)
 
 
-def cmd_line_check(args, t0):
-    F = _parse_field(args.field)
+def cmd_line_check(args):
+    F = parse_field_name(args.field)
     m, n = _parse_shape(args.shape)
     report = RunReport("line-check", {"field": F.name, "shape": f"{m}x{n}"})
     info = verify.line_structure_check(F, m, n)
-    return _finish(_verdict_from(info, report), args, t0)
+    return _finish(_verdict_from(info, report), args)
 
 
-def cmd_exists(args, t0):
+def cmd_exists(args):
     if args.grid:
         report = RunReport("exists", {"grid": "default"})
         info = verify.existence_grid_check(verify_witnesses=not args.no_witnesses,
                                            max_domain=args.max_domain)
         report.params["results"] = ";".join(info.pop("results"))
-        return _finish(_verdict_from(info, report), args, t0)
+        return _finish(_verdict_from(info, report), args)
     src, m, n = _parse_space(args.src)
     dst, m2, n2 = _parse_space(args.dst)
     report = RunReport("exists", {"src": args.src, "dst": args.dst})
@@ -122,21 +114,21 @@ def cmd_exists(args, t0):
         report.counts.update({k: int(v) for k, v in info.items()})
         if not info["pigeonhole_blocks"]:
             report.fail("pigeonhole certificate does not apply")
-    return _finish(report, args, t0)
+    return _finish(report, args)
 
 
-def cmd_color(args, t0):
-    F = _parse_field(args.field)
+def cmd_color(args):
+    F = parse_field_name(args.field)
     m, n = _parse_shape(args.shape)
     report = RunReport("color", {"field": F.name, "shape": f"{m}x{n}"})
     info = verify.coloring_check(F, m, n)
     _verdict_from(info, report)
     if info["colors"] != info["expected_colors"] or info["monochromatic_edges"]:
         report.fail(f"colors={info['colors']}, mono={info['monochromatic_edges']}")
-    return _finish(report, args, t0)
+    return _finish(report, args)
 
 
-def cmd_witness_hom(args, t0):
+def cmd_witness_hom(args):
     src, m, n = _parse_space(args.src)
     dst, m2, n2 = _parse_space(args.dst)
     report = RunReport("witness-hom", {"src": args.src, "dst": args.dst})
@@ -145,7 +137,7 @@ def cmd_witness_hom(args, t0):
     except NoHomExists as e:
         report.counts["exists"] = 0
         report.fail(str(e))
-        return _finish(report, args, t0)
+        return _finish(report, args)
     ok, _ = is_graph_hom(w)
     report.counts.update({"exists": 1, "is_hom": int(ok),
                           "is_colouring": int(is_colouring(w))})
@@ -153,10 +145,10 @@ def cmd_witness_hom(args, t0):
         report.fail("witness is not a homomorphism")
     if args.table_out:
         write_map_table(w, args.table_out)
-    return _finish(report, args, t0)
+    return _finish(report, args)
 
 
-def cmd_hom_verify(args, t0):
+def cmd_hom_verify(args):
     if args.random_standard:
         src, m, n = _parse_space(args.src)
         dst, m2, n2 = _parse_space(args.dst)
@@ -166,7 +158,7 @@ def cmd_hom_verify(args, t0):
                            seed=args.seed)
         info = verify.standard_form_sweep(src, m, n, dst, m2, n2,
                                           args.random_standard, seed=args.seed)
-        return _finish(_verdict_from(info, report), args, t0)
+        return _finish(_verdict_from(info, report), args)
     f = parse_map_table(args.map)
     report = RunReport("hom-verify", {"map": os.path.basename(args.map)},
                        seed=args.seed)
@@ -176,10 +168,10 @@ def cmd_hom_verify(args, t0):
     report.counts["is_colouring"] = int(is_colouring(f))
     if not ok:
         report.fail(f"{w[0].to_text()} ~ {w[1].to_text()} torn")
-    return _finish(report, args, t0)
+    return _finish(report, args)
 
 
-def cmd_degeneracy_check(args, t0):
+def cmd_degeneracy_check(args):
     f = parse_map_table(args.map)
     report = RunReport("degeneracy-check", {"map": os.path.basename(args.map)})
     try:
@@ -187,24 +179,24 @@ def cmd_degeneracy_check(args, t0):
     except NotHom as e:
         report.verdict = "error"
         report.witnesses.append(str(e))
-        return _finish(report, args, t0)
+        return _finish(report, args)
     report.counts["degenerate"] = int(deg)
     if deg:
         A, M, N = w
         report.witnesses.append(f"center {A.to_text()}")
-    return _finish(report, args, t0)
+    return _finish(report, args)
 
 
-def cmd_xi_demo(args, t0):
-    src = _parse_field(args.src_field)
-    dst = _parse_field(args.dst_field)
+def cmd_xi_demo(args):
+    src = parse_field_name(args.src_field)
+    dst = parse_field_name(args.dst_field)
     report = RunReport("xi-demo", {"src": src.name, "dst": dst.name,
                                    "cols": args.cols})
     homs = enumerate_homs(src, dst)
     if not homs or src.q == dst.q:
         report.verdict = "error"
         report.witnesses.append("need a proper field extension")
-        return _finish(report, args, t0)
+        return _finish(report, args)
     emb = homs[0]
     xi = next(e for e in range(dst.q) if e not in set(emb.table.tolist()))
     f = make_xi_map(XiMapParams(emb, xi, args.cols))
@@ -214,7 +206,6 @@ def cmd_xi_demo(args, t0):
                   [1] + [0] * (args.cols - 1),
                   [0, 1] + [0] * (args.cols - 2)])
     Z = Mat.zeros(src, 3, args.cols)
-    from .matrices import arithmetic_distance
     drop = (arithmetic_distance(A, Z),
             arithmetic_distance(f.apply(A), f.apply(Z)))
     report.counts.update({"is_hom": int(ok), "degenerate": int(deg),
@@ -223,12 +214,12 @@ def cmd_xi_demo(args, t0):
         report.fail(f"expected a non-degenerate hom collapsing 2 -> 1, got {drop}")
     if args.table_out:
         write_map_table(f, args.table_out)
-    return _finish(report, args, t0)
+    return _finish(report, args)
 
 
-def cmd_twist(args, t0):
+def cmd_twist(args):
     if args.identity_sweep:
-        F = _parse_field(args.field)
+        F = parse_field_name(args.field)
         m, n = _parse_shape(args.shape)
         report = RunReport("twist", {"field": F.name, "shape": f"{m}x{n}",
                                      "identity_sweep": 1})
@@ -238,7 +229,7 @@ def cmd_twist(args, t0):
         report.counts["twists_tried"] = info["twists_tried"]
         if info["violations"]:
             report.fail(*info["violations"])
-        return _finish(report, args, t0)
+        return _finish(report, args)
     f = parse_map_table(args.map)
     L = Mat.from_text(f.dst_field, args.twist)
     side = TwistSide.LEFT if args.side == "left" else TwistSide.RIGHT
@@ -248,22 +239,22 @@ def cmd_twist(args, t0):
         theta = moebius_twist(f, L, side)
     except SingularTwist as e:
         report.fail(f"singular at {e.witness.to_text()}")
-        return _finish(report, args, t0)
+        return _finish(report, args)
     report.counts["twisted"] = 1
     if args.table_out:
         write_map_table(theta, args.table_out)
-    return _finish(report, args, t0)
+    return _finish(report, args)
 
 
-def cmd_lemma_check(args, t0):
+def cmd_lemma_check(args):
     which = args.which
     report = RunReport("lemma-check", {"which": which}, seed=args.seed)
     if which == "3.1":
-        F = _parse_field(args.field)
+        F = parse_field_name(args.field)
         m, n = _parse_shape(args.shape)
         report.params.update({"field": F.name, "shape": f"{m}x{n}"})
         info = verify.two_pencil_check(F, m, n, rows=[0], cols=[0])
-        return _finish(_verdict_from(info, report), args, t0)
+        return _finish(_verdict_from(info, report), args)
     if which == "5.1":
         src, m, n = _parse_space(args.src)
         dst = _parse_space(args.dst)[0] if args.dst else src
@@ -271,10 +262,10 @@ def cmd_lemma_check(args, t0):
         info = verify.standard_form_sweep(src, m, n, dst,
                                           max(m, 2), max(n, 2),
                                           args.sample or 20, seed=args.seed)
-        return _finish(_verdict_from(info, report), args, t0)
+        return _finish(_verdict_from(info, report), args)
     # flat rigidity sweeps
-    E = _parse_field(args.e_field)
-    D = _parse_field(args.d_field) if args.d_field else E
+    E = parse_field_name(args.e_field)
+    D = parse_field_name(args.d_field) if args.d_field else E
     hom = identity_hom(E) if E == D else enumerate_homs(E, D)[0]
     kw = dict(a_sample=args.sample, seed=args.seed, workers=_workers(args))
     runner = {
@@ -296,31 +287,31 @@ def cmd_lemma_check(args, t0):
     }
     if info["counterexamples"]:
         report.fail(*[str(c) for c in info["counterexamples"][:16]])
-    return _finish(report, args, t0)
+    return _finish(report, args)
 
 
-def cmd_fit_semiaffine(args, t0):
+def cmd_fit_semiaffine(args):
     f = parse_map_table(args.map)
     report = RunReport("fit-semiaffine", {"map": os.path.basename(args.map)})
     if f.m != 1 or f.m2 != 1:
         report.verdict = "error"
         report.witnesses.append("fit expects a 1 x n -> 1 x n' table")
-        return _finish(report, args, t0)
+        return _finish(report, args)
     try:
         wsa = fit_semiaffine(f.src_field, f.dst_field, f.images[:, 0, :])
     except NoFit as e:
         report.fail(str(e))
-        return _finish(report, args, t0)
+        return _finish(report, args)
     report.counts["fitted"] = 1
     report.params.update({
         "tau_generator_image": wsa.tau.generator_image,
         "P": wsa.P.to_text(),
         "denominator": ",".join(str(c) for c in wsa.a) + f";{wsa.b}",
     })
-    return _finish(report, args, t0)
+    return _finish(report, args)
 
 
-def cmd_recover(args, t0):
+def cmd_recover(args):
     if args.roundtrip:
         src, m, n = _parse_space(args.src)
         dst, m2, n2 = _parse_space(args.dst)
@@ -330,7 +321,7 @@ def cmd_recover(args, t0):
         info = verify.standard_form_sweep(src, m, n, dst, m2, n2,
                                           args.roundtrip, seed=args.seed,
                                           recover=True)
-        return _finish(_verdict_from(info, report), args, t0)
+        return _finish(_verdict_from(info, report), args)
     if args.dim_bound:
         src, m, n = _parse_space(args.src)
         dst, m2, n2 = _parse_space(args.dst)
@@ -340,7 +331,7 @@ def cmd_recover(args, t0):
         info = verify.dim_bound_sweep(src, m, n, dst, m2, n2,
                                       n_tables=max(1, args.dim_bound // 10),
                                       n_sets=10, seed=args.seed)
-        return _finish(_verdict_from(info, report), args, t0)
+        return _finish(_verdict_from(info, report), args)
     f = parse_map_table(args.map)
     report = RunReport("recover", {"map": os.path.basename(args.map)})
     try:
@@ -348,19 +339,19 @@ def cmd_recover(args, t0):
     except NotHom as e:
         report.params["exit"] = "not_hom"
         report.fail(f"{e.witness[0].to_text()} ~ {e.witness[1].to_text()}")
-        return _finish(report, args, t0)
+        return _finish(report, args)
     except Degenerate as e:
         report.params["exit"] = "degenerate"
         report.fail(f"center {e.witness[0].to_text()}")
-        return _finish(report, args, t0)
+        return _finish(report, args)
     except DimDeficient as e:
         report.params["exit"] = "dim_deficient"
         report.fail(f"{e.witness[0]} has dimension {e.witness[1]}")
-        return _finish(report, args, t0)
+        return _finish(report, args)
     except NoFit as e:
         report.params["exit"] = "no_fit"
         report.fail(str(e))
-        return _finish(report, args, t0)
+        return _finish(report, args)
     p = res.params
     report.params.update({
         "exit": "ok",
@@ -372,7 +363,7 @@ def cmd_recover(args, t0):
                 "generator_image": p.tau.generator_image},
     })
     report.counts["residual_checked"] = int(res.residual_checked)
-    return _finish(report, args, t0)
+    return _finish(report, args)
 
 
 # --- parser ----------------------------------------------------------------
@@ -479,15 +470,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    t0 = time.time()
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.fn(args, t0)
-    except (FormatError, BfgeoError, ValueError, OSError) as e:
+        return args.fn(args)
+    except (BfgeoError, ValueError, OSError) as e:
         report = RunReport(args.command, {}, verdict="error",
                            witnesses=[f"{type(e).__name__}: {e}"])
         sys.stdout.write(emit_report(report, getattr(args, "out", None)))

@@ -17,10 +17,10 @@ import numpy as np
 
 from . import _bulk
 from .errors import (Disjoint, NotAdjacent, NotAdjacentSet, NotMaximal,
-                     PreconditionViolated, ShapeMismatch, WrongKinds,
-                     ZeroNotMember)
+                     PreconditionViolated, ShapeMismatch, TheoremViolated,
+                     WrongKinds, ZeroNotMember)
 from .fields import Field
-from .matrices import Mat, adjacent, arithmetic_distance, space
+from .matrices import Mat, adjacent, space
 
 
 class Kind(enum.Enum):
@@ -29,20 +29,6 @@ class Kind(enum.Enum):
 
     def other(self) -> "Kind":
         return Kind.TWO if self is Kind.ONE else Kind.ONE
-
-
-def monic_col(field: Field, vec) -> np.ndarray:
-    """Scale a nonzero vector so its first nonzero entry is 1.
-
-    This is the lexicographically smallest representative of the spanned
-    1-dimensional space.
-    """
-    vec = np.asarray(vec)
-    nz = np.nonzero(vec)[0]
-    if nz.size == 0:
-        raise ValueError("zero vector spans nothing")
-    c = field.inv(int(vec[nz[0]]))
-    return field.vmul(vec, field.dtype(c))
 
 
 def complete_to_invertible_col(field: Field, u) -> Mat:
@@ -71,6 +57,14 @@ class MaximalSet:
             raise ShapeMismatch("transform size disagrees with the offset shape")
         self._tinv = transform.inverse()  # also certifies invertibility
 
+    @staticmethod
+    def through(kind: Kind, direction, offset: Mat) -> "MaximalSet":
+        """The clique of this kind through offset whose defining space the
+        direction spans, with the canonical completion as transform."""
+        if kind is Kind.ONE:
+            return MaximalSet(kind, complete_to_invertible_col(offset.field, direction), offset)
+        return MaximalSet(kind, complete_to_invertible_row(offset.field, direction), offset)
+
     @property
     def field(self) -> Field:
         return self.offset.field
@@ -83,12 +77,12 @@ class MaximalSet:
     def n(self) -> int:
         return self.offset.n
 
-    @property
+    @functools.cached_property
     def direction(self) -> np.ndarray:
         """Monic generator of the defining 1-dimensional space."""
         if self.kind is Kind.ONE:
-            return monic_col(self.field, self.transform.col(0))
-        return monic_col(self.field, self.transform.row(0))
+            return _bulk.monic(self.field, self.transform.col(0))
+        return _bulk.monic(self.field, self.transform.row(0))
 
     def cardinality(self) -> int:
         return self.field.q ** (self.n if self.kind is Kind.ONE else self.m)
@@ -132,11 +126,7 @@ class MaximalSet:
         """Same set with the completion transform and lex-min offset."""
         codes = _bulk.encode(self.field, self.point_entries())
         off = Mat.decode(self.field, int(codes.min()), self.m, self.n)
-        if self.kind is Kind.ONE:
-            t = complete_to_invertible_col(self.field, self.direction)
-        else:
-            t = complete_to_invertible_row(self.field, self.direction)
-        return MaximalSet(self.kind, t, off)
+        return MaximalSet.through(self.kind, self.direction, off)
 
     def __eq__(self, other):
         return isinstance(other, MaximalSet) and self.key() == other.key()
@@ -201,10 +191,6 @@ class VertexSet:
 # construction through adjacent pairs
 # ---------------------------------------------------------------------------
 
-def member(M: MaximalSet, X: Mat) -> bool:
-    return M.contains(X)
-
-
 def maximal_sets_through(A: Mat, B: Mat):
     """The two maximal cliques containing an adjacent pair, one per kind.
 
@@ -214,15 +200,10 @@ def maximal_sets_through(A: Mat, B: Mat):
     """
     if not adjacent(A, B):
         raise NotAdjacent("inputs are not at arithmetic distance 1")
-    D = B - A
+    D = (B - A).a
     F = A.field
-    ci = int(np.nonzero(D.a.any(axis=0))[0][0])
-    u = monic_col(F, D.col(ci))
-    ri = int(np.nonzero(D.a.any(axis=1))[0][0])
-    v = monic_col(F, D.row(ri))
-    one = MaximalSet(Kind.ONE, complete_to_invertible_col(F, u), A)
-    two = MaximalSet(Kind.TWO, complete_to_invertible_row(F, v), A)
-    return one, two
+    return (MaximalSet.through(Kind.ONE, _bulk.generators(F, D, "col"), A),
+            MaximalSet.through(Kind.TWO, _bulk.generators(F, D, "row"), A))
 
 
 def intersect(M: MaximalSet, N: MaximalSet) -> VertexSet:
@@ -240,20 +221,17 @@ def intersect(M: MaximalSet, N: MaximalSet) -> VertexSet:
 # classification of explicit cliques
 # ---------------------------------------------------------------------------
 
-def _common_direction(field: Field, diffs, axis: str):
-    """Monic generator shared by all rank-1 diffs along rows or columns."""
-    reps = []
-    for D in diffs:
-        if axis == "col":
-            i = int(np.nonzero(D.any(axis=0))[0][0])
-            reps.append(monic_col(field, D[:, i]))
-        else:
-            i = int(np.nonzero(D.any(axis=1))[0][0])
-            reps.append(monic_col(field, D[i, :]))
-    first = reps[0]
-    if all(np.array_equal(r, first) for r in reps[1:]):
-        return first
-    return None
+def _host_direction(field: Field, diffs):
+    """(kind, monic generator) of the clique form all nonzero diffs share.
+
+    Every pairwise-adjacent set fits one of the two coset forms, so
+    finding neither is a broken theorem, not a property of the input.
+    """
+    for kind, axis in ((Kind.ONE, "col"), (Kind.TWO, "row")):
+        g = _bulk.common_generator(field, diffs, axis)
+        if g is not None:
+            return kind, g
+    raise TheoremViolated("adjacent set outside both clique forms")
 
 
 def classify_clique(S: VertexSet) -> MaximalSet:
@@ -276,19 +254,9 @@ def classify_clique(S: VertexSet) -> MaximalSet:
     base = pts[0]  # codes are sorted, so this is the lex-min member
     A = Mat(F, base)
     if N == 1:
-        host = MaximalSet(Kind.ONE,
-                          complete_to_invertible_col(F, np.eye(S.m, dtype=F.dtype)[:, 0]),
-                          A)
+        host = MaximalSet.through(Kind.ONE, np.eye(S.m, dtype=F.dtype)[:, 0], A)
     else:
-        diffs = F.vsub(pts[1:], base)
-        u = _common_direction(F, diffs, "col")
-        if u is not None:
-            host = MaximalSet(Kind.ONE, complete_to_invertible_col(F, u), A)
-        else:
-            v = _common_direction(F, diffs, "row")
-            # a pairwise-adjacent set always fits one of the two coset forms
-            assert v is not None, "adjacent set outside both clique forms"
-            host = MaximalSet(Kind.TWO, complete_to_invertible_row(F, v), A)
+        host = MaximalSet.through(*_host_direction(F, F.vsub(pts[1:], base)), A)
 
     if N == host.cardinality():
         return host.canonical()
@@ -350,10 +318,11 @@ def line_through(M: MaximalSet, N: MaximalSet) -> Line:
     pts = intersect(M, N)
     if len(pts) == 0:
         raise Disjoint("cliques do not meet")
-    assert len(pts) == M.field.q, "opposite-kind cliques meet in q points"
+    if len(pts) != M.field.q:
+        raise TheoremViolated("opposite-kind cliques meet in q points")
     coords = _host_coords(M, pts.entries())
     beta = coords[0]
-    alpha = monic_col(M.field, M.field.vsub(coords[1], coords[0]))
+    alpha = _bulk.monic(M.field, M.field.vsub(coords[1], coords[0]))
     return Line(M, alpha, beta)
 
 
@@ -375,19 +344,15 @@ def dim_adjacent_set(S: VertexSet) -> int:
     if not _bulk.adjacent_mask(F, diffs_all[off]).all():
         raise NotAdjacentSet("some pair is not at distance 1")
     nonzero = pts[S.codes != 0]
-    u = _common_direction(F, nonzero, "col")
-    if u is not None:
-        # coordinates x with X = u x: row i of X equals u_i * x
-        i = int(np.nonzero(u)[0][0])
-        rows = F.vmul(nonzero[:, i, :], F.inv_table[u[i]].astype(F.dtype))
-        dim = int(_bulk.rank(F, rows[None, :, :])[0])
-    else:
-        v = _common_direction(F, nonzero, "row")
-        assert v is not None
-        j = int(np.nonzero(v)[0][0])
-        cols = F.vmul(nonzero[:, :, j], F.inv_table[v[j]].astype(F.dtype))
-        dim = int(_bulk.rank(F, cols[None, :, :])[0])
-    assert dim <= max(S.m, S.n)
+    kind, g = _host_direction(F, nonzero)
+    if kind is Kind.TWO:
+        nonzero = np.swapaxes(nonzero, 1, 2)
+    # coordinates x with X = g x (or X^t = g x): g is monic, so the row of
+    # X at g's leading 1 is x itself
+    i = int(np.argmax(g != 0))
+    dim = int(_bulk.rank(F, nonzero[None, :, i, :])[0])
+    if dim > max(S.m, S.n):
+        raise TheoremViolated("adjacent set dimension exceeds max(m, n)")
     return dim
 
 

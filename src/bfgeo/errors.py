@@ -11,6 +11,14 @@ class BfgeoError(Exception):
     """Base class for all library errors."""
 
 
+class TheoremViolated(BfgeoError):
+    """A fact the theory guarantees failed to hold on the data at hand.
+
+    Raised by the internal cross-checks; it means the library or its
+    inputs are wrong, never that a verifier found a counterexample.
+    """
+
+
 class WitnessError(BfgeoError):
     """Error carrying a concrete counterexample or offending object."""
 

@@ -22,7 +22,7 @@ import functools
 
 import numpy as np
 
-from .errors import DegreeTooLarge, NotPrime
+from .errors import DegreeTooLarge, NotPrime, TheoremViolated
 
 ORDER_LIMIT = 1 << 16
 
@@ -174,7 +174,8 @@ class Field:
                 if seen == q - 1:
                     gen = cand
                     break
-            assert gen is not None
+            if gen is None:
+                raise TheoremViolated(f"GF({q})* has no generator")
         self.generator = gen
         exp = np.empty(q - 1, dtype=np.int32)
         log = np.zeros(q, dtype=np.int32)
@@ -229,9 +230,6 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return int(self.inv_table[a])
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
         if e == 0:

@@ -21,7 +21,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import _bulk
-from .errors import BudgetExceeded, PreconditionViolated, ShapeMismatch
+from .errors import (BudgetExceeded, PreconditionViolated, ShapeMismatch,
+                     TheoremViolated)
 from .fields import Field, FieldHom
 from .matrices import Mat, space
 
@@ -81,19 +82,13 @@ def embed_graph_point(X: Mat) -> Flat:
 # strata of matrices by nonzero-row count and rank
 # ---------------------------------------------------------------------------
 
-def row_stratum(field: Field, m: int, n: int, k: int, r: int) -> np.ndarray:
-    """All m x n matrices of rank r with exactly k nonzero rows."""
+def stratum(field: Field, m: int, n: int, k: int, r: int, axis: str) -> np.ndarray:
+    """All m x n matrices of rank r with exactly k nonzero rows ("row") or
+    columns ("col"), in code order."""
     sp = space(field, m, n)
     ranks = _bulk.rank(field, sp.entries)
-    nzrows = sp.entries.any(axis=2).sum(axis=1)
-    return sp.entries[(ranks == r) & (nzrows == k)]
-
-
-def col_stratum(field: Field, m: int, n: int, k: int, r: int) -> np.ndarray:
-    sp = space(field, m, n)
-    ranks = _bulk.rank(field, sp.entries)
-    nzcols = sp.entries.any(axis=1).sum(axis=1)
-    return sp.entries[(ranks == r) & (nzcols == k)]
+    nonzero = sp.entries.any(axis=2 if axis == "row" else 1).sum(axis=1)
+    return sp.entries[(ranks == r) & (nonzero == k)]
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +167,8 @@ def _spot_check_flat_distance(field: Field, A, Bs, m: int, n: int, rng):
     lhs = flat_ad(Flat(field, Mat.hstack(X, Y)),
                   Flat(field, Mat.hstack(Mat.identity(field, m), B)))
     rhs = (Y - X @ B).rank()
-    assert lhs == rhs, "flat distance disagrees with its rank reduction"
+    if lhs != rhs:
+        raise TheoremViolated("flat distance disagrees with its rank reduction")
 
 
 def _run_rigidity(ctxE: Field, homEtoD: FieldHom, m: int, n: int, k: int,
@@ -200,14 +196,14 @@ def _run_rigidity(ctxE: Field, homEtoD: FieldHom, m: int, n: int, k: int,
     center_rank = k if top else r
     nbr_k = k - 1 if top else k
     nbr_rank = k - 1 if top else r + 1
+    # the column strata of the original space, transposed into row convention
+    axis = "col" if transposed else "row"
+    centers = stratum(ctxE, orig_m, orig_n, k, center_rank, axis)
+    nbrs = stratum(ctxE, orig_m, orig_n, nbr_k, nbr_rank, axis)
     if transposed:
-        centers_E = np.swapaxes(col_stratum(ctxE, orig_m, orig_n, k, center_rank), 1, 2)
-        nbrs_E = np.swapaxes(col_stratum(ctxE, orig_m, orig_n, nbr_k, nbr_rank), 1, 2)
-    else:
-        centers_E = row_stratum(ctxE, m, n, k, center_rank)
-        nbrs_E = row_stratum(ctxE, m, n, nbr_k, nbr_rank)
-    centers = homEtoD.vapply(centers_E)
-    nbrs = homEtoD.vapply(nbrs_E)
+        centers, nbrs = np.swapaxes(centers, 1, 2), np.swapaxes(nbrs, 1, 2)
+    centers = homEtoD.vapply(centers)
+    nbrs = homEtoD.vapply(nbrs)
 
     rng = np.random.default_rng(seed)
     if a_sample is not None and a_sample < len(centers):

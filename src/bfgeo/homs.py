@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bulk
-from .cliques import (Kind, MaximalSet, complete_to_invertible_col,
-                      complete_to_invertible_row, monic_col)
-from .errors import (Degenerate, InvalidParams, InvalidXi, NoHomExists,
-                     NotHom, ShapeMismatch, SingularTwist)
+from .cliques import Kind, MaximalSet
+from .errors import (InvalidParams, InvalidXi, NoHomExists, NotHom,
+                     ShapeMismatch, SingularTwist, TheoremViolated)
 from .fields import Field, FieldHom, enumerate_homs, field_from_order, make_field
 from .matrices import Mat, random_invertible, space
 
@@ -63,23 +62,6 @@ class MapTable:
     @staticmethod
     def identity(field: Field, m: int, n: int) -> "MapTable":
         return MapTable(field, m, n, field, m, n, space(field, m, n).entries)
-
-    @staticmethod
-    def from_callable(src_field: Field, m: int, n: int,
-                      dst_field: Field, m2: int, n2: int, fn) -> "MapTable":
-        sp = space(src_field, m, n)
-        images = np.zeros((sp.count, m2, n2), dtype=dst_field.dtype)
-        for code, X in enumerate(sp):
-            images[code] = fn(X).a
-        return MapTable(src_field, m, n, dst_field, m2, n2, images)
-
-    def compose_outer(self, g: "MapTable") -> "MapTable":
-        """g after self; needs the shapes to chain."""
-        if (g.src_field, g.m, g.n) != (self.dst_field, self.m2, self.n2):
-            raise ShapeMismatch("tables do not chain")
-        codes = self.image_codes()
-        return MapTable(self.src_field, self.m, self.n, g.dst_field, g.m2,
-                        g.n2, g.images[codes])
 
     def transposed_images(self) -> "MapTable":
         """The table X -> f(X)^t (domain unchanged)."""
@@ -159,29 +141,51 @@ class StandardHomParams:
         return self.tau.dst
 
 
-def _core_batch(params: StandardHomParams, xs):
-    """(N, m, n) -> core images before padding, or raise with a witness."""
-    F = params.dst_field
-    N = len(xs)
+class TwistSide(enum.Enum):
+    LEFT = "left"    # X -> (I + X L)^-1 X
+    RIGHT = "right"  # X -> X (I + L X)^-1
+
+
+def _resolvent(F: Field, X, L, side: TwistSide, invert: bool = True):
+    """Resolvent denominators of a stack X and, if wanted, the twisted stack.
+
+    Side LEFT builds G = I + X L and twists to G^-1 X; side RIGHT builds
+    G = I + L X and twists to X G^-1.  Returns (ok, twisted): ok masks the
+    invertible denominators, twisted is None unless invert is set and
+    every denominator is invertible.
+    """
+    if side is TwistSide.LEFT:
+        prod = _bulk.matmul(F, X, L[None])
+    else:
+        prod = _bulk.matmul(F, L[None], X)
+    G = F.vadd(np.broadcast_to(_bulk.identity(F, prod.shape[-1]), prod.shape), prod)
+    ok = _bulk.invertible_mask(F, G)
+    if not (invert and ok.all()):
+        return ok, None
+    Ginv = _bulk.inverse(F, G)
+    if side is TwistSide.LEFT:
+        return ok, _bulk.matmul(F, Ginv, X)
+    return ok, _bulk.matmul(F, X, Ginv)
+
+
+def _oriented(params: StandardHomParams, xs):
+    """(X, side): the images X^tau (transposed for the transposed form) and
+    the side whose resolvent is the core of the standard form."""
     Xt = params.tau.vapply(xs)
     if params.orientation is Orientation.STRAIGHT:
-        G = F.vadd(np.broadcast_to(_bulk.identity(F, params.m), (N, params.m, params.m)),
-                   _bulk.matmul(F, Xt, params.L.a[None]))
-        bad = ~_bulk.invertible_mask(F, G)
-        if bad.any():
-            code = int(np.nonzero(bad)[0][0])
-            raise InvalidParams("denominator singular inside the domain",
-                                witness=Mat(params.src_field, xs[code]))
-        return _bulk.matmul(F, _bulk.inverse(F, G), Xt)
-    Xtt = np.swapaxes(Xt, 1, 2)
-    G = F.vadd(np.broadcast_to(_bulk.identity(F, params.m), (N, params.m, params.m)),
-               _bulk.matmul(F, params.L.a[None], Xtt))
-    bad = ~_bulk.invertible_mask(F, G)
-    if bad.any():
-        code = int(np.nonzero(bad)[0][0])
+        return Xt, TwistSide.LEFT
+    return np.swapaxes(Xt, 1, 2), TwistSide.RIGHT
+
+
+def _core_batch(params: StandardHomParams, xs):
+    """(N, m, n) -> core images before padding, or raise with a witness."""
+    X, side = _oriented(params, xs)
+    ok, core = _resolvent(params.dst_field, X, params.L.a, side)
+    if core is None:
+        code = int(np.nonzero(~ok)[0][0])
         raise InvalidParams("denominator singular inside the domain",
                             witness=Mat(params.src_field, xs[code]))
-    return _bulk.matmul(F, Xtt, _bulk.inverse(F, G))
+    return core
 
 
 def eval_standard(params: StandardHomParams, X: Mat) -> Mat:
@@ -209,55 +213,33 @@ def standard_table(params: StandardHomParams) -> MapTable:
 def validate_params(params: StandardHomParams):
     """(True, None) when the denominator stays invertible; else (False, X).
 
-    Also asserts the two-sided equivalence: the m x m denominators are all
+    Also checks the two-sided equivalence: the m x m denominators are all
     invertible iff the n x n mirrors are, and where valid the two resolvent
-    expressions agree at every point.
+    expressions agree at every point.  A failure of either raises
+    TheoremViolated.
     """
-    F = params.dst_field
     sp = space(params.src_field, params.m, params.n)
-    Xt = params.tau.vapply(sp.entries)
-    if params.orientation is Orientation.TRANSPOSED:
-        Xt = np.swapaxes(Xt, 1, 2)
-        A = params.L.a[None]
-        G_left = F.vadd(np.broadcast_to(_bulk.identity(F, params.m),
-                                        (sp.count, params.m, params.m)),
-                        _bulk.matmul(F, A, Xt))
-        G_right = F.vadd(np.broadcast_to(_bulk.identity(F, params.n),
-                                         (sp.count, params.n, params.n)),
-                         _bulk.matmul(F, Xt, A))
-    else:
-        G_left = F.vadd(np.broadcast_to(_bulk.identity(F, params.m),
-                                        (sp.count, params.m, params.m)),
-                        _bulk.matmul(F, Xt, params.L.a[None]))
-        G_right = F.vadd(np.broadcast_to(_bulk.identity(F, params.n),
-                                         (sp.count, params.n, params.n)),
-                         _bulk.matmul(F, params.L.a[None], Xt))
-    ok_left = _bulk.invertible_mask(F, G_left)
-    ok_right = _bulk.invertible_mask(F, G_right)
-    assert ok_left.all() == ok_right.all(), \
-        "one-sided invertibility must be two-sided"
-    if not ok_left.all():
-        code = int(np.nonzero(~ok_left)[0][0])
+    X, side = _oriented(params, sp.entries)
+    other = TwistSide.RIGHT if side is TwistSide.LEFT else TwistSide.LEFT
+    ok, lhs = _resolvent(params.dst_field, X, params.L.a, side)
+    ok_other, rhs = _resolvent(params.dst_field, X, params.L.a, other)
+    if ok.all() != ok_other.all():
+        raise TheoremViolated("one-sided invertibility must be two-sided")
+    if lhs is None:
+        code = int(np.nonzero(~ok)[0][0])
         return False, Mat(params.src_field, sp.entries[code])
-    if params.orientation is Orientation.STRAIGHT:
-        lhs = _bulk.matmul(F, _bulk.inverse(F, G_left), Xt)
-        rhs = _bulk.matmul(F, Xt, _bulk.inverse(F, G_right))
-    else:
-        lhs = _bulk.matmul(F, Xt, _bulk.inverse(F, G_left))
-        rhs = _bulk.matmul(F, _bulk.inverse(F, G_right), Xt)
-    assert np.array_equal(lhs, rhs), "resolvent identity must hold pointwise"
+    if not np.array_equal(lhs, rhs):
+        raise TheoremViolated("resolvent identity must hold pointwise")
     return True, None
 
 
 def _twist_valid(F2: Field, Xt, L, transposed: bool) -> bool:
     """All denominators I + X^tau L (or I + L X^tau^t) invertible?"""
     if transposed:
-        core = _bulk.matmul(F2, L[None], np.swapaxes(Xt, 1, 2))
+        ok, _ = _resolvent(F2, np.swapaxes(Xt, 1, 2), L, TwistSide.RIGHT, invert=False)
     else:
-        core = _bulk.matmul(F2, Xt, L[None])
-    mdim = core.shape[1]
-    G = F2.vadd(np.broadcast_to(_bulk.identity(F2, mdim), core.shape), core)
-    return bool(_bulk.invertible_mask(F2, G).all())
+        ok, _ = _resolvent(F2, Xt, L, TwistSide.LEFT, invert=False)
+    return bool(ok.all())
 
 
 def random_valid_params(rng, src_field: Field, m: int, n: int,
@@ -358,27 +340,6 @@ def is_colouring(f: MapTable) -> bool:
     return True
 
 
-def _space_reps(field: Field, mats):
-    """Monic column- and row-space representatives of rank-1 matrices.
-
-    Returns (ucode, vcode) integer encodings per matrix.
-    """
-    M = np.asarray(mats)
-    nzc = M.any(axis=1)
-    jcol = np.argmax(nzc, axis=1)
-    u = np.take_along_axis(M, jcol[:, None, None], axis=2)[:, :, 0]
-    lead = np.take_along_axis(u, np.argmax(u != 0, axis=1)[:, None], axis=1)[:, 0]
-    u = field.vmul(u, field.inv_table[lead][:, None].astype(field.dtype))
-    nzr = M.any(axis=2)
-    irow = np.argmax(nzr, axis=1)
-    v = np.take_along_axis(M, irow[:, None, None], axis=1)[:, 0, :]
-    lead = np.take_along_axis(v, np.argmax(v != 0, axis=1)[:, None], axis=1)[:, 0]
-    v = field.vmul(v, field.inv_table[lead][:, None].astype(field.dtype))
-    qpow_u = field.q ** np.arange(u.shape[1] - 1, -1, -1, dtype=np.int64)
-    qpow_v = field.q ** np.arange(v.shape[1] - 1, -1, -1, dtype=np.int64)
-    return u.astype(np.int64) @ qpow_u, v.astype(np.int64) @ qpow_v, u, v
-
-
 def is_degenerate(f: MapTable):
     """Search for a collapsed unit ball around a rank <= 1 center.
 
@@ -404,27 +365,20 @@ def is_degenerate(f: MapTable):
         Dnz = D[nz]
         A = Mat.decode(f.src_field, int(c_center), f.m, f.n)
         cimg = Mat(F2, center_img)
-        if len(Dnz) == 0:
-            # ball collapses to a point: any opposite-kind pair through it
-            u = np.eye(f.m2, dtype=F2.dtype)[:, 0]
-            v = np.eye(f.n2, dtype=F2.dtype)[:, 0]
-            return True, (A, _mk_one(F2, u, cimg), _mk_two(F2, v, cimg))
-        ucodes, vcodes, us, vs = _space_reps(F2, Dnz)
-        pick = _stab_with_two(ucodes, vcodes)
+        # a ball collapsed to a point lies on any opposite-kind pair
+        pick = (None, None)
+        if len(Dnz):
+            us = _bulk.generators(F2, Dnz, "col")
+            vs = _bulk.generators(F2, Dnz, "row")
+            pick = _stab_with_two(_bulk.encode(F2, us[:, :, None]),
+                                  _bulk.encode(F2, vs[:, :, None]))
         if pick is not None:
             iu, iv = pick
             u = us[iu] if iu is not None else np.eye(f.m2, dtype=F2.dtype)[:, 0]
             v = vs[iv] if iv is not None else np.eye(f.n2, dtype=F2.dtype)[:, 0]
-            return True, (A, _mk_one(F2, u, cimg), _mk_two(F2, v, cimg))
+            return True, (A, MaximalSet.through(Kind.ONE, u, cimg),
+                          MaximalSet.through(Kind.TWO, v, cimg))
     return False, None
-
-
-def _mk_one(field, u, offset):
-    return MaximalSet(Kind.ONE, complete_to_invertible_col(field, u), offset)
-
-
-def _mk_two(field, v, offset):
-    return MaximalSet(Kind.TWO, complete_to_invertible_row(field, v), offset)
 
 
 def _stab_with_two(ucodes, vcodes):
@@ -482,11 +436,6 @@ def make_xi_map(params: XiMapParams) -> MapTable:
 # twists
 # ---------------------------------------------------------------------------
 
-class TwistSide(enum.Enum):
-    LEFT = "left"    # X -> (I + f(X) L)^-1 f(X)
-    RIGHT = "right"  # X -> f(X) (I + L f(X))^-1
-
-
 def moebius_twist(f: MapTable, L: Mat, side: TwistSide = TwistSide.LEFT) -> MapTable:
     """Twist a table by a resolvent factor; distances of images survive.
 
@@ -496,24 +445,11 @@ def moebius_twist(f: MapTable, L: Mat, side: TwistSide = TwistSide.LEFT) -> MapT
     F2 = f.dst_field
     if L.field != F2 or L.shape != (f.n2, f.m2):
         raise ShapeMismatch("twist matrix must be n' x m' over the target field")
-    img = f.images
-    N = len(img)
-    if side is TwistSide.LEFT:
-        G = F2.vadd(np.broadcast_to(_bulk.identity(F2, f.m2), (N, f.m2, f.m2)),
-                    _bulk.matmul(F2, img, L.a[None]))
-    else:
-        G = F2.vadd(np.broadcast_to(_bulk.identity(F2, f.n2), (N, f.n2, f.n2)),
-                    _bulk.matmul(F2, L.a[None], img))
-    bad = ~_bulk.invertible_mask(F2, G)
-    if bad.any():
-        code = int(np.nonzero(bad)[0][0])
+    ok, out = _resolvent(F2, f.images, L.a, side)
+    if out is None:
+        code = int(np.nonzero(~ok)[0][0])
         raise SingularTwist("twist denominator singular",
                             witness=Mat.decode(f.src_field, code, f.m, f.n))
-    Ginv = _bulk.inverse(F2, G)
-    if side is TwistSide.LEFT:
-        out = _bulk.matmul(F2, Ginv, img)
-    else:
-        out = _bulk.matmul(F2, img, Ginv)
     return MapTable(f.src_field, f.m, f.n, F2, f.m2, f.n2, out)
 
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DuplicateKey, FormatError, IncompleteDomain
+from .errors import DomainTooLarge, DuplicateKey, FormatError, IncompleteDomain
 from .fields import make_field
 from .homs import MapTable
-from .matrices import Mat
+from .matrices import SPACE_LIMIT, Mat
 
 MAGIC = "%bfmap 1"
 
@@ -39,11 +39,17 @@ def _parse_header_line(lineno, line, tag):
         p, k, m, n = (int(t) for t in parts[1:])
     except ValueError:
         raise FormatError(f"non-integer field in '{tag}' header", line=lineno) from None
+    if min(m, n) < 1:
+        raise FormatError(f"matrix shape in '{tag}' header must be positive", line=lineno)
     return make_field(p, k), m, n
 
 
 def parse_map_table(path) -> MapTable:
-    """Load and fully validate a map-table file."""
+    """Load and fully validate a map-table file.
+
+    The header is checked against the file before anything is allocated:
+    the domain must be enumerable and must have one data line per point.
+    """
     with open(path) as fh:
         raw = fh.read().splitlines()
     lines = [(i + 1, s.strip()) for i, s in enumerate(raw)]
@@ -56,10 +62,17 @@ def parse_map_table(path) -> MapTable:
     src_field, m, n = _parse_header_line(*lines[1], "src")
     dst_field, m2, n2 = _parse_header_line(*lines[2], "dst")
     count = src_field.q ** (m * n)
+    if count > SPACE_LIMIT:
+        raise DomainTooLarge(
+            f"header domain q^(m*n) = {count} exceeds the enumeration bound {SPACE_LIMIT}")
+    data = lines[3:]
+    if len(data) < count:
+        raise IncompleteDomain(
+            f"header declares {count} domain points, file has {len(data)} data lines")
 
-    images = np.zeros((count, m2, n2), dtype=dst_field.dtype)
+    codes, rows = [], []
     seen = np.zeros(count, dtype=bool)
-    for lineno, line in lines[3:]:
+    for lineno, line in data:
         if "->" not in line:
             raise FormatError("expected '<X> -> <Y>'", line=lineno)
         left, right = (s.strip() for s in line.split("->", 1))
@@ -74,9 +87,12 @@ def parse_map_table(path) -> MapTable:
         if seen[code]:
             raise DuplicateKey(f"domain point repeated at line {lineno}: {left}")
         seen[code] = True
-        images[code] = Y.a
+        codes.append(code)
+        rows.append(Y.a)
     if not seen.all():
         missing = int(np.nonzero(~seen)[0][0])
         raise IncompleteDomain(
             f"{int((~seen).sum())} domain points missing, first code {missing}")
+    images = np.empty((count, m2, n2), dtype=dst_field.dtype)
+    images[codes] = rows
     return MapTable(src_field, m, n, dst_field, m2, n2, images)

@@ -32,11 +32,13 @@ class Mat:
 
     def __init__(self, field: Field, entries):
         self.field = field
-        a = np.array(entries, dtype=field.dtype)
-        if a.ndim != 2 or a.size == 0:
+        raw = np.asarray(entries)
+        if raw.ndim != 2 or raw.size == 0:
             raise ShapeMismatch("Mat needs a nonempty 2-d entry array")
-        if a.max(initial=0) >= field.q:
+        # range-check before the cast, which would wrap or overflow
+        if raw.max() >= field.q or (raw.dtype.kind != "u" and raw.min() < 0):
             raise ValueError("entry index out of range for the field")
+        a = raw.astype(field.dtype)
         a.setflags(write=False)
         self.a = a
 
@@ -55,10 +57,6 @@ class Mat:
         a = np.zeros((m, n), dtype=field.dtype)
         a[i, j] = c
         return Mat(field, a)
-
-    @staticmethod
-    def from_rows(field: Field, rows) -> "Mat":
-        return Mat(field, np.array(rows))
 
     @staticmethod
     def diag(field: Field, values, m: int | None = None, n: int | None = None) -> "Mat":
@@ -206,9 +204,6 @@ def arithmetic_distance(A: Mat, B: Mat) -> int:
     return (A - B).rank()
 
 
-ad = arithmetic_distance
-
-
 def adjacent(A: Mat, B: Mat) -> bool:
     return arithmetic_distance(A, B) == 1
 
@@ -244,19 +239,12 @@ class MatrixSpace:
     @functools.cached_property
     def monic_cols(self):
         """Column vectors with leading coefficient 1, one per 1-dim space."""
-        q, m = self.field.q, self.m
-        vecs = _bulk.decode(self.field, np.arange(1, q**m), m, 1)[:, :, 0]
-        first = np.argmax(vecs != 0, axis=1)
-        keep = vecs[np.arange(len(vecs)), first] == 1
-        return vecs[keep]
+        return _monic_vectors(self.field, self.m)
 
     @functools.cached_property
     def monic_rows(self):
-        q, n = self.field.q, self.n
-        vecs = _bulk.decode(self.field, np.arange(1, q**n), n, 1)[:, :, 0]
-        first = np.argmax(vecs != 0, axis=1)
-        keep = vecs[np.arange(len(vecs)), first] == 1
-        return vecs[keep]
+        """Row vectors with leading coefficient 1, one per 1-dim space."""
+        return _monic_vectors(self.field, self.n)
 
     @functools.cached_property
     def rank1(self):
@@ -301,12 +289,6 @@ class MatrixSpace:
                 self.field.vadd(flat, R.reshape(-1)).reshape(self.count, self.m, self.n))
         return out
 
-    def shift_perm(self, R: Mat):
-        """Permutation code(X) -> code(X + R) over the whole space."""
-        flat = self.entries.reshape(self.count, -1)
-        shifted = self.field.vadd(flat, R.a.reshape(-1))
-        return _bulk.encode(self.field, shifted.reshape(self.count, self.m, self.n))
-
     @functools.cached_property
     def code_neg(self):
         """code(X) -> code(-X) table."""
@@ -345,6 +327,13 @@ class MatrixSpace:
 
     def random_mat(self, rng) -> Mat:
         return self.mat(int(rng.integers(self.count)))
+
+
+def _monic_vectors(field: Field, length: int):
+    """Vectors of the given length whose first nonzero entry is 1, in code order."""
+    vecs = _bulk.decode(field, np.arange(1, field.q**length), length, 1)[:, :, 0]
+    first = np.argmax(vecs != 0, axis=1)
+    return vecs[vecs[np.arange(len(vecs)), first] == 1]
 
 
 @functools.lru_cache(maxsize=None)

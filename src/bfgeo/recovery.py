@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bulk
-from .cliques import (VertexSet, dim_adjacent_set, monic_col)
+from .cliques import (VertexSet, complete_to_invertible_col,
+                      complete_to_invertible_row, dim_adjacent_set)
 from .errors import (Degenerate, DimDeficient, NoFit, NotHom,
                      PreconditionViolated, UnsupportedField)
 from .fields import Field, FieldHom, enumerate_homs
@@ -156,22 +157,6 @@ def _axis_codes(f: MapTable, kind: str, i: int):
     return _bulk.encode(F, mats)
 
 
-def _common_space_rep(field: Field, diffs, axis: str):
-    reps = None
-    for D in diffs:
-        if axis == "col":
-            j = int(np.nonzero(D.any(axis=0))[0][0])
-            r = monic_col(field, D[:, j])
-        else:
-            i = int(np.nonzero(D.any(axis=1))[0][0])
-            r = monic_col(field, D[i, :])
-        if reps is None:
-            reps = r
-        elif not np.array_equal(reps, r):
-            return None
-    return reps
-
-
 def _complete_rows(field: Field, rows_mat) -> Mat:
     """Extend full-row-rank (r, c) to an invertible c x c (rows on top)."""
     rows_mat = np.asarray(rows_mat)
@@ -186,7 +171,8 @@ def _complete_rows(field: Field, rows_mat) -> Mat:
             if len(out) == c:
                 break
     M = Mat(field, np.stack(out))
-    assert M.rank() == c
+    if M.rank() != c:
+        raise PreconditionViolated("rows to complete are linearly dependent")
     return M
 
 
@@ -223,7 +209,7 @@ def recover_standard(f: MapTable) -> RecoveryResult:
     # orientation: which kind of clique hosts the row-axis image
     diffs = f.images[m1]
     diffs = diffs[diffs.any(axis=(1, 2))]
-    if _common_space_rep(f.dst_field, diffs, "col") is not None:
+    if _bulk.common_generator(f.dst_field, diffs, "col") is not None:
         return _recover_straight(f)
     h = f.transposed_images()
     res = _recover_straight(h)
@@ -237,30 +223,25 @@ def recover_standard(f: MapTable) -> RecoveryResult:
 
 def _recover_straight(f: MapTable) -> RecoveryResult:
     F2 = f.dst_field
-    m, n, m2, n2 = f.m, f.n, f.m2, f.n2
     m1 = _axis_codes(f, "row", 0)
     n1 = _axis_codes(f, "col", 0)
 
     d_m = f.images[m1]
-    u = _common_space_rep(F2, d_m[d_m.any(axis=(1, 2))], "col")
+    u = _bulk.common_generator(F2, d_m[d_m.any(axis=(1, 2))], "col")
     d_n = f.images[n1]
-    v = _common_space_rep(F2, d_n[d_n.any(axis=(1, 2))], "row")
+    v = _bulk.common_generator(F2, d_n[d_n.any(axis=(1, 2))], "row")
     if u is None or v is None:
         raise NoFit("axis images do not align with opposite clique kinds")
 
-    from .cliques import complete_to_invertible_col, complete_to_invertible_row
     P0 = complete_to_invertible_col(F2, u)
     Q0 = complete_to_invertible_row(F2, v)
     img1 = _bulk.matmul(F2, P0.inverse().a[None],
                         _bulk.matmul(F2, f.images, Q0.inverse().a[None]))
 
-    xs_n = _row_space_points(f.src_field, n)
-    xs_m = _row_space_points(f.src_field, m)
     failures = []
     for tau in enumerate_homs(f.src_field, F2):
         try:
-            result = _recover_straight_for_tau(f, img1, P0, Q0, tau,
-                                               xs_n, xs_m)
+            result = _recover_straight_for_tau(f, img1, P0, Q0, tau)
         except NoFit as e:
             failures.append(f"{tau!r}: {e}")
             continue
@@ -269,7 +250,7 @@ def _recover_straight(f: MapTable) -> RecoveryResult:
 
 
 def _recover_straight_for_tau(f: MapTable, img1, P0: Mat, Q0: Mat,
-                              tau: FieldHom, xs_n, xs_m) -> RecoveryResult:
+                              tau: FieldHom) -> RecoveryResult:
     F2 = f.dst_field
     m, n, m2, n2 = f.m, f.n, f.m2, f.n2
     m1 = _axis_codes(f, "row", 0)

@@ -2,8 +2,7 @@
 
 Reports canonicalize to sorted-key JSON with integer and string leaves
 only.  Identical runs (same command, parameters and seed) produce byte
-identical files regardless of worker count; the wall-clock measurement is
-therefore kept on the object but left out of the canonical bytes.
+identical files regardless of worker count.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ class RunReport:
     witnesses: list = field(default_factory=list)
     counts: dict = field(default_factory=dict)
     seed: int = 0
-    elapsed_ms: int = 0
 
     def fail(self, *witnesses):
         self.verdict = "fail"

@@ -13,9 +13,9 @@ import numpy as np
 from . import _bulk
 from .cliques import (Kind, VertexSet, all_maximal_sets, bron_kerbosch_cliques,
                       classify_clique, clique_number, intersect, line_through,
-                      maximal_sets_through, two_pencil_sweep, unit_ball)
+                      maximal_sets_through, two_pencil_sweep)
 from .errors import SingularTwist
-from .fields import Field, enumerate_homs, field_from_order, make_field
+from .fields import Field, field_from_order
 from .homs import (MapTable, Orientation, build_witness_hom, hom_exists,
                    is_colouring, is_degenerate, is_graph_hom, moebius_twist,
                    proper_coloring, random_valid_params, standard_table,
@@ -127,22 +127,16 @@ def line_structure_check(field: Field, m: int, n: int) -> dict:
     M1 = next(s for s in ones if s.contains(Mat.zeros(field, m, n))
               and s.contains(Mat.unit(field, m, n, 0, 0)))
     sp_rows = space(field, 1, n)
+    lam = np.arange(field.q, dtype=np.int64)
     param_lines = set()
-    for acode in range(1, sp_rows.count):
-        alpha = sp_rows.entries[acode, 0]
-        first = np.argmax(alpha != 0)
-        if alpha[first] != 1:
-            continue
-        for bcode in range(sp_rows.count):
-            beta = sp_rows.entries[bcode, 0]
-            lam = np.arange(field.q, dtype=np.int64)
-            coords = field.vadd(field.vmul(lam[:, None], alpha[None, :]), beta)
+    for alpha in sp_rows.monic_rows:
+        for beta in sp_rows.entries[:, 0]:
             mats = np.zeros((field.q, m, n), dtype=field.dtype)
-            mats[:, 0, :] = coords
+            mats[:, 0, :] = field.vadd(field.vmul(lam[:, None], alpha[None, :]), beta)
             param_lines.add(tuple(sorted(int(c) for c in _bulk.encode(field, mats))))
     known = set(line_hosts.keys())
     for ell in param_lines:
-        if tuple(sorted(ell)) not in known:
+        if ell not in known:
             violations.append("parametric line missing from intersections")
     return {
         "lines": len(line_hosts),

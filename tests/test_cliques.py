@@ -9,8 +9,7 @@ from bfgeo.cliques import (Kind, Line, MaximalSet, VertexSet, all_maximal_sets,
                            clique_number, complete_to_invertible_col,
                            complete_to_invertible_row, dim_adjacent_set,
                            intersect, line_through, maximal_sets_through,
-                           member, monic_col, two_pencil_constraint,
-                           two_pencil_sweep, unit_ball)
+                           two_pencil_constraint, two_pencil_sweep, unit_ball)
 from bfgeo.errors import (Disjoint, NotAdjacent, NotAdjacentSet, NotMaximal,
                           PreconditionViolated, WrongKinds, ZeroNotMember)
 from bfgeo.fields import make_field
@@ -56,10 +55,10 @@ def test_member_basics():
     for x in range(4):
         for y in range(4):
             X = Mat(F4, [[x, y], [0, 0]])
-            assert member(M1, X)
+            assert M1.contains(X)
     E21 = Mat.unit(F4, 2, 2, 1, 0)
-    assert not member(M1, E21)
-    assert member(N1, E21)
+    assert not M1.contains(E21)
+    assert N1.contains(E21)
 
 
 def test_maximal_sets_through_standard_pairs():

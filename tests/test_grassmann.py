@@ -8,8 +8,8 @@ from bfgeo.errors import PreconditionViolated, ShapeMismatch
 from bfgeo.fields import enumerate_homs, identity_hom, make_field
 from bfgeo.grassmann import (Flat, Side, check_rigidity_step,
                              check_rigidity_step_cols, check_rigidity_top,
-                             check_rigidity_top_cols, col_stratum,
-                             embed_graph_point, flat_ad, row_stratum)
+                             check_rigidity_top_cols, embed_graph_point,
+                             flat_ad, stratum)
 from bfgeo.matrices import Mat, arithmetic_distance, random_invertible, space
 
 F4 = make_field(2, 2)
@@ -99,11 +99,11 @@ def test_change_of_representation_block_identity():
 
 
 def test_strata():
-    top = row_stratum(F4, 2, 2, 2, 2)
+    top = stratum(F4, 2, 2, 2, 2, "row")
     assert len(top) == 180  # all rank-2 matrices have both rows nonzero
-    step = row_stratum(F4, 2, 2, 2, 1)
+    step = stratum(F4, 2, 2, 2, 1, "row")
     assert len(step) == 45  # rank-1 with no zero row
-    assert len(col_stratum(F4, 2, 2, 2, 1)) == 45
+    assert len(stratum(F4, 2, 2, 2, 1, "col")) == 45
 
 
 def test_rigidity_top_gf4():
@@ -162,14 +162,14 @@ def test_rigidity_vacuous_guard():
     from unittest import mock
     import bfgeo.grassmann as gm
 
-    real = gm.row_stratum
+    real = gm.stratum
 
-    def fake(field, m, n, k, r):
+    def fake(field, m, n, k, r, axis):
         if (k, r) == (1, 1):  # the neighbor stratum for k = 2
-            return real(field, m, n, k, r)[:0]
-        return real(field, m, n, k, r)
+            return real(field, m, n, k, r, axis)[:0]
+        return real(field, m, n, k, r, axis)
 
-    with mock.patch.object(gm, "row_stratum", side_effect=fake):
+    with mock.patch.object(gm, "stratum", side_effect=fake):
         rep = gm.check_rigidity_top(F4, identity_hom(F4), 2, 2, 2)
     assert rep["strata_checked"] == 0
     assert len(rep["vacuous"]) == 180

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from bfgeo.cli import main
-from bfgeo.errors import DuplicateKey, FormatError, IncompleteDomain
+from bfgeo.errors import (DomainTooLarge, DuplicateKey, FormatError,
+                          IncompleteDomain)
 from bfgeo.fields import make_field
 from bfgeo.homs import MapTable, build_witness_hom
 from bfgeo.mapfile import parse_map_table, write_map_table
@@ -171,3 +172,36 @@ def test_cli_sampled_mode_records_seed(tmp_path, capsys):
                         "--sample", "200", "--seed", "42")
     assert code == 0
     assert rep["seed"] == 42
+
+
+def test_mapfile_header_domain_too_large(tmp_path, capsys):
+    # the header claims 2^25 points; the file is rejected before any
+    # table of that size is allocated
+    path = tmp_path / "huge.bfmap"
+    path.write_text("%bfmap 1\nsrc 2 1 5 5\ndst 2 1 5 5\n")
+    with pytest.raises(DomainTooLarge):
+        parse_map_table(path)
+    code, rep = run_cli(capsys, "hom-verify", "--map", str(path))
+    assert code == 2
+    assert rep["verdict"] == "error"
+    assert rep["witnesses"][0].startswith("DomainTooLarge:")
+
+
+def test_mapfile_header_point_count_and_shape(tmp_path):
+    path = tmp_path / "short.bfmap"
+    path.write_text("%bfmap 1\nsrc 2 2 2 2\ndst 2 2 2 2\n0,0;0,0 -> 0,0;0,0\n")
+    with pytest.raises(IncompleteDomain, match="256 domain points"):
+        parse_map_table(path)
+    path.write_text("%bfmap 1\nsrc 2 2 0 2\ndst 2 2 2 2\n")
+    with pytest.raises(FormatError) as e:
+        parse_map_table(path)
+    assert e.value.line == 2
+
+
+def test_cli_twist_out_of_range_entry_exit_2(tmp_path, capsys):
+    path = tmp_path / "w.bfmap"
+    write_map_table(build_witness_hom(2, 2, 2, 4, 2, 2), path)
+    code, rep = run_cli(capsys, "twist", "--map", str(path), "--twist=-1,0;0,0")
+    assert code == 2
+    assert rep["verdict"] == "error"
+    assert rep["witnesses"][0].startswith("ValueError:")

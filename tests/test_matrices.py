@@ -199,3 +199,48 @@ def test_solve_affine():
     # inconsistent system
     bad = _bulk.solve_affine(F4, np.array([[1, 0], [1, 0]]), np.array([1, 2]))
     assert bad is None
+
+
+def test_solve_affine_matches_exhaustive_search():
+    # a rank-2 system in 4 unknowns over GF(4): 16 solutions
+    A = np.array([[1, 2, 0, 3], [0, 1, 1, 2], [1, 3, 1, 1]])
+    b = _bulk.matmul(F4, A, np.array([[2], [0], [1], [3]]))[:, 0]
+    x, basis = _bulk.solve_affine(F4, A, b)
+    assert basis.shape == (2, 4)
+    allx = _bulk.decode(F4, np.arange(4**4), 1, 4)[:, 0, :]
+    hits = allx[(_bulk.matmul(F4, allx[:, None, :], A.T[None])[:, 0, :] == b).all(axis=1)]
+    coeffs = _bulk.decode(F4, np.arange(16), 1, 2)[:, 0, :]
+    spanned = F4.vadd(x, _bulk.matmul(F4, coeffs[:, None, :], basis[None])[:, 0, :])
+    assert sorted(_bulk.encode(F4, hits[:, None, :])) == \
+        sorted(_bulk.encode(F4, spanned[:, None, :]))
+
+
+def test_monic_generators():
+    v = _bulk.monic(F5, np.array([[0, 3, 1], [2, 0, 4]]))
+    assert np.array_equal(v, [[0, 1, 2], [1, 0, 2]])
+    with pytest.raises(ValueError):
+        _bulk.monic(F5, np.array([[1, 2], [0, 0]]))
+    u = np.array([0, 1, 3])
+    w = np.array([2, 0, 4, 1])
+    R = F5.vmul(u[:, None], w[None, :])  # rank 1 with column space u
+    stack = np.stack([R, F5.vmul(R, 2)])
+    assert np.array_equal(_bulk.common_generator(F5, stack, "col"), u)
+    assert np.array_equal(_bulk.common_generator(F5, stack, "row"), [1, 0, 2, 3])
+    other = F5.vmul(np.array([1, 0, 0])[:, None], w[None, :])
+    assert _bulk.common_generator(F5, np.stack([R, other]), "col") is None
+    assert _bulk.common_generator(F5, stack[:0], "col") is None
+    assert np.array_equal(space(F5, 2, 3).monic_rows,
+                          _bulk.monic(F5, space(F5, 2, 3).monic_rows))
+
+
+def test_mat_rejects_out_of_range_entries():
+    F257 = make_field(257, 1)
+    F256 = make_field(2, 8)
+    for F in (F4, F257):
+        for bad in ([[-1, 0]], [[F.q, 0]]):
+            with pytest.raises(ValueError):
+                Mat(F, bad)
+    with pytest.raises(ValueError):
+        Mat(F256, np.array([[-1, 0]]))  # would wrap to 255 in uint8
+    assert Mat(F256, np.array([[255, 0]], dtype=np.uint8)).a[0, 0] == 255
+    assert Mat(F257, [[256, 0]]).a[0, 0] == 256

@@ -96,7 +96,7 @@ def test_recover_requires_zero_fixed():
     imgs = space(F4, 2, 2).entries.copy()
     shift = Mat.unit(F4, 2, 2, 0, 0)
     sp = space(F4, 2, 2)
-    imgs = imgs[sp.shift_perm(shift)]
+    imgs = imgs[sp.code_add(np.arange(sp.count), shift.encode())]
     with pytest.raises(PreconditionViolated):
         recover_standard(MapTable(F4, 2, 2, F4, 2, 2, imgs))
 
@@ -179,17 +179,16 @@ def test_fit_succeeds_on_every_axis_restriction_of_recovered_tables():
 def test_image_kind_alignment_of_standard_tables():
     # same-kind source cliques land in same-kind cliques: on the axes this
     # means all row cliques share the column-space property and vice versa
-    from bfgeo.recovery import _common_space_rep
     rng = np.random.default_rng(31)
     p = random_valid_params(rng, F4, 2, 2, F16, 3, 3,
                             orientation=Orientation.STRAIGHT)
     tbl = standard_table(p)
     for i in range(2):
         d = tbl.images[_axis_codes(tbl, "row", i)]
-        assert _common_space_rep(F16, d[d.any(axis=(1, 2))], "col") is not None
+        assert _bulk.common_generator(F16, d[d.any(axis=(1, 2))], "col") is not None
     for j in range(2):
         d = tbl.images[_axis_codes(tbl, "col", j)]
-        assert _common_space_rep(F16, d[d.any(axis=(1, 2))], "row") is not None
+        assert _bulk.common_generator(F16, d[d.any(axis=(1, 2))], "row") is not None
 
 
 def test_dim_bound_check():
@@ -208,3 +207,10 @@ def test_dim_bound_check():
         assert dim_bound_check(tbl, VertexSet.from_entries(F4, sel))
     with pytest.raises(PreconditionViolated):
         dim_bound_check(tbl, VertexSet.from_mats([Mat.unit(F4, 2, 2, 0, 0)]))
+
+
+def test_complete_rows_rejects_dependent_rows():
+    from bfgeo.recovery import _complete_rows
+    assert _complete_rows(F4, np.array([[0, 1, 2]])).rank() == 3
+    with pytest.raises(PreconditionViolated):
+        _complete_rows(F4, np.array([[1, 2, 3], [2, 3, 1]]))
