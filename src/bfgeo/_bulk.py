@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainTooLarge
 from .fields import Field
 
 
@@ -219,10 +220,13 @@ def encode(field: Field, mats):
     """Pack matrices into integer codes, big-endian over row-major entries.
 
     The (0, 0) entry is the most significant digit, so the code order agrees
-    with lexicographic order on the row-major entry sequence.
+    with lexicographic order on the row-major entry sequence.  Raises
+    DomainTooLarge when the codes would not fit in int64.
     """
     M = np.asarray(mats, dtype=np.int64)
     m, n = M.shape[-2:]
+    if field.q ** (m * n) > 2**63:
+        raise DomainTooLarge(f"q^(m*n) = {field.q}^{m * n} codes overflow int64")
     w = field.q ** np.arange(m * n - 1, -1, -1, dtype=np.int64)
     return M.reshape(M.shape[:-2] + (m * n,)) @ w
 

@@ -40,9 +40,15 @@ def _parse_space(text: str):
 
 
 def _workers(args) -> int:
-    if args.workers is not None:
-        return args.workers
-    return int(os.environ.get("MATGEO_WORKERS", "1"))
+    """The requested worker count; the rigidity pool clamps it further."""
+    raw = args.workers if args.workers is not None else os.environ.get("MATGEO_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"--workers / MATGEO_WORKERS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def _finish(report: RunReport, args) -> int:

@@ -130,10 +130,13 @@ class Field:
     """
 
     def __init__(self, p: int, k: int):
+        # bound p and k before p**k and the trial-division primality test,
+        # which would stall on a huge header value
+        if (k < 1 or p > ORDER_LIMIT or k > ORDER_LIMIT.bit_length()
+                or p**k > ORDER_LIMIT):
+            raise DegreeTooLarge(f"p^k = {p}**{k} outside (0, {ORDER_LIMIT}]")
         if not is_prime(p):
             raise NotPrime(f"p={p} is not prime")
-        if k < 1 or p**k > ORDER_LIMIT:
-            raise DegreeTooLarge(f"p^k = {p}**{k} outside (0, {ORDER_LIMIT}]")
         self.p = p
         self.k = k
         self.q = p**k
@@ -332,6 +335,8 @@ def field_from_order(q: int) -> Field:
     """Resolve a prime power q to its interned field GF(q)."""
     if q < 2:
         raise NotPrime(f"{q} is not a prime power")
+    if q > ORDER_LIMIT:
+        raise DegreeTooLarge(f"q = {q} outside (0, {ORDER_LIMIT}]")
     p = 2
     while p * p <= q:
         if q % p == 0:

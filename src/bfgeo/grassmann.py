@@ -16,6 +16,7 @@ documented extra branch Y = 0 on the top stratum with k = 2.
 from __future__ import annotations
 
 import enum
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -229,8 +230,9 @@ def _run_rigidity(ctxE: Field, homEtoD: FieldHom, m: int, n: int, k: int,
         A, Bs = job
         return _check_center(D, A, Bs, m, n, top, k)
 
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    threads = min(workers, os.cpu_count() or 1, len(jobs))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(work, jobs))
     else:
         results = [work(j) for j in jobs]

@@ -23,7 +23,12 @@ from .matrices import Mat, random_invertible, space
 
 
 class MapTable:
-    """A total map GF(q)^(m x n) -> GF(q')^(m' x n') as an image stack."""
+    """A total map GF(q)^(m x n) -> GF(q')^(m' x n') as an image stack.
+
+    The table owns a read-only copy of its images, so the exhaustive
+    verdicts of ``is_graph_hom`` and ``is_degenerate`` are computed once
+    and kept on the table.
+    """
 
     def __init__(self, src_field: Field, m: int, n: int,
                  dst_field: Field, m2: int, n2: int, images):
@@ -33,13 +38,14 @@ class MapTable:
         self.dst_field = dst_field
         self.m2 = m2
         self.n2 = n2
-        images = np.asarray(images, dtype=dst_field.dtype)
+        images = np.array(images, dtype=dst_field.dtype)
         count = src_field.q ** (m * n)
         if images.shape != (count, m2, n2):
             raise ShapeMismatch(
                 f"need {count} images of shape ({m2}, {n2}), got {images.shape}")
         images.setflags(write=False)
         self.images = images
+        self._verdicts = {}
 
     @property
     def count(self) -> int:
@@ -290,8 +296,11 @@ def is_graph_hom(f: MapTable, mode: str = "exhaustive", samples: int = 10**5,
     Exhaustive mode scans every edge of the source graph; sampled mode
     draws the given number of random adjacent pairs.  Returns (ok,
     witness) where the witness, if any, is the lexicographically first
-    violating pair (by source codes).
+    violating pair (by source codes).  The exhaustive verdict is kept on
+    the table and returned by later exhaustive calls.
     """
+    if mode == "exhaustive" and "is_graph_hom" in f._verdicts:
+        return f._verdicts["is_graph_hom"]
     sp = f.src_space()
     F2 = f.dst_field
     img = f.images
@@ -322,11 +331,13 @@ def is_graph_hom(f: MapTable, mode: str = "exhaustive", samples: int = 10**5,
             best = (int(lo[t]), int(hi[t]))
     else:
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
-    if best is None:
-        return True, None
-    A = Mat.decode(f.src_field, best[0], f.m, f.n)
-    B = Mat.decode(f.src_field, best[1], f.m, f.n)
-    return False, (A, B)
+    verdict = (True, None)
+    if best is not None:
+        verdict = (False, (Mat.decode(f.src_field, best[0], f.m, f.n),
+                           Mat.decode(f.src_field, best[1], f.m, f.n)))
+    if mode == "exhaustive":
+        f._verdicts["is_graph_hom"] = verdict
+    return verdict
 
 
 def is_colouring(f: MapTable) -> bool:
@@ -340,45 +351,95 @@ def is_colouring(f: MapTable) -> bool:
     return True
 
 
+# Byte budget for one block of the degeneracy scan's difference stack
+# (centers x ball points x target entries, sized at 8 bytes an entry); it
+# bounds the scan's working memory whatever the table's shape.
+_DEGENERACY_BLOCK_BYTES = 2 << 20
+
+
 def is_degenerate(f: MapTable):
     """Search for a collapsed unit ball around a rank <= 1 center.
 
     Returns (True, (A, M, N)) with the center and the two opposite-kind
     cliques hosting the ball image, or (False, None).  Raises NotHom when
     some ball edge is torn, since the search presumes a homomorphism.
+    Centers are scanned in code order, a block of them at a time; the
+    first that tears or has a two-clique cover decides.  The verdict is
+    kept on the table; a NotHom is raised again on every call.
     """
+    if "is_degenerate" in f._verdicts:
+        return f._verdicts["is_degenerate"]
     sp = f.src_space()
     F2 = f.dst_field
     ball0 = np.sort(np.concatenate([np.zeros(1, dtype=np.int64), sp.rank1_codes]))
-    for c_center in ball0:  # centers are exactly the rank <= 1 matrices
-        ball = sp.code_add(ball0, int(c_center))
-        imgs = f.images[ball]
-        center_img = f.images[int(c_center)]
-        D = F2.vsub(imgs, center_img)
-        nz = D.any(axis=(1, 2))
+    block = max(1, _DEGENERACY_BLOCK_BYTES // (len(ball0) * f.m2 * f.n2 * 8))
+    verdict = (False, None)
+    for start in range(0, len(ball0), block):  # centers: the rank <= 1 matrices
+        centers = ball0[start:start + block]
+        balls = sp.code_add(ball0[None, :], centers[:, None])
+        D = F2.vsub(f.images[balls], f.images[centers][:, None])
+        nz = D.any(axis=(2, 3))
         torn = nz & ~_bulk.rank_le1_mask(F2, D)
-        if torn.any():
-            bad = int(np.nonzero(torn)[0][0])
-            raise NotHom("ball image tears: not a graph homomorphism",
-                         witness=(Mat.decode(f.src_field, int(ball[bad]), f.m, f.n),
-                                  Mat.decode(f.src_field, int(c_center), f.m, f.n)))
-        Dnz = D[nz]
-        A = Mat.decode(f.src_field, int(c_center), f.m, f.n)
-        cimg = Mat(F2, center_img)
-        # a ball collapsed to a point lies on any opposite-kind pair
-        pick = (None, None)
-        if len(Dnz):
-            us = _bulk.generators(F2, Dnz, "col")
-            vs = _bulk.generators(F2, Dnz, "row")
-            pick = _stab_with_two(_bulk.encode(F2, us[:, :, None]),
-                                  _bulk.encode(F2, vs[:, :, None]))
-        if pick is not None:
-            iu, iv = pick
-            u = us[iu] if iu is not None else np.eye(f.m2, dtype=F2.dtype)[:, 0]
-            v = vs[iv] if iv is not None else np.eye(f.n2, dtype=F2.dtype)[:, 0]
-            return True, (A, MaximalSet.through(Kind.ONE, u, cimg),
-                          MaximalSet.through(Kind.TWO, v, cimg))
-    return False, None
+        hit = torn.any(axis=1) | _has_two_clique_cover(F2, D, nz)
+        if hit.any():
+            b = int(np.argmax(hit))
+            verdict = _center_verdict(f, int(centers[b]), balls[b], D[b][nz[b]],
+                                      torn[b])
+            break
+    f._verdicts["is_degenerate"] = verdict
+    return verdict
+
+
+def _has_two_clique_cover(F2: Field, D, nz):
+    """Per center (row of the (B, K) stack D): do the nonzero differences
+    all share u0 or v0 with one pair (u0, v0) of column and row generators?
+
+    Some item has u0 or v0 itself, so a pair exists iff the items whose u
+    differs from the first item's all share one v, or the items whose v
+    differs from the first item's all share one u.  A row with no nonzero
+    item (a ball collapsed to a point) is covered vacuously.
+    """
+    u = np.zeros(nz.shape, dtype=np.int64)
+    v = np.zeros(nz.shape, dtype=np.int64)
+    Dnz = D[nz]
+    u[nz] = _bulk.encode(F2, _bulk.generators(F2, Dnz, "col")[:, :, None])
+    v[nz] = _bulk.encode(F2, _bulk.generators(F2, Dnz, "row")[:, :, None])
+    first = np.argmax(nz, axis=1)[:, None]
+    other_u = nz & (u != np.take_along_axis(u, first, axis=1))
+    other_v = nz & (v != np.take_along_axis(v, first, axis=1))
+    return _all_equal(v, other_u) | _all_equal(u, other_v)
+
+
+def _all_equal(codes, mask):
+    """Per row: do the masked codes all agree?  (Vacuously so when none are.)"""
+    ref = np.take_along_axis(codes, np.argmax(mask, axis=1)[:, None], axis=1)
+    return ((codes == ref) | ~mask).all(axis=1)
+
+
+def _center_verdict(f: MapTable, center: int, ball, Dnz, torn):
+    """The verdict at the deciding center: NotHom on a tear, else the
+    center and the two cliques hosting its ball image."""
+    F2 = f.dst_field
+    A = Mat.decode(f.src_field, center, f.m, f.n)
+    if torn.any():
+        bad = int(np.argmax(torn))
+        raise NotHom("ball image tears: not a graph homomorphism",
+                     witness=(Mat.decode(f.src_field, int(ball[bad]), f.m, f.n), A))
+    # a ball collapsed to a point lies on any opposite-kind pair
+    pick = (None, None)
+    if len(Dnz):
+        us = _bulk.generators(F2, Dnz, "col")
+        vs = _bulk.generators(F2, Dnz, "row")
+        pick = _stab_with_two(_bulk.encode(F2, us[:, :, None]),
+                              _bulk.encode(F2, vs[:, :, None]))
+    if pick is None:
+        raise TheoremViolated("the two-clique cover test and its witness search disagree")
+    iu, iv = pick
+    u = us[iu] if iu is not None else np.eye(f.m2, dtype=F2.dtype)[:, 0]
+    v = vs[iv] if iv is not None else np.eye(f.n2, dtype=F2.dtype)[:, 0]
+    cimg = Mat(F2, f.images[center])
+    return True, (A, MaximalSet.through(Kind.ONE, u, cimg),
+                  MaximalSet.through(Kind.TWO, v, cimg))
 
 
 def _stab_with_two(ucodes, vcodes):

@@ -60,6 +60,13 @@ def test_construction_rejections():
         make_field(2, 17)
     with pytest.raises(DegreeTooLarge):
         make_field(2, 0)
+    # bounded before p**k and the primality test, so these return at once
+    with pytest.raises(DegreeTooLarge):
+        make_field(1000000000000000003, 1)
+    with pytest.raises(DegreeTooLarge):
+        make_field(3, 10**12)
+    with pytest.raises(DegreeTooLarge):
+        field_from_order(1000000000000000003)
 
 
 def test_gf4_alpha_squared():

@@ -180,3 +180,36 @@ def test_workers_do_not_change_the_report():
     a = check_rigidity_top(F4, identity_hom(F4), 2, 2, 2, workers=1)
     b = check_rigidity_top(F4, identity_hom(F4), 2, 2, 2, workers=4)
     assert a == b
+
+
+@pytest.mark.parametrize("cpus,want", [(2, 2), (64, None), (None, None)])
+def test_rigidity_pool_is_clamped(cpus, want, monkeypatch):
+    # a fake executor records the pool size and runs the jobs inline, so no
+    # thread is started whatever the requested count
+    import bfgeo.grassmann as gm
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(gm, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(gm.os, "cpu_count", lambda: cpus)
+    serial = check_rigidity_top(F4, identity_hom(F4), 2, 2, 2, a_sample=6, workers=1)
+    assert sizes == []
+    rep = check_rigidity_top(F4, identity_hom(F4), 2, 2, 2, a_sample=6, workers=10**6)
+    assert rep == serial
+    if cpus is None:  # an unknown CPU count runs serially
+        assert sizes == []
+    else:
+        assert sizes == [want if want is not None else rep["strata_checked"]]
+

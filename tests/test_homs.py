@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from bfgeo import _bulk
-from bfgeo.cliques import Kind, clique_number, unit_ball
+from bfgeo import _bulk, homs
+from bfgeo.cliques import Kind, MaximalSet, clique_number, unit_ball
 from bfgeo.errors import (InvalidParams, InvalidXi, NoHomExists, NotHom,
                           SingularTwist)
 from bfgeo.fields import enumerate_homs, identity_hom, make_field
@@ -145,6 +145,167 @@ def test_is_degenerate():
     torn_imgs[1] = Mat.identity(F4, 2).a
     with pytest.raises(NotHom):
         is_degenerate(MapTable(F4, 2, 2, F4, 2, 2, torn_imgs))
+
+
+def _degenerate_oracle(f, decided):
+    """The per-center degeneracy loop, kept as the reference for the
+    batched scan; appends the index of the deciding center to decided."""
+    sp = f.src_space()
+    F2 = f.dst_field
+    ball0 = np.sort(np.concatenate([np.zeros(1, dtype=np.int64), sp.rank1_codes]))
+    for index, c_center in enumerate(ball0):
+        ball = sp.code_add(ball0, int(c_center))
+        center_img = f.images[int(c_center)]
+        D = F2.vsub(f.images[ball], center_img)
+        nz = D.any(axis=(1, 2))
+        torn = nz & ~_bulk.rank_le1_mask(F2, D)
+        if torn.any():
+            decided.append(index)
+            bad = int(np.nonzero(torn)[0][0])
+            raise NotHom("ball image tears: not a graph homomorphism",
+                         witness=(Mat.decode(f.src_field, int(ball[bad]), f.m, f.n),
+                                  Mat.decode(f.src_field, int(c_center), f.m, f.n)))
+        Dnz = D[nz]
+        pick = (None, None)
+        if len(Dnz):
+            us = _bulk.generators(F2, Dnz, "col")
+            vs = _bulk.generators(F2, Dnz, "row")
+            pick = homs._stab_with_two(_bulk.encode(F2, us[:, :, None]),
+                                       _bulk.encode(F2, vs[:, :, None]))
+        if pick is not None:
+            decided.append(index)
+            iu, iv = pick
+            u = us[iu] if iu is not None else np.eye(f.m2, dtype=F2.dtype)[:, 0]
+            v = vs[iv] if iv is not None else np.eye(f.n2, dtype=F2.dtype)[:, 0]
+            cimg = Mat(F2, center_img)
+            return True, (Mat.decode(f.src_field, int(c_center), f.m, f.n),
+                          MaximalSet.through(Kind.ONE, u, cimg),
+                          MaximalSet.through(Kind.TWO, v, cimg))
+    decided.append(len(ball0))
+    return False, None
+
+
+def _degeneracy_outcome(fn, f):
+    """fn(f) as comparable plain data, NotHom witnesses included."""
+    try:
+        deg, w = fn(f)
+    except NotHom as e:
+        return "NotHom", tuple(X.encode() for X in e.witness)
+    if w is None:
+        return deg, None
+    A, M, N = w
+    return deg, (A.encode(),) + tuple(
+        (S.kind, S.transform.a.tolist(), S.offset.a.tolist()) for S in (M, N))
+
+
+def _collapsed_ball_images(F, m, n, index):
+    """Identity on F^(m x n), except that the rank >= 2 points of the ball
+    around the index-th center map to that center: the earlier centers
+    (multiples of the last unit matrix) neither tear nor have a cover."""
+    sp = space(F, m, n)
+    c = np.sort(np.r_[0, sp.rank1_codes])[index]
+    near = _bulk.rank(F, F.vsub(sp.entries, sp.entries[c])) == 1
+    imgs = sp.entries.copy()
+    imgs[near & (_bulk.rank(F, sp.entries) >= 2)] = sp.entries[c]
+    return imgs
+
+
+def _torn_late_images(f):
+    """f's images with a tear at the latest center that can host one: the
+    rank-2 point first reached by the latest center's ball gets the
+    center's image plus a rank-2 matrix."""
+    sp = f.src_space()
+    ball0 = np.sort(np.r_[0, sp.rank1_codes])
+    first = np.full(sp.count, len(ball0))
+    for index, c in enumerate(ball0[::-1]):
+        first[sp.code_add(ball0, int(c))] = len(ball0) - 1 - index
+    p = int(np.argmax(np.where(first < len(ball0), first, -1)))
+    c = int(ball0[first[p]])
+    lift = np.zeros((f.m2, f.n2), dtype=f.dst_field.dtype)
+    lift[0, 0] = lift[1, 1] = 1
+    imgs = f.images.copy()
+    imgs[p] = f.dst_field.vadd(f.images[c], lift)
+    return imgs, int(first[p])
+
+
+def _two_family_images(emb, m2, n2):
+    """A 2 x 2 table whose unit ball around 0 lands in two cliques through
+    0: a matrix with a nonzero first row goes to that row (column clique
+    of e_1), any other to its second row as a column (row clique of e_1).
+    The first ball item, the last unit matrix, lands only in the second."""
+    X = emb.vapply(space(emb.src, 2, 2).entries)
+    out = np.zeros((len(X), m2, n2), dtype=emb.dst.dtype)
+    top = X[:, 0, :].any(axis=1)
+    out[top, 0, :2] = X[top, 0, :]
+    out[~top, :2, 0] = X[~top, 1, :]
+    return out
+
+
+@pytest.mark.parametrize("src,dst,shape", [
+    (F4, F4, (2, 2, 2, 2)), (F4, F16, (2, 2, 3, 3)), (F5, F5, (2, 2, 2, 2))])
+@pytest.mark.parametrize("block", [1, 3, None])
+def test_batched_degeneracy_scan_matches_per_center_loop(src, dst, shape, block,
+                                                          monkeypatch):
+    m, n, m2, n2 = shape
+    sp = space(src, m, n)
+    centers = 1 + len(sp.rank1_codes)
+    if block is not None:  # force block boundaries inside the scan
+        monkeypatch.setattr(homs, "_DEGENERACY_BLOCK_BYTES", block * centers * m2 * n2 * 8)
+    emb = enumerate_homs(src, dst)[0]
+    std = standard_table(random_valid_params(np.random.default_rng(5), src, m, n,
+                                             dst, m2, n2))
+    torn, torn_at = _torn_late_images(std)
+    late = src.q - 1  # the last multiple of the last unit matrix
+    cases = [
+        (std, centers),
+        (MapTable(src, m, n, dst, m2, n2, torn), torn_at),
+        (MapTable(src, m, n, dst, m, n,
+                  emb.vapply(_collapsed_ball_images(src, m, n, late))), late),
+        (build_witness_hom(src.q, m, n, dst.q, m2, n2), 0),
+        (MapTable(src, m, n, dst, m2, n2, _two_family_images(emb, m2, n2)), 0),
+        (MapTable(src, m, n, dst, m2, n2,  # the first item only in the first clique
+                  np.swapaxes(_two_family_images(emb, m2, n2), 1, 2)), 0),
+        (MapTable(src, m, n, dst, m2, n2,
+                  np.zeros((sp.count, m2, n2), dtype=dst.dtype)), 0),
+    ]
+    assert torn_at >= 3
+    for f, want_at in cases:
+        decided = []
+        want = _degeneracy_outcome(lambda t: _degenerate_oracle(t, decided), f)
+        assert decided == [want_at]
+        fresh = MapTable(src, m, n, f.dst_field, f.m2, f.n2, f.images)
+        assert _degeneracy_outcome(is_degenerate, fresh) == want
+        assert _degeneracy_outcome(is_degenerate, fresh) == want  # stored or re-raised
+
+
+def test_map_table_owns_a_read_only_copy():
+    imgs = space(F4, 2, 2).entries.copy()
+    tbl = MapTable(F4, 2, 2, F4, 2, 2, imgs)
+    assert imgs.flags.writeable and not tbl.images.flags.writeable
+    assert is_graph_hom(tbl) == (True, None)
+    assert is_degenerate(tbl) == (False, None)
+    imgs[:] = 0  # the caller's array no longer reaches the table
+    assert np.array_equal(tbl.images, space(F4, 2, 2).entries)
+    assert is_graph_hom(tbl) == (True, None)
+    assert is_degenerate(tbl) == (False, None)
+    with pytest.raises(ValueError):
+        tbl.images[0, 0, 0] = 1
+    assert is_graph_hom(MapTable(F4, 2, 2, F4, 2, 2, imgs))[0] is False
+
+
+def test_sampled_is_graph_hom_ignores_the_stored_verdict(monkeypatch):
+    const = MapTable(F4, 2, 2, F4, 2, 2, np.zeros((256, 2, 2), dtype=F4.dtype))
+    exhaustive = is_graph_hom(const)
+    assert is_graph_hom(const) is exhaustive  # served from the table
+    # a sampled call computes afresh and does not overwrite the stored verdict
+    calls = []
+    real = _bulk.adjacent_mask
+    monkeypatch.setattr(_bulk, "adjacent_mask",
+                        lambda *a: calls.append(1) or real(*a))
+    ok, w = is_graph_hom(const, mode="sampled", samples=50, seed=1)
+    assert calls and not ok and w != exhaustive[1]
+    assert is_graph_hom(const) is exhaustive
+    assert len(calls) == 1
 
 
 def test_embedding_is_isometric_and_distance_12_preserving():

@@ -1,6 +1,7 @@
 """Map-table files, report canonicalization, CLI exit codes."""
 
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -185,6 +186,35 @@ def test_mapfile_header_domain_too_large(tmp_path, capsys):
     assert code == 2
     assert rep["verdict"] == "error"
     assert rep["witnesses"][0].startswith("DomainTooLarge:")
+
+
+def test_mapfile_header_huge_prime_rejected_within_a_second(tmp_path, capsys):
+    # the header's p is bounded before the trial-division primality test
+    path = tmp_path / "bigp.bfmap"
+    path.write_text("%bfmap 1\nsrc 1000000000000000003 1 1 1\ndst 2 1 1 1\n0 -> 0\n")
+    signal.signal(signal.SIGALRM, lambda *a: pytest.fail("header parse still running after 1 s"))
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code, rep = run_cli(capsys, "hom-verify", "--map", str(path))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, signal.SIG_DFL)
+    assert code == 2
+    assert rep["verdict"] == "error"
+    assert rep["witnesses"][0].startswith("DegreeTooLarge:")
+
+
+@pytest.mark.parametrize("argv,env", [
+    (["--workers", "0"], None), (["--workers", "-3"], None),
+    ([], "0"), ([], "two")])
+def test_cli_rejects_worker_counts_below_one(argv, env, capsys, monkeypatch):
+    if env is not None:
+        monkeypatch.setenv("MATGEO_WORKERS", env)
+    code, rep = run_cli(capsys, *argv, "lemma-check", "--which", "4.1",
+                        "--e-field", "2,2", "-m", "2", "-n", "2", "-k", "2")
+    assert code == 2
+    assert rep["verdict"] == "error"
+    assert "must be a positive integer" in rep["witnesses"][0]
 
 
 def test_mapfile_header_point_count_and_shape(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bfgeo import _bulk
-from bfgeo.errors import ShapeMismatch, Singular
+from bfgeo.errors import DomainTooLarge, ShapeMismatch, Singular
 from bfgeo.fields import enumerate_homs, make_field
 from bfgeo.matrices import (Mat, adjacent, arithmetic_distance, bfs_distances,
                             count_rank_matrices, graph_distance,
@@ -129,6 +129,17 @@ def test_integer_encoding_is_lexicographic():
     # code order agrees with row-major lexicographic order on entries
     flat = sp.entries.reshape(sp.count, -1)
     assert all(tuple(flat[i]) < tuple(flat[i + 1]) for i in range(sp.count - 1))
+
+
+def test_encode_rejects_codes_past_int64():
+    # GF(2^16)^(3x4) has 2^192 points: E_00 used to wrap to code 0
+    F = make_field(2, 16)
+    E00 = np.zeros((3, 4), dtype=F.dtype)
+    E00[0, 0] = 1
+    with pytest.raises(DomainTooLarge):
+        _bulk.encode(F, E00)
+    top = np.ones((7, 9), dtype=np.uint8)  # 2^63 points: codes still fit
+    assert _bulk.encode(make_field(2, 1), top) == 2**63 - 1
 
 
 def test_count_rank_matrices_vs_exhaustive():

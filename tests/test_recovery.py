@@ -9,8 +9,8 @@ from bfgeo.errors import (Degenerate, DimDeficient, NoFit, NotHom,
                           PreconditionViolated, UnsupportedField)
 from bfgeo.fields import enumerate_homs, identity_hom, make_field
 from bfgeo.homs import (MapTable, Orientation, StandardHomParams, XiMapParams,
-                        build_witness_hom, make_xi_map, random_valid_params,
-                        standard_table)
+                        build_witness_hom, is_degenerate, is_graph_hom,
+                        make_xi_map, random_valid_params, standard_table)
 from bfgeo.matrices import Mat, random_invertible, space
 from bfgeo.recovery import (RecoveryResult, WeightedSemiAffine, dim_bound_check,
                             fit_semiaffine, recover_standard, _axis_codes)
@@ -102,15 +102,24 @@ def test_recover_requires_zero_fixed():
 
 
 def test_recover_not_hom_exit():
+    # on a fresh table recovery runs the check itself; on a checked one it
+    # gets the stored verdict, with the same witness
     imgs = np.zeros((256, 2, 2), dtype=F4.dtype)
-    with pytest.raises(NotHom):
-        recover_standard(MapTable(F4, 2, 2, F4, 2, 2, imgs))
+    tbl = MapTable(F4, 2, 2, F4, 2, 2, imgs)
+    with pytest.raises(NotHom) as fresh:
+        recover_standard(tbl)
+    with pytest.raises(NotHom) as checked:
+        recover_standard(tbl)
+    assert fresh.value.witness == checked.value.witness == is_graph_hom(tbl)[1]
 
 
 def test_recover_degenerate_exit():
     col = build_witness_hom(4, 2, 2, 4, 2, 2)
-    with pytest.raises(Degenerate):
+    with pytest.raises(Degenerate) as fresh:
         recover_standard(col)
+    with pytest.raises(Degenerate) as checked:
+        recover_standard(col)
+    assert fresh.value.witness is checked.value.witness is is_degenerate(col)[1]
 
 
 def test_recover_xi_map_exit_is_dim_deficient():
