@@ -15,13 +15,11 @@ import sys
 from . import verify
 from .errors import (BfgeoError, Degenerate, DimDeficient, NoFit, NoHomExists,
                      NotHom, SingularTwist)
-from .fields import (enumerate_homs, field_from_order, identity_hom,
-                     parse_field_name)
+from .fields import enumerate_homs, field_from_order, identity_hom, parse_field_name
 from .grassmann import (check_rigidity_step, check_rigidity_step_cols,
                         check_rigidity_top, check_rigidity_top_cols)
-from .homs import (TwistSide, XiMapParams, build_witness_hom,
-                   hom_exists, is_colouring, is_degenerate, is_graph_hom,
-                   make_xi_map, moebius_twist)
+from .homs import (TwistSide, XiMapParams, build_witness_hom, hom_exists, is_colouring,
+                   is_degenerate, is_graph_hom, make_xi_map, moebius_twist)
 from .mapfile import parse_map_table, write_map_table
 from .matrices import Mat, arithmetic_distance
 from .recovery import fit_semiaffine, recover_standard
@@ -29,14 +27,34 @@ from .reports import RunReport, emit_report
 
 
 def _parse_shape(text: str):
-    m, n = text.lower().split("x")
-    return int(m), int(n)
+    m, n = (int(t) for t in text.lower().split("x"))
+    if min(m, n) < 1:
+        raise ValueError(f"shape {text!r} must be two positive integers, as in 2x3")
+    return m, n
 
 
 def _parse_space(text: str):
     """"q:mxn" -> (field, m, n)."""
     q, shape = text.split(":")
     return (field_from_order(int(q)),) + _parse_shape(shape)
+
+
+def _spaces(args):
+    """(src, m, n, dst, m2, n2) from --src and --dst."""
+    return _parse_space(args.src) + _parse_space(args.dst)
+
+
+def _field_shape(args, **params):
+    """(F, m, n, report) from --field and --shape."""
+    F = parse_field_name(args.field)
+    m, n = _parse_shape(args.shape)
+    return F, m, n, RunReport(args.command, {"field": F.name, "shape": f"{m}x{n}", **params})
+
+
+def _map_table(args, **kw):
+    """(table, report) from --map; the report names the file, not its path."""
+    f = parse_map_table(args.map)
+    return f, RunReport(args.command, {"map": os.path.basename(args.map)}, **kw)
 
 
 def _workers(args) -> int:
@@ -51,67 +69,62 @@ def _workers(args) -> int:
     return workers
 
 
-def _finish(report: RunReport, args) -> int:
-    text = emit_report(report, getattr(args, "out", None))
-    sys.stdout.write(text)
-    return report.exit_code
-
-
-def _verdict_from(info: dict, report: RunReport, keys=("violations", "mismatches")):
+def _verdict_from(info: dict, report: RunReport):
     report.counts.update({k: v for k, v in info.items() if isinstance(v, int)})
-    for key in keys:
-        bad = info.get(key, [])
-        if bad:
-            report.fail(*[str(b) for b in bad[:16]])
-    return report
+    bad = [str(b) for key in ("violations", "mismatches") for b in info.get(key, [])[:16]]
+    return report.fail(*bad) if bad else report
 
 
-# --- subcommand handlers -----------------------------------------------------
+# --- subcommand handlers: each returns its RunReport ---------------------------
 
 def cmd_field_info(args):
     F = parse_field_name(args.field)
-    report = RunReport("field-info", {"field": F.name})
-    report.counts = {
-        "order": F.q, "characteristic": F.p, "degree": F.k,
-        "self_homs": len(enumerate_homs(F, F)),
-    }
-    report.params["modulus"] = ",".join(str(c) for c in F.modulus)
-    return _finish(report, args)
+    return RunReport("field-info", {"field": F.name, "modulus": ",".join(map(str, F.modulus))},
+                     counts={"order": F.q, "characteristic": F.p, "degree": F.k,
+                             "self_homs": len(enumerate_homs(F, F))})
 
 
-def cmd_bfs_check(args):
-    F = parse_field_name(args.field)
-    m, n = _parse_shape(args.shape)
-    report = RunReport("bfs-check", {"field": F.name, "shape": f"{m}x{n}"})
-    info = verify.distance_theorem_check(F, m, n)
-    return _finish(_verdict_from(info, report), args)
+SWEEPS = {
+    "bfs-check": verify.distance_theorem_check,
+    "clique-classify": verify.clique_structure_check,
+    "line-check": verify.line_structure_check,
+    "color": verify.coloring_check,
+}
 
 
-def cmd_clique_classify(args):
-    F = parse_field_name(args.field)
-    m, n = _parse_shape(args.shape)
-    report = RunReport("clique-classify", {"field": F.name, "shape": f"{m}x{n}"})
-    info = verify.clique_structure_check(F, m, n)
-    return _finish(_verdict_from(info, report), args)
+def cmd_sweep(args):
+    F, m, n, report = _field_shape(args)
+    return _verdict_from(SWEEPS[args.command](F, m, n), report)
 
 
-def cmd_line_check(args):
-    F = parse_field_name(args.field)
-    m, n = _parse_shape(args.shape)
-    report = RunReport("line-check", {"field": F.name, "shape": f"{m}x{n}"})
-    info = verify.line_structure_check(F, m, n)
-    return _finish(_verdict_from(info, report), args)
+# seeded sweeps between --src and --dst, by the count option selecting each
+SPACE_SWEEPS = {
+    "random_standard": lambda spaces, count, seed: verify.standard_form_sweep(
+        *spaces, count, seed=seed),
+    "roundtrip": lambda spaces, count, seed: verify.standard_form_sweep(
+        *spaces, count, seed=seed, recover=True),
+    "dim_bound": lambda spaces, count, seed: verify.dim_bound_sweep(
+        *spaces, n_tables=max(1, count // 10), n_sets=10, seed=seed),
+}
+
+
+def cmd_space_sweep(args):
+    count = getattr(args, args.mode)
+    report = RunReport(args.command, {"src": args.src, "dst": args.dst, args.mode: count},
+                       seed=args.seed)
+    return _verdict_from(SPACE_SWEEPS[args.mode](_spaces(args), count, args.seed), report)
+
+
+def cmd_exists_grid(args):
+    report = RunReport("exists", {"grid": "default"})
+    info = verify.existence_grid_check(verify_witnesses=not args.no_witnesses,
+                                       max_domain=args.max_domain)
+    report.params["results"] = ";".join(info.pop("results"))
+    return _verdict_from(info, report)
 
 
 def cmd_exists(args):
-    if args.grid:
-        report = RunReport("exists", {"grid": "default"})
-        info = verify.existence_grid_check(verify_witnesses=not args.no_witnesses,
-                                           max_domain=args.max_domain)
-        report.params["results"] = ";".join(info.pop("results"))
-        return _finish(_verdict_from(info, report), args)
-    src, m, n = _parse_space(args.src)
-    dst, m2, n2 = _parse_space(args.dst)
+    src, m, n, dst, m2, n2 = _spaces(args)
     report = RunReport("exists", {"src": args.src, "dst": args.dst})
     result = hom_exists(src.q, m, n, dst.q, m2, n2)
     report.counts["exists"] = int(result)
@@ -120,89 +133,55 @@ def cmd_exists(args):
         report.counts.update({k: int(v) for k, v in info.items()})
         if not info["pigeonhole_blocks"]:
             report.fail("pigeonhole certificate does not apply")
-    return _finish(report, args)
-
-
-def cmd_color(args):
-    F = parse_field_name(args.field)
-    m, n = _parse_shape(args.shape)
-    report = RunReport("color", {"field": F.name, "shape": f"{m}x{n}"})
-    info = verify.coloring_check(F, m, n)
-    _verdict_from(info, report)
-    if info["colors"] != info["expected_colors"] or info["monochromatic_edges"]:
-        report.fail(f"colors={info['colors']}, mono={info['monochromatic_edges']}")
-    return _finish(report, args)
+    return report
 
 
 def cmd_witness_hom(args):
-    src, m, n = _parse_space(args.src)
-    dst, m2, n2 = _parse_space(args.dst)
+    src, m, n, dst, m2, n2 = _spaces(args)
     report = RunReport("witness-hom", {"src": args.src, "dst": args.dst})
     try:
         w = build_witness_hom(src.q, m, n, dst.q, m2, n2)
     except NoHomExists as e:
         report.counts["exists"] = 0
-        report.fail(str(e))
-        return _finish(report, args)
+        return report.fail(str(e))
     ok, _ = is_graph_hom(w)
-    report.counts.update({"exists": 1, "is_hom": int(ok),
-                          "is_colouring": int(is_colouring(w))})
+    report.counts.update(exists=1, is_hom=int(ok), is_colouring=int(is_colouring(w)))
     if not ok:
         report.fail("witness is not a homomorphism")
     if args.table_out:
         write_map_table(w, args.table_out)
-    return _finish(report, args)
+    return report
 
 
 def cmd_hom_verify(args):
-    if args.random_standard:
-        src, m, n = _parse_space(args.src)
-        dst, m2, n2 = _parse_space(args.dst)
-        report = RunReport("hom-verify",
-                           {"src": args.src, "dst": args.dst,
-                            "random_standard": args.random_standard},
-                           seed=args.seed)
-        info = verify.standard_form_sweep(src, m, n, dst, m2, n2,
-                                          args.random_standard, seed=args.seed)
-        return _finish(_verdict_from(info, report), args)
-    f = parse_map_table(args.map)
-    report = RunReport("hom-verify", {"map": os.path.basename(args.map)},
-                       seed=args.seed)
+    f, report = _map_table(args, seed=args.seed)
     mode = "sampled" if args.sample else "exhaustive"
     ok, w = is_graph_hom(f, mode=mode, samples=args.sample or 0, seed=args.seed)
-    report.counts["is_hom"] = int(ok)
-    report.counts["is_colouring"] = int(is_colouring(f))
+    report.counts.update(is_hom=int(ok), is_colouring=int(is_colouring(f)))
     if not ok:
         report.fail(f"{w[0].to_text()} ~ {w[1].to_text()} torn")
-    return _finish(report, args)
+    return report
 
 
 def cmd_degeneracy_check(args):
-    f = parse_map_table(args.map)
-    report = RunReport("degeneracy-check", {"map": os.path.basename(args.map)})
+    f, report = _map_table(args)
     try:
         deg, w = is_degenerate(f)
     except NotHom as e:
-        report.verdict = "error"
-        report.witnesses.append(str(e))
-        return _finish(report, args)
+        return report.error(str(e))
     report.counts["degenerate"] = int(deg)
     if deg:
-        A, M, N = w
-        report.witnesses.append(f"center {A.to_text()}")
-    return _finish(report, args)
+        report.witnesses.append(f"center {w[0].to_text()}")
+    return report
 
 
 def cmd_xi_demo(args):
     src = parse_field_name(args.src_field)
     dst = parse_field_name(args.dst_field)
-    report = RunReport("xi-demo", {"src": src.name, "dst": dst.name,
-                                   "cols": args.cols})
+    report = RunReport("xi-demo", {"src": src.name, "dst": dst.name, "cols": args.cols})
     homs = enumerate_homs(src, dst)
     if not homs or src.q == dst.q:
-        report.verdict = "error"
-        report.witnesses.append("need a proper field extension")
-        return _finish(report, args)
+        return report.error("need a proper field extension")
     emb = homs[0]
     xi = next(e for e in range(dst.q) if e not in set(emb.table.tolist()))
     f = make_xi_map(XiMapParams(emb, xi, args.cols))
@@ -212,44 +191,38 @@ def cmd_xi_demo(args):
                   [1] + [0] * (args.cols - 1),
                   [0, 1] + [0] * (args.cols - 2)])
     Z = Mat.zeros(src, 3, args.cols)
-    drop = (arithmetic_distance(A, Z),
-            arithmetic_distance(f.apply(A), f.apply(Z)))
+    drop = (arithmetic_distance(A, Z), arithmetic_distance(f.apply(A), f.apply(Z)))
     report.counts.update({"is_hom": int(ok), "degenerate": int(deg),
                           "pair_distance": drop[0], "image_distance": drop[1]})
     if not ok or deg or drop != (2, 1):
         report.fail(f"expected a non-degenerate hom collapsing 2 -> 1, got {drop}")
     if args.table_out:
         write_map_table(f, args.table_out)
-    return _finish(report, args)
+    return report
+
+
+def cmd_twist_sweep(args):
+    F, m, n, report = _field_shape(args, identity_sweep=1)
+    info = verify.identity_twist_sweep(F, m, n)
+    report.counts.update(valid=len(info["valid"]), singular=info["singular"],
+                         twists_tried=info["twists_tried"])
+    if info["violations"]:
+        report.fail(*info["violations"])
+    return report
 
 
 def cmd_twist(args):
-    if args.identity_sweep:
-        F = parse_field_name(args.field)
-        m, n = _parse_shape(args.shape)
-        report = RunReport("twist", {"field": F.name, "shape": f"{m}x{n}",
-                                     "identity_sweep": 1})
-        info = verify.identity_twist_sweep(F, m, n)
-        report.counts["valid"] = len(info["valid"])
-        report.counts["singular"] = info["singular"]
-        report.counts["twists_tried"] = info["twists_tried"]
-        if info["violations"]:
-            report.fail(*info["violations"])
-        return _finish(report, args)
-    f = parse_map_table(args.map)
+    f, report = _map_table(args)
     L = Mat.from_text(f.dst_field, args.twist)
-    side = TwistSide.LEFT if args.side == "left" else TwistSide.RIGHT
-    report = RunReport("twist", {"map": os.path.basename(args.map),
-                                 "L": args.twist, "side": args.side})
+    report.params.update({"L": args.twist, "side": args.side})
     try:
-        theta = moebius_twist(f, L, side)
+        theta = moebius_twist(f, L, TwistSide(args.side))
     except SingularTwist as e:
-        report.fail(f"singular at {e.witness.to_text()}")
-        return _finish(report, args)
+        return report.fail(f"singular at {e.witness.to_text()}")
     report.counts["twisted"] = 1
     if args.table_out:
         write_map_table(theta, args.table_out)
-    return _finish(report, args)
+    return report
 
 
 def cmd_lemma_check(args):
@@ -260,121 +233,99 @@ def cmd_lemma_check(args):
         m, n = _parse_shape(args.shape)
         report.params.update({"field": F.name, "shape": f"{m}x{n}"})
         info = verify.two_pencil_check(F, m, n, rows=[0], cols=[0])
-        return _finish(_verdict_from(info, report), args)
+        return _verdict_from(info, report)
     if which == "5.1":
         src, m, n = _parse_space(args.src)
         dst = _parse_space(args.dst)[0] if args.dst else src
         report.params.update({"src": src.name, "dst": dst.name})
-        info = verify.standard_form_sweep(src, m, n, dst,
-                                          max(m, 2), max(n, 2),
+        info = verify.standard_form_sweep(src, m, n, dst, max(m, 2), max(n, 2),
                                           args.sample or 20, seed=args.seed)
-        return _finish(_verdict_from(info, report), args)
+        return _verdict_from(info, report)
     # flat rigidity sweeps
     E = parse_field_name(args.e_field)
     D = parse_field_name(args.d_field) if args.d_field else E
     hom = identity_hom(E) if E == D else enumerate_homs(E, D)[0]
-    kw = dict(a_sample=args.sample, seed=args.seed, workers=_workers(args))
-    runner = {
-        "4.1": lambda: check_rigidity_top(E, hom, args.m, args.n, args.k, **kw),
-        "4.2": lambda: check_rigidity_step(E, hom, args.m, args.n, args.k,
-                                           args.r, **kw),
-        "4.3": lambda: check_rigidity_top_cols(E, hom, args.m, args.n, args.k,
-                                               **kw),
-        "4.4": lambda: check_rigidity_step_cols(E, hom, args.m, args.n,
-                                                args.k, args.r, **kw),
-    }[which]
-    info = runner()
-    report.params.update(info["params"])
-    report.params["sampled"] = int(report.params.get("sampled", False))
-    report.counts = {
-        "strata_checked": info["strata_checked"],
-        "vacuous": len(info["vacuous"]),
-        **info["branch_counts"],
-    }
+    check, extra = {"4.1": (check_rigidity_top, ()), "4.2": (check_rigidity_step, (args.r,)),
+                    "4.3": (check_rigidity_top_cols, ()),
+                    "4.4": (check_rigidity_step_cols, (args.r,))}[which]
+    info = check(E, hom, args.m, args.n, args.k, *extra, a_sample=args.sample,
+                 seed=args.seed, workers=_workers(args))
+    report.params.update(info["params"], sampled=int(info["params"]["sampled"]))
+    report.counts = {"strata_checked": info["strata_checked"],
+                     "vacuous": len(info["vacuous"]), **info["branch_counts"]}
     if info["counterexamples"]:
         report.fail(*[str(c) for c in info["counterexamples"][:16]])
-    return _finish(report, args)
+    return report
 
 
 def cmd_fit_semiaffine(args):
-    f = parse_map_table(args.map)
-    report = RunReport("fit-semiaffine", {"map": os.path.basename(args.map)})
+    f, report = _map_table(args)
     if f.m != 1 or f.m2 != 1:
-        report.verdict = "error"
-        report.witnesses.append("fit expects a 1 x n -> 1 x n' table")
-        return _finish(report, args)
+        return report.error("fit expects a 1 x n -> 1 x n' table")
     try:
         wsa = fit_semiaffine(f.src_field, f.dst_field, f.images[:, 0, :])
     except NoFit as e:
-        report.fail(str(e))
-        return _finish(report, args)
+        return report.fail(str(e))
     report.counts["fitted"] = 1
-    report.params.update({
-        "tau_generator_image": wsa.tau.generator_image,
-        "P": wsa.P.to_text(),
-        "denominator": ",".join(str(c) for c in wsa.a) + f";{wsa.b}",
-    })
-    return _finish(report, args)
+    report.params.update({"tau_generator_image": wsa.tau.generator_image,
+                          "P": wsa.P.to_text(),
+                          "denominator": ",".join(str(c) for c in wsa.a) + f";{wsa.b}"})
+    return report
+
+
+# recover's negative pipeline exits: exception -> (params["exit"], witness)
+RECOVER_EXITS = {
+    NotHom: ("not_hom", lambda e: f"{e.witness[0].to_text()} ~ {e.witness[1].to_text()}"),
+    Degenerate: ("degenerate", lambda e: f"center {e.witness[0].to_text()}"),
+    DimDeficient: ("dim_deficient", lambda e: f"{e.witness[0]} has dimension {e.witness[1]}"),
+    NoFit: ("no_fit", str),
+}
 
 
 def cmd_recover(args):
-    if args.roundtrip:
-        src, m, n = _parse_space(args.src)
-        dst, m2, n2 = _parse_space(args.dst)
-        report = RunReport("recover", {"src": args.src, "dst": args.dst,
-                                       "roundtrip": args.roundtrip},
-                           seed=args.seed)
-        info = verify.standard_form_sweep(src, m, n, dst, m2, n2,
-                                          args.roundtrip, seed=args.seed,
-                                          recover=True)
-        return _finish(_verdict_from(info, report), args)
-    if args.dim_bound:
-        src, m, n = _parse_space(args.src)
-        dst, m2, n2 = _parse_space(args.dst)
-        report = RunReport("recover", {"src": args.src, "dst": args.dst,
-                                       "dim_bound": args.dim_bound},
-                           seed=args.seed)
-        info = verify.dim_bound_sweep(src, m, n, dst, m2, n2,
-                                      n_tables=max(1, args.dim_bound // 10),
-                                      n_sets=10, seed=args.seed)
-        return _finish(_verdict_from(info, report), args)
-    f = parse_map_table(args.map)
-    report = RunReport("recover", {"map": os.path.basename(args.map)})
+    f, report = _map_table(args)
     try:
         res = recover_standard(f)
-    except NotHom as e:
-        report.params["exit"] = "not_hom"
-        report.fail(f"{e.witness[0].to_text()} ~ {e.witness[1].to_text()}")
-        return _finish(report, args)
-    except Degenerate as e:
-        report.params["exit"] = "degenerate"
-        report.fail(f"center {e.witness[0].to_text()}")
-        return _finish(report, args)
-    except DimDeficient as e:
-        report.params["exit"] = "dim_deficient"
-        report.fail(f"{e.witness[0]} has dimension {e.witness[1]}")
-        return _finish(report, args)
-    except NoFit as e:
-        report.params["exit"] = "no_fit"
-        report.fail(str(e))
-        return _finish(report, args)
+    except tuple(RECOVER_EXITS) as e:
+        report.params["exit"], witness = RECOVER_EXITS[type(e)]
+        return report.fail(witness(e))
     p = res.params
-    report.params.update({
-        "exit": "ok",
-        "orientation": p.orientation.value,
-        "P": p.P.to_text(),
-        "Q": p.Q.to_text(),
-        "L": p.L.to_text(),
-        "tau": {"src": p.tau.src.name, "dst": p.tau.dst.name,
-                "generator_image": p.tau.generator_image},
-    })
+    report.params.update({"exit": "ok", "orientation": p.orientation.value, "P": p.P.to_text(),
+                          "Q": p.Q.to_text(), "L": p.L.to_text(),
+                          "tau": {"src": p.tau.src.name, "dst": p.tau.dst.name,
+                                  "generator_image": p.tau.generator_image}})
     report.counts["residual_checked"] = int(res.residual_checked)
-    return _finish(report, args)
+    return report
 
 
 # --- parser ----------------------------------------------------------------
 
+# options several subcommands take, each declared once
+SHARED = {
+    "out": dict(help="write the JSON report here"),
+    "field": dict(help='"p,k"'),
+    "shape": dict(help='"mxn"'),
+    "src": dict(help='"q:mxn"'),
+    "dst": dict(help='"q:mxn"'),
+    "map": dict(help="map-table file"),
+    "seed": dict(type=int, default=0),
+    "table-out": dict(help="write the resulting map table here"),
+}
+
+
+def _shared(names):
+    """A parent parser with the named shared options, fresh per subcommand:
+    parents share their actions, so a set_defaults would leak otherwise."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for name in ("out",) + names:
+        parent.add_argument(f"--{name}", **SHARED[name])
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser; each subcommand carries its modes as (selector option,
+    required options, handler).  The mode whose selector is set runs, the
+    last one when none is."""
     ap = argparse.ArgumentParser(
         prog="bfgeo",
         description="verifiers and parameter recovery for matrix-space "
@@ -383,111 +334,109 @@ def build_parser() -> argparse.ArgumentParser:
                     help="worker threads (default: MATGEO_WORKERS or 1)")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
-        p.set_defaults(fn=fn)
-        p.add_argument("--out", help="write the JSON report here")
+    def add(name, shared, *modes, **kw):
+        p = sub.add_parser(name, parents=[_shared(shared)], **kw)
+        p.set_defaults(modes=modes)
         return p
 
-    p = add("field-info", cmd_field_info, help="field facts")
-    p.add_argument("--field", required=True, help='"p,k"')
+    add("field-info", ("field",), (None, ("field",), cmd_field_info), help="field facts")
+    for name in SWEEPS:
+        add(name, ("field", "shape"), (None, ("field", "shape"), cmd_sweep))
 
-    for name, fn in [("bfs-check", cmd_bfs_check),
-                     ("clique-classify", cmd_clique_classify),
-                     ("line-check", cmd_line_check)]:
-        p = add(name, fn)
-        p.add_argument("--field", required=True)
-        p.add_argument("--shape", required=True, help='"mxn"')
-
-    p = add("exists", cmd_exists, help="existence criterion")
-    p.add_argument("--src", help='"q:mxn"')
-    p.add_argument("--dst", help='"q:mxn"')
+    p = add("exists", ("src", "dst"), ("grid", (), cmd_exists_grid),
+            ("src", ("src", "dst"), cmd_exists), help="existence criterion")
     p.add_argument("--grid", action="store_true", help="run the default grid")
     p.add_argument("--no-witnesses", action="store_true")
     p.add_argument("--certificate", action="store_true",
                    help="pigeonhole-certify a negative answer")
     p.add_argument("--max-domain", type=int, default=1 << 16)
 
-    p = add("color", cmd_color, help="proper coloring check")
-    p.add_argument("--field", required=True)
-    p.add_argument("--shape", required=True)
+    add("witness-hom", ("src", "dst", "table-out"), (None, ("src", "dst"), cmd_witness_hom))
 
-    p = add("witness-hom", cmd_witness_hom)
-    p.add_argument("--src", required=True)
-    p.add_argument("--dst", required=True)
-    p.add_argument("--table-out", help="write the witness table here")
-
-    p = add("hom-verify", cmd_hom_verify)
-    p.add_argument("--map", help="map-table file")
+    p = add("hom-verify", ("map", "seed", "src", "dst"),
+            ("random_standard", ("src", "dst"), cmd_space_sweep),
+            ("map", ("map",), cmd_hom_verify))
     p.add_argument("--sample", type=int, default=0,
                    help="sampled mode with this many pairs")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--random-standard", type=int, default=0,
                    help="verify this many random standard tables")
-    p.add_argument("--src")
-    p.add_argument("--dst")
 
-    p = add("degeneracy-check", cmd_degeneracy_check)
-    p.add_argument("--map", required=True)
+    add("degeneracy-check", ("map",), (None, ("map",), cmd_degeneracy_check))
 
-    p = add("xi-demo", cmd_xi_demo)
+    p = add("xi-demo", ("table-out",), (None, (), cmd_xi_demo))
     p.add_argument("--src-field", default="2,2")
     p.add_argument("--dst-field", default="2,4")
     p.add_argument("--cols", type=int, default=2)
-    p.add_argument("--table-out")
 
-    p = add("twist", cmd_twist)
-    p.add_argument("--map")
+    p = add("twist", ("map", "field", "shape", "table-out"),
+            ("identity_sweep", ("field", "shape"), cmd_twist_sweep),
+            ("map", ("map", "twist"), cmd_twist))
     p.add_argument("--twist", help="twist matrix in text form")
     p.add_argument("--side", choices=["left", "right"], default="left")
     p.add_argument("--identity-sweep", action="store_true")
-    p.add_argument("--field")
-    p.add_argument("--shape")
-    p.add_argument("--table-out")
 
-    p = add("lemma-check", cmd_lemma_check)
+    p = add("lemma-check", ("field", "shape", "src", "dst", "seed"),
+            (None, (), cmd_lemma_check))
+    p.set_defaults(field="2,2", shape="2x2", src="4:2x2")
     p.add_argument("--which", required=True,
                    choices=["3.1", "4.1", "4.2", "4.3", "4.4", "5.1"])
-    p.add_argument("--field", default="2,2")
-    p.add_argument("--shape", default="2x2")
-    p.add_argument("--src", default="4:2x2")
-    p.add_argument("--dst")
     p.add_argument("--e-field", default="2,2")
     p.add_argument("--d-field")
-    p.add_argument("-m", type=int, default=2)
-    p.add_argument("-n", type=int, default=2)
-    p.add_argument("-k", type=int, default=2)
-    p.add_argument("-r", type=int, default=1)
+    for flag, default in (("-m", 2), ("-n", 2), ("-k", 2), ("-r", 1)):
+        p.add_argument(flag, type=int, default=default)
     p.add_argument("--sample", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
 
-    p = add("fit-semiaffine", cmd_fit_semiaffine)
-    p.add_argument("--map", required=True)
+    add("fit-semiaffine", ("map",), (None, ("map",), cmd_fit_semiaffine))
 
-    p = add("recover", cmd_recover)
-    p.add_argument("--map")
+    p = add("recover", ("map", "src", "dst", "seed"),
+            ("roundtrip", ("src", "dst"), cmd_space_sweep),
+            ("dim_bound", ("src", "dst"), cmd_space_sweep),
+            ("map", ("map",), cmd_recover))
     p.add_argument("--roundtrip", type=int, default=0)
     p.add_argument("--dim-bound", type=int, default=0)
-    p.add_argument("--src")
-    p.add_argument("--dst")
-    p.add_argument("--seed", type=int, default=0)
 
     return ap
 
 
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _mode_handler(ap, args):
+    """The handler of the mode args select, with args.mode its selector;
+    ap.error (exit 2) on a missing option or on two selected modes."""
+    chosen = [mode for mode in args.modes if mode[0] and getattr(args, mode[0])]
+    if len(chosen) > 1:
+        ap.error(f"{args.command}: choose one of "
+                 + ", ".join(_flag(mode[0]) for mode in chosen))
+    args.mode, required, handler = chosen[0] if chosen else args.modes[-1]
+    missing = [_flag(dest) for dest in required if getattr(args, dest) is None]
+    if missing:
+        ap.error(f"{args.command}: the following arguments are required: "
+                 + ", ".join(missing))
+    return handler
+
+
 def main(argv=None) -> int:
+    """Run one subcommand; the only place a report is written and its
+    verdict turned into the exit code."""
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        handler = _mode_handler(ap, args)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        report = handler(args)
     except (BfgeoError, ValueError, OSError) as e:
-        report = RunReport(args.command, {}, verdict="error",
-                           witnesses=[f"{type(e).__name__}: {e}"])
-        sys.stdout.write(emit_report(report, getattr(args, "out", None)))
-        return 2
+        report = RunReport(args.command, {}).error(f"{type(e).__name__}: {e}")
+    try:
+        text = emit_report(report, args.out)
+    except OSError as e:  # an unwritable --out: report on stdout only
+        report = RunReport(args.command, {}).error(f"{type(e).__name__}: {e}")
+        text = emit_report(report)
+    sys.stdout.write(text)
+    return report.exit_code
 
 
 if __name__ == "__main__":

@@ -234,6 +234,16 @@ def _host_direction(field: Field, diffs):
     raise TheoremViolated("adjacent set outside both clique forms")
 
 
+def _pairwise_adjacent_entries(S: VertexSet):
+    """S's entries; NotAdjacentSet unless every pair is at distance 1."""
+    pts = S.entries()
+    diffs_all = S.field.vsub(pts[:, None], pts[None, :])
+    off = ~np.eye(len(S), dtype=bool)
+    if not _bulk.adjacent_mask(S.field, diffs_all[off]).all():
+        raise NotAdjacentSet("some pair is not at distance 1")
+    return pts
+
+
 def classify_clique(S: VertexSet) -> MaximalSet:
     """Classify a pairwise-adjacent set; canonical form if maximal.
 
@@ -243,13 +253,8 @@ def classify_clique(S: VertexSet) -> MaximalSet:
     if len(S) == 0:
         raise NotAdjacentSet("empty set")
     F = S.field
-    pts = S.entries()
+    pts = _pairwise_adjacent_entries(S)
     N = len(S)
-    diffs_all = F.vsub(pts[:, None], pts[None, :])
-    off = ~np.eye(N, dtype=bool)
-    ok = _bulk.adjacent_mask(F, diffs_all[off])
-    if not ok.all():
-        raise NotAdjacentSet("some pair is not at distance 1")
 
     base = pts[0]  # codes are sorted, so this is the lex-min member
     A = Mat(F, base)
@@ -338,11 +343,7 @@ def dim_adjacent_set(S: VertexSet) -> int:
     if len(S) < 2:
         raise NotAdjacentSet("need at least two points")
     F = S.field
-    pts = S.entries()
-    diffs_all = F.vsub(pts[:, None], pts[None, :])
-    off = ~np.eye(len(S), dtype=bool)
-    if not _bulk.adjacent_mask(F, diffs_all[off]).all():
-        raise NotAdjacentSet("some pair is not at distance 1")
+    pts = _pairwise_adjacent_entries(S)
     nonzero = pts[S.codes != 0]
     kind, g = _host_direction(F, nonzero)
     if kind is Kind.TWO:

@@ -16,6 +16,7 @@ documented extra branch Y = 0 on the top stratum with k = 2.
 from __future__ import annotations
 
 import enum
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -83,13 +84,20 @@ def embed_graph_point(X: Mat) -> Flat:
 # strata of matrices by nonzero-row count and rank
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
+def _strata_keys(field: Field, m: int, n: int, axis: str):
+    """(rank, nonzero row or column count) of every m x n matrix, in code
+    order; a sweep takes two strata of one space from a single rank pass."""
+    entries = space(field, m, n).entries
+    return (_bulk.rank(field, entries),
+            entries.any(axis=2 if axis == "row" else 1).sum(axis=1))
+
+
 def stratum(field: Field, m: int, n: int, k: int, r: int, axis: str) -> np.ndarray:
     """All m x n matrices of rank r with exactly k nonzero rows ("row") or
     columns ("col"), in code order."""
-    sp = space(field, m, n)
-    ranks = _bulk.rank(field, sp.entries)
-    nonzero = sp.entries.any(axis=2 if axis == "row" else 1).sum(axis=1)
-    return sp.entries[(ranks == r) & (nonzero == k)]
+    ranks, nonzero = _strata_keys(field, m, n, axis)
+    return space(field, m, n).entries[(ranks == r) & (nonzero == k)]
 
 
 # ---------------------------------------------------------------------------

@@ -538,29 +538,23 @@ def proper_coloring(field: Field, m: int, n: int) -> MapTable:
     big = make_field(field.p, field.k * s)
     emb = enumerate_homs(field, big)[0]
     gamma = big.generator
-    basis = [big.pow(gamma, j) for j in range(s)]
+    basis = np.array([big.pow(gamma, j) for j in range(s)], dtype=np.int64)
 
     sp = space(field, m, n)
     X = sp.entries if n >= m else np.swapaxes(sp.entries, 1, 2)
     rows = X.shape[1]
 
-    def fold(rowvals):
-        acc = np.zeros(len(rowvals), dtype=np.int64)
-        for j in range(s):
-            acc = big.vadd(acc, big.vmul(emb.table[rowvals[:, j]].astype(np.int64),
-                                         np.int64(basis[j]))).astype(np.int64)
-        return acc
-
-    syndrome = np.zeros(sp.count, dtype=np.int64)
-    for i in range(rows):
-        syndrome = big.vadd(syndrome,
-                            big.vmul(np.int64(basis[i]), fold(X[:, i, :]))).astype(np.int64)
+    # a row x folds to sum_j basis_j emb(x_j) and X's syndrome is
+    # sum_i basis_i fold(row i): one dot product over X's row-major entries
+    emb_table = emb.table.astype(big.dtype)  # narrow: emb_table[X] is the big temporary
+    weights = big.vmul(basis[:rows, None], basis[None, :]).reshape(-1, 1)
+    syndrome = _bulk.matmul(big, emb_table[X].reshape(sp.count, 1, -1), weights)[:, 0, 0]
 
     # invert the fold: element of the big field -> coordinate row over field
     coords = np.empty((big.q, s), dtype=field.dtype)
     codes = np.arange(field.q ** s, dtype=np.int64)
     vecs = _bulk.decode(field, codes, 1, s)[:, 0, :]
-    elts = fold(vecs)
+    elts = _bulk.matmul(big, emb_table[vecs], basis[:, None])[:, 0]
     coords[elts] = vecs
     images = coords[syndrome][:, None, :]
     return MapTable(field, m, n, field, 1, s, images)

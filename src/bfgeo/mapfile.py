@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainTooLarge, DuplicateKey, FormatError, IncompleteDomain
+from .errors import DuplicateKey, FormatError, IncompleteDomain
 from .fields import make_field
 from .homs import MapTable
-from .matrices import SPACE_LIMIT, Mat
+from .matrices import Mat, space_size
 
 MAGIC = "%bfmap 1"
 
@@ -61,10 +61,7 @@ def parse_map_table(path) -> MapTable:
         raise FormatError("truncated header", line=lines[-1][0])
     src_field, m, n = _parse_header_line(*lines[1], "src")
     dst_field, m2, n2 = _parse_header_line(*lines[2], "dst")
-    count = src_field.q ** (m * n)
-    if count > SPACE_LIMIT:
-        raise DomainTooLarge(
-            f"header domain q^(m*n) = {count} exceeds the enumeration bound {SPACE_LIMIT}")
+    count = space_size(src_field.q, m, n)
     data = lines[3:]
     if len(data) < count:
         raise IncompleteDomain(

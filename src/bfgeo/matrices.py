@@ -212,6 +212,15 @@ def adjacent(A: Mat, B: Mat) -> bool:
 # whole-space helper with cached enumerations
 # ---------------------------------------------------------------------------
 
+def space_size(q: int, m: int, n: int) -> int:
+    """q^(m*n), or DomainTooLarge past SPACE_LIMIT.  As q >= 2, m*n is
+    bounded before the power, so a huge shape never builds a huge integer."""
+    if m * n > SPACE_LIMIT.bit_length() or q ** (m * n) > SPACE_LIMIT:
+        raise DomainTooLarge(
+            f"q^(m*n) = {q}^{m * n} exceeds the enumeration bound {SPACE_LIMIT}")
+    return q ** (m * n)
+
+
 class MatrixSpace:
     """GF(q)^(m x n) with cached dense enumerations, via :func:`space`."""
 
@@ -219,10 +228,7 @@ class MatrixSpace:
         self.field = field
         self.m = m
         self.n = n
-        self.count = field.q ** (m * n)
-        if self.count > SPACE_LIMIT:
-            raise DomainTooLarge(
-                f"q^(m*n) = {self.count} exceeds the enumeration bound {SPACE_LIMIT}")
+        self.count = space_size(field.q, m, n)
 
     def mat(self, code: int) -> Mat:
         return Mat.decode(self.field, code, self.m, self.n)

@@ -46,10 +46,8 @@ class WeightedSemiAffine:
         """Denominator at a stack of source row vectors (N, n)."""
         F = self.tau.dst
         xt = self.tau.vapply(np.asarray(xs))
-        acc = np.full(len(xt), self.b, dtype=np.int64)
-        for i, ai in enumerate(self.a):
-            acc = F.vadd(acc, F.vmul(xt[:, i].astype(np.int64), np.int64(ai))).astype(np.int64)
-        return acc
+        dot = _bulk.matmul(F, xt, np.array(self.a, dtype=np.int64)[:, None])[:, 0]
+        return F.vadd(dot, np.int64(self.b)).astype(np.int64)
 
     def evaluate(self, xs):
         """(N, n) source rows -> (N, n') images."""
@@ -60,11 +58,6 @@ class WeightedSemiAffine:
             raise ZeroDivisionError("denominator vanishes inside the domain")
         num = _bulk.matmul(F, xt[:, None, :], self.P.a[None])[:, 0, :]
         return F.vmul(F.inv_table[k][:, None].astype(np.int64), num)
-
-
-def _row_space_points(field: Field, n: int):
-    """All row vectors of length n, (q^n, n), in code order."""
-    return space(field, 1, n).entries[:, 0, :]
 
 
 def fit_semiaffine(src_field: Field, dst_field: Field, table,
@@ -88,7 +81,7 @@ def fit_semiaffine(src_field: Field, dst_field: Field, table,
         raise ValueError("table length is not a power of the field order")
     if table[0].any():
         raise ValueError("fit requires g(0) = 0")
-    xs = _row_space_points(src_field, n)
+    xs = space(src_field, 1, n).entries[:, 0, :]
     taus = [tau] if tau is not None else enumerate_homs(src_field, dst_field)
     F = dst_field
     for cand in taus:
@@ -115,11 +108,7 @@ def fit_semiaffine(src_field: Field, dst_field: Field, table,
             candidates = x0[None]
         elif F.q ** len(basis) <= 256:
             coeffs = _bulk.decode(F, np.arange(F.q ** len(basis)), 1, len(basis))[:, 0, :]
-            shifts = np.zeros((len(coeffs), len(x0)), dtype=np.int64)
-            for t in range(len(basis)):
-                shifts = F.vadd(shifts, F.vmul(coeffs[:, t][:, None].astype(np.int64),
-                                               basis[t][None])).astype(np.int64)
-            candidates = F.vadd(x0[None], shifts)
+            candidates = F.vadd(x0[None], _bulk.matmul(F, coeffs.astype(np.int64), basis))
         else:
             candidates = x0[None]
         for u in candidates:
@@ -147,11 +136,11 @@ def _axis_codes(f: MapTable, kind: str, i: int):
     """Codes of the matrices supported on row i (or column i)."""
     F = f.src_field
     if kind == "row":
-        xs = _row_space_points(F, f.n)
+        xs = space(F, 1, f.n).entries[:, 0, :]
         mats = np.zeros((len(xs), f.m, f.n), dtype=F.dtype)
         mats[:, i, :] = xs
     else:
-        ys = _row_space_points(F, f.m)
+        ys = space(F, 1, f.m).entries[:, 0, :]
         mats = np.zeros((len(ys), f.m, f.n), dtype=F.dtype)
         mats[:, :, i] = ys
     return _bulk.encode(F, mats)

@@ -25,6 +25,11 @@ class RunReport:
         self.witnesses.extend(witnesses)
         return self
 
+    def error(self, *witnesses):
+        self.verdict = "error"
+        self.witnesses.extend(witnesses)
+        return self
+
     def canonical_dict(self) -> dict:
         return {
             "command": self.command,

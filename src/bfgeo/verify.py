@@ -156,11 +156,13 @@ def coloring_check(field: Field, m: int, n: int) -> dict:
         keep = a < nbr if field.p == 2 else np.ones(sp.count, bool)
         mono += int((codes[a[keep]] == codes[nbr[keep]]).sum())
         edges += int(keep.sum())
+    colors, expected = int(len(np.unique(codes))), field.q ** max(m, n)
     return {
-        "colors": int(len(np.unique(codes))),
-        "expected_colors": field.q ** max(m, n),
+        "colors": colors,
+        "expected_colors": expected,
         "edges": edges,
         "monochromatic_edges": mono,
+        "violations": [f"colors={colors}, mono={mono}"] if colors != expected or mono else [],
     }
 
 

@@ -10,6 +10,7 @@ After a change that is meant to alter a report, rewrite the files with
 ``PYTHONPATH=src python tests/test_golden_cli.py`` and review the diff.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bfgeo.cli import main
+from bfgeo.cli import build_parser, main
 from bfgeo.fields import make_field
 from bfgeo.homs import Orientation, random_valid_params, standard_table
 from bfgeo.mapfile import write_map_table
@@ -35,7 +36,9 @@ COMMANDS = {
     "exists-certificate": ["exists", "--src", "4:2x3", "--dst", "2:2x2",
                            "--certificate"],
     "exists-grid": ["exists", "--grid"],
+    "exists-positive": ["exists", "--src", "4:2x2", "--dst", "16:2x2"],
     "color": ["color", "--field", "2,2", "--shape", "2x2"],
+    "witness-hom": ["witness-hom", "--src", "2:2x2", "--dst", "4:2x2"],
     "hom-verify-witness": ["hom-verify", "--map", "{dir}/w.bfmap"],
     "hom-verify-xi": ["hom-verify", "--map", "{dir}/xi.bfmap"],
     "hom-verify-standard": ["hom-verify", "--map", "{dir}/f.bfmap"],
@@ -46,6 +49,7 @@ COMMANDS = {
     "degeneracy-check-witness": ["degeneracy-check", "--map", "{dir}/w.bfmap"],
     "degeneracy-check-xi": ["degeneracy-check", "--map", "{dir}/xi.bfmap"],
     "degeneracy-check-standard": ["degeneracy-check", "--map", "{dir}/f.bfmap"],
+    "xi-demo": ["xi-demo", "--src-field", "2,2", "--dst-field", "2,4", "--cols", "2"],
     "twist-identity-sweep": ["twist", "--identity-sweep", "--field", "2,2",
                              "--shape", "2x2"],
     "twist-witness-left": ["twist", "--map", "{dir}/w.bfmap",
@@ -125,6 +129,13 @@ def test_golden_report(name, tables):
     code, got = run(expand(COMMANDS[name], tables))
     assert got == want
     assert code == {"pass": 0, "fail": 1}.get(json.loads(want)["verdict"], 2)
+
+
+def test_every_subcommand_has_a_golden_report():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    covered = {argv[0] for argv in COMMANDS.values()}
+    assert set(sub.choices) - covered == set()
 
 
 def test_golden_report_file_matches_stdout(tables):

@@ -438,6 +438,34 @@ def test_proper_coloring_wide_and_tall():
             assert (codes != codes[nbr]).all()
 
 
+@pytest.mark.parametrize("p,k,m,n", [(2, 1, 2, 3), (2, 1, 3, 2), (2, 2, 2, 2),
+                                     (3, 1, 2, 2), (5, 1, 1, 2)])
+def test_proper_coloring_matches_a_scalar_fold(p, k, m, n):
+    # the fold and the syndrome are dot products over the extension field;
+    # a loop of scalar field operations is the reference
+    field = make_field(p, k)
+    s = max(m, n)
+    big = make_field(p, k * s)
+    emb = enumerate_homs(field, big)[0]
+    basis = [big.pow(big.generator, j) for j in range(s)]
+
+    def dot(coeffs, vec):
+        acc = 0
+        for c, v in zip(coeffs, vec):
+            acc = big.add(acc, big.mul(int(c), int(v)))
+        return acc
+
+    def fold(row):
+        return dot(basis, emb.table[row])
+
+    color_of = {fold(v): v.tolist() for v in space(field, 1, s).entries[:, 0, :]}
+    c = proper_coloring(field, m, n)
+    for code, X in enumerate(space(field, m, n).entries):
+        rows = X if n >= m else X.T
+        want = color_of[dot(basis, [fold(r) for r in rows])]
+        assert c.images[code, 0].tolist() == want
+
+
 def test_proper_coloring_row_case():
     c = proper_coloring(F4, 1, 3)
     assert len(np.unique(c.image_codes())) == 64

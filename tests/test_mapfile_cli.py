@@ -188,17 +188,21 @@ def test_mapfile_header_domain_too_large(tmp_path, capsys):
     assert rep["witnesses"][0].startswith("DomainTooLarge:")
 
 
+def within_a_second(fn):
+    signal.signal(signal.SIGALRM, lambda *a: pytest.fail("still running after 1 s"))
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        return fn()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, signal.SIG_DFL)
+
+
 def test_mapfile_header_huge_prime_rejected_within_a_second(tmp_path, capsys):
     # the header's p is bounded before the trial-division primality test
     path = tmp_path / "bigp.bfmap"
     path.write_text("%bfmap 1\nsrc 1000000000000000003 1 1 1\ndst 2 1 1 1\n0 -> 0\n")
-    signal.signal(signal.SIGALRM, lambda *a: pytest.fail("header parse still running after 1 s"))
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
-        code, rep = run_cli(capsys, "hom-verify", "--map", str(path))
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, signal.SIG_DFL)
+    code, rep = within_a_second(lambda: run_cli(capsys, "hom-verify", "--map", str(path)))
     assert code == 2
     assert rep["verdict"] == "error"
     assert rep["witnesses"][0].startswith("DegreeTooLarge:")
@@ -235,3 +239,66 @@ def test_cli_twist_out_of_range_entry_exit_2(tmp_path, capsys):
     assert code == 2
     assert rep["verdict"] == "error"
     assert rep["witnesses"][0].startswith("ValueError:")
+
+
+# argv forms that once crashed with a traceback: a mode's required option
+# missing; "{dir}/w.bfmap" is a readable witness table
+MISSING_OPTION_ARGV = [
+    ["exists"], ["exists", "--src", "4:2x2"], ["exists", "--certificate"],
+    ["hom-verify"], ["hom-verify", "--sample", "5"],
+    ["hom-verify", "--random-standard", "3"],
+    ["twist"], ["twist", "--map", "{dir}/w.bfmap"],
+    ["twist", "--identity-sweep", "--field", "2,2"],
+    ["recover"], ["recover", "--roundtrip", "2", "--src", "4:2x2"],
+    ["recover", "--dim-bound", "100"],
+]
+
+
+@pytest.mark.parametrize("argv", MISSING_OPTION_ARGV, ids=" ".join)
+def test_cli_missing_mode_option_exits_2(argv, tmp_path, capsys):
+    write_map_table(build_witness_hom(2, 2, 2, 4, 2, 2), tmp_path / "w.bfmap")
+    argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+    assert main(argv) == 2
+    assert "required" in capsys.readouterr().err
+
+
+def test_cli_two_modes_at_once_exit_2(capsys):
+    assert main(["recover", "--roundtrip", "2", "--dim-bound", "10",
+                 "--src", "4:2x2", "--dst", "16:3x3"]) == 2
+    assert "choose one of --roundtrip, --dim-bound" in capsys.readouterr().err
+
+
+def test_cli_subcommand_defaults_stay_local(capsys):
+    # lemma-check defaults --field and --shape; bfs-check still requires them
+    assert main(["bfs-check", "--shape", "2x2"]) == 2
+    assert main(["bfs-check", "--field", "2,2"]) == 2
+    capsys.readouterr()
+
+
+def test_cli_unwritable_out_exits_2(tmp_path, capsys):
+    code, rep = run_cli(capsys, "field-info", "--field", "2,2",
+                        "--out", str(tmp_path / "missing" / "r.json"))
+    assert code == 2
+    assert rep["witnesses"][0].startswith("FileNotFoundError:")
+
+
+def test_cli_non_positive_shape_exit_2(capsys):
+    code, rep = run_cli(capsys, "bfs-check", "--field", "2,2", "--shape", "0x2")
+    assert code == 2
+    assert "must be two positive integers" in rep["witnesses"][0]
+
+
+def test_huge_shape_rejected_before_the_power(capsys):
+    # 3^(3000*3000) has millions of digits; m*n is bounded first
+    code, rep = within_a_second(lambda: run_cli(
+        capsys, "bfs-check", "--field", "3,1", "--shape", "3000x3000"))
+    assert code == 2
+    assert rep["witnesses"][0].startswith("DomainTooLarge:")
+
+
+def test_mapfile_header_huge_shape_rejected_before_the_power(tmp_path, capsys):
+    path = tmp_path / "huge.bfmap"
+    path.write_text("%bfmap 1\nsrc 3 1 3000 3000\ndst 2 1 1 1\n")
+    code, rep = within_a_second(lambda: run_cli(capsys, "hom-verify", "--map", str(path)))
+    assert code == 2
+    assert rep["witnesses"][0].startswith("DomainTooLarge:")

@@ -25,6 +25,25 @@ def row_points(field, n):
     return space(field, 1, n).entries[:, 0, :]
 
 
+@pytest.mark.parametrize("src,dst", [(F4, F16), (F5, F5), (F2, F4)])
+def test_k_values_match_a_scalar_sum(src, dst):
+    # k(x) = sum_i x_i^tau a_i + b; a loop of scalar field operations is
+    # the reference for the batched dot product
+    rng = np.random.default_rng(11)
+    tau = enumerate_homs(src, dst)[0]
+    a = tuple(int(v) for v in rng.integers(0, dst.q, 3))
+    b = int(rng.integers(1, dst.q))
+    wsa = WeightedSemiAffine(tau, Mat.identity(dst, 3), a, b)
+    xs = row_points(src, 3)
+    want = []
+    for x in xs:
+        acc = b
+        for xi, ai in zip(x, a):
+            acc = dst.add(acc, dst.mul(int(tau.table[xi]), ai))
+        want.append(acc)
+    assert wsa.k_values(xs).tolist() == want
+
+
 def test_fit_identity():
     xs = row_points(F4, 2)
     wsa = fit_semiaffine(F4, F4, xs)
