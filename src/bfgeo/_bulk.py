@@ -7,6 +7,8 @@ processed in lockstep.  Everything is pure and allocation-local.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import DomainTooLarge
@@ -130,6 +132,17 @@ def invertible_mask(field: Field, mats):
     if M.shape[-1] <= 4:
         return det(field, M) != 0
     return rank(field, M) == M.shape[-1]
+
+
+def full_rank_mask(field: Field, mats):
+    """True where the m x w matrix (m <= w) has rank m, i.e. where some
+    m x m minor is nonzero; exact, and cheaper than rref for small m."""
+    M = np.asarray(mats)
+    m, w = M.shape[-2:]
+    ok = np.zeros(M.shape[:-2], dtype=bool)
+    for cols in itertools.combinations(range(w), m):
+        ok |= det(field, M[..., list(cols)]) != 0
+    return ok
 
 
 def inverse(field: Field, mats):

@@ -57,6 +57,16 @@ def _map_table(args, **kw):
     return f, RunReport(args.command, {"map": os.path.basename(args.map)}, **kw)
 
 
+def _count(minimum: int):
+    """An argparse type for a count option: an integer of at least minimum."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return count
+
+
 def _workers(args) -> int:
     """The requested worker count; the rigidity pool clamps it further."""
     raw = args.workers if args.workers is not None else os.environ.get("MATGEO_WORKERS", "1")
@@ -69,10 +79,20 @@ def _workers(args) -> int:
     return workers
 
 
+# witnesses a report lists; past it, counts["witnesses_total"] gives the total
+WITNESS_LIMIT = 16
+
+
+def _fail_with(report: RunReport, witnesses):
+    if len(witnesses) > WITNESS_LIMIT:
+        report.counts["witnesses_total"] = len(witnesses)
+    return report.fail(*witnesses[:WITNESS_LIMIT])
+
+
 def _verdict_from(info: dict, report: RunReport):
     report.counts.update({k: v for k, v in info.items() if isinstance(v, int)})
-    bad = [str(b) for key in ("violations", "mismatches") for b in info.get(key, [])[:16]]
-    return report.fail(*bad) if bad else report
+    bad = [str(b) for key in ("violations", "mismatches") for b in info.get(key, [])]
+    return _fail_with(report, bad) if bad else report
 
 
 # --- subcommand handlers: each returns its RunReport ---------------------------
@@ -254,7 +274,7 @@ def cmd_lemma_check(args):
     report.counts = {"strata_checked": info["strata_checked"],
                      "vacuous": len(info["vacuous"]), **info["branch_counts"]}
     if info["counterexamples"]:
-        report.fail(*[str(c) for c in info["counterexamples"][:16]])
+        _fail_with(report, [str(c) for c in info["counterexamples"]])
     return report
 
 
@@ -356,9 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("hom-verify", ("map", "seed", "src", "dst"),
             ("random_standard", ("src", "dst"), cmd_space_sweep),
             ("map", ("map",), cmd_hom_verify))
-    p.add_argument("--sample", type=int, default=0,
+    p.add_argument("--sample", type=_count(0), default=0,
                    help="sampled mode with this many pairs")
-    p.add_argument("--random-standard", type=int, default=0,
+    p.add_argument("--random-standard", type=_count(0), default=0,
                    help="verify this many random standard tables")
 
     add("degeneracy-check", ("map",), (None, ("map",), cmd_degeneracy_check))
@@ -384,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-field")
     for flag, default in (("-m", 2), ("-n", 2), ("-k", 2), ("-r", 1)):
         p.add_argument(flag, type=int, default=default)
-    p.add_argument("--sample", type=int, default=None)
+    p.add_argument("--sample", type=_count(1), default=None)
 
     add("fit-semiaffine", ("map",), (None, ("map",), cmd_fit_semiaffine))
 
@@ -392,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
             ("roundtrip", ("src", "dst"), cmd_space_sweep),
             ("dim_bound", ("src", "dst"), cmd_space_sweep),
             ("map", ("map",), cmd_recover))
-    p.add_argument("--roundtrip", type=int, default=0)
-    p.add_argument("--dim-bound", type=int, default=0)
+    p.add_argument("--roundtrip", type=_count(0), default=0)
+    p.add_argument("--dim-bound", type=_count(0), default=0)
 
     return ap
 

@@ -104,66 +104,104 @@ def stratum(field: Field, m: int, n: int, k: int, r: int, axis: str) -> np.ndarr
 # rigidity sweeps
 # ---------------------------------------------------------------------------
 
-def _survivors_for_center(field: Field, A, Bs, m: int, n: int):
-    """All (X, Y) with rank(Y - X B) = 1 for every B in Bs.
+# Byte budget for one block of rigidity centres: the X B codes of the union
+# of the block's pencils (members x X-space points, 8 bytes a code).  With
+# the chunks below it bounds a sweep's working memory whatever the shape.
+_RIGIDITY_BLOCK_BYTES = 8 << 20
+# Chunk for every other per-block array: (X, rank-1) candidates of the
+# survivor scan, and bytes of the entry stacks and of the W-row gathers.
+_CHUNK = 1 << 22
 
-    The first B pins Y to X B_1 + (rank-1); the remaining B filter.  All
-    filtering runs on packed matrix codes, so each candidate costs a few
-    integer gathers.  Returns (X_stack, Y_stack); the representation-rank
-    filter is the caller's job.
+
+def _blocks(jobs, nx: int, threads: int):
+    """Consecutive runs of the (A, pencil) jobs, each run's pencil union
+    within the block budget at nx codes a member, and at most
+    ceil(jobs / threads) jobs a run, so every thread gets one."""
+    most = -(-len(jobs) // threads)
+    blocks, union = [], set()
+    for job in jobs:
+        pencil = set(job[1].tolist())
+        if (blocks and len(blocks[-1]) < most
+                and len(union | pencil) * nx * 8 <= _RIGIDITY_BLOCK_BYTES):
+            blocks[-1].append(job)
+            union |= pencil
+        else:
+            blocks.append([job])
+            union = pencil
+    return blocks
+
+
+def _check_block(field: Field, xs, nbrs, block, m: int, n: int, top: bool, k: int):
+    """Survivor classification for a block of stratum centres.
+
+    block holds (A, pencil) pairs, the pencil indexing A's B_t in nbrs.  A
+    flat (X | Y) at distance 1 from (I | B_1) has Y = X B_1 + R_j with R_j
+    of rank 1, and Y - X B_t = R_j - (X B_t - X B_1).  So j survives for X
+    iff W[X B_t - X B_1, j] for every further member B_t, where W[d, j]
+    says R_j - d has rank 1 (R_j is a common neighbour of 0 and d).  The
+    X B codes are packed once for the union of the block's pencils, and W
+    has rows only for the differences that occur.
+
+    Returns the block's (y_eq_xa, y_zero, counterexamples) tallies.
     """
     sp_y = space(field, m, n)
     r1codes = sp_y.rank1_codes
+    NX, K = len(xs), len(r1codes)
+    union, member = np.unique(np.concatenate([p for _, p in block]),
+                              return_inverse=True)
+    members = np.split(member, np.cumsum([len(p) for _, p in block])[:-1])
+    XB = np.empty((len(union), NX), dtype=np.int64)
+    step = max(1, _CHUNK // (8 * NX * m * n))
+    for lo in range(0, len(union), step):
+        XB[lo:lo + step] = _bulk.encode(field, _bulk.matmul(
+            field, xs[None], nbrs[union[lo:lo + step], None]))
+
+    def diffs(idx):
+        return sp_y.code_sub(XB[idx[1:]], XB[idx[0]])
+
+    # W, bit-packed over j, with one row per difference code in slot
+    slot = np.zeros(sp_y.count, dtype=np.int64)
+    for idx in members:
+        slot[diffs(idx)] = 1
+    dcodes = np.flatnonzero(slot)
+    slot[dcodes] = np.arange(len(dcodes))
     r1mask = np.zeros(sp_y.count, dtype=bool)
     r1mask[r1codes] = True
-    xs = _bulk.all_matrices(field, m, m, X_SPACE_BUDGET)
-    NX, K = len(xs), len(r1codes)
-    # all products X B as codes, one row per pencil member
-    XBcodes = np.empty((len(Bs), NX), dtype=np.int64)
-    for t, B in enumerate(Bs):
-        XBcodes[t] = _bulk.encode(field, _bulk.matmul(field, xs, B[None]))
+    W = np.empty((len(dcodes), -(-K // 8)), dtype=np.uint8)
+    step = max(1, _CHUNK // K)
+    for lo in range(0, len(dcodes), step):
+        W[lo:lo + step] = np.packbits(r1mask[sp_y.code_sub(
+            r1codes, dcodes[lo:lo + step, None])], axis=1)
 
-    out_x, out_y = [], []
-    chunk = max(1, (1 << 22) // max(K, 1))
-    for lo in range(0, NX, chunk):
-        hi = min(NX, lo + chunk)
-        xi = np.repeat(np.arange(lo, hi), K)
-        Yc = sp_y.code_add(XBcodes[0, lo:hi][:, None],
-                           r1codes[None, :]).reshape(-1).astype(np.int64)
-        for t in range(1, len(Bs)):
-            if xi.size == 0:
-                break
-            keep = r1mask[sp_y.code_sub(Yc, XBcodes[t, xi])]
-            xi = xi[keep]
-            Yc = Yc[keep]
-        out_x.append(xi)
-        out_y.append(Yc)
-    xi = np.concatenate(out_x)
-    Yc = np.concatenate(out_y)
-    return xs[xi], _bulk.decode(field, Yc, m, n)
-
-
-def _check_center(field: Field, A, Bs, m: int, n: int, top: bool, k: int):
-    """Survivor classification for one stratum center.
-
-    Returns (y_eq_xa, y_zero, counterexamples) tallies for the center.
-    """
-    X, Y = _survivors_for_center(field, A, Bs, m, n)
-    # only full-rank (X | Y) are flat representations
-    rep_rank = _bulk.rank(field, np.concatenate([X, Y], axis=2))
-    X, Y = X[rep_rank == m], Y[rep_rank == m]
-    inv = _bulk.invertible_mask(field, X)
-    XA = _bulk.matmul(field, X, np.broadcast_to(A, X.shape[:1] + A.shape))
-    eq_xa = inv & (Y == XA).all(axis=(1, 2))
-    zero = inv & ~Y.any(axis=(1, 2)) if (top and k == 2) else np.zeros(len(X), bool)
-    bad = ~(eq_xa | zero)
+    # only full-rank (X | Y) are flats: X invertible, or else some m x m
+    # minor of (X | Y) nonzero; Y = X A and Y = 0 are read off the codes
+    inv = _bulk.invertible_mask(field, xs)
+    eq = zero = 0
     ces = []
-    if bad.any():
-        FA = Mat(field, A)
-        for i in np.nonzero(bad)[0]:
-            ces.append((FA.to_text(), Mat(field, X[i]).to_text(),
-                        Mat(field, Y[i]).to_text()))
-    return int(eq_xa.sum()), int(zero.sum()), ces
+    for (A, _), idx in zip(block, members):
+        rows = slot[diffs(idx)]
+        XA = _bulk.encode(field, _bulk.matmul(field, xs, A[None]))
+        for lo in range(0, NX, step):
+            r = rows[:, lo:lo + step]
+            keep = np.full((r.shape[1], W.shape[1]), 0xFF, dtype=np.uint8)
+            per = max(1, _CHUNK // keep.size)  # members a gather
+            for t in range(0, len(r), per):
+                keep &= np.bitwise_and.reduce(W[r[t:t + per]], axis=0)
+            xi, j = np.divmod(np.flatnonzero(np.unpackbits(keep, axis=1, count=K)), K)
+            xi += lo
+            Yc = sp_y.code_add(XB[idx[0], xi], r1codes[j])
+            flat = inv[xi]
+            sing = np.flatnonzero(~flat)
+            flat[sing] = _bulk.full_rank_mask(field, np.concatenate(
+                [xs[xi[sing]], _bulk.decode(field, Yc[sing], m, n)], axis=2))
+            eq_xa = inv[xi] & (Yc == XA[xi])
+            y_zero = inv[xi] & (Yc == 0) & (top and k == 2)
+            eq += int(eq_xa.sum())
+            zero += int(y_zero.sum())
+            bad = flat & ~(eq_xa | y_zero)
+            ces.extend((Mat(field, A).to_text(), Mat(field, xs[x]).to_text(),
+                        sp_y.mat(int(y)).to_text()) for x, y in zip(xi[bad], Yc[bad]))
+    return eq, zero, ces
 
 
 def _spot_check_flat_distance(field: Field, A, Bs, m: int, n: int, rng):
@@ -219,38 +257,30 @@ def _run_rigidity(ctxE: Field, homEtoD: FieldHom, m: int, n: int, k: int,
         take = rng.choice(len(centers), size=a_sample, replace=False)
         centers = centers[np.sort(take)]
 
-    def bs_for(A):
-        keep = _bulk.adjacent_mask(D, D.vsub(nbrs, A))
-        return nbrs[keep]
-
     vacuous = []
-    total_eq = total_zero = 0
-    counterexamples = []
-    jobs = []
+    jobs = []  # (A, pencil): the indices in nbrs of A's unit perturbations
     for A in centers:
-        Bs = bs_for(A)
-        if len(Bs) == 0:
+        pencil = np.flatnonzero(_bulk.adjacent_mask(D, D.vsub(nbrs, A)))
+        if len(pencil) == 0:
             vacuous.append(Mat(D, A).to_text())
             continue
-        jobs.append((A, Bs))
+        jobs.append((A, pencil))
 
-    def work(job):
-        A, Bs = job
-        return _check_center(D, A, Bs, m, n, top, k)
+    xs = _bulk.all_matrices(D, m, m, X_SPACE_BUDGET)
+
+    def work(block):
+        return _check_block(D, xs, nbrs, block, m, n, top, k)
 
     threads = min(workers, os.cpu_count() or 1, len(jobs))
+    blocks = _blocks(jobs, len(xs), max(threads, 1))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, jobs))
+            results = list(pool.map(work, blocks))
     else:
-        results = [work(j) for j in jobs]
-    for eq, zero, ces in results:
-        total_eq += eq
-        total_zero += zero
-        counterexamples.extend(ces)
+        results = [work(b) for b in blocks]
 
     if jobs:
-        _spot_check_flat_distance(D, jobs[0][0], jobs[0][1], m, n,
+        _spot_check_flat_distance(D, jobs[0][0], nbrs[jobs[0][1]], m, n,
                                   np.random.default_rng(seed))
 
     return {
@@ -261,8 +291,9 @@ def _run_rigidity(ctxE: Field, homEtoD: FieldHom, m: int, n: int, k: int,
                    "sampled": a_sample is not None, "seed": seed},
         "strata_checked": len(jobs),
         "vacuous": vacuous,
-        "branch_counts": {"y_eq_xa": total_eq, "y_zero": total_zero},
-        "counterexamples": sorted(counterexamples),
+        "branch_counts": {"y_eq_xa": sum(r[0] for r in results),
+                          "y_zero": sum(r[1] for r in results)},
+        "counterexamples": sorted(ce for r in results for ce in r[2]),
     }
 
 

@@ -14,21 +14,31 @@ from . import _bulk
 from .cliques import (Kind, VertexSet, all_maximal_sets, bron_kerbosch_cliques,
                       classify_clique, clique_number, intersect, line_through,
                       maximal_sets_through, two_pencil_sweep)
-from .errors import SingularTwist
+from .errors import DomainTooLarge, SingularTwist
 from .fields import Field, field_from_order
 from .homs import (MapTable, Orientation, build_witness_hom, hom_exists,
                    is_colouring, is_degenerate, is_graph_hom, moebius_twist,
                    proper_coloring, random_valid_params, standard_table,
                    validate_params)
-from .matrices import Mat, bfs_distances, space
+from .matrices import SPACE_LIMIT, Mat, bfs_distances, space
 from .recovery import dim_bound_check, recover_standard
+
+
+def _pairwise_ranks(field: Field, entries):
+    """(count, count) array of rank(E_a - E_b) over a stack of matrices;
+    DomainTooLarge, before anything is allocated, past SPACE_LIMIT pairs."""
+    count, m, n = entries.shape
+    if count * count > SPACE_LIMIT:
+        raise DomainTooLarge(
+            f"{count}^2 matrix pairs exceed the enumeration bound {SPACE_LIMIT}")
+    diffs = field.vsub(entries[:, None], entries[None, :])
+    return _bulk.rank(field, diffs.reshape(-1, m, n)).reshape(count, count)
 
 
 def distance_theorem_check(field: Field, m: int, n: int) -> dict:
     """Exhaustive: BFS path length equals rank distance, every pair."""
     sp = space(field, m, n)
-    diffs = field.vsub(sp.entries[:, None], sp.entries[None, :])
-    ads = _bulk.rank(field, diffs.reshape(-1, m, n)).reshape(sp.count, sp.count)
+    ads = _pairwise_ranks(field, sp.entries)
     mismatches = []
     for a in range(sp.count):
         d = bfs_distances(sp.mat(a))
@@ -237,10 +247,8 @@ def identity_twist_sweep(field: Field, m: int, n: int) -> dict:
     ones must come with a checkable witness.  Over a single field only the
     zero twist is valid, which the sweep confirms.
     """
+    base = _pairwise_ranks(field, space(field, m, n).entries)
     f = MapTable.identity(field, m, n)
-    sp = space(field, m, n)
-    base = _bulk.rank(field, field.vsub(sp.entries[:, None], sp.entries[None, :])
-                      .reshape(-1, m, n))
     valid = []
     singular = 0
     violations = []
@@ -254,10 +262,7 @@ def identity_twist_sweep(field: Field, m: int, n: int) -> dict:
                 violations.append(f"bogus singular witness for L={code}")
             continue
         valid.append(code)
-        timg = theta.images
-        twisted = _bulk.rank(field, field.vsub(timg[:, None], timg[None, :])
-                             .reshape(-1, m, n))
-        if not np.array_equal(base, twisted):
+        if not np.array_equal(base, _pairwise_ranks(field, theta.images)):
             violations.append(f"distances moved under L={code}")
     return {
         "twists_tried": space(field, n, m).count,

@@ -213,3 +213,134 @@ def test_rigidity_pool_is_clamped(cpus, want, monkeypatch):
     else:
         assert sizes == [want if want is not None else rep["strata_checked"]]
 
+
+
+# --- the blocked sweep against the per-centre loop it replaced ---------------
+
+def _loop_survivors(field, A, Bs, m, n):
+    """All (X, Y) with rank(Y - X B) = 1 for every B in Bs, by filtering the
+    candidates X B_1 + R through the other pencil members one at a time."""
+    sp_y = space(field, m, n)
+    r1codes = sp_y.rank1_codes
+    r1mask = np.zeros(sp_y.count, dtype=bool)
+    r1mask[r1codes] = True
+    xs = _bulk.all_matrices(field, m, m)
+    NX, K = len(xs), len(r1codes)
+    XBcodes = np.empty((len(Bs), NX), dtype=np.int64)
+    for t, B in enumerate(Bs):
+        XBcodes[t] = _bulk.encode(field, _bulk.matmul(field, xs, B[None]))
+    out_x, out_y = [], []
+    chunk = max(1, (1 << 22) // K)
+    for lo in range(0, NX, chunk):
+        hi = min(NX, lo + chunk)
+        xi = np.repeat(np.arange(lo, hi), K)
+        Yc = sp_y.code_add(XBcodes[0, lo:hi][:, None],
+                           r1codes[None, :]).reshape(-1).astype(np.int64)
+        for t in range(1, len(Bs)):
+            keep = r1mask[sp_y.code_sub(Yc, XBcodes[t, xi])]
+            xi, Yc = xi[keep], Yc[keep]
+        out_x.append(xi)
+        out_y.append(Yc)
+    return (xs[np.concatenate(out_x)],
+            _bulk.decode(field, np.concatenate(out_y), m, n))
+
+
+def _loop_block(field, xs, nbrs, block, m, n, top, k):
+    """_check_block as a loop over centres: cascaded survivor filter, then
+    the rref rank of every (X | Y)."""
+    eq = zero = 0
+    ces = []
+    for A, pencil in block:
+        X, Y = _loop_survivors(field, A, nbrs[pencil], m, n)
+        rep_rank = _bulk.rank(field, np.concatenate([X, Y], axis=2))
+        X, Y = X[rep_rank == m], Y[rep_rank == m]
+        inv = _bulk.invertible_mask(field, X)
+        XA = _bulk.matmul(field, X, np.broadcast_to(A, X.shape[:1] + A.shape))
+        eq_xa = inv & (Y == XA).all(axis=(1, 2))
+        y_zero = inv & ~Y.any(axis=(1, 2)) if (top and k == 2) else np.zeros(len(X), bool)
+        eq += int(eq_xa.sum())
+        zero += int(y_zero.sum())
+        ces.extend((Mat(field, A).to_text(), Mat(field, X[i]).to_text(),
+                    Mat(field, Y[i]).to_text()) for i in np.flatnonzero(~(eq_xa | y_zero)))
+    return eq, zero, ces
+
+
+F3 = make_field(3, 1)
+F9 = make_field(3, 2)
+# (sweep, E, D, args, keywords, an off-stratum centre or None).  The extra
+# centre's sweep has 180 counterexamples, singular X among them, and loses
+# some without the second of its 17 pencil members; no centre off the
+# GF(4) 2x2 step strata has a counterexample.
+ORACLE_CASES = {
+    "gf4-top": (check_rigidity_top, F4, F4, (2, 2, 2), {}, [[0, 0], [0, 1]]),
+    "gf4-step": (check_rigidity_step, F4, F4, (2, 2, 2, 1), {}, None),
+    "gf4-top-cols": (check_rigidity_top_cols, F4, F4, (2, 2, 2), {}, [[0, 0], [0, 1]]),
+    "gf4-step-cols": (check_rigidity_step_cols, F4, F4, (2, 2, 2, 1), {}, None),
+    "gf5-top-sampled": (check_rigidity_top, F5, F5, (2, 2, 2),
+                        {"a_sample": 7, "seed": 3}, None),
+    "gf4-2x3-step-sampled": (check_rigidity_step, F4, F4, (2, 3, 2, 1),
+                             {"a_sample": 5, "seed": 4}, None),
+    "gf3-gf9-top-sampled": (check_rigidity_top, F3, F9, (2, 2, 2),
+                            {"a_sample": 1, "seed": 5}, None),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_blocked_sweep_matches_the_per_centre_loop(case, monkeypatch):
+    import bfgeo.grassmann as gm
+    sweep, E, D, args, kw, extra = ORACLE_CASES[case]
+    hom = identity_hom(E) if E == D else enumerate_homs(E, D)[0]
+    if extra is not None:
+        # one more centre, off the stratum, whose sweep has counterexamples
+        real = gm.stratum
+        centre_key = (args[2], args[2] if len(args) == 3 else args[3])
+
+        def with_extra(field, m, n, k, r, axis):
+            out = real(field, m, n, k, r, axis)
+            if (k, r) != centre_key:
+                return out
+            return np.concatenate([out, np.array([extra], dtype=field.dtype)])
+
+        monkeypatch.setattr(gm, "stratum", with_extra)
+    with monkeypatch.context() as patch:
+        patch.setattr(gm, "_check_block", _loop_block)
+        want = sweep(E, hom, *args, **kw)
+    assert bool(want["counterexamples"]) == (extra is not None)
+
+    sizes = []
+    blocked = gm._check_block
+
+    def recording(field, xs, nbrs, block, *rest):
+        sizes.append(len(block))
+        return blocked(field, xs, nbrs, block, *rest)
+
+    monkeypatch.setattr(gm, "_check_block", recording)
+    for size in (1, 3, None):
+        if size is not None and size >= want["strata_checked"]:
+            continue  # one block, as by default
+        sizes.clear()
+        with monkeypatch.context() as patch:
+            if size is not None:
+                patch.setattr(gm, "_blocks", lambda jobs, nx, threads, size=size: [
+                    jobs[i:i + size] for i in range(0, len(jobs), size)])
+            assert sweep(E, hom, *args, **kw) == want
+        if size is not None:
+            assert max(sizes) == size
+    if want["strata_checked"] > 1:
+        assert sweep(E, hom, *args, workers=4, **kw) == want
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 4)])
+@pytest.mark.parametrize("m", [2, 3])
+def test_full_rank_mask_matches_rref_rank(p, k, m):
+    F = make_field(p, k)
+    rng = np.random.default_rng(10 * p + k + 100 * m)
+    for w in range(m, m + 5):
+        rand = rng.integers(0, F.q, size=(400, m, w)).astype(F.dtype)
+        # rank-deficient: products of m x (m-1) and (m-1) x w factors
+        low = _bulk.matmul(F, rng.integers(0, F.q, size=(400, m, m - 1)).astype(F.dtype),
+                           rng.integers(0, F.q, size=(400, m - 1, w)).astype(F.dtype))
+        stack = np.concatenate([rand, low])
+        got = _bulk.full_rank_mask(F, stack)
+        assert np.array_equal(got, _bulk.rank(F, stack) == m)
+        assert got[:400].any() and not got[400:].any()

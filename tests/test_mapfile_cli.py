@@ -302,3 +302,57 @@ def test_mapfile_header_huge_shape_rejected_before_the_power(tmp_path, capsys):
     code, rep = within_a_second(lambda: run_cli(capsys, "hom-verify", "--map", str(path)))
     assert code == 2
     assert rep["witnesses"][0].startswith("DomainTooLarge:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["recover", "--roundtrip", "-3", "--src", "4:2x2", "--dst", "16:3x3"],
+    ["recover", "--dim-bound", "-5", "--src", "4:2x2", "--dst", "16:3x3"],
+    ["hom-verify", "--random-standard", "-2", "--src", "4:2x2", "--dst", "16:3x3"],
+    ["hom-verify", "--map", "f.bfmap", "--sample", "-1"],
+    ["lemma-check", "--which", "5.1", "--sample", "-1"],
+    ["lemma-check", "--which", "4.1", "--sample", "0"],
+], ids=" ".join)
+def test_cli_rejects_counts_below_their_minimum(argv, capsys):
+    assert main(argv) == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["twist", "--identity-sweep", "--field", "2,2", "--shape", "3x3"],
+    ["bfs-check", "--field", "2,2", "--shape", "3x3"],
+], ids=" ".join)
+def test_pairwise_sweeps_rejected_before_allocating(argv, capsys):
+    # 4^9 matrices: the space fits, its 2^36 pairs do not
+    code, rep = within_a_second(lambda: run_cli(capsys, *argv))
+    assert code == 2
+    assert rep["witnesses"][0].startswith("DomainTooLarge:")
+
+
+def _twenty(prefix):
+    return [f"{prefix} {i:02d}" for i in range(20)]
+
+
+def test_truncated_witness_lists_carry_their_total(capsys, monkeypatch):
+    import bfgeo.cli as cli
+    rigidity = {"params": {"sampled": False}, "strata_checked": 1, "vacuous": [],
+                "branch_counts": {"y_eq_xa": 0, "y_zero": 0},
+                "counterexamples": _twenty("ce")}
+    monkeypatch.setattr(cli, "check_rigidity_top", lambda *a, **kw: rigidity)
+    code, rep = run_cli(capsys, "lemma-check", "--which", "4.1")
+    assert code == 1
+    assert rep["counts"]["witnesses_total"] == 20
+    assert rep["witnesses"] == _twenty("ce")[:16]
+
+    monkeypatch.setitem(cli.SWEEPS, "bfs-check",
+                        lambda F, m, n: {"vertices": 16, "mismatches": _twenty("mm")})
+    code, rep = run_cli(capsys, "bfs-check", "--field", "2,1", "--shape", "2x2")
+    assert code == 1
+    assert rep["counts"] == {"vertices": 16, "witnesses_total": 20}
+    assert rep["witnesses"] == _twenty("mm")[:16]
+
+    # a list within the limit is kept whole, without a total
+    monkeypatch.setitem(cli.SWEEPS, "bfs-check",
+                        lambda F, m, n: {"vertices": 16, "mismatches": _twenty("mm")[:16]})
+    code, rep = run_cli(capsys, "bfs-check", "--field", "2,1", "--shape", "2x2")
+    assert rep["counts"] == {"vertices": 16}
+    assert len(rep["witnesses"]) == 16
