@@ -124,7 +124,7 @@ SPACE_SWEEPS = {
     "roundtrip": lambda spaces, count, seed: verify.standard_form_sweep(
         *spaces, count, seed=seed, recover=True),
     "dim_bound": lambda spaces, count, seed: verify.dim_bound_sweep(
-        *spaces, n_tables=max(1, count // 10), n_sets=10, seed=seed),
+        *spaces, n_tables=-(-count // 10), n_sets=10, seed=seed, total=count),
 }
 
 
@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-witnesses", action="store_true")
     p.add_argument("--certificate", action="store_true",
                    help="pigeonhole-certify a negative answer")
-    p.add_argument("--max-domain", type=int, default=1 << 16)
+    p.add_argument("--max-domain", type=_count(1), default=1 << 16)
 
     add("witness-hom", ("src", "dst", "table-out"), (None, ("src", "dst"), cmd_witness_hom))
 

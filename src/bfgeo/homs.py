@@ -293,9 +293,10 @@ def is_graph_hom(f: MapTable, mode: str = "exhaustive", samples: int = 10**5,
                  seed: int = 0):
     """Do adjacent arguments always map to adjacent images?
 
-    Exhaustive mode scans every edge of the source graph; sampled mode
-    draws the given number of random adjacent pairs.  Returns (ok,
-    witness) where the witness, if any, is the lexicographically first
+    Exhaustive mode tests every maximal clique of the source's cheaper kind
+    (``MatrixSpace.clique_members``), which together hold every edge once;
+    sampled mode draws the given number of random adjacent pairs.  Returns
+    (ok, witness) where the witness, if any, is the lexicographically first
     violating pair (by source codes).  The exhaustive verdict is kept on
     the table and returned by later exhaustive calls.
     """
@@ -306,16 +307,7 @@ def is_graph_hom(f: MapTable, mode: str = "exhaustive", samples: int = 10**5,
     img = f.images
     best = None
     if mode == "exhaustive":
-        for nbr in sp.neighbor_perms_half:
-            ok = _bulk.adjacent_mask(F2, F2.vsub(img, img[nbr]))
-            if not ok.all():
-                bad = np.nonzero(~ok)[0]
-                lo = np.minimum(bad, nbr[bad])
-                hi = np.maximum(bad, nbr[bad])
-                t = int(np.lexsort((hi, lo))[0])
-                cand = (int(lo[t]), int(hi[t]))
-                if best is None or cand < best:
-                    best = cand
+        best = _first_torn_edge(F2, img, sp.clique_members)
     elif mode == "sampled":
         rng = np.random.default_rng(seed)
         a = rng.integers(0, sp.count, size=samples)
@@ -338,6 +330,81 @@ def is_graph_hom(f: MapTable, mode: str = "exhaustive", samples: int = 10**5,
     if mode == "exhaustive":
         f._verdicts["is_graph_hom"] = verdict
     return verdict
+
+
+# Byte budget for one block of the clique test's difference stack (cliques
+# x members x target entries, sized at 8 bytes an entry): it bounds the
+# test's working memory whatever the table's size, unless one clique's
+# stack alone is larger.
+_CLIQUE_BLOCK_BYTES = 2 << 20
+
+
+def _first_torn_edge(F2: Field, img, cliques):
+    """The lexicographically first edge (lo, hi) of the source whose images
+    are not adjacent, or None; cliques holds each edge once, members
+    ascending with the base first.
+
+    A clique passes iff its differences D = f(member) - f(base) all have
+    rank 1, share one column or one row generator, and are distinct: two
+    rank-1 matrices differ in rank <= 1 iff they share a generator, and if
+    every pair does, all share one.  Pairs are scanned only inside the
+    failing cliques, by increasing base code, until the base passes the
+    best lo found.
+    """
+    size, entries = cliques.shape[1], img[0].size
+    block = max(1, _CLIQUE_BLOCK_BYTES // (size * entries * 8))
+    failing = []
+    for start in range(0, len(cliques), block):
+        members = cliques[start:start + block]
+        D = F2.vsub(img[members[:, 1:]], img[members[:, :1]])
+        ok = _bulk.adjacent_mask(F2, D).all(axis=1)
+        Dk = D[ok]
+        shared = np.zeros(len(Dk), dtype=bool)
+        for axis in ("col", "row"):
+            g = _bulk.generators(F2, Dk, axis)
+            shared |= (g == g[:, :1]).all(axis=(1, 2))
+        ok[ok] = shared & _distinct(Dk.reshape(len(Dk), size - 1, entries))
+        failing.append(start + np.nonzero(~ok)[0])
+    failing = np.concatenate(failing)
+    best = None
+    for t in failing[np.argsort(cliques[failing, 0], kind="stable")]:
+        if best is not None and cliques[t, 0] > best[0]:
+            break
+        pair = _first_torn_pair(F2, img, cliques[t], best)
+        if pair is None and best is None:
+            raise TheoremViolated("a failing clique has no torn pair")
+        if pair is not None and (best is None or pair < best):
+            best = pair
+    return best
+
+
+def _distinct(rows):
+    """Per item of the (B, K, E) stack: are its K entry rows distinct?"""
+    B, K, E = rows.shape
+    flat = rows.reshape(B * K, E)
+    item = np.repeat(np.arange(B), K)
+    order = np.lexsort(tuple(flat[:, e] for e in range(E - 1, -1, -1)) + (item,))
+    flat, item = flat[order], item[order]
+    dup = (flat[1:] == flat[:-1]).all(axis=1) & (item[1:] == item[:-1])
+    ok = np.ones(B, dtype=bool)
+    ok[item[1:][dup]] = False
+    return ok
+
+
+def _first_torn_pair(F2: Field, img, members, best):
+    """The first pair (lo, hi) of clique members, members ascending, whose
+    images are not adjacent; None once lo would pass best's."""
+    I = img[members]
+    step = max(1, _CLIQUE_BLOCK_BYTES // (I.size * 8))
+    for a in range(0, len(members), step):
+        if best is not None and members[a] > best[0]:
+            return None
+        D = F2.vsub(I[None, :], I[a:a + step, None])
+        torn = ~_bulk.adjacent_mask(F2, D) & (members[None, :] > members[a:a + step, None])
+        if torn.any():
+            i, j = np.unravel_index(np.argmax(torn), torn.shape)
+            return int(members[a + i]), int(members[j])
+    return None
 
 
 def is_colouring(f: MapTable) -> bool:

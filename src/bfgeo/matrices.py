@@ -296,6 +296,30 @@ class MatrixSpace:
         return out
 
     @functools.cached_property
+    def clique_members(self):
+        """(cliques, q^max(m, n)) member codes of the maximal cliques of one kind.
+
+        The kind is ONE (X0 + u GF(q)^(1 x n), u a monic column) when
+        m <= n, else TWO (X0 + GF(q)^(m x 1) v, v a monic row): either kind
+        holds each edge in exactly one clique, and this one has the fewer
+        directions.  For a direction whose leading 1 is at index i, the
+        bases X0 are the matrices zero in row (column) i, and the members
+        are X0 + u w (w v) with w in code order; so members ascend in code
+        and member 0 is the base.
+        """
+        F, q = self.field, self.field.q
+        tall = self.m > self.n
+        r, s = (self.n, self.m) if tall else (self.m, self.n)
+        ws = _bulk.decode(F, np.arange(q**s), 1, s)
+        rest = _bulk.decode(F, np.arange(q**((r - 1) * s)), r - 1, s)
+        out = []
+        for u in _monic_vectors(F, r):
+            bases = np.insert(rest, int(np.argmax(u != 0)), 0, axis=1)
+            members = F.vadd(bases[:, None], F.vmul(u[:, None], ws)[None])
+            out.append(_bulk.encode(F, np.swapaxes(members, -2, -1) if tall else members))
+        return np.concatenate(out)
+
+    @functools.cached_property
     def code_neg(self):
         """code(X) -> code(-X) table."""
         return _bulk.encode(self.field, self.field.vneg(self.entries))

@@ -313,16 +313,20 @@ def standard_form_sweep(src: Field, m: int, n: int, dst: Field, m2: int,
 
 
 def dim_bound_sweep(src: Field, m: int, n: int, dst: Field, m2: int, n2: int,
-                    n_tables: int, n_sets: int, seed: int = 0) -> dict:
-    """Random adjacent sets through 0 under random standard tables."""
+                    n_tables: int, n_sets: int, seed: int = 0,
+                    total: int | None = None) -> dict:
+    """Random adjacent sets through 0 under random standard tables: n_sets
+    per table, and total sets in all when given (the last table may take
+    fewer)."""
     rng = np.random.default_rng(seed)
     sp = space(src, m, n)
     violations = []
     checked = 0
+    total = n_tables * n_sets if total is None else total
     for _ in range(n_tables):
         p = random_valid_params(rng, src, m, n, dst, m2, n2)
         tbl = standard_table(p)
-        for _ in range(n_sets):
+        for _ in range(min(n_sets, total - checked)):
             Z = Mat.zeros(src, m, n)
             R = Mat(src, sp.rank1[rng.integers(len(sp.rank1))])
             host = maximal_sets_through(Z, R)[int(rng.integers(2))]

@@ -13,7 +13,7 @@ from bfgeo.cliques import (Kind, Line, MaximalSet, VertexSet, all_maximal_sets,
 from bfgeo.errors import (Disjoint, NotAdjacent, NotAdjacentSet, NotMaximal,
                           PreconditionViolated, WrongKinds, ZeroNotMember)
 from bfgeo.fields import make_field
-from bfgeo.matrices import Mat, adjacent, arithmetic_distance, space
+from bfgeo.matrices import Mat, adjacent, space
 
 F2 = make_field(2, 1)
 F4 = make_field(2, 2)
@@ -34,19 +34,19 @@ def std_col_clique(field, m, n, j):
 
 
 def is_maximal_clique_oracle(S: VertexSet) -> bool:
-    """Independent check: pairwise adjacent and no outside extension."""
-    mats = S.mats()
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if arithmetic_distance(mats[i], mats[j]) != 1:
-                return False
-    sp = space(S.field, S.m, S.n)
-    for Z in sp:
-        if S.contains(Z):
-            continue
-        if all(adjacent(Z, M) for M in mats):
-            return False
-    return True
+    """Independent check by batched rank: pairwise adjacent, and no point
+    outside is adjacent to every member."""
+    F = S.field
+    sp = space(F, S.m, S.n)
+    pts = S.entries()
+    inside = _bulk.rank(F, F.vsub(pts[:, None], pts[None]).reshape(-1, S.m, S.n))
+    if not (inside.reshape(len(pts), len(pts)) == 1 - np.eye(len(pts), dtype=int)).all():
+        return False
+    outside = np.ones(sp.count, dtype=bool)
+    outside[S.codes] = False
+    diffs = F.vsub(sp.entries[outside][:, None], pts[None])
+    ranks = _bulk.rank(F, diffs.reshape(-1, S.m, S.n)).reshape(-1, len(pts))
+    return not (ranks == 1).all(axis=1).any()
 
 
 def test_member_basics():
@@ -84,6 +84,11 @@ def test_maximal_sets_through_random_pairs_are_maximal_cliques():
         for M in (one, two):
             assert M.contains(A) and M.contains(B)
             assert is_maximal_clique_oracle(M.points())
+        # the oracle refuses a proper subset and a set with a non-edge
+        pts = one.points()
+        assert not is_maximal_clique_oracle(VertexSet(F4, 2, 3, pts.codes[:-1]))
+        far = VertexSet.from_entries(F4, np.concatenate([pts.entries(), two.points().entries()]))
+        assert not is_maximal_clique_oracle(far)
 
 
 def test_intersect_cardinalities():

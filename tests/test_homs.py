@@ -278,6 +278,132 @@ def test_batched_degeneracy_scan_matches_per_center_loop(src, dst, shape, block,
         assert _degeneracy_outcome(is_degenerate, fresh) == want  # stored or re-raised
 
 
+def _edge_scan_oracle(f):
+    """The per-increment edge scan that exhaustive is_graph_hom ran before
+    the clique test, kept as its reference: (ok, codes of the first torn
+    edge)."""
+    sp = f.src_space()
+    F2 = f.dst_field
+    best = None
+    for nbr in sp.neighbor_perms_half:
+        ok = _bulk.adjacent_mask(F2, F2.vsub(f.images, f.images[nbr]))
+        if not ok.all():
+            bad = np.nonzero(~ok)[0]
+            lo = np.minimum(bad, nbr[bad])
+            hi = np.maximum(bad, nbr[bad])
+            t = int(np.lexsort((hi, lo))[0])
+            cand = (int(lo[t]), int(hi[t]))
+            if best is None or cand < best:
+                best = cand
+    return best is None, best
+
+
+def _row_images(emb, m2, n2, n, rows):
+    """A table on 1 x n whose images are placed by rows(w, out) from the
+    embedded argument w."""
+    W = emb.vapply(space(emb.src, 1, n).entries[:, 0, :])
+    out = np.zeros((len(W), m2, n2), dtype=emb.dst.dtype)
+    for code, w in enumerate(W):
+        rows(w, out[code])
+    return out
+
+
+def _two_families(w, out):
+    """Images in a kind-ONE clique through 0 (w[0] != 0: w as the first
+    row) and a kind-TWO one (else w's tail in the second column, below the
+    first row): each difference from 0 has rank 1 and they are distinct,
+    but no generator is shared by all."""
+    if w[0]:
+        out[0, :len(w)] = w
+    else:
+        out[1:len(w), 1] = w[1:]
+
+
+def _collisions(w, out):
+    """f(w) = c E11 with c the first nonzero entry: every difference from 0
+    has rank 1 and one generator pair, but they repeat."""
+    nz = np.nonzero(w)[0]
+    out[0, 0] = w[nz[0]] if len(nz) else 0
+
+
+def _hom_cases(src, m, n, dst, m2, n2, seed):
+    """Named image stacks on src^(m x n) -> dst^(m2 x n2): a standard table,
+    corruptions of it, collapsed, constant, random and permuted tables, the
+    witness map, and on 1 x n the tables failing one clique condition."""
+    rng = np.random.default_rng(seed)
+    count = space(src, m, n).count
+    std = standard_table(random_valid_params(rng, src, m, n, dst, m2, n2,
+                                             nonzero_L_tries=20)).images
+
+    def noise(k):
+        return rng.integers(0, dst.q, size=(k, m2, n2)).astype(dst.dtype)
+
+    cases = {"standard": std, "constant": np.zeros_like(std), "random": noise(count),
+             "permuted": std[rng.permutation(count)]}
+    for k in (1, 2, 3):
+        imgs = std.copy()
+        imgs[rng.choice(count, size=k, replace=False)] = noise(k)
+        cases[f"corrupted {k}"] = imgs
+    late = std.copy()
+    late[-1] = late[-2]
+    cases["last point collapsed"] = late
+    half = std.copy()
+    half[count // 2:] = std[count // 2]
+    cases["half collapsed"] = half
+    if homs.hom_exists(src.q, m, n, dst.q, m2, n2):
+        cases["witness"] = build_witness_hom(src.q, m, n, dst.q, m2, n2).images
+    if m == 1 and m2 >= n and n2 >= n:
+        emb = enumerate_homs(src, dst)[0]
+        cases["two families"] = _row_images(emb, m2, n2, n, _two_families)
+        cases["collisions"] = _row_images(emb, m2, n2, n, _collisions)
+    return cases
+
+
+def _assert_clique_test_matches_edge_scan(src, m, n, dst, m2, n2, cases, monkeypatch):
+    size = space(src, m, n).clique_members.shape[1]
+    for name, imgs in cases.items():
+        want = _edge_scan_oracle(MapTable(src, m, n, dst, m2, n2, imgs))
+        for block in (1, 3, None):  # cliques (and pair-scan rows) a block
+            budget = block * size * m2 * n2 * 8 if block else homs._CLIQUE_BLOCK_BYTES
+            monkeypatch.setattr(homs, "_CLIQUE_BLOCK_BYTES", budget)
+            ok, w = is_graph_hom(MapTable(src, m, n, dst, m2, n2, imgs))
+            got = ok, (None if w is None else tuple(X.encode() for X in w))
+            assert got == want, (name, block)
+            monkeypatch.undo()
+
+
+F3 = make_field(3, 1)
+F9 = make_field(3, 2)
+
+
+@pytest.mark.parametrize("src,m,n,dst,m2,n2", [
+    (F2, 2, 3, F2, 3, 3), (F2, 3, 2, F4, 3, 3),
+    (F3, 2, 2, F9, 2, 3), (F3, 3, 2, F3, 3, 3),
+    (F4, 2, 2, F16, 3, 3), (F4, 1, 2, F4, 2, 2), (F4, 2, 1, F16, 2, 2),
+    (F5, 1, 3, F5, 2, 3), (F5, 2, 1, F5, 2, 2), (F5, 2, 2, F5, 2, 3),
+    (F9, 2, 1, F9, 2, 2), (F9, 1, 2, F9, 2, 2), (F16, 1, 2, F16, 2, 2),
+], ids=lambda v: f"GF({v.q})" if hasattr(v, "q") else str(v))
+def test_clique_test_matches_the_edge_scan(src, m, n, dst, m2, n2, monkeypatch):
+    cases = _hom_cases(src, m, n, dst, m2, n2, seed=m * 100 + n * 10 + src.q)
+    _assert_clique_test_matches_edge_scan(src, m, n, dst, m2, n2, cases, monkeypatch)
+
+
+def test_clique_test_matches_the_edge_scan_on_the_xi_map(monkeypatch):
+    xi = make_xi_map(XiMapParams(EMB_4_16, XI, 2)).images
+    torn = xi.copy()
+    torn[3000] = torn[0]
+    cases = {"xi": xi, "xi corrupted": torn}
+    _assert_clique_test_matches_edge_scan(F4, 3, 2, F16, 3, 2, cases, monkeypatch)
+
+
+def test_clique_test_on_a_target_whose_codes_overflow_int64(monkeypatch):
+    F65536 = make_field(2, 16)  # 65536^16 destination codes
+    cases = _hom_cases(F4, 2, 2, F65536, 4, 4, seed=16)
+    cases = {k: cases[k] for k in ("standard", "corrupted 1", "random", "witness")}
+    _assert_clique_test_matches_edge_scan(F4, 2, 2, F65536, 4, 4, cases, monkeypatch)
+    assert is_graph_hom(MapTable(F4, 2, 2, F65536, 4, 4, cases["standard"])) == (True, None)
+
+
 def test_map_table_owns_a_read_only_copy():
     imgs = space(F4, 2, 2).entries.copy()
     tbl = MapTable(F4, 2, 2, F4, 2, 2, imgs)

@@ -311,10 +311,21 @@ def test_mapfile_header_huge_shape_rejected_before_the_power(tmp_path, capsys):
     ["hom-verify", "--map", "f.bfmap", "--sample", "-1"],
     ["lemma-check", "--which", "5.1", "--sample", "-1"],
     ["lemma-check", "--which", "4.1", "--sample", "0"],
+    ["exists", "--grid", "--max-domain", "0"],
+    ["exists", "--grid", "--max-domain", "-5"],
 ], ids=" ".join)
 def test_cli_rejects_counts_below_their_minimum(argv, capsys):
     assert main(argv) == 2
     assert "must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", [1, 5, 15, 19])
+def test_cli_dim_bound_checks_exactly_the_requested_sets(count, capsys):
+    code, rep = run_cli(capsys, "recover", "--dim-bound", str(count),
+                        "--src", "4:2x2", "--dst", "16:3x3")
+    assert code == 0
+    assert rep["params"]["dim_bound"] == count
+    assert rep["counts"]["sets_checked"] == count
 
 
 @pytest.mark.parametrize("argv", [

@@ -255,3 +255,19 @@ def test_mat_rejects_out_of_range_entries():
         Mat(F256, np.array([[-1, 0]]))  # would wrap to 255 in uint8
     assert Mat(F256, np.array([[255, 0]], dtype=np.uint8)).a[0, 0] == 255
     assert Mat(F257, [[256, 0]]).a[0, 0] == 256
+
+
+@pytest.mark.parametrize("p,k,m,n", [(2, 1, 2, 3), (2, 1, 3, 1), (3, 1, 3, 2),
+                                     (2, 2, 2, 2), (5, 1, 1, 3)])
+def test_clique_members_hold_each_edge_once(p, k, m, n):
+    F = make_field(p, k)
+    sp = space(F, m, n)
+    cl = sp.clique_members
+    assert cl.shape[1] == F.q ** max(m, n)
+    assert (np.diff(cl, axis=1) > 0).all()  # ascending: the base first
+    i, j = np.triu_indices(cl.shape[1], k=1)
+    lo, hi = cl[:, i].ravel(), cl[:, j].ravel()
+    assert len(np.unique(lo * sp.count + hi)) == len(lo)
+    assert len(lo) == sp.count * count_rank_matrices(F, m, n, 1) // 2
+    diffs = F.vsub(sp.entries[hi], sp.entries[lo])
+    assert (_bulk.rank(F, diffs) == 1).all()
