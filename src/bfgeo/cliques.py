@@ -359,10 +359,8 @@ def dim_adjacent_set(S: VertexSet) -> int:
 
 def unit_ball(A: Mat) -> VertexSet:
     """All matrices at arithmetic distance <= 1 from A."""
-    sp = space(A.field, A.m, A.n)
-    shifted = A.field.vadd(sp.rank1, A.a)
-    codes = np.concatenate([[A.encode()], _bulk.encode(A.field, shifted)])
-    return VertexSet(A.field, A.m, A.n, codes)
+    sp, a = space(A.field, A.m, A.n), A.encode()
+    return VertexSet(A.field, A.m, A.n, np.r_[a, sp.code_add(a, sp.rank1_codes)])
 
 
 # ---------------------------------------------------------------------------

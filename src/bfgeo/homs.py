@@ -409,8 +409,8 @@ def _first_torn_pair(F2: Field, img, members, best):
 
 def is_colouring(f: MapTable) -> bool:
     """True iff the whole image is one adjacent set."""
-    ucodes = np.unique(f.image_codes())
-    pts = _bulk.decode(f.dst_field, ucodes, f.m2, f.n2)
+    rows = f.images.reshape(f.count, -1).view(np.dtype((np.void, f.images[0].nbytes)))
+    pts = np.unique(rows).view(f.images.dtype).reshape(-1, f.m2, f.n2)
     for i in range(len(pts) - 1):
         diffs = f.dst_field.vsub(pts[i + 1:], pts[i])
         if not _bulk.adjacent_mask(f.dst_field, diffs).all():
@@ -464,23 +464,26 @@ def _has_two_clique_cover(F2: Field, D, nz):
     Some item has u0 or v0 itself, so a pair exists iff the items whose u
     differs from the first item's all share one v, or the items whose v
     differs from the first item's all share one u.  A row with no nonzero
-    item (a ball collapsed to a point) is covered vacuously.
+    item (a ball collapsed to a point) is covered vacuously.  Generators
+    are compared as entry rows, never as destination codes.
     """
-    u = np.zeros(nz.shape, dtype=np.int64)
-    v = np.zeros(nz.shape, dtype=np.int64)
     Dnz = D[nz]
-    u[nz] = _bulk.encode(F2, _bulk.generators(F2, Dnz, "col")[:, :, None])
-    v[nz] = _bulk.encode(F2, _bulk.generators(F2, Dnz, "row")[:, :, None])
-    first = np.argmax(nz, axis=1)[:, None]
-    other_u = nz & (u != np.take_along_axis(u, first, axis=1))
-    other_v = nz & (v != np.take_along_axis(v, first, axis=1))
-    return _all_equal(v, other_u) | _all_equal(u, other_v)
+    u, v = (np.zeros((D.shape[a],) + nz.shape, dtype=F2.dtype) for a in (2, 3))
+    u[:, nz] = _bulk.generators(F2, Dnz, "col").T
+    v[:, nz] = _bulk.generators(F2, Dnz, "row").T
+    first = np.argmax(nz, axis=1)
+    return (_all_equal(v, nz & ~_matches(u, first))
+            | _all_equal(u, nz & ~_matches(v, first)))
 
 
-def _all_equal(codes, mask):
-    """Per row: do the masked codes all agree?  (Vacuously so when none are.)"""
-    ref = np.take_along_axis(codes, np.argmax(mask, axis=1)[:, None], axis=1)
-    return ((codes == ref) | ~mask).all(axis=1)
+def _matches(keys, index):
+    """Per row b of the (E, B, K) entry stack: which of its K items equal item index[b]?"""
+    return (keys == np.take_along_axis(keys, index[None, :, None], axis=2)).all(axis=0)
+
+
+def _all_equal(keys, mask):
+    """Per row: do the masked items all agree?  (Vacuously so when none are.)"""
+    return (_matches(keys, np.argmax(mask, axis=1)) | ~mask).all(axis=1)
 
 
 def _center_verdict(f: MapTable, center: int, ball, Dnz, torn):
@@ -497,8 +500,7 @@ def _center_verdict(f: MapTable, center: int, ball, Dnz, torn):
     if len(Dnz):
         us = _bulk.generators(F2, Dnz, "col")
         vs = _bulk.generators(F2, Dnz, "row")
-        pick = _stab_with_two(_bulk.encode(F2, us[:, :, None]),
-                              _bulk.encode(F2, vs[:, :, None]))
+        pick = _stab_with_two(us, vs)
     if pick is None:
         raise TheoremViolated("the two-clique cover test and its witness search disagree")
     iu, iv = pick
@@ -509,22 +511,21 @@ def _center_verdict(f: MapTable, center: int, ball, Dnz, torn):
                   MaximalSet.through(Kind.TWO, v, cimg))
 
 
-def _stab_with_two(ucodes, vcodes):
+def _stab_with_two(us, vs):
     """Indices (iu, iv) such that every item shares u with iu or v with iv.
 
-    Either side may be None when one family alone covers everything.
-    Returns None when no such pair exists.
+    u and v are generator rows, or codes, which sort alike.  Either side
+    may be None when one family alone covers everything.  Returns None
+    when no such pair exists.
     """
-    if len(np.unique(ucodes)) == 1:
+    if (us == us[0]).all():
         return 0, None
-    if len(np.unique(vcodes)) == 1:
+    if (vs == vs[0]).all():
         return None, 0
-    for iu in np.unique(ucodes, return_index=True)[1]:
-        rest = ucodes != ucodes[iu]
-        vv = vcodes[rest]
-        if len(np.unique(vv)) == 1:
-            iv = int(np.nonzero(rest)[0][0])
-            return int(iu), iv
+    for iu in np.unique(us, axis=0, return_index=True)[1]:
+        rest = (us != us[iu]).reshape(len(us), -1).any(axis=1)
+        if (vs[rest] == vs[rest][0]).all():
+            return int(iu), int(np.nonzero(rest)[0][0])
     return None
 
 

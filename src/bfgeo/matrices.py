@@ -23,6 +23,7 @@ from .errors import DomainTooLarge, ShapeMismatch, Singular
 from .fields import Field, FieldHom
 
 SPACE_LIMIT = 1 << 20
+_GROUP_TABLE_LIMIT = 1 << 20  # int16 entries: code tables hold <= 2 MiB a space
 
 
 class Mat:
@@ -272,27 +273,23 @@ class MatrixSpace:
     @functools.cached_property
     def rank1_half(self):
         """One representative per {R, -R} pair (R itself when p = 2)."""
-        codes = self.rank1_codes
-        neg_codes = _bulk.encode(self.field, self.field.vneg(self.rank1))
-        return self.rank1[codes <= neg_codes]
+        return self.rank1[self.rank1_codes <= self.code_sub(0, self.rank1_codes)]
 
     @functools.cached_property
     def neighbor_perms(self):
         """(K, count) table: row for increment R maps code(X) to code(X+R)."""
-        return self._perms_for(self.rank1)
+        return self._perms_for(self.rank1_codes)
 
     @functools.cached_property
     def neighbor_perms_half(self):
         """Same, restricted to one representative per {R, -R} pair."""
-        return self._perms_for(self.rank1_half)
+        return self._perms_for(_bulk.encode(self.field, self.rank1_half))
 
     def _perms_for(self, increments):
-        flat = self.entries.reshape(self.count, -1)
+        codes = np.arange(self.count, dtype=np.int64)
         out = np.empty((len(increments), self.count), dtype=np.int64)
-        for t, R in enumerate(increments):
-            out[t] = _bulk.encode(
-                self.field,
-                self.field.vadd(flat, R.reshape(-1)).reshape(self.count, self.m, self.n))
+        for t, r in enumerate(increments):
+            out[t] = self.code_add(codes, r)
         return out
 
     @functools.cached_property
@@ -320,40 +317,44 @@ class MatrixSpace:
         return np.concatenate(out)
 
     @functools.cached_property
-    def code_neg(self):
-        """code(X) -> code(-X) table."""
-        return _bulk.encode(self.field, self.field.vneg(self.entries))
+    def _group_add(self):
+        """add[a, b]: code of the digit-group sum a + b, in int16 a radix-p digit at a time."""
+        q, p, k = self.field.q, self.field.p, self.field.k
+        g = max(g for g in range(1, self.m * self.n + 1) if q**(2 * g) <= _GROUP_TABLE_LIMIT)
+        d = np.arange(q**g, dtype=np.int16)[:, None] // p ** np.arange(g * k, dtype=np.int16) % p
+        return sum((d[:, None, i] + d[:, i]) % p * p**i for i in range(g * k))
 
     @functools.cached_property
-    def _code_add_table(self):
-        if self.count > 4096:
-            raise DomainTooLarge("pairwise code table only for small spaces")
-        flat = self.entries.reshape(self.count, -1)
-        summed = self.field.vadd(flat[:, None, :], flat[None, :, :])
-        return _bulk.encode(
-            self.field, summed.reshape(self.count, self.count, self.m, self.n)
-        ).astype(np.int32)
+    def _group_neg(self):
+        return self._group_add.argmin(axis=0)  # the a with add[a, b] = 0
 
     def code_add(self, c1, c2):
-        """code(X1 + X2) from the two codes, vectorized.
+        """code(X1 + X2) from the two codes, vectorized, as int64.
 
-        Char-2 fields add componentwise in every radix-2^t digit, so the
-        packed codes simply XOR; small odd-characteristic spaces use a
-        cached pairwise table, larger ones decode and re-encode.
+        Field addition never carries between radix-p digits, and a code is
+        m*n*k of them.  So characteristic 2 XORs codes and odd ones add g
+        radix-q digits at a time through one q^g x q^g table, g the widest
+        with q^(2g) <= 2^20 (one lookup up to 1024 points); an odd q > 1024
+        only has 1 x 1 spaces, whose code is the field element itself.
         """
-        if self.field.p == 2:
-            return np.bitwise_xor(c1, c2)
-        if self.count <= 4096:
-            return self._code_add_table[c1, c2]
-        c1, c2 = np.broadcast_arrays(np.asarray(c1), np.asarray(c2))
-        summed = self.field.vadd(_bulk.decode(self.field, c1, self.m, self.n),
-                                 _bulk.decode(self.field, c2, self.m, self.n))
-        return _bulk.encode(self.field, summed)
+        return self._code_op(c1, c2, negate=False)
 
     def code_sub(self, c1, c2):
-        if self.field.p == 2:
-            return np.bitwise_xor(c1, c2)
-        return self.code_add(c1, self.code_neg[np.asarray(c2)])
+        """code(X1 - X2), as code_add with a digit-group negation table."""
+        return self._code_op(c1, c2, negate=True)
+
+    def _code_op(self, c1, c2, negate):
+        F, c1, c2 = self.field, np.asarray(c1, dtype=np.int64), np.asarray(c2, dtype=np.int64)
+        if F.p == 2:
+            return c1 ^ c2
+        if F.q**2 > _GROUP_TABLE_LIMIT:
+            return np.asarray((F.vsub if negate else F.vadd)(c1, c2), dtype=np.int64)
+        add, neg, out, w = self._group_add, self._group_neg, 0, 1
+        while w * len(add) < self.count:
+            (c1, a), (c2, b) = np.divmod(c1, len(add)), np.divmod(c2, len(add))
+            out = out + w * add[a, neg[b] if negate else b].astype(np.int64)
+            w *= len(add)
+        return out + w * add[c1, neg[c2] if negate else c2].astype(np.int64)
 
     def random_mat(self, rng) -> Mat:
         return self.mat(int(rng.integers(self.count)))

@@ -278,6 +278,28 @@ def test_batched_degeneracy_scan_matches_per_center_loop(src, dst, shape, block,
         assert _degeneracy_outcome(is_degenerate, fresh) == want  # stored or re-raised
 
 
+def test_degeneracy_and_colouring_on_a_target_whose_codes_overflow_int64():
+    # a 4-entry generator over GF(2^16) has 65536^4 codes: both verifiers
+    # compare entry rows instead
+    F65536 = make_field(2, 16)
+    std = standard_table(random_valid_params(np.random.default_rng(16), F4, 2, 2,
+                                             F65536, 4, 4, nonzero_L_tries=20))
+    assert is_degenerate(std) == (False, None)
+    assert not is_colouring(std)
+    late = F4.q - 1
+    imgs = np.zeros((256, 4, 4), dtype=F65536.dtype)
+    imgs[:, :2, :2] = enumerate_homs(F4, F65536)[0].vapply(
+        _collapsed_ball_images(F4, 2, 2, late))
+    collapsed = MapTable(F4, 2, 2, F65536, 4, 4, imgs)
+    deg, (A, M, N) = is_degenerate(collapsed)
+    assert deg and A.encode() == np.sort(np.r_[0, space(F4, 2, 2).rank1_codes])[late]
+    assert {M.kind, N.kind} == {Kind.ONE, Kind.TWO}
+    assert all(M.contains(collapsed.apply(X)) or N.contains(collapsed.apply(X))
+               for X in unit_ball(A))
+    witness = build_witness_hom(4, 2, 2, 65536, 4, 4)
+    assert is_colouring(witness) and is_degenerate(witness)[0]
+
+
 def _edge_scan_oracle(f):
     """The per-increment edge scan that exhaustive is_graph_hom ran before
     the clique test, kept as its reference: (ok, codes of the first torn

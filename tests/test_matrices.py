@@ -1,13 +1,15 @@
 """Matrix arithmetic, rank metric and the BFS graph distance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bfgeo import _bulk
 from bfgeo.errors import DomainTooLarge, ShapeMismatch, Singular
 from bfgeo.fields import enumerate_homs, make_field
-from bfgeo.matrices import (Mat, adjacent, arithmetic_distance, bfs_distances,
-                            count_rank_matrices, graph_distance,
+from bfgeo.matrices import (Mat, MatrixSpace, adjacent, arithmetic_distance,
+                            bfs_distances, count_rank_matrices, graph_distance,
                             random_invertible, space)
 
 F4 = make_field(2, 2)
@@ -271,3 +273,57 @@ def test_clique_members_hold_each_edge_once(p, k, m, n):
     assert len(lo) == sp.count * count_rank_matrices(F, m, n, 1) // 2
     diffs = F.vsub(sp.entries[hi], sp.entries[lo])
     assert (_bulk.rank(F, diffs) == 1).all()
+
+
+# (p, k, m, n) on both sides of each change of the digit-group width g, the
+# widest with q^(2g) <= 2^20: one group up to 1024 points, then several
+CODE_SPACES = [
+    (3, 1, 2, 3), (3, 1, 1, 7), (3, 1, 3, 3),     # GF(3): g = 6
+    (5, 1, 2, 2), (5, 1, 1, 5), (5, 1, 2, 3),     # GF(5): g = 4
+    (7, 1, 1, 3), (7, 1, 2, 2),                   # GF(7): g = 3
+    (3, 2, 1, 3), (3, 2, 2, 2),                   # GF(9): g = 3
+    (11, 1, 1, 2), (11, 1, 1, 3), (11, 1, 2, 2),  # GF(11): g = 2
+    (5, 2, 1, 2), (5, 2, 1, 3),                   # GF(25): g = 2
+    (1021, 1, 1, 1), (1021, 1, 1, 2),             # GF(1021): g = 1
+    (1031, 1, 1, 1),                              # q > 1024: no table
+    (2, 2, 2, 2), (2, 1, 3, 3),                   # characteristic 2: XOR
+]
+
+
+@pytest.mark.parametrize("p,k,m,n", CODE_SPACES)
+def test_code_arithmetic_matches_decode_op_encode(p, k, m, n):
+    F = make_field(p, k)
+    sp = space(F, m, n)
+    rng = np.random.default_rng(p * 1000 + k * 100 + m * 10 + n)
+    a = rng.integers(0, sp.count, size=(40, 1))
+    b = rng.integers(0, sp.count, size=(1, 30))
+    a[:2, 0] = b[0, :2] = 0, sp.count - 1  # every digit 0, every digit q - 1
+
+    def oracle(op, c1, c2):
+        c1, c2 = np.broadcast_arrays(np.asarray(c1), np.asarray(c2))
+        return _bulk.encode(F, op(_bulk.decode(F, c1, m, n), _bulk.decode(F, c2, m, n)))
+
+    for c1, c2 in [(int(a[1, 0]), int(b[0, 1])), (int(a[2, 0]), int(b[0, 0])),
+                   (a[:30, 0], b[0]), (a[:, 0], int(b[0, 1])), (a, b)]:
+        for got, op in [(sp.code_add(c1, c2), F.vadd), (sp.code_sub(c1, c2), F.vsub)]:
+            assert got.dtype == np.int64
+            assert np.array_equal(got, oracle(op, c1, c2))
+
+
+def test_code_tables_stay_small():
+    # the pairwise table once used here held 23 MB for GF(7) 2x2 and took
+    # 264 MB to build
+    sp = MatrixSpace(make_field(7, 1), 2, 2)  # uncached: built here
+    zero = np.zeros(1, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        sp.code_add(zero, zero), sp.code_sub(zero, zero)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    for p, k, m, n in CODE_SPACES:
+        sp = MatrixSpace(make_field(p, k), m, n)
+        sp.code_add(zero, zero), sp.code_sub(zero, zero)
+        held = sum(v.nbytes for v in vars(sp).values() if isinstance(v, np.ndarray))
+        assert held <= 2 << 20, (p, k, m, n)

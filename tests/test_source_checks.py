@@ -1,6 +1,7 @@
 """Checks on the source tree itself rather than on the mathematics."""
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +26,12 @@ def test_benchmark_selftest_passes():
     proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_benchmark_workload_setups_run(monkeypatch):
+    # the selftest never warms a workload's spaces, so a renamed or deleted
+    # MatrixSpace attribute that a set-up reads must fail here
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for name, workload in workloads.WORKLOADS.items():
+        assert isinstance(workload.setup(), dict), name
