@@ -10,6 +10,7 @@ witnesses), and the exact existence criterion.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,8 @@ class MapTable:
     """A total map GF(q)^(m x n) -> GF(q')^(m' x n') as an image stack.
 
     The table owns a read-only copy of its images, so the exhaustive
-    verdicts of ``is_graph_hom`` and ``is_degenerate`` are computed once
-    and kept on the table.
+    verdicts of ``is_graph_hom`` and ``is_degenerate``, and the clique
+    summary they share, are computed once and kept on the table.
     """
 
     def __init__(self, src_field: Field, m: int, n: int,
@@ -46,6 +47,13 @@ class MapTable:
         images.setflags(write=False)
         self.images = images
         self._verdicts = {}
+
+    @functools.cached_property
+    def _clique_summary(self):
+        """The clique test per source clique, shared by the exhaustive
+        ``is_graph_hom`` and ``is_degenerate``."""
+        return _summarise_cliques(self.dst_field, self.images,
+                                  self.src_space().clique_members)
 
     @property
     def count(self) -> int:
@@ -307,7 +315,7 @@ def is_graph_hom(f: MapTable, mode: str = "exhaustive", samples: int = 10**5,
     img = f.images
     best = None
     if mode == "exhaustive":
-        best = _first_torn_edge(F2, img, sp.clique_members)
+        best = _first_torn_edge(f)
     elif mode == "sampled":
         rng = np.random.default_rng(seed)
         a = rng.integers(0, sp.count, size=samples)
@@ -339,33 +347,73 @@ def is_graph_hom(f: MapTable, mode: str = "exhaustive", samples: int = 10**5,
 _CLIQUE_BLOCK_BYTES = 2 << 20
 
 
-def _first_torn_edge(F2: Field, img, cliques):
-    """The lexicographically first edge (lo, hi) of the source whose images
-    are not adjacent, or None; cliques holds each edge once, members
-    ascending with the base first.
+@dataclass(frozen=True)
+class _CliqueSummary:
+    """The clique test's outcome per row of ``MatrixSpace.clique_members``.
 
-    A clique passes iff its differences D = f(member) - f(base) all have
-    rank 1, share one column or one row generator, and are distinct: two
-    rank-1 matrices differ in rank <= 1 iff they share a generator, and if
-    every pair does, all share one.  Pairs are scanned only inside the
+    passes: the differences D = f(member) - f(base) all have rank 1, share
+    one column or one row generator, and are distinct.  col: they share one
+    column generator.  line: they share one column and one row generator,
+    so the image lies on one target line (a passing clique needs a target
+    field of at least q^max(m, n) elements for that).  gen: the shared
+    column generator where col holds, else the shared row generator,
+    zero-padded to max(m', n') entries; it is an entry row, never a
+    destination code.
+    """
+
+    passes: np.ndarray
+    col: np.ndarray
+    line: np.ndarray
+    gen: np.ndarray
+
+
+def _summarise_cliques(F2: Field, img, cliques) -> _CliqueSummary:
+    """The clique test on every clique (members ascending, base first), a
+    block of cliques at a time."""
+    size, entries = cliques.shape[1], img[0].size
+    block = max(1, _CLIQUE_BLOCK_BYTES // (size * entries * 8))
+    parts = []
+    for start in range(0, len(cliques), block):
+        members = cliques[start:start + block]
+        parts.append(_pass_test(F2, F2.vsub(img[members[:, 1:]], img[members[:, :1]])))
+    return _CliqueSummary(*(np.concatenate(a) for a in zip(*parts)))
+
+
+def _pass_test(F2: Field, D):
+    """(passes, col, line, gen) of the clique test, per item of the
+    (B, K, m', n') stack of differences from one point, K >= 1.
+
+    Two rank-1 matrices differ in rank <= 1 iff they share a generator, and
+    if every pair does, all share one.  So the item's points are pairwise
+    adjacent iff its differences have rank 1, share one column or one row
+    generator, and are distinct.
+    """
+    B, K, m2, n2 = D.shape
+    idx = np.nonzero(_bulk.adjacent_mask(F2, D).all(axis=1))[0]
+    Dk = D[idx]
+    u, v = (_bulk.generators(F2, Dk, axis) for axis in ("col", "row"))
+    col, row, passes = (np.zeros(B, dtype=bool) for _ in range(3))
+    col[idx] = (u == u[:, :1]).all(axis=(1, 2))
+    row[idx] = (v == v[:, :1]).all(axis=(1, 2))
+    passes[idx] = (col[idx] | row[idx]) & _distinct(Dk.reshape(len(idx), K, m2 * n2))
+    gen = np.zeros((B, max(m2, n2)), dtype=F2.dtype)
+    by_col = col[idx]
+    gen[idx[by_col], :m2] = u[by_col, 0]
+    gen[idx[~by_col], :n2] = v[~by_col, 0]
+    return passes, col, col & row, gen
+
+
+def _first_torn_edge(f: MapTable):
+    """The lexicographically first edge (lo, hi) of the source whose images
+    are not adjacent, or None.
+
+    Every edge lies in a clique of ``clique_members``, and a torn one in a
+    clique that fails the clique test.  Pairs are scanned only inside the
     failing cliques, by increasing base code, until the base passes the
     best lo found.
     """
-    size, entries = cliques.shape[1], img[0].size
-    block = max(1, _CLIQUE_BLOCK_BYTES // (size * entries * 8))
-    failing = []
-    for start in range(0, len(cliques), block):
-        members = cliques[start:start + block]
-        D = F2.vsub(img[members[:, 1:]], img[members[:, :1]])
-        ok = _bulk.adjacent_mask(F2, D).all(axis=1)
-        Dk = D[ok]
-        shared = np.zeros(len(Dk), dtype=bool)
-        for axis in ("col", "row"):
-            g = _bulk.generators(F2, Dk, axis)
-            shared |= (g == g[:, :1]).all(axis=(1, 2))
-        ok[ok] = shared & _distinct(Dk.reshape(len(Dk), size - 1, entries))
-        failing.append(start + np.nonzero(~ok)[0])
-    failing = np.concatenate(failing)
+    F2, img, cliques = f.dst_field, f.images, f.src_space().clique_members
+    failing = np.nonzero(~f._clique_summary.passes)[0]
     best = None
     for t in failing[np.argsort(cliques[failing, 0], kind="stable")]:
         if best is not None and cliques[t, 0] > best[0]:
@@ -408,14 +456,13 @@ def _first_torn_pair(F2: Field, img, members, best):
 
 
 def is_colouring(f: MapTable) -> bool:
-    """True iff the whole image is one adjacent set."""
+    """True iff the whole image is one adjacent set: the distinct images,
+    taken as differences from the first, pass the clique test."""
     rows = f.images.reshape(f.count, -1).view(np.dtype((np.void, f.images[0].nbytes)))
     pts = np.unique(rows).view(f.images.dtype).reshape(-1, f.m2, f.n2)
-    for i in range(len(pts) - 1):
-        diffs = f.dst_field.vsub(pts[i + 1:], pts[i])
-        if not _bulk.adjacent_mask(f.dst_field, diffs).all():
-            return False
-    return True
+    if len(pts) < 2:
+        return True
+    return bool(_pass_test(f.dst_field, f.dst_field.vsub(pts[None, 1:], pts[0]))[0][0])
 
 
 # Byte budget for one block of the degeneracy scan's difference stack
@@ -430,31 +477,65 @@ def is_degenerate(f: MapTable):
     Returns (True, (A, M, N)) with the center and the two opposite-kind
     cliques hosting the ball image, or (False, None).  Raises NotHom when
     some ball edge is torn, since the search presumes a homomorphism.
-    Centers are scanned in code order, a block of them at a time; the
-    first that tears or has a two-clique cover decides.  The verdict is
-    kept on the table; a NotHom is raised again on every call.
+    The first center in code order that tears or has a two-clique cover
+    decides.  Centers whose cliques all pass the clique test, none of them
+    a line clique, are decided from the clique summary; the others are
+    scanned, a block of them at a time.  The verdict is kept on the table;
+    a NotHom is raised again on every call.
     """
     if "is_degenerate" in f._verdicts:
         return f._verdicts["is_degenerate"]
     sp = f.src_space()
-    F2 = f.dst_field
     ball0 = np.sort(np.concatenate([np.zeros(1, dtype=np.int64), sp.rank1_codes]))
+    scan, covered = _summary_decisions(f._clique_summary, sp.cliques_through(ball0))
+    stop = int(np.argmax(covered)) if covered.any() else len(ball0)
+    center = ball0[stop] if stop < len(ball0) else None
+    todo = ball0[:stop][scan[:stop]]
     block = max(1, _DEGENERACY_BLOCK_BYTES // (len(ball0) * f.m2 * f.n2 * 8))
-    verdict = (False, None)
-    for start in range(0, len(ball0), block):  # centers: the rank <= 1 matrices
-        centers = ball0[start:start + block]
-        balls = sp.code_add(ball0[None, :], centers[:, None])
-        D = F2.vsub(f.images[balls], f.images[centers][:, None])
-        nz = D.any(axis=(2, 3))
-        torn = nz & ~_bulk.rank_le1_mask(F2, D)
-        hit = torn.any(axis=1) | _has_two_clique_cover(F2, D, nz)
+    for start in range(0, len(todo), block):
+        hit = _ball_hits(f, ball0, todo[start:start + block])
         if hit.any():
-            b = int(np.argmax(hit))
-            verdict = _center_verdict(f, int(centers[b]), balls[b], D[b][nz[b]],
-                                      torn[b])
+            center = todo[start + int(np.argmax(hit))]
             break
+    verdict = (False, None) if center is None else _center_verdict(f, int(center), ball0)
     f._verdicts["is_degenerate"] = verdict
     return verdict
+
+
+def _summary_decisions(summary: _CliqueSummary, through):
+    """(scan, covered) per center, from the cliques through it (the rows of
+    through, one clique per direction).
+
+    The unit ball around a center A is the union of the cliques of one
+    kind through A (either kind will do; these are of the kind of
+    ``clique_members``).  Let each of them pass and none be a line clique.
+    Then the image of each, f(A) included, lies in exactly one target
+    maximal clique: the column clique through f(A) of its column generator
+    u_C, or the row clique of its row generator v_C.  Its images are
+    distinct, so those of the ball points other than A differ from f(A)
+    in rank 1, and no ball edge tears.
+    The ball image lies in the column clique of some u0 and the row clique
+    of some v0 iff all column-kind cliques share u_C = u0 and all row-kind
+    ones share v_C = v0.  One way is plain.  For the other, a column-kind
+    clique with u_C != u0 would need every difference u_C w of its images
+    from f(A) to have row generator v0; then its image lies on a line,
+    which it does not.  A center on a failing or a line clique is left to
+    the scan: scan marks it, and covered is False there.
+    """
+    scan = ~summary.passes[through].all(axis=1) | summary.line[through].any(axis=1)
+    col = summary.col[through]
+    keys = np.moveaxis(summary.gen[through], -1, 0)
+    return scan, ~scan & _all_equal(keys, col) & _all_equal(keys, ~col)
+
+
+def _ball_hits(f: MapTable, ball0, centers):
+    """Per center of the block: does its ball tear or have a two-clique cover?"""
+    F2 = f.dst_field
+    balls = f.src_space().code_add(ball0[None, :], centers[:, None])
+    D = F2.vsub(f.images[balls], f.images[centers][:, None])
+    nz = D.any(axis=(2, 3))
+    torn = nz & ~_bulk.rank_le1_mask(F2, D)
+    return torn.any(axis=1) | _has_two_clique_cover(F2, D, nz)
 
 
 def _has_two_clique_cover(F2: Field, D, nz):
@@ -486,16 +567,21 @@ def _all_equal(keys, mask):
     return (_matches(keys, np.argmax(mask, axis=1)) | ~mask).all(axis=1)
 
 
-def _center_verdict(f: MapTable, center: int, ball, Dnz, torn):
-    """The verdict at the deciding center: NotHom on a tear, else the
-    center and the two cliques hosting its ball image."""
+def _center_verdict(f: MapTable, center: int, ball0):
+    """The verdict at the deciding center, from its ball: NotHom on a tear,
+    else the center and the two cliques hosting its ball image."""
     F2 = f.dst_field
+    ball = f.src_space().code_add(ball0, center)
+    D = F2.vsub(f.images[ball], f.images[center])
+    nz = D.any(axis=(1, 2))
+    torn = nz & ~_bulk.rank_le1_mask(F2, D)
     A = Mat.decode(f.src_field, center, f.m, f.n)
     if torn.any():
         bad = int(np.argmax(torn))
         raise NotHom("ball image tears: not a graph homomorphism",
                      witness=(Mat.decode(f.src_field, int(ball[bad]), f.m, f.n), A))
     # a ball collapsed to a point lies on any opposite-kind pair
+    Dnz = D[nz]
     pick = (None, None)
     if len(Dnz):
         us = _bulk.generators(F2, Dnz, "col")

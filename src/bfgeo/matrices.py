@@ -316,6 +316,28 @@ class MatrixSpace:
             out.append(_bulk.encode(F, np.swapaxes(members, -2, -1) if tall else members))
         return np.concatenate(out)
 
+    def cliques_through(self, codes):
+        """(len(codes), directions) rows of ``clique_members``: per point X,
+        the clique of each direction u that holds it.
+
+        That clique's base is X with u's leading row (column, for kind TWO)
+        cleared, X - u X_i, and the base less that row, as a code, is the
+        clique's index within its direction.  The index is computed, not
+        searched for: for kind TWO the bases of a direction need not ascend.
+        """
+        F = self.field
+        X = self.entries[codes]
+        if self.m > self.n:
+            X = np.swapaxes(X, 1, 2)
+        r, s = X.shape[1:]
+        us = _monic_vectors(F, r)
+        out = np.empty((len(X), len(us)), dtype=np.int64)
+        for d, u in enumerate(us):
+            i = int(np.argmax(u != 0))
+            base = F.vsub(X, F.vmul(u[:, None], X[:, i:i + 1]))
+            out[:, d] = d * F.q ** ((r - 1) * s) + _bulk.encode(F, np.delete(base, i, axis=1))
+        return out
+
     @functools.cached_property
     def _group_add(self):
         """add[a, b]: code of the digit-group sum a + b, in int16 a radix-p digit at a time."""

@@ -14,6 +14,7 @@ from bfgeo.homs import (MapTable, Orientation, StandardHomParams, TwistSide,
                         make_xi_map, moebius_twist, proper_coloring,
                         random_valid_params, standard_table, validate_params)
 from bfgeo.matrices import Mat, arithmetic_distance, space
+from test_mapfile_cli import within_a_second
 
 F2 = make_field(2, 1)
 F4 = make_field(2, 2)
@@ -653,3 +654,154 @@ def test_standard_tables_are_homs_and_nondegenerate_both_orientations():
         assert is_degenerate(tbl) == (False, None)
         assert not is_colouring(tbl)
     assert seen == {Orientation.STRAIGHT, Orientation.TRANSPOSED}
+
+
+def _star_images(plan):
+    """GF(2) 2x2 -> GF(4) 2x2: the kind-ONE clique through 0 of the t-th
+    direction ((0,1), (1,0), (1,1)) goes where plan[t] says, w in GF(2)^2
+    its free row: ("col", g) to g w, ("row", h) to w^t h, ("line", g, h)
+    to (w0 + alpha w1) g h.  Every other point goes to 0."""
+    sp = space(F2, 2, 2)
+    emb = enumerate_homs(F2, F4)[0]
+    alpha = 2  # outside GF(2), so w -> w0 + alpha w1 is injective
+    imgs = np.zeros((sp.count, 2, 2), dtype=F4.dtype)
+    for u, (kind, *gens) in zip(sp.monic_cols, plan):
+        g, h = (np.asarray(x, dtype=F4.dtype) for x in (gens[0], gens[-1]))
+        for w in sp.entries[1:4, 1, :]:  # the nonzero rows
+            x = emb.vapply(w)
+            if kind == "col":
+                img = F4.vmul(g[:, None], x[None, :])
+            elif kind == "row":
+                img = F4.vmul(x[:, None], g[None, :])
+            else:
+                img = F4.vmul(F4.vadd(x[0], F4.vmul(alpha, x[1])),
+                              F4.vmul(g[:, None], h[None, :]))
+            imgs[_bulk.encode(F2, F2.vmul(u[:, None], w[None, :]))] = img
+    return imgs
+
+
+E1, E2 = [1, 0], [0, 1]
+STAR_PLANS = {  # each distinguishes the summary rule from a near miss
+    # covered at 0 by (e2, e1): the line must not count as a column clique
+    "line and columns": [("line", E1, E1), ("col", E2), ("col", E2)],
+    # covered at 0 by (e1, e2): the kinds keep column e1 and row e2 apart
+    "column e1, row e2": [("col", E1), ("row", E2), ("col", E1)],
+    # not covered at 0: the row cliques differ, though one matches the column
+    "column e2, rows e1 and e2": [("col", E2), ("row", E1), ("row", E2)],
+}
+
+
+def _hom_outcome(f):
+    """is_graph_hom(f) as comparable plain data, as _edge_scan_oracle gives it."""
+    ok, w = is_graph_hom(f)
+    return ok, None if w is None else tuple(X.encode() for X in w)
+
+
+def _spread_witness_images(f):
+    """f's images with one rank-2 point sent far off: the cliques through
+    it fail, but none of them passes through 0."""
+    imgs = f.images.copy()
+    code = int(np.nonzero(_bulk.rank(f.src_field, f.src_space().entries) >= 2)[0][-1])
+    imgs[code, -1, -1] = f.dst_field.vadd(imgs[code, -1, -1], 1)
+    return imgs
+
+
+@pytest.mark.parametrize("src,m,n,dst,m2,n2", [
+    (F4, 2, 2, F16, 3, 3), (F3, 3, 2, F3, 3, 3), (F2, 3, 2, F4, 3, 3),
+    (F5, 2, 2, F5, 2, 3), (F4, 1, 2, F4, 2, 2), (F5, 1, 3, F5, 2, 3),
+    (F4, 2, 1, F16, 2, 2), (F9, 2, 1, F9, 2, 2), (F5, 1, 1, F5, 2, 2),
+    (F4, 1, 1, F16, 2, 2), (F2, 2, 2, F4, 2, 2),
+], ids=lambda v: f"GF({v.q})" if hasattr(v, "q") else str(v))
+@pytest.mark.parametrize("block", [1, 3, None])
+def test_summary_decided_degeneracy_matches_the_per_center_loop(
+        src, m, n, dst, m2, n2, block, monkeypatch):
+    sp = space(src, m, n)
+    centers = np.sort(np.r_[0, sp.rank1_codes])
+    if block is not None:  # force block boundaries: centers, and cliques
+        size = sp.clique_members.shape[1]
+        monkeypatch.setattr(homs, "_DEGENERACY_BLOCK_BYTES", block * len(centers) * m2 * n2 * 8)
+        monkeypatch.setattr(homs, "_CLIQUE_BLOCK_BYTES", block * size * m2 * n2 * 8)
+    scanned = []
+    real_hits = homs._ball_hits
+    monkeypatch.setattr(homs, "_ball_hits",
+                        lambda f, ball0, c: scanned.extend(c.tolist()) or real_hits(f, ball0, c))
+    cases = _hom_cases(src, m, n, dst, m2, n2, seed=m * 100 + n * 10 + src.q)
+    if min(m, n) >= 2:
+        std = MapTable(src, m, n, dst, m2, n2, cases["standard"])
+        cases["torn late"], torn_at = _torn_late_images(std)
+        torn_center = centers[torn_at]
+        cases["witness spread"] = _spread_witness_images(
+            MapTable(src, m, n, dst, m2, n2, cases["witness"]))
+    if (src, m, n, dst, m2, n2) == (F2, 2, 2, F4, 2, 2):
+        cases.update({name: _star_images(plan) for name, plan in STAR_PLANS.items()})
+    for name, imgs in cases.items():
+        decided = []
+        f = MapTable(src, m, n, dst, m2, n2, imgs)
+        want = _degeneracy_outcome(lambda t: _degenerate_oracle(t, decided), f)
+        want_hom = _edge_scan_oracle(f)
+        for hom_first in (False, True):
+            f = MapTable(src, m, n, dst, m2, n2, imgs)
+            del scanned[:]
+            if hom_first:
+                assert _hom_outcome(f) == want_hom, name
+            assert _degeneracy_outcome(is_degenerate, f) == want, (name, block, hom_first)
+            assert _degeneracy_outcome(is_degenerate, f) == want  # stored or re-raised
+            if name == "witness spread" and src.q ** max(m, n) > dst.q:
+                # no clique image fits on a target line: decided at 0 from
+                # the summaries, though later centers would need a scan
+                assert decided == [0] and not f._clique_summary.passes.all()
+                assert scanned == []
+            if name == "torn late":  # decided by a scan after summary-decided centers
+                assert torn_center in scanned and centers[0] not in scanned
+            assert _hom_outcome(f) == want_hom, name  # stored, or built on the summary
+        if name in STAR_PLANS:
+            assert (decided == [0]) == (name != "column e2, rows e1 and e2"), name
+
+
+def _adjacent_set_oracle(f):
+    """The pairwise loop is_colouring ran before the clique test, kept as its
+    reference: are the distinct images pairwise adjacent?"""
+    F = f.dst_field
+    pts = np.unique(f.images.reshape(f.count, -1), axis=0).reshape(-1, f.m2, f.n2)
+    for i in range(len(pts) - 1):
+        if not _bulk.adjacent_mask(F, F.vsub(pts[i + 1:], pts[i])).all():
+            return False
+    return True
+
+
+def _colouring_cases():
+    """(name, table, expected is_colouring) on both characteristics."""
+    line = np.zeros((16, 2, 2), dtype=F16.dtype)  # GF(4)^(1x2) onto a GF(16) line
+    w = EMB_4_16.vapply(space(F4, 1, 2).entries[:, 0, :])
+    line[:, 0, 0] = F16.vadd(w[:, 0], F16.vmul(w[:, 1], XI))
+    scalar = np.zeros((5, 2, 2), dtype=F5.dtype)  # c E12 on a GF(5) line
+    scalar[:, 0, 1] = np.arange(5)
+    off = build_witness_hom(4, 2, 2, 4, 2, 2).images.copy()
+    off[77, 1, 1] = 1  # one image leaves the witness's clique
+    pair = np.zeros((3, 2, 2), dtype=F3.dtype)
+    pair[1:] = np.eye(2, dtype=F3.dtype)  # two points at rank distance 2
+    yield "constant", MapTable(F4, 2, 2, F4, 2, 2, np.zeros((256, 2, 2), dtype=F4.dtype)), True
+    yield "identity", MapTable.identity(F4, 2, 2), False
+    yield "identity 1x3", MapTable.identity(F5, 1, 3), True
+    for shape in [(4, 2, 2, 4, 2, 2), (2, 2, 2, 4, 2, 2), (2, 2, 2, 2, 1, 4),
+                  (3, 3, 2, 3, 3, 3), (5, 1, 2, 5, 2, 2), (4, 2, 2, 16, 3, 3)]:
+        yield f"witness {shape}", build_witness_hom(*shape), True
+    yield "xi", make_xi_map(XiMapParams(EMB_4_16, XI, 2)), False
+    yield "on one line", MapTable(F4, 1, 2, F16, 2, 2, line), True
+    yield "on one GF(5) line", MapTable(F5, 1, 1, F5, 2, 2, scalar), True
+    yield "one point off the clique", MapTable(F4, 2, 2, F4, 2, 2, off), False
+    yield "a rank-2 pair", MapTable(F3, 1, 1, F3, 2, 2, pair), False
+    yield "standard", standard_table(random_valid_params(
+        np.random.default_rng(3), F3, 2, 2, F9, 2, 3)), False
+
+
+@pytest.mark.parametrize("name,f,expect", list(_colouring_cases()),
+                         ids=[c[0] for c in _colouring_cases()])
+def test_is_colouring_matches_the_pairwise_loop(name, f, expect):
+    assert is_colouring(f) == _adjacent_set_oracle(f) == expect
+
+
+def test_is_colouring_of_65536_images_within_a_second():
+    # 65536 distinct images, one adjacent set: the pairwise loop took minutes
+    f = MapTable.identity(F2, 1, 16)
+    assert within_a_second(lambda: is_colouring(f)) is True

@@ -275,6 +275,24 @@ def test_clique_members_hold_each_edge_once(p, k, m, n):
     assert (_bulk.rank(F, diffs) == 1).all()
 
 
+@pytest.mark.parametrize("p,k,m,n", [(2, 1, 2, 3), (2, 1, 3, 1), (3, 1, 3, 2),
+                                     (2, 2, 2, 2), (5, 1, 1, 3), (2, 1, 4, 3),
+                                     (3, 1, 1, 1)])
+def test_cliques_through_a_point_hold_it_once_per_direction(p, k, m, n):
+    # (2, 1, 4, 3): a tall space whose bases do not ascend within a direction
+    F = make_field(p, k)
+    sp = space(F, m, n)
+    codes = np.arange(sp.count)
+    through = sp.cliques_through(codes)
+    directions = (F.q ** min(m, n) - 1) // (F.q - 1)
+    assert through.shape == (sp.count, directions)
+    assert ((sp.clique_members[through] == codes[:, None, None]).sum(axis=2) == 1).all()
+    assert (np.diff(np.sort(through, axis=1), axis=1) > 0).all()
+    # every clique holds exactly its own members
+    hits = np.bincount(through.ravel(), minlength=len(sp.clique_members))
+    assert (hits == sp.clique_members.shape[1]).all()
+
+
 # (p, k, m, n) on both sides of each change of the digit-group width g, the
 # widest with q^(2g) <= 2^20: one group up to 1024 points, then several
 CODE_SPACES = [
