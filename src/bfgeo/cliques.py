@@ -234,14 +234,12 @@ def _host_direction(field: Field, diffs):
     raise TheoremViolated("adjacent set outside both clique forms")
 
 
-def _pairwise_adjacent_entries(S: VertexSet):
-    """S's entries; NotAdjacentSet unless every pair is at distance 1."""
-    pts = S.entries()
-    diffs_all = S.field.vsub(pts[:, None], pts[None, :])
-    off = ~np.eye(len(S), dtype=bool)
-    if not _bulk.adjacent_mask(S.field, diffs_all[off]).all():
+def _check_pairwise_adjacent(field: Field, pts):
+    """NotAdjacentSet unless every pair of the (N, m, n) stack is at distance 1."""
+    diffs_all = field.vsub(pts[:, None], pts[None, :])
+    off = ~np.eye(len(pts), dtype=bool)
+    if not _bulk.adjacent_mask(field, diffs_all[off]).all():
         raise NotAdjacentSet("some pair is not at distance 1")
-    return pts
 
 
 def classify_clique(S: VertexSet) -> MaximalSet:
@@ -253,7 +251,8 @@ def classify_clique(S: VertexSet) -> MaximalSet:
     if len(S) == 0:
         raise NotAdjacentSet("empty set")
     F = S.field
-    pts = _pairwise_adjacent_entries(S)
+    pts = S.entries()
+    _check_pairwise_adjacent(F, pts)
     N = len(S)
 
     base = pts[0]  # codes are sorted, so this is the lex-min member
@@ -337,22 +336,32 @@ def line_through(M: MaximalSet, N: MaximalSet) -> Line:
 
 def dim_adjacent_set(S: VertexSet) -> int:
     """Rank of the clique through 0 as a family of parameter vectors."""
-    zero = 0
-    if not np.isin(zero, S.codes):
+    return dim_adjacent_entries(S.field, S.entries())
+
+
+def dim_adjacent_entries(field: Field, entries) -> int:
+    """:func:`dim_adjacent_set` of the set of matrices in an (N, m, n) stack.
+
+    Works on entries alone, repeats dropped, so it needs no code for the
+    points and takes matrices of any space, past the int64 code range too.
+    """
+    pts = np.unique(np.asarray(entries), axis=0)  # row-major lex = code order
+    m, n = pts.shape[1:]
+    zero = ~pts.any(axis=(1, 2))
+    if not zero.any():
         raise ZeroNotMember("dimension is defined for sets through 0")
-    if len(S) < 2:
+    if len(pts) < 2:
         raise NotAdjacentSet("need at least two points")
-    F = S.field
-    pts = _pairwise_adjacent_entries(S)
-    nonzero = pts[S.codes != 0]
-    kind, g = _host_direction(F, nonzero)
+    _check_pairwise_adjacent(field, pts)
+    nonzero = pts[~zero]
+    kind, g = _host_direction(field, nonzero)
     if kind is Kind.TWO:
         nonzero = np.swapaxes(nonzero, 1, 2)
     # coordinates x with X = g x (or X^t = g x): g is monic, so the row of
     # X at g's leading 1 is x itself
     i = int(np.argmax(g != 0))
-    dim = int(_bulk.rank(F, nonzero[None, :, i, :])[0])
-    if dim > max(S.m, S.n):
+    dim = int(_bulk.rank(field, nonzero[None, :, i, :])[0])
+    if dim > max(m, n):
         raise TheoremViolated("adjacent set dimension exceeds max(m, n)")
     return dim
 
@@ -442,22 +451,25 @@ def two_pencil_sweep(field: Field, m: int, n: int, rows, cols):
 # ---------------------------------------------------------------------------
 
 def all_maximal_sets(field: Field, m: int, n: int):
-    """Every maximal clique of the space, one canonical object per set."""
+    """Every maximal clique of the space, one canonical object per set.
+
+    Per direction, codes are visited in ascending order and a clique is
+    built only at a code no earlier clique of that direction holds.  That
+    code is the clique's lex-min member, so the clique is already in
+    canonical form, and every coset of the direction is built once.
+    """
     sp = space(field, m, n)
-    out = {}
-    for kind in (Kind.ONE, Kind.TWO):
-        dirs = sp.monic_cols if kind is Kind.ONE else sp.monic_rows
+    out = []
+    for kind, dirs in ((Kind.ONE, sp.monic_cols), (Kind.TWO, sp.monic_rows)):
         for d in dirs:
-            if kind is Kind.ONE:
-                t = complete_to_invertible_col(field, d)
-            else:
-                t = complete_to_invertible_row(field, d)
+            covered = np.zeros(sp.count, dtype=bool)
             for code in range(sp.count):
-                ms = MaximalSet(kind, t, Mat.decode(field, code, m, n))
-                k = ms.key()
-                if k not in out:
-                    out[k] = ms.canonical()
-    return list(out.values())
+                if covered[code]:
+                    continue
+                ms = MaximalSet.through(kind, d, Mat.decode(field, code, m, n))
+                covered[_bulk.encode(field, ms.point_entries())] = True
+                out.append(ms)
+    return out
 
 
 def bron_kerbosch_cliques(field: Field, m: int, n: int):

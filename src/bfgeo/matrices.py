@@ -406,28 +406,60 @@ def random_invertible(rng, field: Field, m: int) -> Mat:
 # graph distance by breadth-first search
 # ---------------------------------------------------------------------------
 
-def bfs_distances(A: Mat, max_level: int | None = None):
-    """Distance from A to every matrix in its space, by plain BFS.
+_BFS_BLOCK_BYTES = 4 << 20
 
-    The neighbor step adds precomputed rank-1 increments (outer products);
-    no rank or arithmetic distance is consulted.  Unreached matrices hold -1.
+
+def bfs_distance_rows(space: MatrixSpace, sources, max_level: int | None = None):
+    """(len(sources), count) int8 distances from each source code, by BFS.
+
+    The frontier and seen sets of all sources in a block are bit-packed
+    over the sources, a (count, ceil(S/8)) uint8 array each, and one level
+    is ``nxt = OR-reduce(front[neighbor_perms], axis=0) & ~seen``: X is new
+    for a source when X + R was on its frontier for some rank-1 increment R.
+    That gather reaches the same matrices as scattering each frontier point
+    to its neighbours because the increments are closed under negation.
+    No rank or arithmetic distance is consulted.  The search stops after
+    ``max_level`` levels (default min(m, n) + 1); unreached matrices hold -1.
+    Sources go in blocks, and increments in chunks, so that the gathered
+    array stays under ``_BFS_BLOCK_BYTES``.
     """
-    sp = space(A.field, A.m, A.n)
-    cap = min(A.m, A.n) + 1 if max_level is None else max_level
-    dist = np.full(sp.count, -1, dtype=np.int8)
-    frontier = np.array([A.encode()], dtype=np.int64)
-    dist[frontier] = 0
-    perms = sp.neighbor_perms
-    level = 0
-    while frontier.size and level < cap:
-        level += 1
-        nxt = perms[:, frontier].reshape(-1)
-        nxt = nxt[dist[nxt] < 0]
-        if nxt.size:
-            nxt = np.unique(nxt)
-            dist[nxt] = level
-        frontier = nxt
+    sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+    cap = min(space.m, space.n) + 1 if max_level is None else max_level
+    perms = space.neighbor_perms
+    dist = np.full((len(sources), space.count), -1, dtype=np.int8)
+    dist[np.arange(len(sources)), sources] = 0
+    width = 8 * max(1, _BFS_BLOCK_BYTES // perms.size)
+    for lo in range(0, len(sources), width):
+        _bfs_block(perms, sources[lo:lo + width], dist[lo:lo + width], cap)
     return dist
+
+
+def _bfs_block(perms, sources, dist, cap):
+    """Fill dist (a view, one row per source) level by level."""
+    start = np.zeros((perms.shape[1], len(sources)), dtype=bool)
+    start[sources, np.arange(len(sources))] = True
+    front = np.packbits(start, axis=1)
+    seen = front.copy()
+    chunk = max(1, _BFS_BLOCK_BYTES // front.nbytes)
+    for level in range(1, cap + 1):
+        nxt = np.zeros_like(front)
+        for lo in range(0, len(perms), chunk):
+            nxt |= np.bitwise_or.reduce(front[perms[lo:lo + chunk]], axis=0)
+        nxt &= ~seen
+        if not nxt.any():
+            break
+        seen |= nxt
+        x, s = np.nonzero(np.unpackbits(nxt, axis=1, count=len(sources)))
+        dist[s, x] = level
+        front = nxt
+
+
+def bfs_distances(A: Mat, max_level: int | None = None):
+    """Distance from A to every matrix in its space: the one-source case of
+    :func:`bfs_distance_rows`, with no rank consulted.  Unreached matrices
+    hold -1."""
+    sp = space(A.field, A.m, A.n)
+    return bfs_distance_rows(sp, [A.encode()], max_level)[0]
 
 
 def graph_distance(A: Mat, B: Mat) -> int:

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import _bulk
 from .cliques import (VertexSet, complete_to_invertible_col,
-                      complete_to_invertible_row, dim_adjacent_set)
+                      complete_to_invertible_row, dim_adjacent_entries,
+                      dim_adjacent_set)
 from .errors import (Degenerate, DimDeficient, NoFit, NotHom,
                      PreconditionViolated, UnsupportedField)
 from .fields import Field, FieldHom, enumerate_homs
@@ -186,11 +187,11 @@ def recover_standard(f: MapTable) -> RecoveryResult:
 
     m1 = _axis_codes(f, "row", 0)
     n1 = _axis_codes(f, "col", 0)
-    dim_m1 = dim_adjacent_set(VertexSet.from_entries(f.dst_field, f.images[m1]))
+    dim_m1 = dim_adjacent_entries(f.dst_field, f.images[m1])
     if dim_m1 != f.n:
         raise DimDeficient(f"row axis image has dimension {dim_m1}, need {f.n}",
                            witness=("row_axis", dim_m1))
-    dim_n1 = dim_adjacent_set(VertexSet.from_entries(f.dst_field, f.images[n1]))
+    dim_n1 = dim_adjacent_entries(f.dst_field, f.images[n1])
     if dim_n1 != f.m:
         raise DimDeficient(f"column axis image has dimension {dim_n1}, need {f.m}",
                            witness=("col_axis", dim_n1))
@@ -315,5 +316,4 @@ def dim_bound_check(f: MapTable, S: VertexSet) -> bool:
         raise PreconditionViolated("the set must contain 0")
     if f.images[0].any():
         raise PreconditionViolated("the table must fix 0")
-    img = VertexSet.from_entries(f.dst_field, f.images[S.codes])
-    return dim_adjacent_set(img) <= dim_adjacent_set(S)
+    return dim_adjacent_entries(f.dst_field, f.images[S.codes]) <= dim_adjacent_set(S)

@@ -20,35 +20,37 @@ from .homs import (MapTable, Orientation, build_witness_hom, hom_exists,
                    is_colouring, is_degenerate, is_graph_hom, moebius_twist,
                    proper_coloring, random_valid_params, standard_table,
                    validate_params)
-from .matrices import SPACE_LIMIT, Mat, bfs_distances, space
+from .matrices import SPACE_LIMIT, Mat, bfs_distance_rows, space
 from .recovery import dim_bound_check, recover_standard
 
 
 def _pairwise_ranks(field: Field, entries):
-    """(count, count) array of rank(E_a - E_b) over a stack of matrices;
-    DomainTooLarge, before anything is allocated, past SPACE_LIMIT pairs."""
+    """(count, count) int8 array of rank(E_a - E_b) over a stack of
+    matrices of one space; DomainTooLarge, before anything is allocated,
+    past SPACE_LIMIT pairs.
+
+    Each point of the space is ranked once by rref, and a pair reads the
+    rank of its difference, taken by field subtraction, at that
+    difference's code: no code arithmetic, which the BFS uses, is involved."""
     count, m, n = entries.shape
     if count * count > SPACE_LIMIT:
         raise DomainTooLarge(
             f"{count}^2 matrix pairs exceed the enumeration bound {SPACE_LIMIT}")
+    ranks = _bulk.rank(field, space(field, m, n).entries).astype(np.int8)
     diffs = field.vsub(entries[:, None], entries[None, :])
-    return _bulk.rank(field, diffs.reshape(-1, m, n)).reshape(count, count)
+    return ranks[_bulk.encode(field, diffs)]
 
 
 def distance_theorem_check(field: Field, m: int, n: int) -> dict:
     """Exhaustive: BFS path length equals rank distance, every pair."""
     sp = space(field, m, n)
     ads = _pairwise_ranks(field, sp.entries)
-    mismatches = []
-    for a in range(sp.count):
-        d = bfs_distances(sp.mat(a))
-        bad = np.nonzero(d != ads[a])[0]
-        mismatches.extend(f"{a}:{int(b)}" for b in bad)
+    a, b = np.nonzero(bfs_distance_rows(sp, np.arange(sp.count)) != ads)
     return {
         "vertices": sp.count,
         "pairs": sp.count * sp.count,
         "edges": int((ads == 1).sum()) // 2,
-        "mismatches": sorted(mismatches),
+        "mismatches": sorted(f"{int(x)}:{int(y)}" for x, y in zip(a, b)),
     }
 
 

@@ -7,7 +7,8 @@ from bfgeo import _bulk
 from bfgeo.cliques import (Kind, Line, MaximalSet, VertexSet, all_maximal_sets,
                            bron_kerbosch_cliques, classify_clique,
                            clique_number, complete_to_invertible_col,
-                           complete_to_invertible_row, dim_adjacent_set,
+                           complete_to_invertible_row, dim_adjacent_entries,
+                           dim_adjacent_set,
                            intersect, line_through, maximal_sets_through,
                            two_pencil_constraint, two_pencil_sweep, unit_ball)
 from bfgeo.errors import (Disjoint, NotAdjacent, NotAdjacentSet, NotMaximal,
@@ -16,6 +17,7 @@ from bfgeo.fields import make_field
 from bfgeo.matrices import Mat, adjacent, space
 
 F2 = make_field(2, 1)
+F3 = make_field(3, 1)
 F4 = make_field(2, 2)
 F5 = make_field(5, 1)
 
@@ -214,6 +216,13 @@ def test_dim_examples():
     assert dim_adjacent_set(S) == 1
     with pytest.raises(ZeroNotMember):
         dim_adjacent_set(VertexSet.from_mats([Mat.unit(F4, 2, 2, 0, 0)]))
+    # the entry core drops repeats, as the set's codes do
+    pts = S.entries()
+    assert dim_adjacent_entries(F4, np.concatenate([pts[::-1], pts[1:]])) == 1
+    with pytest.raises(NotAdjacentSet):
+        dim_adjacent_entries(F4, pts[[0, 0]])
+    with pytest.raises(ZeroNotMember):
+        dim_adjacent_entries(F4, pts[1:])
 
 
 def test_dim_invariant_under_equivalence():
@@ -266,6 +275,39 @@ def test_structural_sets_match_brute_force_cliques():
     brute = set(bron_kerbosch_cliques(F2, 2, 2))
     assert structural == brute
     assert clique_number(F2, 2, 2) == 4
+
+
+def every_offset_sets(field, m, n):
+    """A MaximalSet for every direction and offset, kept by first key: the
+    enumeration all_maximal_sets ran before it skipped covered offsets."""
+    sp = space(field, m, n)
+    out = {}
+    for kind in (Kind.ONE, Kind.TWO):
+        dirs = sp.monic_cols if kind is Kind.ONE else sp.monic_rows
+        for d in dirs:
+            if kind is Kind.ONE:
+                t = complete_to_invertible_col(field, d)
+            else:
+                t = complete_to_invertible_row(field, d)
+            for code in range(sp.count):
+                ms = MaximalSet(kind, t, Mat.decode(field, code, m, n))
+                k = ms.key()
+                if k not in out:
+                    out[k] = ms.canonical()
+    return list(out.values())
+
+
+@pytest.mark.parametrize("field,m,n", [(F2, 2, 3), (F3, 2, 2)])
+def test_all_maximal_sets_match_the_every_offset_enumeration(field, m, n):
+    got, want = all_maximal_sets(field, m, n), every_offset_sets(field, m, n)
+    assert [s.key() for s in got] == [s.key() for s in want]
+    assert [(s.offset, s.transform) for s in got] == [(s.offset, s.transform) for s in want]
+    q = field.q
+
+    def gauss(k):
+        return (q**k - 1) // (q - 1)
+
+    assert len(got) == gauss(m) * q**(m * n - n) + gauss(n) * q**(m * n - m)
 
 
 def test_exactly_two_cliques_per_edge_small():

@@ -5,12 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bfgeo import _bulk
+from bfgeo import _bulk, matrices, verify
 from bfgeo.errors import DomainTooLarge, ShapeMismatch, Singular
 from bfgeo.fields import enumerate_homs, make_field
 from bfgeo.matrices import (Mat, MatrixSpace, adjacent, arithmetic_distance,
-                            bfs_distances, count_rank_matrices, graph_distance,
-                            random_invertible, space)
+                            bfs_distance_rows, bfs_distances, count_rank_matrices,
+                            graph_distance, random_invertible, space)
 
 F4 = make_field(2, 2)
 F5 = make_field(5, 1)
@@ -175,6 +175,71 @@ def test_graph_distance_equals_rank_distance_exhaustive_small():
         dist = bfs_distances(A)
         for B in sp:
             assert dist[B.encode()] == arithmetic_distance(A, B)
+
+
+def frontier_bfs_oracle(A: Mat, max_level=None):
+    """One-source BFS that scatters frontier codes through neighbor_perms
+    and deduplicates them with np.unique, level by level: the form
+    bfs_distances had before the bit-packed gather, kept as its reference."""
+    sp = space(A.field, A.m, A.n)
+    cap = min(A.m, A.n) + 1 if max_level is None else max_level
+    dist = np.full(sp.count, -1, dtype=np.int8)
+    frontier = np.array([A.encode()], dtype=np.int64)
+    dist[frontier] = 0
+    level = 0
+    while frontier.size and level < cap:
+        level += 1
+        nxt = sp.neighbor_perms[:, frontier].reshape(-1)
+        nxt = nxt[dist[nxt] < 0]
+        if nxt.size:
+            nxt = np.unique(nxt)
+            dist[nxt] = level
+        frontier = nxt
+    return dist
+
+
+@pytest.mark.parametrize("p,k,m,n", [(2, 1, 2, 3), (3, 1, 2, 2), (2, 2, 3, 2),
+                                     (2, 1, 1, 4)])
+@pytest.mark.parametrize("max_level", [1, None])
+def test_bfs_rows_match_the_frontier_bfs(p, k, m, n, max_level, monkeypatch):
+    F = make_field(p, k)
+    sp = space(F, m, n)
+    if sp.count <= 100:
+        sources = np.arange(sp.count)
+    else:  # unsorted, with a repeat, both ends of the code range
+        rng = np.random.default_rng(sp.count)
+        sources = np.r_[sp.count - 1, rng.integers(sp.count, size=40), 0, 7, 7]
+    want = np.stack([frontier_bfs_oracle(sp.mat(int(a)), max_level) for a in sources])
+    assert np.array_equal(bfs_distance_rows(sp, sources, max_level), want)
+    for a in sources[:3]:
+        assert np.array_equal(bfs_distances(sp.mat(int(a)), max_level), want[sources == a][0])
+    # blocks of 8 and of 16 sources; then 8 sources and one increment per gather
+    for budget in (sp.neighbor_perms.size, 2 * sp.neighbor_perms.size, 1):
+        monkeypatch.setattr(matrices, "_BFS_BLOCK_BYTES", budget)
+        assert np.array_equal(bfs_distance_rows(sp, sources, max_level), want)
+
+
+def test_distance_check_reports_a_corrupted_neighbour_row(monkeypatch):
+    F = make_field(3, 1)
+    sp = MatrixSpace(F, 2, 2)  # uncached, so the shared space stays intact
+    assert verify.distance_theorem_check(F, 2, 2)["mismatches"] == []
+    sp.neighbor_perms[5] = np.arange(sp.count)  # the increment R_5 leads nowhere
+    monkeypatch.setattr(verify, "space", lambda *a: sp)
+    info = verify.distance_theorem_check(F, 2, 2)
+    # a source A no longer reaches A - R_5 in one step, and nothing else moves
+    codes = np.arange(sp.count)
+    lost = sp.code_sub(codes, sp.rank1_codes[5])
+    assert info["mismatches"] == sorted(f"{a}:{b}" for a, b in zip(codes, lost))
+    assert info["edges"] == sp.count * len(sp.rank1) // 2
+
+
+def test_pairwise_ranks_equal_a_direct_rref_of_every_difference():
+    F = make_field(3, 1)
+    ents = space(F, 2, 2).entries
+    for stack in (ents, ents[np.random.default_rng(3).permutation(len(ents))]):
+        diffs = F.vsub(stack[:, None], stack[None]).reshape(-1, 2, 2)
+        direct = _bulk.rank(F, diffs).reshape(len(stack), len(stack))
+        assert np.array_equal(verify._pairwise_ranks(F, stack), direct)
 
 
 def test_block_ops():

@@ -237,6 +237,20 @@ def test_dim_bound_check():
         dim_bound_check(tbl, VertexSet.from_mats([Mat.unit(F4, 2, 2, 0, 0)]))
 
 
+def test_recovery_into_a_space_past_int64_codes():
+    # GF(256)^(3x3) has 256^9 > 2^63 points: the image dimension checks
+    # read entries, not codes
+    F256 = make_field(2, 8)
+    rng = np.random.default_rng(7)
+    m1 = VertexSet.from_entries(F4, space(F4, 2, 2).entries[_axis_codes(
+        MapTable.identity(F4, 2, 2), "row", 0)])
+    for o in Orientation:
+        tbl = standard_table(random_valid_params(rng, F4, 2, 2, F256, 3, 3, orientation=o))
+        res = recover_standard(tbl)
+        assert np.array_equal(standard_table(res.params).images, tbl.images)
+        assert dim_bound_check(tbl, m1)
+
+
 def test_complete_rows_rejects_dependent_rows():
     from bfgeo.recovery import _complete_rows
     assert _complete_rows(F4, np.array([[0, 1, 2]])).rank() == 3
