@@ -113,19 +113,24 @@ class MaximalSet:
             pts = F.vmul(ys, self.direction[None, None, :])
         return F.vadd(pts, self.offset.a)
 
+    @functools.cached_property
+    def codes(self) -> np.ndarray:
+        """Sorted codes of all members, read-only."""
+        codes = np.sort(_bulk.encode(self.field, self.point_entries()))
+        codes.setflags(write=False)
+        return codes
+
     def points(self) -> "VertexSet":
-        return VertexSet.from_entries(self.field, self.point_entries())
+        return VertexSet(self.field, self.m, self.n, self.codes)
 
     def key(self):
         """Canonical identity: kind, defining space, lex-min member."""
-        codes = _bulk.encode(self.field, self.point_entries())
         u = self.direction
-        return (self.kind, tuple(int(c) for c in u), int(codes.min()))
+        return (self.kind, tuple(int(c) for c in u), int(self.codes[0]))
 
     def canonical(self) -> "MaximalSet":
         """Same set with the completion transform and lex-min offset."""
-        codes = _bulk.encode(self.field, self.point_entries())
-        off = Mat.decode(self.field, int(codes.min()), self.m, self.n)
+        off = Mat.decode(self.field, int(self.codes[0]), self.m, self.n)
         return MaximalSet.through(self.kind, self.direction, off)
 
     def __eq__(self, other):
@@ -210,11 +215,8 @@ def intersect(M: MaximalSet, N: MaximalSet) -> VertexSet:
     """Exact intersection; may be empty for parallel cliques."""
     if (M.field, M.m, M.n) != (N.field, N.m, N.n):
         raise ShapeMismatch("cliques live in different spaces")
-    small, other = (M, N) if M.cardinality() <= N.cardinality() else (N, M)
-    pts = small.point_entries()
-    keep = other.contains_batch(pts)
-    return VertexSet.from_entries(M.field, pts[keep]) if keep.any() \
-        else VertexSet(M.field, M.m, M.n, [])
+    return VertexSet(M.field, M.m, M.n,
+                     np.intersect1d(M.codes, N.codes, assume_unique=True))
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +266,8 @@ def classify_clique(S: VertexSet) -> MaximalSet:
 
     if N == host.cardinality():
         return host.canonical()
-    host_codes = _bulk.encode(F, host.point_entries())
-    missing = np.setdiff1d(host_codes, S.codes)
-    witness = Mat.decode(F, int(missing.min()), S.m, S.n)
+    missing = np.setdiff1d(host.codes, S.codes, assume_unique=True)
+    witness = Mat.decode(F, int(missing[0]), S.m, S.n)
     raise NotMaximal("clique extends to a larger one", witness=witness)
 
 
@@ -467,7 +468,7 @@ def all_maximal_sets(field: Field, m: int, n: int):
                 if covered[code]:
                     continue
                 ms = MaximalSet.through(kind, d, Mat.decode(field, code, m, n))
-                covered[_bulk.encode(field, ms.point_entries())] = True
+                covered[ms.codes] = True
                 out.append(ms)
     return out
 

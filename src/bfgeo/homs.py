@@ -77,11 +77,6 @@ class MapTable:
     def identity(field: Field, m: int, n: int) -> "MapTable":
         return MapTable(field, m, n, field, m, n, space(field, m, n).entries)
 
-    def transposed_images(self) -> "MapTable":
-        """The table X -> f(X)^t (domain unchanged)."""
-        return MapTable(self.src_field, self.m, self.n, self.dst_field,
-                        self.n2, self.m2, np.swapaxes(self.images, 1, 2))
-
     def __eq__(self, other):
         return (isinstance(other, MapTable)
                 and (self.src_field, self.m, self.n) == (other.src_field, other.m, other.n)

@@ -172,7 +172,9 @@ def recover_standard(f: MapTable) -> RecoveryResult:
     Pipeline: exhaustive homomorphism check, degeneracy check, image-clique
     dimension check, orientation detection, axis normalization, per-clique
     weighted semi-affine fits assembling the twist matrix, diagonal
-    correction, and a final exact verification over the whole domain.
+    correction, and one exact verification over the whole domain.
+    The transposed form is the straight one with (Q^t, P^t, L^t) on the
+    transposed images, so it is fitted straight on the swapped image stack.
     """
     if f.src_field.q < 4:
         raise UnsupportedField("recovery requires a source field with >= 4 elements")
@@ -185,40 +187,28 @@ def recover_standard(f: MapTable) -> RecoveryResult:
     if deg:
         raise Degenerate("map is degenerate", witness=dwitness)
 
+    F2 = f.dst_field
     m1 = _axis_codes(f, "row", 0)
     n1 = _axis_codes(f, "col", 0)
-    dim_m1 = dim_adjacent_entries(f.dst_field, f.images[m1])
+    dim_m1 = dim_adjacent_entries(F2, f.images[m1])
     if dim_m1 != f.n:
         raise DimDeficient(f"row axis image has dimension {dim_m1}, need {f.n}",
                            witness=("row_axis", dim_m1))
-    dim_n1 = dim_adjacent_entries(f.dst_field, f.images[n1])
+    dim_n1 = dim_adjacent_entries(F2, f.images[n1])
     if dim_n1 != f.m:
         raise DimDeficient(f"column axis image has dimension {dim_n1}, need {f.m}",
                            witness=("col_axis", dim_n1))
 
     # orientation: which kind of clique hosts the row-axis image
-    diffs = f.images[m1]
-    diffs = diffs[diffs.any(axis=(1, 2))]
-    if _bulk.common_generator(f.dst_field, diffs, "col") is not None:
-        return _recover_straight(f)
-    h = f.transposed_images()
-    res = _recover_straight(h)
-    p = res.params
-    params = StandardHomParams(Orientation.TRANSPOSED, p.Q.T, p.P.T, p.tau,
-                               p.L.T, f.m, f.n)
-    if not np.array_equal(standard_table(params).images, f.images):
-        raise NoFit("transposed parameters failed the final verification")
-    return RecoveryResult(params, True)
-
-
-def _recover_straight(f: MapTable) -> RecoveryResult:
-    F2 = f.dst_field
-    m1 = _axis_codes(f, "row", 0)
-    n1 = _axis_codes(f, "col", 0)
-
     d_m = f.images[m1]
-    u = _bulk.common_generator(F2, d_m[d_m.any(axis=(1, 2))], "col")
-    d_n = f.images[n1]
+    d_m = d_m[d_m.any(axis=(1, 2))]
+    u = _bulk.common_generator(F2, d_m, "col")
+    straight = u is not None
+    images = f.images
+    if not straight:
+        images = np.swapaxes(images, 1, 2)
+        u = _bulk.common_generator(F2, d_m, "row")
+    d_n = images[n1]
     v = _bulk.common_generator(F2, d_n[d_n.any(axis=(1, 2))], "row")
     if u is None or v is None:
         raise NoFit("axis images do not align with opposite clique kinds")
@@ -226,25 +216,31 @@ def _recover_straight(f: MapTable) -> RecoveryResult:
     P0 = complete_to_invertible_col(F2, u)
     Q0 = complete_to_invertible_row(F2, v)
     img1 = _bulk.matmul(F2, P0.inverse().a[None],
-                        _bulk.matmul(F2, f.images, Q0.inverse().a[None]))
+                        _bulk.matmul(F2, images, Q0.inverse().a[None]))
 
     failures = []
     for tau in enumerate_homs(f.src_field, F2):
         try:
-            result = _recover_straight_for_tau(f, img1, P0, Q0, tau)
+            P, Q, L = _fit_straight(f, img1, m1, n1, P0, Q0, tau)
         except NoFit as e:
             failures.append(f"{tau!r}: {e}")
             continue
-        return result
+        if straight:
+            params = StandardHomParams(Orientation.STRAIGHT, P, Q, tau, L, f.m, f.n)
+        else:
+            params = StandardHomParams(Orientation.TRANSPOSED, Q.T, P.T, tau,
+                                       L.T, f.m, f.n)
+        if np.array_equal(standard_table(params).images, f.images):
+            return RecoveryResult(params, True)
+        failures.append(f"{tau!r}: assembled parameters failed the final verification")
     raise NoFit("no field homomorphism fits the table: " + "; ".join(failures))
 
 
-def _recover_straight_for_tau(f: MapTable, img1, P0: Mat, Q0: Mat,
-                              tau: FieldHom) -> RecoveryResult:
+def _fit_straight(f: MapTable, img1, m1, n1, P0: Mat, Q0: Mat, tau: FieldHom):
+    """Straight (P, Q, L) for one tau, fitted on the axis-aligned image
+    stack img1 (straight or swapped; m' and n' are read from its shape)."""
     F2 = f.dst_field
-    m, n, m2, n2 = f.m, f.n, f.m2, f.n2
-    m1 = _axis_codes(f, "row", 0)
-    n1 = _axis_codes(f, "col", 0)
+    m, n, m2, n2 = f.m, f.n, *img1.shape[1:]
 
     # first-stage fits on the two axis cliques pin down the inner frames
     g1 = img1[m1]
@@ -271,8 +267,7 @@ def _recover_straight_for_tau(f: MapTable, img1, P0: Mat, Q0: Mat,
     dref = None
     pscale = np.zeros(m, dtype=np.int64)
     for i in range(m):
-        codes = _axis_codes(f, "row", i)
-        block = img2[codes]
+        block = img2[_axis_codes(f, "row", i)]
         other = np.arange(m2) != i
         if block[:, other, :].any():
             raise NoFit(f"row clique {i} does not align with its axis")
@@ -295,13 +290,7 @@ def _recover_straight_for_tau(f: MapTable, img1, P0: Mat, Q0: Mat,
 
     Pstar = Mat.diag(F2, [int(p) for p in pscale] + [1] * (m2 - m))
     Qstar = Mat.diag(F2, [int(d) for d in dref] + [1] * (n2 - n))
-    P_final = P0 @ P2 @ Pstar
-    Q_final = Qstar @ Q2 @ Q0
-    params = StandardHomParams(Orientation.STRAIGHT, P_final, Q_final, tau,
-                               Mat(F2, L), m, n)
-    if not np.array_equal(standard_table(params).images, f.images):
-        raise NoFit("assembled parameters failed the final verification")
-    return RecoveryResult(params, True)
+    return P0 @ P2 @ Pstar, Qstar @ Q2 @ Q0, Mat(F2, L)
 
 
 # ---------------------------------------------------------------------------

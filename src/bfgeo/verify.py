@@ -24,6 +24,9 @@ from .matrices import SPACE_LIMIT, Mat, bfs_distance_rows, space
 from .recovery import dim_bound_check, recover_standard
 
 
+_PAIR_BLOCK_BYTES = 4 << 20
+
+
 def _pairwise_ranks(field: Field, entries):
     """(count, count) int8 array of rank(E_a - E_b) over a stack of
     matrices of one space; DomainTooLarge, before anything is allocated,
@@ -31,14 +34,19 @@ def _pairwise_ranks(field: Field, entries):
 
     Each point of the space is ranked once by rref, and a pair reads the
     rank of its difference, taken by field subtraction, at that
-    difference's code: no code arithmetic, which the BFS uses, is involved."""
+    difference's code: no code arithmetic, which the BFS uses, is involved.
+    Row blocks keep the encoded differences under ``_PAIR_BLOCK_BYTES``."""
     count, m, n = entries.shape
     if count * count > SPACE_LIMIT:
         raise DomainTooLarge(
             f"{count}^2 matrix pairs exceed the enumeration bound {SPACE_LIMIT}")
     ranks = _bulk.rank(field, space(field, m, n).entries).astype(np.int8)
-    diffs = field.vsub(entries[:, None], entries[None, :])
-    return ranks[_bulk.encode(field, diffs)]
+    out = np.empty((count, count), dtype=np.int8)
+    width = max(1, _PAIR_BLOCK_BYTES // (8 * count * m * n))
+    for lo in range(0, count, width):
+        diffs = field.vsub(entries[lo:lo + width, None], entries[None, :])
+        out[lo:lo + width] = ranks[_bulk.encode(field, diffs)]
+    return out
 
 
 def distance_theorem_check(field: Field, m: int, n: int) -> dict:

@@ -326,12 +326,17 @@ def test_exactly_two_cliques_per_edge_small():
 
 
 def test_intersection_cardinality_dichotomy():
-    sets_ = all_maximal_sets(F2, 2, 2)
-    q = 2
-    for i, M in enumerate(sets_):
-        for N in sets_[i + 1:]:
-            k = len(intersect(M, N))
-            if M.kind == N.kind:
-                assert k in (0, 1)
-            else:
-                assert k in (0, q)
+    for field in (F2, F3):
+        sets_ = all_maximal_sets(field, 2, 2)
+        q = field.q
+        for i, M in enumerate(sets_):
+            # oracle: M's points that N's transform-based membership test keeps
+            pts = _bulk.decode(field, M.codes, 2, 2)
+            for N in sets_[i + 1:]:
+                got = intersect(M, N)
+                assert np.array_equal(got.codes, M.codes[N.contains_batch(pts)])
+                k = len(got)
+                if M.kind == N.kind:
+                    assert k in (0, 1)
+                else:
+                    assert k in (0, q)

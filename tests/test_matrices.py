@@ -233,13 +233,17 @@ def test_distance_check_reports_a_corrupted_neighbour_row(monkeypatch):
     assert info["edges"] == sp.count * len(sp.rank1) // 2
 
 
-def test_pairwise_ranks_equal_a_direct_rref_of_every_difference():
+def test_pairwise_ranks_equal_a_direct_rref_of_every_difference(monkeypatch):
     F = make_field(3, 1)
     ents = space(F, 2, 2).entries
     for stack in (ents, ents[np.random.default_rng(3).permutation(len(ents))]):
         diffs = F.vsub(stack[:, None], stack[None]).reshape(-1, 2, 2)
         direct = _bulk.rank(F, diffs).reshape(len(stack), len(stack))
-        assert np.array_equal(verify._pairwise_ranks(F, stack), direct)
+        # one row block; then blocks of 7 rows of 81 int64 2x2 differences,
+        # the last one short
+        for budget in (verify._PAIR_BLOCK_BYTES, 7 * 81 * 4 * 8):
+            monkeypatch.setattr(verify, "_PAIR_BLOCK_BYTES", budget)
+            assert np.array_equal(verify._pairwise_ranks(F, stack), direct)
 
 
 def test_block_ops():

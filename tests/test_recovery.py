@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bfgeo import _bulk
+from bfgeo import _bulk, recovery
 from bfgeo.cliques import VertexSet
 from bfgeo.errors import (Degenerate, DimDeficient, NoFit, NotHom,
                           PreconditionViolated, UnsupportedField)
@@ -249,6 +249,25 @@ def test_recovery_into_a_space_past_int64_codes():
         res = recover_standard(tbl)
         assert np.array_equal(standard_table(res.params).images, tbl.images)
         assert dim_bound_check(tbl, m1)
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_recovery_checks_one_standard_table(orientation, monkeypatch):
+    # GF(5) has one tau, so one fit and one final check, in either orientation
+    rng = np.random.default_rng(41)
+    tbl = standard_table(random_valid_params(rng, F5, 2, 3, F5, 3, 4,
+                                             orientation=orientation))
+    calls = []
+
+    def counted(params):
+        calls.append(params)
+        return standard_table(params)
+
+    monkeypatch.setattr(recovery, "standard_table", counted)
+    res = recover_standard(tbl)
+    assert len(calls) == 1
+    assert res.params.orientation is orientation
+    assert np.array_equal(standard_table(res.params).images, tbl.images)
 
 
 def test_complete_rows_rejects_dependent_rows():
