@@ -14,14 +14,31 @@ import numpy as np
 from .errors import DomainTooLarge
 from .fields import Field
 
+# inverse() uses the adjugate up to this size and RREF([A | I]) above it;
+# at 4 x 4 the adjugate's cofactor work already costs more than elimination
+ADJUGATE_MAX = 3
+
 
 def matmul(field: Field, A, B):
-    """(..., m, t) @ (..., t, n) elementwise over the batch."""
+    """(..., m, t) @ (..., t, n) elementwise over the batch.
+
+    Odd prime fields sum the t raw products in an int32 (or, when
+    (p - 1)^2 t could overflow that, int64) accumulator and reduce once per
+    entry; other fields add table products term by term.
+    """
     A = np.asarray(A)
     B = np.asarray(B)
     t = A.shape[-1]
     if B.shape[-2] != t:
         raise ValueError("inner dimensions disagree")
+    if field.k == 1 and field.p > 2:
+        p = field.p
+        A = A.astype(np.int32 if (p - 1) ** 2 * t < 2**31 else np.int64)
+        out = A[..., :, 0, None] * B[..., None, 0, :]
+        for s in range(1, t):
+            out += A[..., :, s, None] * B[..., None, s, :]
+        out %= p
+        return out.astype(field._arith_dtype, copy=False)
     out = field.vmul(A[..., :, 0, None], B[..., None, 0, :])
     for s in range(1, t):
         out = field.vadd(out, field.vmul(A[..., :, s, None], B[..., None, s, :]))
@@ -145,20 +162,55 @@ def full_rank_mask(field: Field, mats):
     return ok
 
 
-def inverse(field: Field, mats):
-    """Inverses of a stack of invertible square matrices via RREF([A | I])."""
-    M = np.asarray(mats)
-    single = M.ndim == 2
-    if single:
-        M = M[None]
+def _adjugate(field: Field, M):
+    """adj(M) of a stack of k x k matrices, k <= 3: M adj(M) = det(M) I.
+
+    For k = 3 the minor on rows i+1, i+2 and columns j+1, j+2 (mod 3) is
+    already the signed cofactor C_ij, so one det call gives all nine.
+    """
+    k = M.shape[-1]
+    if k == 1:
+        return np.ones_like(M)
+    if k == 2:
+        # [[a, b], [c, d]] -> [[d, b], [c, a]], then negate b and c
+        adj = np.swapaxes(M[..., ::-1, ::-1], -2, -1).copy()
+        adj[..., 0, 1] = field.vneg(adj[..., 0, 1])
+        adj[..., 1, 0] = field.vneg(adj[..., 1, 0])
+        return adj
+    cyc = np.array([[1, 2], [2, 0], [0, 1]])
+    cof = det(field, M[..., cyc[:, None, :, None], cyc[None, :, None, :]])
+    return np.swapaxes(cof, -2, -1)
+
+
+def _rref_inverse(field: Field, M):
+    """Inverses of a stack of square matrices from RREF([A | I])."""
     N, m, _ = M.shape
     aug = np.concatenate([M, np.broadcast_to(identity(field, m), M.shape)], axis=2)
     R, _ = rref(field, aug)
     # A is invertible iff the reduced left block is the identity
     if np.any(R[:, :, :m] != identity(field, m)):
         raise ZeroDivisionError("singular matrix in inverse()")
-    out = R[:, :, m:]
-    return out[0] if single else out
+    return R[:, :, m:]
+
+
+def inverse(field: Field, mats, dets=None):
+    """Inverses of a stack (or one) of invertible square matrices.
+
+    Up to ADJUGATE_MAX this is the adjugate times det^-1 (Cramer's rule);
+    dets, if given, are the determinants already known for the stack.
+    Above it, RREF([A | I]).  A singular member raises ZeroDivisionError.
+    """
+    M = np.asarray(mats)
+    if M.shape[-1] <= ADJUGATE_MAX:
+        d = np.asarray(det(field, M) if dets is None else dets)
+        if not d.all():
+            raise ZeroDivisionError("singular matrix in inverse()")
+        dinv = field.inv_table[d].astype(field.dtype)
+        return field.vmul(_adjugate(field, M), dinv[..., None, None]).astype(
+            field.dtype, copy=False)
+    if M.ndim == 2:
+        return _rref_inverse(field, M[None])[0]
+    return _rref_inverse(field, M)
 
 
 def solve_affine(field: Field, A, b):

@@ -121,7 +121,7 @@ class MaximalSet:
         return codes
 
     def points(self) -> "VertexSet":
-        return VertexSet(self.field, self.m, self.n, self.codes)
+        return VertexSet._from_sorted(self.field, self.m, self.n, self.codes)
 
     def key(self):
         """Canonical identity: kind, defining space, lex-min member."""
@@ -152,6 +152,13 @@ class VertexSet:
         self.m = m
         self.n = n
         self.codes = np.unique(np.asarray(codes, dtype=np.int64))
+
+    @classmethod
+    def _from_sorted(cls, field: Field, m: int, n: int, codes) -> "VertexSet":
+        """A set on int64 codes already sorted and unique: no np.unique."""
+        out = cls.__new__(cls)
+        out.field, out.m, out.n, out.codes = field, m, n, codes
+        return out
 
     @staticmethod
     def from_mats(mats) -> "VertexSet":
@@ -215,8 +222,8 @@ def intersect(M: MaximalSet, N: MaximalSet) -> VertexSet:
     """Exact intersection; may be empty for parallel cliques."""
     if (M.field, M.m, M.n) != (N.field, N.m, N.n):
         raise ShapeMismatch("cliques live in different spaces")
-    return VertexSet(M.field, M.m, M.n,
-                     np.intersect1d(M.codes, N.codes, assume_unique=True))
+    return VertexSet._from_sorted(M.field, M.m, M.n,
+                                  np.intersect1d(M.codes, N.codes, assume_unique=True))
 
 
 # ---------------------------------------------------------------------------

@@ -161,17 +161,19 @@ def _resolvent(F: Field, X, L, side: TwistSide, invert: bool = True):
     Side LEFT builds G = I + X L and twists to G^-1 X; side RIGHT builds
     G = I + L X and twists to X G^-1.  Returns (ok, twisted): ok masks the
     invertible denominators, twisted is None unless invert is set and
-    every denominator is invertible.
+    every denominator is invertible.  Up to _bulk.ADJUGATE_MAX one
+    determinant of the stack gives both ok and the adjugate inverse's scale.
     """
     if side is TwistSide.LEFT:
         prod = _bulk.matmul(F, X, L[None])
     else:
         prod = _bulk.matmul(F, L[None], X)
     G = F.vadd(np.broadcast_to(_bulk.identity(F, prod.shape[-1]), prod.shape), prod)
-    ok = _bulk.invertible_mask(F, G)
+    d = _bulk.det(F, G) if G.shape[-1] <= _bulk.ADJUGATE_MAX else None
+    ok = _bulk.invertible_mask(F, G) if d is None else d != 0
     if not (invert and ok.all()):
         return ok, None
-    Ginv = _bulk.inverse(F, G)
+    Ginv = _bulk.inverse(F, G, d)
     if side is TwistSide.LEFT:
         return ok, _bulk.matmul(F, Ginv, X)
     return ok, _bulk.matmul(F, X, Ginv)

@@ -89,6 +89,60 @@ def test_validate_params_nonzero_twist_gf16():
     assert ok
 
 
+def _stack_det_counts(monkeypatch):
+    """Per _resolvent call: [denominator stack shape, det calls on that stack]."""
+    calls = []
+    real_det, real_resolvent = _bulk.det, homs._resolvent
+
+    def det(field, mats):
+        if calls and np.shape(mats) == calls[-1][0]:
+            calls[-1][1] += 1
+        return real_det(field, mats)
+
+    def resolvent(F, X, L, side, invert=True):
+        k = X.shape[-2] if side is TwistSide.LEFT else X.shape[-1]
+        calls.append([X.shape[:-2] + (k, k), 0])
+        return real_resolvent(F, X, L, side, invert)
+
+    monkeypatch.setattr(_bulk, "det", det)
+    monkeypatch.setattr(homs, "_resolvent", resolvent)
+    return calls
+
+
+def _no_call(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+    return fail
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_one_determinant_per_resolvent_stack(orientation, monkeypatch):
+    F3 = make_field(3, 1)
+    params = random_valid_params(np.random.default_rng(3), F3, 2, 3, F3, 3, 4,
+                                 orientation=orientation)
+    calls = _stack_det_counts(monkeypatch)
+    # the 2x2 and 3x3 denominators invert by adjugate, never by elimination
+    monkeypatch.setattr(_bulk, "rref", _no_call("rref"))
+    standard_table(params)
+    assert validate_params(params) == (True, None)
+    assert len(calls) == 3
+    assert {shape[-1] for shape, _ in calls} == {2, 3}
+    assert all(shape[0] == 729 and count == 1 for shape, count in calls)
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_twist_check_takes_one_determinant_and_no_inverse(transposed, monkeypatch):
+    Xt = EMB_4_16.vapply(space(F4, 2, 2).entries)
+    calls = _stack_det_counts(monkeypatch)
+    monkeypatch.setattr(_bulk, "_adjugate", _no_call("_adjugate"))
+    monkeypatch.setattr(_bulk, "inverse", _no_call("inverse"))
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        L = rng.integers(0, 16, size=(2, 2)).astype(F16.dtype)
+        homs._twist_valid(F16, Xt, L, transposed)
+    assert [count for _, count in calls] == [1] * 20
+
+
 def test_is_graph_hom_constant_map_fails():
     const = MapTable(F4, 2, 2, F4, 2, 2,
                      np.zeros((256, 2, 2), dtype=F4.dtype))

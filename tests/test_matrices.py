@@ -269,6 +269,63 @@ def test_bulk_inverse_and_det_agree():
     assert np.array_equal(prods, np.broadcast_to(_bulk.identity(F4, 3), prods.shape))
 
 
+@pytest.mark.parametrize("p, k", [(5, 1), (2, 2), (2, 4), (3, 2)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_adjugate_inverse_matches_the_rref_inverse(p, k, m):
+    F = make_field(p, k)
+    rng = np.random.default_rng(100 * p + 10 * k + m)
+    mats = rng.integers(0, F.q, size=(300, m, m)).astype(F.dtype)
+    mats = mats[_bulk.det(F, mats) != 0]
+    oracle = _bulk._rref_inverse(F, mats)
+    invs = _bulk.inverse(F, mats)
+    assert invs.dtype == oracle.dtype == F.dtype
+    assert np.array_equal(invs, oracle)
+    assert np.array_equal(_bulk.inverse(F, mats, _bulk.det(F, mats)), oracle)
+    assert np.array_equal(_bulk.inverse(F, mats[0]), oracle[0])
+    assert np.array_equal(Mat(F, mats[0]).inverse().a, oracle[0])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_inverse_of_a_stack_with_one_singular_member_raises(m):
+    F = make_field(3, 2)
+    rng = np.random.default_rng(m)
+    mats = np.stack([random_invertible(rng, F, m).a for _ in range(5)])
+    mats[3, 0] = 0
+    with pytest.raises(ZeroDivisionError):
+        _bulk.inverse(F, mats)
+    with pytest.raises(ZeroDivisionError):
+        _bulk.inverse(F, mats[3])
+    with pytest.raises(Singular):
+        Mat(F, mats[3]).inverse()
+
+
+def _termwise_matmul(field, A, B):
+    """Reference product: one vmul and one vadd per inner term."""
+    out = field.vmul(A[..., :, 0, None], B[..., None, 0, :])
+    for s in range(1, A.shape[-1]):
+        out = field.vadd(out, field.vmul(A[..., :, s, None], B[..., None, s, :]))
+    return out
+
+
+# 32749 with t = 2 sits just below the int32 accumulator's bound, t = 3 above it
+@pytest.mark.parametrize("p", [3, 5, 181, 193, 32749, 65521])
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_prime_field_matmul_matches_the_termwise_product(p, t):
+    F = make_field(p, 1)
+    rng = np.random.default_rng(p + t)
+    A = rng.integers(0, p, size=(50, 3, t)).astype(F.dtype)
+    for B in (rng.integers(0, p, size=(1, t, 2)), rng.integers(0, p, size=(50, t, 2))):
+        B = B.astype(F.dtype)
+        ref = _termwise_matmul(F, A, B)
+        out = _bulk.matmul(F, A, B)
+        assert np.array_equal(out, ref)
+        assert out.dtype.itemsize <= ref.dtype.itemsize
+    # the largest entries: (p - 1)^2 t must not overflow the accumulator
+    top = np.full((2, 3, t), p - 1, dtype=F.dtype)
+    assert np.array_equal(_bulk.matmul(F, top, np.swapaxes(top, 1, 2)),
+                          _termwise_matmul(F, top, np.swapaxes(top, 1, 2)))
+
+
 def test_solve_affine():
     A = np.array([[1, 2], [0, 1], [1, 3]])
     x_true = np.array([3, 2])
