@@ -269,14 +269,6 @@ def generators(field: Field, mats, axis: str):
     return monic(field, flat[np.arange(len(flat)), :, j].reshape(M.shape[:-1]))
 
 
-def common_generator(field: Field, mats, axis: str):
-    """The generator all nonzero rank-1 matrices share along axis, or None."""
-    if len(mats) == 0:
-        return None
-    g = generators(field, mats, axis)
-    return g[0] if (g == g[0]).all() else None
-
-
 # ---------------------------------------------------------------------------
 # dense encodings of whole matrix spaces
 # ---------------------------------------------------------------------------

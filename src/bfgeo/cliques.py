@@ -230,16 +230,56 @@ def intersect(M: MaximalSet, N: MaximalSet) -> VertexSet:
 # classification of explicit cliques
 # ---------------------------------------------------------------------------
 
-def _host_direction(field: Field, diffs):
-    """(kind, monic generator) of the clique form all nonzero diffs share.
+def _clique_test(field: Field, D):
+    """(passes, col, line, gen) per item of the (B, K, m, n) stack of
+    differences from one point, K >= 1.
 
-    Every pairwise-adjacent set fits one of the two coset forms, so
-    finding neither is a broken theorem, not a property of the input.
+    Two rank-1 matrices differ in rank <= 1 iff they share a generator, and
+    if every pair does, all share one.  So the item's points are pairwise
+    adjacent (passes) iff its differences have rank 1, share one column or
+    one row generator, and are distinct.  col: they share one column
+    generator; line: one column and one row generator.  gen: the shared
+    column generator where col holds, else the shared row generator,
+    zero-padded to max(m, n) entries.  The name stays private: perfbench's
+    tracer wraps public functions only, and its self-test expects
+    ``adjacent_mask`` directly under ``is_graph_hom``.
     """
-    for kind, axis in ((Kind.ONE, "col"), (Kind.TWO, "row")):
-        g = _bulk.common_generator(field, diffs, axis)
-        if g is not None:
-            return kind, g
+    B, K, m, n = D.shape
+    idx = np.nonzero(_bulk.adjacent_mask(field, D).all(axis=1))[0]
+    Dk = D[idx]
+    u, v = (_bulk.generators(field, Dk, axis) for axis in ("col", "row"))
+    col, row, passes = (np.zeros(B, dtype=bool) for _ in range(3))
+    col[idx] = (u == u[:, :1]).all(axis=(1, 2))
+    row[idx] = (v == v[:, :1]).all(axis=(1, 2))
+    # distinct: an item fails where two of its rows meet after a lexsort
+    flat = Dk.reshape(len(idx) * K, m * n)
+    item = np.repeat(np.arange(len(idx)), K)
+    order = np.lexsort(tuple(flat[:, e] for e in range(m * n - 1, -1, -1)) + (item,))
+    flat, item = flat[order], item[order]
+    dup = (flat[1:] == flat[:-1]).all(axis=1) & (item[1:] == item[:-1])
+    distinct = np.ones(len(idx), dtype=bool)
+    distinct[item[1:][dup]] = False
+    passes[idx] = (col[idx] | row[idx]) & distinct
+    gen = np.zeros((B, max(m, n)), dtype=field.dtype)
+    by_col = col[idx]
+    gen[idx[by_col], :m] = u[by_col, 0]
+    gen[idx[~by_col], :n] = v[~by_col, 0]
+    return passes, col, col & row, gen
+
+
+def _clique_host(field: Field, pts):
+    """(kind, monic generator) of the clique form hosting the (N, m, n)
+    stack, N >= 2, from the clique test on its differences from pts[0].
+
+    A failing stack is scanned pair by pair: NotAdjacentSet when some pair
+    is not adjacent.  Every pairwise-adjacent set fits one of the two coset
+    forms, so an adjacent set failing the test is a broken theorem.
+    """
+    m, n = pts.shape[1:]
+    passes, col, _, gen = _clique_test(field, field.vsub(pts[None, 1:], pts[0]))
+    if passes[0]:
+        return (Kind.ONE, gen[0, :m]) if col[0] else (Kind.TWO, gen[0, :n])
+    _check_pairwise_adjacent(field, pts)
     raise TheoremViolated("adjacent set outside both clique forms")
 
 
@@ -261,17 +301,13 @@ def classify_clique(S: VertexSet) -> MaximalSet:
         raise NotAdjacentSet("empty set")
     F = S.field
     pts = S.entries()
-    _check_pairwise_adjacent(F, pts)
-    N = len(S)
-
-    base = pts[0]  # codes are sorted, so this is the lex-min member
-    A = Mat(F, base)
-    if N == 1:
+    A = Mat(F, pts[0])  # codes are sorted, so this is the lex-min member
+    if len(S) == 1:
         host = MaximalSet.through(Kind.ONE, np.eye(S.m, dtype=F.dtype)[:, 0], A)
     else:
-        host = MaximalSet.through(*_host_direction(F, F.vsub(pts[1:], base)), A)
+        host = MaximalSet.through(*_clique_host(F, pts), A)
 
-    if N == host.cardinality():
+    if len(S) == host.cardinality():
         return host.canonical()
     missing = np.setdiff1d(host.codes, S.codes, assume_unique=True)
     witness = Mat.decode(F, int(missing[0]), S.m, S.n)
@@ -353,18 +389,15 @@ def dim_adjacent_entries(field: Field, entries) -> int:
     Works on entries alone, repeats dropped, so it needs no code for the
     points and takes matrices of any space, past the int64 code range too.
     """
-    pts = np.unique(np.asarray(entries), axis=0)  # row-major lex = code order
+    # row-major lex = code order, so 0, if present, comes first
+    pts = np.unique(np.asarray(entries), axis=0)
     m, n = pts.shape[1:]
-    zero = ~pts.any(axis=(1, 2))
-    if not zero.any():
+    if pts[0].any():
         raise ZeroNotMember("dimension is defined for sets through 0")
     if len(pts) < 2:
         raise NotAdjacentSet("need at least two points")
-    _check_pairwise_adjacent(field, pts)
-    nonzero = pts[~zero]
-    kind, g = _host_direction(field, nonzero)
-    if kind is Kind.TWO:
-        nonzero = np.swapaxes(nonzero, 1, 2)
+    kind, g = _clique_host(field, pts)
+    nonzero = pts[1:] if kind is Kind.ONE else np.swapaxes(pts[1:], 1, 2)
     # coordinates x with X = g x (or X^t = g x): g is monic, so the row of
     # X at g's leading 1 is x itself
     i = int(np.argmax(g != 0))

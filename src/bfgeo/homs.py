@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bulk
-from .cliques import Kind, MaximalSet
+from .cliques import Kind, MaximalSet, _clique_test
 from .errors import (InvalidParams, InvalidXi, NoHomExists, NotHom,
                      ShapeMismatch, SingularTwist, TheoremViolated)
 from .fields import Field, FieldHom, enumerate_homs, field_from_order, make_field
@@ -39,11 +39,15 @@ class MapTable:
         self.dst_field = dst_field
         self.m2 = m2
         self.n2 = n2
-        images = np.array(images, dtype=dst_field.dtype)
+        raw = np.asarray(images)
         count = src_field.q ** (m * n)
-        if images.shape != (count, m2, n2):
+        if raw.shape != (count, m2, n2):
             raise ShapeMismatch(
-                f"need {count} images of shape ({m2}, {n2}), got {images.shape}")
+                f"need {count} images of shape ({m2}, {n2}), got {raw.shape}")
+        # range-check before the cast, which would wrap or overflow
+        if raw.max() >= dst_field.q or (raw.dtype.kind != "u" and raw.min() < 0):
+            raise ValueError("image entry out of range for the target field")
+        images = raw.astype(dst_field.dtype)
         images.setflags(write=False)
         self.images = images
         self._verdicts = {}
@@ -188,37 +192,32 @@ def _oriented(params: StandardHomParams, xs):
     return np.swapaxes(Xt, 1, 2), TwistSide.RIGHT
 
 
-def _core_batch(params: StandardHomParams, xs):
-    """(N, m, n) -> core images before padding, or raise with a witness."""
+def _standard_images(params: StandardHomParams, xs):
+    """(N, m, n) -> (N, m', n') images P diag(core, 0) Q, or raise with a
+    witness.  Only P's first columns and Q's first rows meet the core."""
+    F = params.dst_field
     X, side = _oriented(params, xs)
-    ok, core = _resolvent(params.dst_field, X, params.L.a, side)
+    ok, core = _resolvent(F, X, params.L.a, side)
     if core is None:
         code = int(np.nonzero(~ok)[0][0])
         raise InvalidParams("denominator singular inside the domain",
                             witness=Mat(params.src_field, xs[code]))
-    return core
+    r, c = core.shape[1:]
+    return _bulk.matmul(F, params.P.a[:, :r], _bulk.matmul(F, core, params.Q.a[:c]))
 
 
 def eval_standard(params: StandardHomParams, X: Mat) -> Mat:
     """Evaluate the standard form at one point."""
     if X.field != params.src_field or X.shape != (params.m, params.n):
         raise ShapeMismatch("argument outside the declared source space")
-    core = _core_batch(params, X.a[None])[0]
-    F = params.dst_field
-    padded = Mat(F, core).embed(params.m2, params.n2)
-    return params.P @ padded @ params.Q
+    return Mat(params.dst_field, _standard_images(params, X.a[None])[0])
 
 
 def standard_table(params: StandardHomParams) -> MapTable:
     """Materialize the whole map; validates invertibility along the way."""
     sp = space(params.src_field, params.m, params.n)
-    core = _core_batch(params, sp.entries)
-    F = params.dst_field
-    padded = np.zeros((sp.count, params.m2, params.n2), dtype=F.dtype)
-    padded[:, :core.shape[1], :core.shape[2]] = core
-    images = _bulk.matmul(F, params.P.a[None], _bulk.matmul(F, padded, params.Q.a[None]))
-    return MapTable(params.src_field, params.m, params.n, F,
-                    params.m2, params.n2, images)
+    return MapTable(params.src_field, params.m, params.n, params.dst_field,
+                    params.m2, params.n2, _standard_images(params, sp.entries))
 
 
 def validate_params(params: StandardHomParams):
@@ -372,32 +371,8 @@ def _summarise_cliques(F2: Field, img, cliques) -> _CliqueSummary:
     parts = []
     for start in range(0, len(cliques), block):
         members = cliques[start:start + block]
-        parts.append(_pass_test(F2, F2.vsub(img[members[:, 1:]], img[members[:, :1]])))
+        parts.append(_clique_test(F2, F2.vsub(img[members[:, 1:]], img[members[:, :1]])))
     return _CliqueSummary(*(np.concatenate(a) for a in zip(*parts)))
-
-
-def _pass_test(F2: Field, D):
-    """(passes, col, line, gen) of the clique test, per item of the
-    (B, K, m', n') stack of differences from one point, K >= 1.
-
-    Two rank-1 matrices differ in rank <= 1 iff they share a generator, and
-    if every pair does, all share one.  So the item's points are pairwise
-    adjacent iff its differences have rank 1, share one column or one row
-    generator, and are distinct.
-    """
-    B, K, m2, n2 = D.shape
-    idx = np.nonzero(_bulk.adjacent_mask(F2, D).all(axis=1))[0]
-    Dk = D[idx]
-    u, v = (_bulk.generators(F2, Dk, axis) for axis in ("col", "row"))
-    col, row, passes = (np.zeros(B, dtype=bool) for _ in range(3))
-    col[idx] = (u == u[:, :1]).all(axis=(1, 2))
-    row[idx] = (v == v[:, :1]).all(axis=(1, 2))
-    passes[idx] = (col[idx] | row[idx]) & _distinct(Dk.reshape(len(idx), K, m2 * n2))
-    gen = np.zeros((B, max(m2, n2)), dtype=F2.dtype)
-    by_col = col[idx]
-    gen[idx[by_col], :m2] = u[by_col, 0]
-    gen[idx[~by_col], :n2] = v[~by_col, 0]
-    return passes, col, col & row, gen
 
 
 def _first_torn_edge(f: MapTable):
@@ -423,19 +398,6 @@ def _first_torn_edge(f: MapTable):
     return best
 
 
-def _distinct(rows):
-    """Per item of the (B, K, E) stack: are its K entry rows distinct?"""
-    B, K, E = rows.shape
-    flat = rows.reshape(B * K, E)
-    item = np.repeat(np.arange(B), K)
-    order = np.lexsort(tuple(flat[:, e] for e in range(E - 1, -1, -1)) + (item,))
-    flat, item = flat[order], item[order]
-    dup = (flat[1:] == flat[:-1]).all(axis=1) & (item[1:] == item[:-1])
-    ok = np.ones(B, dtype=bool)
-    ok[item[1:][dup]] = False
-    return ok
-
-
 def _first_torn_pair(F2: Field, img, members, best):
     """The first pair (lo, hi) of clique members, members ascending, whose
     images are not adjacent; None once lo would pass best's."""
@@ -459,7 +421,7 @@ def is_colouring(f: MapTable) -> bool:
     pts = np.unique(rows).view(f.images.dtype).reshape(-1, f.m2, f.n2)
     if len(pts) < 2:
         return True
-    return bool(_pass_test(f.dst_field, f.dst_field.vsub(pts[None, 1:], pts[0]))[0][0])
+    return bool(_clique_test(f.dst_field, f.dst_field.vsub(pts[None, 1:], pts[0]))[0][0])
 
 
 # Byte budget for one block of the degeneracy scan's difference stack

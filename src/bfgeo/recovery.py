@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bulk
-from .cliques import (VertexSet, complete_to_invertible_col,
+from .cliques import (VertexSet, _clique_test, complete_to_invertible_col,
                       complete_to_invertible_row, dim_adjacent_entries,
                       dim_adjacent_set)
 from .errors import (Degenerate, DimDeficient, NoFit, NotHom,
@@ -188,8 +188,8 @@ def recover_standard(f: MapTable) -> RecoveryResult:
         raise Degenerate("map is degenerate", witness=dwitness)
 
     F2 = f.dst_field
-    m1 = _axis_codes(f, "row", 0)
-    n1 = _axis_codes(f, "col", 0)
+    rows = np.stack([_axis_codes(f, "row", i) for i in range(f.m)])
+    m1, n1 = rows[0], _axis_codes(f, "col", 0)
     dim_m1 = dim_adjacent_entries(F2, f.images[m1])
     if dim_m1 != f.n:
         raise DimDeficient(f"row axis image has dimension {dim_m1}, need {f.n}",
@@ -199,29 +199,26 @@ def recover_standard(f: MapTable) -> RecoveryResult:
         raise DimDeficient(f"column axis image has dimension {dim_n1}, need {f.m}",
                            witness=("col_axis", dim_n1))
 
-    # orientation: which kind of clique hosts the row-axis image
-    d_m = f.images[m1]
-    d_m = d_m[d_m.any(axis=(1, 2))]
-    u = _bulk.common_generator(F2, d_m, "col")
-    straight = u is not None
-    images = f.images
-    if not straight:
-        images = np.swapaxes(images, 1, 2)
-        u = _bulk.common_generator(F2, d_m, "row")
-    d_n = images[n1]
-    v = _bulk.common_generator(F2, d_n[d_n.any(axis=(1, 2))], "row")
-    if u is None or v is None:
+    # orientation: the kind of clique hosting the row-axis image (f(0) = 0
+    # is its first point); its generator is u, and the column generator of
+    # the transposed column-axis image is that image's row generator v
+    ok_m, straight, _, u = (a[0] for a in _clique_test(F2, f.images[m1[None, 1:]]))
+    images = f.images if straight else np.swapaxes(f.images, 1, 2)
+    ok_n, col_n, _, v = (a[0] for a in _clique_test(
+        F2, np.swapaxes(images[n1[None, 1:]], 2, 3)))
+    if not (ok_m and ok_n and col_n):
         raise NoFit("axis images do not align with opposite clique kinds")
-
-    P0 = complete_to_invertible_col(F2, u)
-    Q0 = complete_to_invertible_row(F2, v)
-    img1 = _bulk.matmul(F2, P0.inverse().a[None],
-                        _bulk.matmul(F2, images, Q0.inverse().a[None]))
+    m2, n2 = images.shape[1:]
+    P0 = complete_to_invertible_col(F2, u[:m2])
+    Q0 = complete_to_invertible_row(F2, v[:n2])
+    # only the m row cliques and the column axis are read, in that order
+    img1 = _bulk.matmul(F2, P0.inverse().a, _bulk.matmul(
+        F2, images[np.concatenate([rows.ravel(), n1])], Q0.inverse().a))
 
     failures = []
     for tau in enumerate_homs(f.src_field, F2):
         try:
-            P, Q, L = _fit_straight(f, img1, m1, n1, P0, Q0, tau)
+            P, Q, L = _fit_straight(f, img1, P0, Q0, tau)
         except NoFit as e:
             failures.append(f"{tau!r}: {e}")
             continue
@@ -236,14 +233,16 @@ def recover_standard(f: MapTable) -> RecoveryResult:
     raise NoFit("no field homomorphism fits the table: " + "; ".join(failures))
 
 
-def _fit_straight(f: MapTable, img1, m1, n1, P0: Mat, Q0: Mat, tau: FieldHom):
-    """Straight (P, Q, L) for one tau, fitted on the axis-aligned image
-    stack img1 (straight or swapped; m' and n' are read from its shape)."""
+def _fit_straight(f: MapTable, img1, P0: Mat, Q0: Mat, tau: FieldHom):
+    """Straight (P, Q, L) for one tau, fitted on the axis-aligned images
+    img1 of the m row cliques, then of the column axis (straight or swapped;
+    m' and n' are read from its shape)."""
     F2 = f.dst_field
     m, n, m2, n2 = f.m, f.n, *img1.shape[1:]
+    k = f.src_field.q ** n
 
     # first-stage fits on the two axis cliques pin down the inner frames
-    g1 = img1[m1]
+    g1 = img1[:k]
     if g1[:, 1:, :].any():
         raise NoFit("row-axis image leaks outside the standard row clique")
     fit1 = fit_semiaffine(f.src_field, F2, g1[:, 0, :], tau=tau)
@@ -251,7 +250,7 @@ def _fit_straight(f: MapTable, img1, m1, n1, P0: Mat, Q0: Mat, tau: FieldHom):
         raise NoFit("row-axis fit is rank deficient")
     Q2 = _complete_rows(F2, fit1.P.a)
 
-    gN = img1[n1]
+    gN = img1[m * k:]
     if gN[:, :, 1:].any():
         raise NoFit("column-axis image leaks outside the standard column clique")
     fitN = fit_semiaffine(f.src_field, F2, gN[:, :, 0], tau=tau)
@@ -259,15 +258,14 @@ def _fit_straight(f: MapTable, img1, m1, n1, P0: Mat, Q0: Mat, tau: FieldHom):
         raise NoFit("column-axis fit is rank deficient")
     P2 = _complete_rows(F2, fitN.P.a).T
 
-    img2 = _bulk.matmul(F2, P2.inverse().a[None],
-                        _bulk.matmul(F2, img1, Q2.inverse().a[None]))
+    img2 = _bulk.matmul(F2, P2.inverse().a, _bulk.matmul(F2, img1[:m * k], Q2.inverse().a))
 
     # every axis clique must now map into its standard counterpart
     L = np.zeros((n, m), dtype=np.int64)
     dref = None
     pscale = np.zeros(m, dtype=np.int64)
     for i in range(m):
-        block = img2[_axis_codes(f, "row", i)]
+        block = img2[i * k:(i + 1) * k]
         other = np.arange(m2) != i
         if block[:, other, :].any():
             raise NoFit(f"row clique {i} does not align with its axis")

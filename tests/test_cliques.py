@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bfgeo import _bulk
+from bfgeo import _bulk, cliques
 from bfgeo.cliques import (Kind, Line, MaximalSet, VertexSet, all_maximal_sets,
                            bron_kerbosch_cliques, classify_clique,
                            clique_number, complete_to_invertible_col,
@@ -12,7 +12,8 @@ from bfgeo.cliques import (Kind, Line, MaximalSet, VertexSet, all_maximal_sets,
                            intersect, line_through, maximal_sets_through,
                            two_pencil_constraint, two_pencil_sweep, unit_ball)
 from bfgeo.errors import (Disjoint, NotAdjacent, NotAdjacentSet, NotMaximal,
-                          PreconditionViolated, WrongKinds, ZeroNotMember)
+                          PreconditionViolated, TheoremViolated, WrongKinds,
+                          ZeroNotMember)
 from bfgeo.fields import make_field
 from bfgeo.matrices import Mat, adjacent, space
 
@@ -340,3 +341,84 @@ def test_intersection_cardinality_dichotomy():
                     assert k in (0, 1)
                 else:
                     assert k in (0, q)
+
+
+def pairwise_host_oracle(field, pts):
+    """The route classification took before the clique test: an all-pairs
+    rank-1 scan, then the first clique form whose generator every
+    difference from pts[0] shares."""
+    diffs = field.vsub(pts[:, None], pts[None, :])[~np.eye(len(pts), dtype=bool)]
+    if not _bulk.adjacent_mask(field, diffs).all():
+        raise NotAdjacentSet("some pair is not at distance 1")
+    for kind, axis in ((Kind.ONE, "col"), (Kind.TWO, "row")):
+        g = _bulk.generators(field, field.vsub(pts[1:], pts[0]), axis)
+        if (g == g[0]).all():
+            return kind, g[0]
+    raise TheoremViolated("adjacent set outside both clique forms")
+
+
+def outcome(fn, *args):
+    """A call's result, or its exception type and witness."""
+    try:
+        got = fn(*args)
+    except (NotAdjacentSet, NotMaximal, TheoremViolated, ZeroNotMember) as e:
+        return type(e), getattr(e, "witness", None)
+    return got if isinstance(got, int) else (got.kind, got.transform, got.offset)
+
+
+def oracle_sets(field, m, n, rng):
+    """Every Bron-Kerbosch clique, a random proper subset of it and the
+    clique with one point moved, then random sets of 1 to 5 points."""
+    count = field.q ** (m * n)
+    out = []
+    for c in bron_kerbosch_cliques(field, m, n):
+        codes = np.array(sorted(c))
+        moved = codes.copy()
+        moved[rng.integers(len(codes))] = rng.integers(count)
+        out += [codes, rng.choice(codes, size=rng.integers(1, len(codes)), replace=False), moved]
+    out += [rng.integers(count, size=rng.integers(1, 6)) for _ in range(40)]
+    return [VertexSet(field, m, n, codes) for codes in out]
+
+
+@pytest.mark.parametrize("field,m,n", [(F2, 2, 2), (F2, 2, 3), (F2, 3, 2), (F3, 2, 2), (F4, 2, 2)])
+def test_classification_and_dimension_match_the_pairwise_oracle(field, m, n, monkeypatch):
+    rng = np.random.default_rng(field.q * 100 + m * 10 + n)
+    got, want = [], []
+    for S in oracle_sets(field, m, n, rng):
+        through0 = S.entries()
+        through0 = field.vsub(through0, through0[rng.integers(len(S))])
+        for side in (got, want):
+            with monkeypatch.context() as mp:
+                if side is want:
+                    mp.setattr(cliques, "_clique_host", pairwise_host_oracle)
+                side.append((outcome(classify_clique, S),
+                             outcome(dim_adjacent_entries, field, through0),
+                             outcome(dim_adjacent_entries, field, S.entries())))
+    assert got == want
+    # the sets reach both kinds of host and both rejections
+    assert {r[0] for r, _, _ in got} == {Kind.ONE, Kind.TWO, NotMaximal, NotAdjacentSet}
+
+
+def test_an_adjacent_set_failing_the_clique_test_breaks_loudly(monkeypatch):
+    S = std_row_clique(F4, 2, 3, 0).points()
+    far = VertexSet.from_mats([Mat.zeros(F4, 2, 2), Mat.identity(F4, 2)])
+
+    def no_pair_scan(field, pts):
+        raise AssertionError("pairs are scanned only after the clique test fails")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cliques, "_check_pairwise_adjacent", no_pair_scan)
+        assert classify_clique(S).kind is Kind.ONE and dim_adjacent_set(S) == 3
+    real = cliques._clique_test
+
+    def reject(field, D):
+        passes, col, line, gen = real(field, D)
+        return np.zeros_like(passes), col, line, gen
+
+    monkeypatch.setattr(cliques, "_clique_test", reject)
+    with pytest.raises(TheoremViolated):
+        classify_clique(S)
+    with pytest.raises(TheoremViolated):
+        dim_adjacent_set(S)
+    with pytest.raises(NotAdjacentSet):
+        classify_clique(far)

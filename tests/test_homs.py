@@ -171,6 +171,21 @@ def test_is_graph_hom_sampled_mode():
     assert ok
 
 
+def test_map_table_range_checks_images_before_the_cast():
+    ident = MapTable.identity(F4, 2, 2)
+    for bad in (4, -1, 260):  # 260 would wrap to the invalid element 4 in uint8
+        images = ident.images.astype(np.int64)
+        images[7, 1, 0] = bad
+        with pytest.raises(ValueError):
+            MapTable(F4, 2, 2, F4, 2, 2, images)
+    assert MapTable(F4, 2, 2, F4, 2, 2, ident.images.astype(np.int64)) == ident
+    # 9 is not 4 in GF(5): the table is refused, not read as another map
+    with pytest.raises(ValueError):
+        MapTable(F2, 1, 1, F5, 1, 2, np.array([[[0, 0]], [[0, 9]]], dtype=np.int64))
+    four = MapTable(F2, 1, 1, F5, 1, 2, np.array([[[0, 0]], [[0, 4]]], dtype=np.int64))
+    assert four.images.dtype == F5.dtype and is_colouring(four)
+
+
 def test_is_colouring():
     const = MapTable(F4, 2, 2, F4, 2, 2,
                      np.zeros((256, 2, 2), dtype=F4.dtype))

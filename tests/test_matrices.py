@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bfgeo import _bulk, matrices, verify
+from bfgeo.cliques import _clique_test
 from bfgeo.errors import DomainTooLarge, ShapeMismatch, Singular
 from bfgeo.fields import enumerate_homs, make_field
 from bfgeo.matrices import (Mat, MatrixSpace, adjacent, arithmetic_distance,
@@ -363,11 +364,14 @@ def test_monic_generators():
     w = np.array([2, 0, 4, 1])
     R = F5.vmul(u[:, None], w[None, :])  # rank 1 with column space u
     stack = np.stack([R, F5.vmul(R, 2)])
-    assert np.array_equal(_bulk.common_generator(F5, stack, "col"), u)
-    assert np.array_equal(_bulk.common_generator(F5, stack, "row"), [1, 0, 2, 3])
+    # the clique test reads the shared generator off differences from 0
+    passes, col, line, gen = _clique_test(F5, stack[None])
+    assert passes[0] and col[0] and line[0] and np.array_equal(gen[0, :3], u)
+    passes, col, _, gen = _clique_test(F5, np.swapaxes(stack, 1, 2)[None])
+    assert passes[0] and col[0] and np.array_equal(gen[0], [1, 0, 2, 3])
     other = F5.vmul(np.array([1, 0, 0])[:, None], w[None, :])
-    assert _bulk.common_generator(F5, np.stack([R, other]), "col") is None
-    assert _bulk.common_generator(F5, stack[:0], "col") is None
+    passes, col, _, gen = _clique_test(F5, np.stack([R, other])[None])
+    assert passes[0] and not col[0] and np.array_equal(gen[0], [1, 0, 2, 3])
     assert np.array_equal(space(F5, 2, 3).monic_rows,
                           _bulk.monic(F5, space(F5, 2, 3).monic_rows))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bfgeo import _bulk, recovery
-from bfgeo.cliques import VertexSet
+from bfgeo.cliques import VertexSet, _clique_test
 from bfgeo.errors import (Degenerate, DimDeficient, NoFit, NotHom,
                           PreconditionViolated, UnsupportedField)
 from bfgeo.fields import enumerate_homs, identity_hom, make_field
@@ -213,10 +213,12 @@ def test_image_kind_alignment_of_standard_tables():
     tbl = standard_table(p)
     for i in range(2):
         d = tbl.images[_axis_codes(tbl, "row", i)]
-        assert _bulk.common_generator(F16, d[d.any(axis=(1, 2))], "col") is not None
+        passes, col, _, _ = _clique_test(F16, F16.vsub(d[None, 1:], d[0]))
+        assert passes[0] and col[0]
     for j in range(2):
-        d = tbl.images[_axis_codes(tbl, "col", j)]
-        assert _bulk.common_generator(F16, d[d.any(axis=(1, 2))], "row") is not None
+        d = np.swapaxes(tbl.images[_axis_codes(tbl, "col", j)], 1, 2)
+        passes, col, _, _ = _clique_test(F16, F16.vsub(d[None, 1:], d[0]))
+        assert passes[0] and col[0]  # a column generator of D^t is a row one of D
 
 
 def test_dim_bound_check():

@@ -2,9 +2,12 @@
 
 import ast
 import importlib
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,3 +38,12 @@ def test_benchmark_workload_setups_run(monkeypatch):
     workloads = importlib.import_module("workloads")
     for name, workload in workloads.WORKLOADS.items():
         assert isinstance(workload.setup(), dict), name
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo):
+    # no other test runs the demos, which call the public API end to end
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
