@@ -231,26 +231,24 @@ def intersect(M: MaximalSet, N: MaximalSet) -> VertexSet:
 # ---------------------------------------------------------------------------
 
 def _clique_test(field: Field, D):
-    """(passes, col, line, gen) per item of the (B, K, m, n) stack of
-    differences from one point, K >= 1.
+    """(passes, u, v) per item of the (B, K, m, n) stack of differences
+    from one point, K >= 1.
 
     Two rank-1 matrices differ in rank <= 1 iff they share a generator, and
     if every pair does, all share one.  So the item's points are pairwise
     adjacent (passes) iff its differences have rank 1, share one column or
-    one row generator, and are distinct.  col: they share one column
-    generator; line: one column and one row generator.  gen: the shared
-    column generator where col holds, else the shared row generator,
-    zero-padded to max(m, n) entries.  The name stays private: perfbench's
-    tracer wraps public functions only, and its self-test expects
-    ``adjacent_mask`` directly under ``is_graph_hom``.
+    one row generator, and are distinct.  u (B, m): the shared monic column
+    generator; v (B, n): the shared monic row generator; each is zero where
+    none is shared.  A passing item with both lies on one line.  The name
+    stays private: perfbench's tracer wraps public functions only, and its
+    self-test expects ``adjacent_mask`` directly under ``is_graph_hom``.
     """
     B, K, m, n = D.shape
     idx = np.nonzero(_bulk.adjacent_mask(field, D).all(axis=1))[0]
     Dk = D[idx]
-    u, v = (_bulk.generators(field, Dk, axis) for axis in ("col", "row"))
-    col, row, passes = (np.zeros(B, dtype=bool) for _ in range(3))
-    col[idx] = (u == u[:, :1]).all(axis=(1, 2))
-    row[idx] = (v == v[:, :1]).all(axis=(1, 2))
+    gu, gv = (_bulk.generators(field, Dk, axis) for axis in ("col", "row"))
+    col = (gu == gu[:, :1]).all(axis=(1, 2))
+    row = (gv == gv[:, :1]).all(axis=(1, 2))
     # distinct: an item fails where two of its rows meet after a lexsort
     flat = Dk.reshape(len(idx) * K, m * n)
     item = np.repeat(np.arange(len(idx)), K)
@@ -259,12 +257,12 @@ def _clique_test(field: Field, D):
     dup = (flat[1:] == flat[:-1]).all(axis=1) & (item[1:] == item[:-1])
     distinct = np.ones(len(idx), dtype=bool)
     distinct[item[1:][dup]] = False
-    passes[idx] = (col[idx] | row[idx]) & distinct
-    gen = np.zeros((B, max(m, n)), dtype=field.dtype)
-    by_col = col[idx]
-    gen[idx[by_col], :m] = u[by_col, 0]
-    gen[idx[~by_col], :n] = v[~by_col, 0]
-    return passes, col, col & row, gen
+    passes = np.zeros(B, dtype=bool)
+    passes[idx] = (col | row) & distinct
+    u, v = np.zeros((B, m), dtype=field.dtype), np.zeros((B, n), dtype=field.dtype)
+    u[idx[col]] = gu[col, 0]
+    v[idx[row]] = gv[row, 0]
+    return passes, u, v
 
 
 def _clique_host(field: Field, pts):
@@ -275,10 +273,9 @@ def _clique_host(field: Field, pts):
     is not adjacent.  Every pairwise-adjacent set fits one of the two coset
     forms, so an adjacent set failing the test is a broken theorem.
     """
-    m, n = pts.shape[1:]
-    passes, col, _, gen = _clique_test(field, field.vsub(pts[None, 1:], pts[0]))
+    passes, u, v = _clique_test(field, field.vsub(pts[None, 1:], pts[0]))
     if passes[0]:
-        return (Kind.ONE, gen[0, :m]) if col[0] else (Kind.TWO, gen[0, :n])
+        return (Kind.ONE, u[0]) if u[0].any() else (Kind.TWO, v[0])
     _check_pairwise_adjacent(field, pts)
     raise TheoremViolated("adjacent set outside both clique forms")
 

@@ -348,19 +348,16 @@ class _CliqueSummary:
     """The clique test's outcome per row of ``MatrixSpace.clique_members``.
 
     passes: the differences D = f(member) - f(base) all have rank 1, share
-    one column or one row generator, and are distinct.  col: they share one
-    column generator.  line: they share one column and one row generator,
-    so the image lies on one target line (a passing clique needs a target
-    field of at least q^max(m, n) elements for that).  gen: the shared
-    column generator where col holds, else the shared row generator,
-    zero-padded to max(m', n') entries; it is an entry row, never a
-    destination code.
+    one column or one row generator, and are distinct.  u (m' entries), v
+    (n' entries): their shared monic column and row generators, each zero
+    where none is shared.  A passing clique with both has its image on one
+    target line (which needs a target field of at least q^max(m, n)
+    elements).  Generators are entry rows, never destination codes.
     """
 
     passes: np.ndarray
-    col: np.ndarray
-    line: np.ndarray
-    gen: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
 
 
 def _summarise_cliques(F2: Field, img, cliques) -> _CliqueSummary:
@@ -437,141 +434,119 @@ def is_degenerate(f: MapTable):
     cliques hosting the ball image, or (False, None).  Raises NotHom when
     some ball edge is torn, since the search presumes a homomorphism.
     The first center in code order that tears or has a two-clique cover
-    decides.  Centers whose cliques all pass the clique test, none of them
-    a line clique, are decided from the clique summary; the others are
-    scanned, a block of them at a time.  The verdict is kept on the table;
-    a NotHom is raised again on every call.
+    decides.  Centers whose cliques all pass the clique test are decided,
+    witness included, from the clique summary; the others are scanned, a
+    block of them at a time.  A cover is returned only once the deciding
+    ball's image is seen to lie in the union of M and N.  The verdict is
+    kept on the table; a NotHom is raised again on every call.
     """
     if "is_degenerate" in f._verdicts:
         return f._verdicts["is_degenerate"]
-    sp = f.src_space()
+    sp, summary = f.src_space(), f._clique_summary
     ball0 = np.sort(np.concatenate([np.zeros(1, dtype=np.int64), sp.rank1_codes]))
-    scan, covered = _summary_decisions(f._clique_summary, sp.cliques_through(ball0))
+    through = sp.cliques_through(ball0)
+    passing = summary.passes[through]
+    scan = ~passing.all(axis=1)
+    covered, u, v = _two_clique_cover(np.moveaxis(summary.u[through], -1, 0),
+                                      np.moveaxis(summary.v[through], -1, 0), passing)
+    covered &= ~scan
     stop = int(np.argmax(covered)) if covered.any() else len(ball0)
-    center = ball0[stop] if stop < len(ball0) else None
+    pick = (ball0[stop], u[:, stop], v[:, stop]) if stop < len(ball0) else None
     todo = ball0[:stop][scan[:stop]]
     block = max(1, _DEGENERACY_BLOCK_BYTES // (len(ball0) * f.m2 * f.n2 * 8))
     for start in range(0, len(todo), block):
-        hit = _ball_hits(f, ball0, todo[start:start + block])
+        centers = todo[start:start + block]
+        torn, covered, u, v = _ball_hits(f, ball0, centers)
+        hit = torn.any(axis=1) | covered
         if hit.any():
-            center = todo[start + int(np.argmax(hit))]
+            b = int(np.argmax(hit))
+            if torn[b].any():
+                X = sp.code_add(ball0[np.argmax(torn[b])], centers[b])
+                raise NotHom("ball image tears: not a graph homomorphism",
+                             witness=(_decode(f, X), _decode(f, centers[b])))
+            pick = (centers[b], u[:, b], v[:, b])
             break
-    verdict = (False, None) if center is None else _center_verdict(f, int(center), ball0)
+    verdict = (False, None) if pick is None else _cover_verdict(f, ball0, *pick)
     f._verdicts["is_degenerate"] = verdict
     return verdict
 
 
-def _summary_decisions(summary: _CliqueSummary, through):
-    """(scan, covered) per center, from the cliques through it (the rows of
-    through, one clique per direction).
-
-    The unit ball around a center A is the union of the cliques of one
-    kind through A (either kind will do; these are of the kind of
-    ``clique_members``).  Let each of them pass and none be a line clique.
-    Then the image of each, f(A) included, lies in exactly one target
-    maximal clique: the column clique through f(A) of its column generator
-    u_C, or the row clique of its row generator v_C.  Its images are
-    distinct, so those of the ball points other than A differ from f(A)
-    in rank 1, and no ball edge tears.
-    The ball image lies in the column clique of some u0 and the row clique
-    of some v0 iff all column-kind cliques share u_C = u0 and all row-kind
-    ones share v_C = v0.  One way is plain.  For the other, a column-kind
-    clique with u_C != u0 would need every difference u_C w of its images
-    from f(A) to have row generator v0; then its image lies on a line,
-    which it does not.  A center on a failing or a line clique is left to
-    the scan: scan marks it, and covered is False there.
-    """
-    scan = ~summary.passes[through].all(axis=1) | summary.line[through].any(axis=1)
-    col = summary.col[through]
-    keys = np.moveaxis(summary.gen[through], -1, 0)
-    return scan, ~scan & _all_equal(keys, col) & _all_equal(keys, ~col)
+def _decode(f: MapTable, code) -> Mat:
+    """The source matrix with this code."""
+    return Mat.decode(f.src_field, int(code), f.m, f.n)
 
 
 def _ball_hits(f: MapTable, ball0, centers):
-    """Per center of the block: does its ball tear or have a two-clique cover?"""
+    """(torn, covered, u, v) for a block of centers: which of their ball
+    items tear, and the two-clique cover of their nonzero differences."""
     F2 = f.dst_field
     balls = f.src_space().code_add(ball0[None, :], centers[:, None])
     D = F2.vsub(f.images[balls], f.images[centers][:, None])
     nz = D.any(axis=(2, 3))
-    torn = nz & ~_bulk.rank_le1_mask(F2, D)
-    return torn.any(axis=1) | _has_two_clique_cover(F2, D, nz)
-
-
-def _has_two_clique_cover(F2: Field, D, nz):
-    """Per center (row of the (B, K) stack D): do the nonzero differences
-    all share u0 or v0 with one pair (u0, v0) of column and row generators?
-
-    Some item has u0 or v0 itself, so a pair exists iff the items whose u
-    differs from the first item's all share one v, or the items whose v
-    differs from the first item's all share one u.  A row with no nonzero
-    item (a ball collapsed to a point) is covered vacuously.  Generators
-    are compared as entry rows, never as destination codes.
-    """
     Dnz = D[nz]
     u, v = (np.zeros((D.shape[a],) + nz.shape, dtype=F2.dtype) for a in (2, 3))
     u[:, nz] = _bulk.generators(F2, Dnz, "col").T
     v[:, nz] = _bulk.generators(F2, Dnz, "row").T
-    first = np.argmax(nz, axis=1)
-    return (_all_equal(v, nz & ~_matches(u, first))
-            | _all_equal(u, nz & ~_matches(v, first)))
+    return (nz & ~_bulk.rank_le1_mask(F2, D),) + _two_clique_cover(u, v, nz)
 
 
-def _matches(keys, index):
-    """Per row b of the (E, B, K) entry stack: which of its K items equal item index[b]?"""
-    return (keys == np.take_along_axis(keys, index[None, :, None], axis=2)).all(axis=0)
+def _two_clique_cover(u, v, mask):
+    """Per row b of the (E, B, K) column and row generator stacks u and v:
+    is there a pair (u0, v0) with u = u0 or v = v0 at every masked item?
+    Returns (covered, u0, v0), the pairs as (E, B) stacks.
 
+    A zero generator matches nothing, and a side left free comes back as
+    zero (a row with no masked item is covered by (0, 0)).  The pair is
+    (u0, 0) when every item has u0, else (0, v0) when every item has v0.
+    Otherwise the first item has u0 or v0, so the pair is (u of the first
+    item, the v shared by the items whose u differs) or (the u shared by
+    the items whose v differs, v of the first item): where both hold, the
+    one whose u is lexicographically smaller.
 
-def _all_equal(keys, mask):
-    """Per row: do the masked items all agree?  (Vacuously so when none are.)"""
-    return (_matches(keys, np.argmax(mask, axis=1)) | ~mask).all(axis=1)
-
-
-def _center_verdict(f: MapTable, center: int, ball0):
-    """The verdict at the deciding center, from its ball: NotHom on a tear,
-    else the center and the two cliques hosting its ball image."""
-    F2 = f.dst_field
-    ball = f.src_space().code_add(ball0, center)
-    D = F2.vsub(f.images[ball], f.images[center])
-    nz = D.any(axis=(1, 2))
-    torn = nz & ~_bulk.rank_le1_mask(F2, D)
-    A = Mat.decode(f.src_field, center, f.m, f.n)
-    if torn.any():
-        bad = int(np.argmax(torn))
-        raise NotHom("ball image tears: not a graph homomorphism",
-                     witness=(Mat.decode(f.src_field, int(ball[bad]), f.m, f.n), A))
-    # a ball collapsed to a point lies on any opposite-kind pair
-    Dnz = D[nz]
-    pick = (None, None)
-    if len(Dnz):
-        us = _bulk.generators(F2, Dnz, "col")
-        vs = _bulk.generators(F2, Dnz, "row")
-        pick = _stab_with_two(us, vs)
-    if pick is None:
-        raise TheoremViolated("the two-clique cover test and its witness search disagree")
-    iu, iv = pick
-    u = us[iu] if iu is not None else np.eye(f.m2, dtype=F2.dtype)[:, 0]
-    v = vs[iv] if iv is not None else np.eye(f.n2, dtype=F2.dtype)[:, 0]
-    cimg = Mat(F2, f.images[center])
-    return True, (A, MaximalSet.through(Kind.ONE, u, cimg),
-                  MaximalSet.through(Kind.TWO, v, cimg))
-
-
-def _stab_with_two(us, vs):
-    """Indices (iu, iv) such that every item shares u with iu or v with iv.
-
-    u and v are generator rows, or codes, which sort alike.  Either side
-    may be None when one family alone covers everything.  Returns None
-    when no such pair exists.
+    ``is_degenerate`` asks this of two kinds of item around a center A,
+    which admit the same pairs and so give the same answer.  The ball scan
+    passes the nonzero differences f(X) - f(A) over A's unit ball.  The
+    summary passes the source cliques through A of the kind of
+    ``clique_members`` (one per direction; their union is the ball), each
+    with the generators (u_C, v_C) its clique test shares, all of them
+    passing.  Then each clique image, f(A) included, lies in the target
+    column clique through f(A) of u_C or the row clique of v_C, and its
+    images are distinct, so its differences from f(A) are nonzero and no
+    ball edge tears.  On a line clique every difference has generators
+    (u_C, v_C): it is covered iff u_C = u0 or v_C = v0.  A column-kind
+    clique off a line has every difference with column generator u_C and
+    row generators not all one (else it lies on a line): it is covered iff
+    u_C = u0, as its zero v_C says.  Row-kind cliques likewise.
     """
-    if (us == us[0]).all():
-        return 0, None
-    if (vs == vs[0]).all():
-        return None, 0
-    for iu in np.unique(us, axis=0, return_index=True)[1]:
-        rest = (us != us[iu]).reshape(len(us), -1).any(axis=1)
-        if (vs[rest] == vs[rest][0]).all():
-            return int(iu), int(np.nonzero(rest)[0][0])
-    return None
+    def first(keys, where):  # the first item's row where there is one, else zero
+        row = np.take_along_axis(keys, np.argmax(where, axis=1)[None, :, None], axis=2)
+        return np.where(where.any(axis=1), row[..., 0], 0)
+
+    def on(keys, key):  # the items equal to a nonzero key
+        return (keys == key[..., None]).all(axis=0) & key.any(axis=0)[:, None]
+
+    u1, v1 = first(u, mask), first(v, mask)
+    off_u1, off_v1 = mask & ~on(u, u1), mask & ~on(v, v1)
+    u2, v2 = first(u, off_v1), first(v, off_u1)
+    ok1 = ~(off_u1 & ~on(v, v2)).any(axis=1)
+    ok2 = ~(off_v1 & ~on(u, u2)).any(axis=1)
+    at = np.argmax(u1 != u2, axis=0)[None]  # u2 < u1 at the first entry they differ in
+    smaller = (np.take_along_axis(u2, at, 0) < np.take_along_axis(u1, at, 0))[0]
+    take2 = ok2 & off_u1.any(axis=1) & (smaller | ~ok1)
+    return ok1 | ok2, np.where(take2, u2, u1), np.where(take2, v1, v2)
+
+
+def _cover_verdict(f: MapTable, ball0, center, u, v):
+    """(True, (A, M, N)): the center A and the column clique of u and the
+    row clique of v through its image (e1 for a zero generator), once
+    every image of A's ball lies in M or N."""
+    F2, cimg = f.dst_field, Mat(f.dst_field, f.images[center])
+    M = MaximalSet.through(Kind.ONE, u if u.any() else np.eye(f.m2, dtype=F2.dtype)[:, 0], cimg)
+    N = MaximalSet.through(Kind.TWO, v if v.any() else np.eye(f.n2, dtype=F2.dtype)[:, 0], cimg)
+    ball = f.images[f.src_space().code_add(ball0, center)]
+    if not (M.contains_batch(ball) | N.contains_batch(ball)).all():
+        raise TheoremViolated("the ball image leaves its two-clique cover")
+    return True, (_decode(f, center), M, N)
 
 
 # ---------------------------------------------------------------------------

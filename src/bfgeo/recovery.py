@@ -200,17 +200,17 @@ def recover_standard(f: MapTable) -> RecoveryResult:
                            witness=("col_axis", dim_n1))
 
     # orientation: the kind of clique hosting the row-axis image (f(0) = 0
-    # is its first point); its generator is u, and the column generator of
-    # the transposed column-axis image is that image's row generator v
-    ok_m, straight, _, u = (a[0] for a in _clique_test(F2, f.images[m1[None, 1:]]))
+    # is its first point).  On the straight or swapped view that makes it
+    # column-kind, P0 completes its column generator and Q0 the row
+    # generator w of the column-axis image
+    ok_m, u, v = (a[0] for a in _clique_test(F2, f.images[m1[None, 1:]]))
+    straight = bool(u.any())
     images = f.images if straight else np.swapaxes(f.images, 1, 2)
-    ok_n, col_n, _, v = (a[0] for a in _clique_test(
-        F2, np.swapaxes(images[n1[None, 1:]], 2, 3)))
-    if not (ok_m and ok_n and col_n):
+    ok_n, _, w = (a[0] for a in _clique_test(F2, images[n1[None, 1:]]))
+    if not (ok_m and ok_n and w.any()):
         raise NoFit("axis images do not align with opposite clique kinds")
-    m2, n2 = images.shape[1:]
-    P0 = complete_to_invertible_col(F2, u[:m2])
-    Q0 = complete_to_invertible_row(F2, v[:n2])
+    P0 = complete_to_invertible_col(F2, u if straight else v)
+    Q0 = complete_to_invertible_row(F2, w)
     # only the m row cliques and the column axis are read, in that order
     img1 = _bulk.matmul(F2, P0.inverse().a, _bulk.matmul(
         F2, images[np.concatenate([rows.ravel(), n1])], Q0.inverse().a))

@@ -412,8 +412,8 @@ def test_an_adjacent_set_failing_the_clique_test_breaks_loudly(monkeypatch):
     real = cliques._clique_test
 
     def reject(field, D):
-        passes, col, line, gen = real(field, D)
-        return np.zeros_like(passes), col, line, gen
+        passes, u, v = real(field, D)
+        return np.zeros_like(passes), u, v
 
     monkeypatch.setattr(cliques, "_clique_test", reject)
     with pytest.raises(TheoremViolated):

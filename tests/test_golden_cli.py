@@ -3,8 +3,9 @@
 Each command runs in-process through ``cli.main``; its stdout must equal
 the committed file under ``tests/golden/``.  Commands that read a map file
 run on tables written here: a standard-form table, a 1 x n table for the
-semi-affine fit, and the tables ``witness-hom --table-out`` and
-``xi-demo --table-out`` write.
+semi-affine fit, a constant table, the standard table with one image
+torn, and the tables ``witness-hom --table-out`` and ``xi-demo
+--table-out`` write.
 
 After a change that is meant to alter a report, rewrite the files with
 ``PYTHONPATH=src python tests/test_golden_cli.py`` and review the diff.
@@ -22,7 +23,7 @@ import pytest
 
 from bfgeo.cli import build_parser, main
 from bfgeo.fields import make_field
-from bfgeo.homs import Orientation, random_valid_params, standard_table
+from bfgeo.homs import MapTable, Orientation, random_valid_params, standard_table
 from bfgeo.mapfile import write_map_table
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -49,6 +50,8 @@ COMMANDS = {
     "degeneracy-check-witness": ["degeneracy-check", "--map", "{dir}/w.bfmap"],
     "degeneracy-check-xi": ["degeneracy-check", "--map", "{dir}/xi.bfmap"],
     "degeneracy-check-standard": ["degeneracy-check", "--map", "{dir}/f.bfmap"],
+    "degeneracy-check-constant": ["degeneracy-check", "--map", "{dir}/const.bfmap"],
+    "degeneracy-check-torn": ["degeneracy-check", "--map", "{dir}/torn.bfmap"],
     "xi-demo": ["xi-demo", "--src-field", "2,2", "--dst-field", "2,4", "--cols", "2"],
     "twist-identity-sweep": ["twist", "--identity-sweep", "--field", "2,2",
                              "--shape", "2x2"],
@@ -99,12 +102,18 @@ def run(argv):
 
 def write_tables(directory: Path):
     """The map files the commands read, written deterministically."""
-    F4, F16 = make_field(2, 2), make_field(2, 4)
+    F2, F4, F16 = make_field(2, 1), make_field(2, 2), make_field(2, 4)
     rng = np.random.default_rng(2024)
-    f = random_valid_params(rng, F4, 2, 2, F16, 3, 3, Orientation.STRAIGHT)
-    write_map_table(standard_table(f), directory / "f.bfmap")
+    f = standard_table(random_valid_params(rng, F4, 2, 2, F16, 3, 3, Orientation.STRAIGHT))
+    write_map_table(f, directory / "f.bfmap")
     g = random_valid_params(rng, F4, 1, 2, F16, 1, 3, Orientation.STRAIGHT)
     write_map_table(standard_table(g), directory / "g.bfmap")
+    # a constant table collapses every ball; a rank-2 image next to f(0) tears one
+    write_map_table(MapTable(F2, 2, 2, F4, 2, 2, np.zeros((16, 2, 2), dtype=F4.dtype)),
+                    directory / "const.bfmap")
+    torn = f.images.copy()
+    torn[1] = F16.vadd(torn[0], np.diag([1, 1, 0]))
+    write_map_table(MapTable(F4, 2, 2, F16, 3, 3, torn), directory / "torn.bfmap")
     for argv in (["witness-hom", "--src", "2:2x2", "--dst", "4:2x2",
                   "--table-out", str(directory / "w.bfmap")],
                  ["xi-demo", "--src-field", "2,2", "--dst-field", "2,4",

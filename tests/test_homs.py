@@ -6,7 +6,7 @@ import pytest
 from bfgeo import _bulk, homs
 from bfgeo.cliques import Kind, MaximalSet, clique_number, unit_ball
 from bfgeo.errors import (InvalidParams, InvalidXi, NoHomExists, NotHom,
-                          SingularTwist)
+                          SingularTwist, TheoremViolated)
 from bfgeo.fields import enumerate_homs, identity_hom, make_field
 from bfgeo.homs import (MapTable, Orientation, StandardHomParams, TwistSide,
                         XiMapParams, build_witness_hom, eval_standard,
@@ -217,6 +217,25 @@ def test_is_degenerate():
         is_degenerate(MapTable(F4, 2, 2, F4, 2, 2, torn_imgs))
 
 
+def _stab_with_two(us, vs):
+    """Indices (iu, iv) such that every item shares u with iu or v with iv.
+
+    u and v are generator rows, or codes, which sort alike.  Either side
+    may be None when one family alone covers everything.  Returns None
+    when no such pair exists.  The per-center witness search that
+    ``homs._two_clique_cover`` replaced, kept as its reference.
+    """
+    if (us == us[0]).all():
+        return 0, None
+    if (vs == vs[0]).all():
+        return None, 0
+    for iu in np.unique(us, axis=0, return_index=True)[1]:
+        rest = (us != us[iu]).reshape(len(us), -1).any(axis=1)
+        if (vs[rest] == vs[rest][0]).all():
+            return int(iu), int(np.nonzero(rest)[0][0])
+    return None
+
+
 def _degenerate_oracle(f, decided):
     """The per-center degeneracy loop, kept as the reference for the
     batched scan; appends the index of the deciding center to decided."""
@@ -240,8 +259,8 @@ def _degenerate_oracle(f, decided):
         if len(Dnz):
             us = _bulk.generators(F2, Dnz, "col")
             vs = _bulk.generators(F2, Dnz, "row")
-            pick = homs._stab_with_two(_bulk.encode(F2, us[:, :, None]),
-                                       _bulk.encode(F2, vs[:, :, None]))
+            pick = _stab_with_two(_bulk.encode(F2, us[:, :, None]),
+                                  _bulk.encode(F2, vs[:, :, None]))
         if pick is not None:
             decided.append(index)
             iu, iv = pick
@@ -825,6 +844,111 @@ def test_summary_decided_degeneracy_matches_the_per_center_loop(
             assert _hom_outcome(f) == want_hom, name  # stored, or built on the summary
         if name in STAR_PLANS:
             assert (decided == [0]) == (name != "column e2, rows e1 and e2"), name
+
+
+def _cover_oracle(u, v, mask):
+    """``_two_clique_cover`` row by row through ``_stab_with_two``.  A zero
+    generator stands for two items with distinct fresh ones, as a column-
+    or row-kind clique off a line has among its differences from the
+    center; a fresh generator (entries past the field) is never picked."""
+    out = []
+    for b in range(mask.shape[0]):
+        us, vs = [], []
+        for k in np.nonzero(mask[b])[0]:
+            for t in range(1 if u[:, b, k].any() and v[:, b, k].any() else 2):
+                fresh = 100 + 2 * k + t
+                us.append(u[:, b, k] if u[:, b, k].any() else np.full(len(u), fresh))
+                vs.append(v[:, b, k] if v[:, b, k].any() else np.full(len(v), fresh))
+        pick = _stab_with_two(np.array(us), np.array(vs)) if us else (None, None)
+        if pick is None:
+            out.append(None)
+            continue
+        out.append(tuple(np.zeros(len(g), dtype=g.dtype) if i is None else items[i]
+                         for g, items, i in zip((u, v), (us, vs), pick)))
+    return out
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 5])
+def test_two_clique_cover_matches_the_witness_search(K):
+    rng = np.random.default_rng(40 + K)
+    B = 600
+    u = np.zeros((3, B, K), dtype=np.uint8)  # GF(4) generators, 3 x 2 targets
+    v = np.zeros((2, B, K), dtype=np.uint8)
+    for b in range(B):  # 2-3 distinct nonzero generators per side, some items zero on one side
+        for g in (u, v):
+            pool = rng.permutation(np.arange(1, 4 ** len(g)))[:rng.integers(2, 4)]
+            rows = _bulk.decode(F4, pool, 1, len(g))[:, 0, :]
+            g[:, b, :] = rows[rng.integers(len(rows), size=K)].T
+        zero = rng.random(K) < 0.15
+        (u if rng.random() < 0.5 else v)[:, b, zero] = 0
+    mask = rng.random((B, K)) < 0.85
+    mask[:20] = False  # empty rows
+    covered, u0, v0 = homs._two_clique_cover(u, v, mask)
+    seen = set()
+    for b, want in enumerate(_cover_oracle(u, v, mask)):
+        assert covered[b] == (want is not None), b
+        if want is None:
+            continue
+        assert np.array_equal(u0[:, b], want[0]) and np.array_equal(v0[:, b], want[1]), b
+        on = mask[b]
+        uk, vk = u[:, b, on], v[:, b, on]
+        valid = lambda p, q: ((uk == p[:, None]).all(axis=0) & p.any()
+                              | (vk == q[:, None]).all(axis=0) & q.any()).all()
+        if not on.any():
+            seen.add("empty")
+        elif not want[1].any():
+            seen.add("all u")
+        elif not want[0].any():
+            seen.add("all v")
+        elif uk[:, 0].any() and not np.array_equal(want[0], uk[:, 0]):  # the second pair ...
+            first = uk[:, 0], vk[:, (uk != uk[:, :1]).any(axis=0)]
+            if first[1].size and valid(first[0], first[1][:, 0]):
+                seen.add("tie, second u smaller")  # ... though the first holds too
+        if on.any() and not (uk.any(axis=0) & vk.any(axis=0)).all():
+            seen.add("zero generator")
+    want_seen = {"empty", "all u", "all v", "zero generator"}
+    if K >= 2:
+        want_seen.add("tie, second u smaller")
+    assert seen >= want_seen
+
+
+LINE_CENTRE_CASES = {
+    "witness GF(2) 2x2 -> GF(4) 2x2": lambda: build_witness_hom(2, 2, 2, 4, 2, 2),
+    "witness GF(4) 2x2 -> GF(16) 3x3": lambda: build_witness_hom(4, 2, 2, 16, 3, 3),
+    "line and columns": lambda: MapTable(F2, 2, 2, F4, 2, 2,
+                                         _star_images(STAR_PLANS["line and columns"])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINE_CENTRE_CASES))
+def test_a_centre_on_line_cliques_is_decided_without_a_ball_scan(name, monkeypatch):
+    f = LINE_CENTRE_CASES[name]()
+    sp, summary = f.src_space(), f._clique_summary
+    through = sp.cliques_through(np.zeros(1, dtype=np.int64))[0]
+    assert summary.passes[through].all()
+    assert (summary.u[through].any(axis=1) & summary.v[through].any(axis=1)).any()
+    decided = []
+    want = _degeneracy_outcome(lambda t: _degenerate_oracle(t, decided), f)
+    assert want[0] is True and decided == [0]
+    scanned = []
+    real_hits = homs._ball_hits
+    monkeypatch.setattr(homs, "_ball_hits",
+                        lambda f, ball0, c: scanned.extend(c.tolist()) or real_hits(f, ball0, c))
+    assert _degeneracy_outcome(is_degenerate, f) == want
+    assert scanned == []
+
+
+def test_a_wrong_cover_pair_breaks_loudly(monkeypatch):
+    real = homs._two_clique_cover
+
+    def shifted(u, v, mask):  # the column generator moved one entry down
+        covered, u0, v0 = real(u, v, mask)
+        return covered, np.roll(u0, 1, axis=0), v0
+
+    monkeypatch.setattr(homs, "_two_clique_cover", shifted)
+    for make in LINE_CENTRE_CASES.values():
+        with pytest.raises(TheoremViolated):
+            is_degenerate(make())
 
 
 def _adjacent_set_oracle(f):

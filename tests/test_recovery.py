@@ -213,12 +213,12 @@ def test_image_kind_alignment_of_standard_tables():
     tbl = standard_table(p)
     for i in range(2):
         d = tbl.images[_axis_codes(tbl, "row", i)]
-        passes, col, _, _ = _clique_test(F16, F16.vsub(d[None, 1:], d[0]))
-        assert passes[0] and col[0]
+        passes, u, _ = _clique_test(F16, F16.vsub(d[None, 1:], d[0]))
+        assert passes[0] and u[0].any()
     for j in range(2):
         d = np.swapaxes(tbl.images[_axis_codes(tbl, "col", j)], 1, 2)
-        passes, col, _, _ = _clique_test(F16, F16.vsub(d[None, 1:], d[0]))
-        assert passes[0] and col[0]  # a column generator of D^t is a row one of D
+        passes, u, _ = _clique_test(F16, F16.vsub(d[None, 1:], d[0]))
+        assert passes[0] and u[0].any()  # a column generator of D^t is a row one of D
 
 
 def test_dim_bound_check():
