@@ -8,6 +8,7 @@ processed in lockstep.  Everything is pure and allocation-local.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -55,13 +56,14 @@ def rref(field: Field, mats):
     """Reduced row echelon form of each matrix in the stack.
 
     Returns (R, rank) where R has the same shape as the input and rank is
-    the per-matrix rank vector.  Pivots are the first nonzero entry of each
-    unfinished column, so the result is the canonical RREF.
+    the per-matrix rank array over the leading axes (an int for one
+    matrix).  Pivots are the first nonzero entry of each unfinished column,
+    so the result is the canonical RREF.
     """
     M = np.array(mats, dtype=field.dtype, copy=True)
     single = M.ndim == 2
-    if single:
-        M = M[None]
+    lead = M.shape[:-2]
+    M = M.reshape((math.prod(lead),) + M.shape[-2:])
     N, m, n = M.shape
     rc = np.zeros(N, dtype=np.int64)
     rows = np.arange(m)
@@ -89,7 +91,7 @@ def rref(field: Field, mats):
             break
     if single:
         return M[0], int(rc[0])
-    return M, rc
+    return M.reshape(lead + (m, n)), rc.reshape(lead)
 
 
 def rank(field: Field, mats):
@@ -208,9 +210,7 @@ def inverse(field: Field, mats, dets=None):
         dinv = field.inv_table[d].astype(field.dtype)
         return field.vmul(_adjugate(field, M), dinv[..., None, None]).astype(
             field.dtype, copy=False)
-    if M.ndim == 2:
-        return _rref_inverse(field, M[None])[0]
-    return _rref_inverse(field, M)
+    return _rref_inverse(field, M.reshape((-1,) + M.shape[-2:])).reshape(M.shape)
 
 
 def solve_affine(field: Field, A, b):

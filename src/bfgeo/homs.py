@@ -101,6 +101,18 @@ class Orientation(enum.Enum):
     TRANSPOSED = "transposed"  # X -> P diag(X^tau^t (I + L X^tau^t)^-1, 0) Q
 
 
+def _fits(o: Orientation, m: int, n: int, m2: int, n2: int) -> bool:
+    """Does an m' x n' target hold the m x n core of this orientation?"""
+    if o is Orientation.STRAIGHT:
+        return m2 >= m and n2 >= n
+    return m2 >= n and n2 >= m
+
+
+def _twist_shape(o: Orientation, m: int, n: int):
+    """The twist matrix's shape: n x m straight, m x n transposed."""
+    return (n, m) if o is Orientation.STRAIGHT else (m, n)
+
+
 @dataclass(frozen=True)
 class StandardHomParams:
     """Parameters (orientation, P, Q, tau, L) of a standard-form map.
@@ -123,17 +135,12 @@ class StandardHomParams:
             raise InvalidParams("P, Q, L must live over the target field")
         if self.P.m != self.P.n or self.Q.m != self.Q.n:
             raise InvalidParams("P and Q must be square")
-        m2, n2 = self.m2, self.n2
-        if self.orientation is Orientation.STRAIGHT:
-            if not (m2 >= self.m and n2 >= self.n):
-                raise InvalidParams("target too small for the straight form")
-            if self.L.shape != (self.n, self.m):
-                raise InvalidParams("straight form needs an n x m twist matrix")
-        else:
-            if not (m2 >= self.n and n2 >= self.m):
-                raise InvalidParams("target too small for the transposed form")
-            if self.L.shape != (self.m, self.n):
-                raise InvalidParams("transposed form needs an m x n twist matrix")
+        o = self.orientation
+        if not _fits(o, self.m, self.n, self.m2, self.n2):
+            raise InvalidParams(f"target too small for the {o.value} form")
+        if self.L.shape != _twist_shape(o, self.m, self.n):
+            shape = "n x m" if o is Orientation.STRAIGHT else "m x n"
+            raise InvalidParams(f"{o.value} form needs an {shape} twist matrix")
         self.P.inverse()
         self.Q.inverse()
 
@@ -163,15 +170,17 @@ def _resolvent(F: Field, X, L, side: TwistSide, invert: bool = True):
     """Resolvent denominators of a stack X and, if wanted, the twisted stack.
 
     Side LEFT builds G = I + X L and twists to G^-1 X; side RIGHT builds
-    G = I + L X and twists to X G^-1.  Returns (ok, twisted): ok masks the
-    invertible denominators, twisted is None unless invert is set and
-    every denominator is invertible.  Up to _bulk.ADJUGATE_MAX one
-    determinant of the stack gives both ok and the adjugate inverse's scale.
+    G = I + L X and twists to X G^-1.  L is one matrix or a stack that
+    broadcasts against X: a (B, 1, ., .) stack of twists gives (B, N)
+    denominators.  Returns (ok, twisted): ok masks the invertible
+    denominators, twisted is None unless invert is set and every
+    denominator is invertible.  Up to _bulk.ADJUGATE_MAX one determinant of
+    the stack gives both ok and the adjugate inverse's scale.
     """
     if side is TwistSide.LEFT:
-        prod = _bulk.matmul(F, X, L[None])
+        prod = _bulk.matmul(F, X, L)
     else:
-        prod = _bulk.matmul(F, L[None], X)
+        prod = _bulk.matmul(F, L, X)
     G = F.vadd(np.broadcast_to(_bulk.identity(F, prod.shape[-1]), prod.shape), prod)
     d = _bulk.det(F, G) if G.shape[-1] <= _bulk.ADJUGATE_MAX else None
     ok = _bulk.invertible_mask(F, G) if d is None else d != 0
@@ -183,11 +192,11 @@ def _resolvent(F: Field, X, L, side: TwistSide, invert: bool = True):
     return ok, _bulk.matmul(F, X, Ginv)
 
 
-def _oriented(params: StandardHomParams, xs):
+def _oriented(tau: FieldHom, orientation: Orientation, xs):
     """(X, side): the images X^tau (transposed for the transposed form) and
     the side whose resolvent is the core of the standard form."""
-    Xt = params.tau.vapply(xs)
-    if params.orientation is Orientation.STRAIGHT:
+    Xt = tau.vapply(xs)
+    if orientation is Orientation.STRAIGHT:
         return Xt, TwistSide.LEFT
     return np.swapaxes(Xt, 1, 2), TwistSide.RIGHT
 
@@ -196,7 +205,7 @@ def _standard_images(params: StandardHomParams, xs):
     """(N, m, n) -> (N, m', n') images P diag(core, 0) Q, or raise with a
     witness.  Only P's first columns and Q's first rows meet the core."""
     F = params.dst_field
-    X, side = _oriented(params, xs)
+    X, side = _oriented(params.tau, params.orientation, xs)
     ok, core = _resolvent(F, X, params.L.a, side)
     if core is None:
         code = int(np.nonzero(~ok)[0][0])
@@ -229,7 +238,7 @@ def validate_params(params: StandardHomParams):
     TheoremViolated.
     """
     sp = space(params.src_field, params.m, params.n)
-    X, side = _oriented(params, sp.entries)
+    X, side = _oriented(params.tau, params.orientation, sp.entries)
     other = TwistSide.RIGHT if side is TwistSide.LEFT else TwistSide.LEFT
     ok, lhs = _resolvent(params.dst_field, X, params.L.a, side)
     ok_other, rhs = _resolvent(params.dst_field, X, params.L.a, other)
@@ -243,13 +252,11 @@ def validate_params(params: StandardHomParams):
     return True, None
 
 
-def _twist_valid(F2: Field, Xt, L, transposed: bool) -> bool:
-    """All denominators I + X^tau L (or I + L X^tau^t) invertible?"""
-    if transposed:
-        ok, _ = _resolvent(F2, np.swapaxes(Xt, 1, 2), L, TwistSide.RIGHT, invert=False)
-    else:
-        ok, _ = _resolvent(F2, Xt, L, TwistSide.LEFT, invert=False)
-    return bool(ok.all())
+# Byte budget for one block of the twist search's denominator stacks
+# (candidates x source points x m x m in either orientation, sized at 8
+# bytes an entry); it bounds the search's working memory whatever the
+# number of tries.
+_TWIST_BLOCK_BYTES = 2 << 20
 
 
 def random_valid_params(rng, src_field: Field, m: int, n: int,
@@ -258,35 +265,70 @@ def random_valid_params(rng, src_field: Field, m: int, n: int,
                         nonzero_L_tries: int = 400) -> StandardHomParams:
     """Sample a valid parameter tuple, preferring a nonzero twist matrix.
 
+    Draws the orientation (unless given), tau, P and Q, then up to
+    nonzero_L_tries candidate twists L and keeps the first nonzero one with
+    every denominator invertible, else L = 0.  Valid twists are sparse
+    (0.5 % at GF(4) 2x2 inside GF(16)), so the candidates are checked in
+    blocks, on the rank-1 points first; the chosen L and the rng state
+    afterwards are those of drawing and checking one candidate at a time.
     A surjective tau admits only L = 0 (any nonzero twist makes some
-    denominator singular), so the search is skipped in that case.  Valid
-    nonzero twists are sparse (well under 1% at GF(4) inside GF(16)), so
-    candidates get a cheap batched determinant check.
+    denominator singular), so the search is skipped in that case.  Raises
+    InvalidParams before any draw when the target cannot hold the source
+    in the asked (or in either) orientation.
     """
     taus = enumerate_homs(src_field, dst_field)
     if not taus:
         raise ValueError("no field homomorphism between these fields")
+    fitting = [o for o in Orientation if _fits(o, m, n, m2, n2)]
     if orientation is None:
-        choices = [o for o in Orientation
-                   if (o is Orientation.STRAIGHT and m2 >= m and n2 >= n)
-                   or (o is Orientation.TRANSPOSED and m2 >= n and n2 >= m)]
-        orientation = choices[rng.integers(len(choices))]
+        if not fitting:
+            raise InvalidParams(f"target too small for either form: "
+                                f"{m}x{n} source, {m2}x{n2} target")
+        orientation = fitting[rng.integers(len(fitting))]
+    elif orientation not in fitting:
+        raise InvalidParams(f"target too small for the {orientation.value} form: "
+                            f"{m}x{n} source, {m2}x{n2} target")
     tau = taus[rng.integers(len(taus))]
     P = random_invertible(rng, dst_field, m2)
     Q = random_invertible(rng, dst_field, n2)
-    transposed = orientation is Orientation.TRANSPOSED
-    lshape = (m, n) if transposed else (n, m)
-    L = Mat.zeros(dst_field, *lshape)
-    if not tau.is_surjective():
-        Xt = tau.vapply(space(src_field, m, n).entries)
-        for _ in range(nonzero_L_tries):
-            cand = rng.integers(0, dst_field.q, size=lshape).astype(dst_field.dtype)
-            if not cand.any():
-                continue
-            if _twist_valid(dst_field, Xt, cand, transposed):
-                L = Mat(dst_field, cand)
-                break
+    found = None if tau.is_surjective() else _first_valid_twist(
+        rng, tau, orientation, m, n, nonzero_L_tries)
+    L = (Mat.zeros(dst_field, *_twist_shape(orientation, m, n)) if found is None
+         else Mat(dst_field, found))
     return StandardHomParams(orientation, P, Q, tau, L, m, n)
+
+
+def _first_valid_twist(rng, tau: FieldHom, orientation: Orientation,
+                       m: int, n: int, tries: int):
+    """The first of `tries` random candidate twists that is nonzero and
+    keeps every denominator invertible, or None.
+
+    The rng stream is the one of drawing the candidates one at a time and
+    stopping at the first valid one (or after all of them): each block of
+    candidates is drawn in one call, and when a block holds a valid one
+    the rng is rewound to the block's start and advanced past that one
+    only.  Per block, the nonzero candidates are checked on the rank-1
+    points first, which reject nearly every invalid twist, and the
+    survivors on the whole source space: one determinant stack each.
+    """
+    F2, sp = tau.dst, space(tau.src, m, n)
+    X1, side = _oriented(tau, orientation, sp.rank1)
+    X, _ = _oriented(tau, orientation, sp.entries)
+    shape = _twist_shape(orientation, m, n)
+    block = max(1, _TWIST_BLOCK_BYTES // (len(X) * m * m * 8))
+    for start in range(0, tries, block):
+        size = min(block, tries - start)
+        state = rng.bit_generator.state
+        cands = rng.integers(0, F2.q, size=(size,) + shape).astype(F2.dtype)
+        live = np.flatnonzero(cands.any(axis=(1, 2)))
+        for pts in (X1, X):
+            ok, _ = _resolvent(F2, pts, cands[live, None], side, invert=False)
+            live = live[ok.all(axis=-1)]
+        if len(live):
+            rng.bit_generator.state = state
+            rng.integers(0, F2.q, size=(live[0] + 1,) + shape)
+            return cands[live[0]]
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from bfgeo.homs import (MapTable, Orientation, StandardHomParams, TwistSide,
                         hom_exists, is_colouring, is_degenerate, is_graph_hom,
                         make_xi_map, moebius_twist, proper_coloring,
                         random_valid_params, standard_table, validate_params)
-from bfgeo.matrices import Mat, arithmetic_distance, space
+from bfgeo.matrices import Mat, arithmetic_distance, random_invertible, space
 from test_mapfile_cli import within_a_second
 
 F2 = make_field(2, 1)
@@ -101,7 +101,7 @@ def _stack_det_counts(monkeypatch):
 
     def resolvent(F, X, L, side, invert=True):
         k = X.shape[-2] if side is TwistSide.LEFT else X.shape[-1]
-        calls.append([X.shape[:-2] + (k, k), 0])
+        calls.append([np.broadcast_shapes(X.shape[:-2], L.shape[:-2]) + (k, k), 0])
         return real_resolvent(F, X, L, side, invert)
 
     monkeypatch.setattr(_bulk, "det", det)
@@ -130,17 +130,101 @@ def test_one_determinant_per_resolvent_stack(orientation, monkeypatch):
     assert all(shape[0] == 729 and count == 1 for shape, count in calls)
 
 
-@pytest.mark.parametrize("transposed", [False, True])
-def test_twist_check_takes_one_determinant_and_no_inverse(transposed, monkeypatch):
-    Xt = EMB_4_16.vapply(space(F4, 2, 2).entries)
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_twist_search_takes_two_determinants_per_block_and_no_inverse(orientation,
+                                                                      monkeypatch):
     calls = _stack_det_counts(monkeypatch)
     monkeypatch.setattr(_bulk, "_adjugate", _no_call("_adjugate"))
     monkeypatch.setattr(_bulk, "inverse", _no_call("inverse"))
+    points, rank1 = len(space(F4, 2, 2).entries), len(space(F4, 2, 2).rank1)
+    block = homs._TWIST_BLOCK_BYTES // (points * 2 * 2 * 8)
+    blocks = -(-400 // block)
     rng = np.random.default_rng(4)
-    for _ in range(20):
-        L = rng.integers(0, 16, size=(2, 2)).astype(F16.dtype)
-        homs._twist_valid(F16, Xt, L, transposed)
-    assert [count for _, count in calls] == [1] * 20
+    for _ in range(10):
+        calls.clear()
+        homs._first_valid_twist(rng, EMB_4_16, orientation, 2, 2, 400)
+        # the rank-1 filter, then the whole space for its survivors
+        assert 0 < len(calls) <= 2 * blocks
+        assert all(count == 1 for _, count in calls)
+        pairs = len(calls) // 2
+        assert [shape[1:] for shape, _ in calls] == [(rank1, 2, 2), (points, 2, 2)] * pairs
+        assert all(shape[0] <= block for shape, _ in calls)
+
+
+def _per_candidate_params(rng, src, m, n, dst, m2, n2, orientation, tries):
+    """The twist search drawing and checking one candidate at a time: the
+    rng stream the blocked search must reproduce."""
+    taus = enumerate_homs(src, dst)
+    if orientation is None:
+        choices = [o for o in Orientation
+                   if (o is Orientation.STRAIGHT and m2 >= m and n2 >= n)
+                   or (o is Orientation.TRANSPOSED and m2 >= n and n2 >= m)]
+        orientation = choices[rng.integers(len(choices))]
+    tau = taus[rng.integers(len(taus))]
+    P = random_invertible(rng, dst, m2)
+    Q = random_invertible(rng, dst, n2)
+    lshape = (m, n) if orientation is Orientation.TRANSPOSED else (n, m)
+    L = Mat.zeros(dst, *lshape)
+    if not tau.is_surjective():
+        for _ in range(tries):
+            cand = Mat(dst, rng.integers(0, dst.q, size=lshape).astype(dst.dtype))
+            if cand.is_zero():
+                continue
+            if validate_params(StandardHomParams(orientation, P, Q, tau, cand, m, n))[0]:
+                L = cand
+                break
+    return orientation, tau, P, Q, L
+
+
+def _generators(seed):
+    yield np.random.default_rng(seed)
+    yield np.random.Generator(np.random.MT19937(seed))
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+@pytest.mark.parametrize("case", [
+    (2, 2, 2, 2, 4, 3, 3),   # GF(4) 2x2 -> GF(16) 3x3
+    (2, 2, 2, 2, 8, 3, 3),   # GF(4) 2x2 -> GF(256) 3x3
+    (3, 1, 2, 2, 2, 2, 2),   # GF(3) 2x2 -> GF(9) 2x2
+    (2, 1, 1, 3, 2, 1, 3),   # GF(2) 1x3 -> GF(4) 1x3, odd entry count
+    (2, 1, 5, 1, 2, 5, 1),   # GF(2) 5x1 -> GF(4) 5x1, 5x5 denominators
+    (2, 1, 5, 1, 2, 1, 5),   # GF(2) 5x1 -> GF(4) 1x5, transposed only
+], ids=["4-16", "4-256", "3-9", "2-4-1x3", "2-4-5x1", "2-4-5x1-t"])
+def test_twist_search_draws_the_per_candidate_rng_stream(case, block, monkeypatch):
+    p, k, m, n, k2, m2, n2 = case
+    src, dst = make_field(p, k), make_field(p, k2)
+    if block is not None:
+        points = src.q ** (m * n)
+        monkeypatch.setattr(homs, "_TWIST_BLOCK_BYTES", block * points * m * m * 8)
+    found = 0
+    for orientation in (None, *Orientation):
+        if orientation is not None and not homs._fits(orientation, m, n, m2, n2):
+            continue
+        for tries in (-1, 0, 1, 3, 400):
+            for seed in range(2):
+                for rng, ref in zip(_generators(seed), _generators(seed)):
+                    got = random_valid_params(rng, src, m, n, dst, m2, n2,
+                                              orientation, tries)
+                    o, tau, P, Q, L = _per_candidate_params(
+                        ref, src, m, n, dst, m2, n2, orientation, tries)
+                    assert got.orientation is o and got.tau == tau
+                    assert (got.P, got.Q, got.L) == (P, Q, L)
+                    assert rng.integers(1 << 62) == ref.integers(1 << 62)
+                    found += not L.is_zero()
+    assert found
+
+
+@pytest.mark.parametrize("orientation", [None, *Orientation])
+def test_random_params_reject_a_small_target_before_drawing(orientation):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidParams, match="target too small for"):
+        random_valid_params(rng, F4, 2, 3, F16, 2, 2, orientation)
+    assert rng.bit_generator.state == state
+    # GF(2) 1x3 fits GF(4) 1x3 straight only
+    with pytest.raises(InvalidParams, match="target too small for the transposed form"):
+        random_valid_params(rng, F2, 1, 3, F4, 1, 3, Orientation.TRANSPOSED)
+    assert rng.bit_generator.state == state
 
 
 def test_is_graph_hom_constant_map_fails():

@@ -367,3 +367,16 @@ def test_truncated_witness_lists_carry_their_total(capsys, monkeypatch):
     code, rep = run_cli(capsys, "bfs-check", "--field", "2,1", "--shape", "2x2")
     assert rep["counts"] == {"vertices": 16}
     assert len(rep["witnesses"]) == 16
+
+
+@pytest.mark.parametrize("argv", [
+    ["hom-verify", "--random-standard", "2"],
+    ["recover", "--roundtrip", "2"],
+    ["recover", "--dim-bound", "2"],
+], ids=" ".join)
+def test_cli_target_too_small_for_either_form_exit_2(argv, capsys):
+    # a 2x3 source fits a 2x2 target in neither orientation
+    code, rep = run_cli(capsys, *argv, "--src", "4:2x3", "--dst", "16:2x2")
+    assert code == 2
+    assert rep["witnesses"] == ["InvalidParams: target too small for either form: "
+                                "2x3 source, 2x2 target"]

@@ -108,6 +108,19 @@ def test_inverse():
         Mat.unit(F4, 2, 2, 0, 0).inverse()
 
 
+def test_bulk_rank_and_inverse_take_any_leading_axes():
+    rng = np.random.default_rng(8)
+    M = rng.integers(0, 4, size=(3, 4, 5, 5)).astype(F4.dtype)
+    flat = M.reshape(12, 5, 5)
+    ranks = _bulk.rank(F4, flat)
+    assert _bulk.rank(F4, M).tolist() == ranks.reshape(3, 4).tolist()
+    assert _bulk.invertible_mask(F4, M).tolist() == (ranks == 5).reshape(3, 4).tolist()
+    inv = M[_bulk.invertible_mask(F4, M)][None]
+    assert inv.shape[1] > 1
+    prod = _bulk.matmul(F4, inv, _bulk.inverse(F4, inv))
+    assert (prod == _bulk.identity(F4, 5)).all()
+
+
 def test_apply_hom_entrywise():
     ident, frob = enumerate_homs(F4, F4)
     A = Mat.from_text(F4, "2,1;0,3")
