@@ -264,7 +264,10 @@ def cmd_lemma_check(args):
     # flat rigidity sweeps
     E = parse_field_name(args.e_field)
     D = parse_field_name(args.d_field) if args.d_field else E
-    hom = identity_hom(E) if E == D else enumerate_homs(E, D)[0]
+    homs = [identity_hom(E)] if E == D else enumerate_homs(E, D)
+    if not homs:
+        raise ValueError("no field homomorphism between these fields")
+    hom = homs[0]
     check, extra = {"4.1": (check_rigidity_top, ()), "4.2": (check_rigidity_step, (args.r,)),
                     "4.3": (check_rigidity_top_cols, ()),
                     "4.4": (check_rigidity_step_cols, (args.r,))}[which]

@@ -131,6 +131,29 @@ def _blocks(jobs, nx: int, threads: int):
     return blocks
 
 
+def _flat_table(field: Field, xs, r1):
+    """Whether (X | R) has full rank m, for each singular X of xs and each
+    rank-1 R of r1, read through the column space of X.
+
+    rank(X | R) = dim(col X + col R), so it depends on X only through
+    col X.  The singular xs are grouped by the RREF of their transposes,
+    one class per proper subspace of D^m, and the transpose of each
+    distinct RREF, whose columns span that subspace, is tested against
+    every R.  Returns (cls, table): cls[x] is the class of xs[x] (-1 where
+    X is invertible), table[c, j] the rank test of class c against r1[j].
+    """
+    m = xs.shape[1]
+    sing = np.flatnonzero(~_bulk.invertible_mask(field, xs))
+    R, _ = _bulk.rref(field, np.swapaxes(xs[sing], 1, 2))
+    codes, inverse = np.unique(_bulk.encode(field, R), return_inverse=True)
+    cls = np.full(len(xs), -1, dtype=np.int64)
+    cls[sing] = inverse
+    reps = np.swapaxes(_bulk.decode(field, codes, m, m), 1, 2)
+    pairs = np.concatenate([np.broadcast_to(reps[:, None], (len(reps), len(r1), m, m)),
+                            np.broadcast_to(r1[None], (len(reps),) + r1.shape)], axis=3)
+    return cls, _bulk.full_rank_mask(field, pairs)
+
+
 def _check_block(field: Field, xs, nbrs, block, m: int, n: int, top: bool, k: int):
     """Survivor classification for a block of stratum centres.
 
@@ -141,6 +164,14 @@ def _check_block(field: Field, xs, nbrs, block, m: int, n: int, top: bool, k: in
     says R_j - d has rank 1 (R_j is a common neighbour of 0 and d).  The
     X B codes are packed once for the union of the block's pencils, and W
     has rows only for the differences that occur.
+
+    A survivor is a flat iff (X | Y) has rank m.  With X invertible it has.
+    With X singular, two identities reduce the test to a table lookup:
+    (X | X B_1 + R_j) = (X | R_j) [[I, B_1], [0, I]], so the rank drops B_1
+    and the centre; and rank(X | R_j) = dim(col X + col R_j), so it
+    depends only on col X and j (see _flat_table).  The first singular-X
+    survivor of the block is also tested on its own (X | Y), and a
+    disagreement raises TheoremViolated.
 
     Returns the block's (y_eq_xa, y_zero, counterexamples) tallies.
     """
@@ -173,9 +204,12 @@ def _check_block(field: Field, xs, nbrs, block, m: int, n: int, top: bool, k: in
         W[lo:lo + step] = np.packbits(r1mask[sp_y.code_sub(
             r1codes, dcodes[lo:lo + step, None])], axis=1)
 
-    # only full-rank (X | Y) are flats: X invertible, or else some m x m
-    # minor of (X | Y) nonzero; Y = X A and Y = 0 are read off the codes
-    inv = _bulk.invertible_mask(field, xs)
+    # only full-rank (X | Y) are flats: X invertible, or else (X | R_j) of
+    # rank m, read from the (col X, j) table; Y = X A and Y = 0 are read
+    # off the codes
+    cls, table = _flat_table(field, xs, sp_y.rank1)
+    inv = cls < 0
+    cross_checked = False
     eq = zero = 0
     ces = []
     for (A, _), idx in zip(block, members):
@@ -192,8 +226,15 @@ def _check_block(field: Field, xs, nbrs, block, m: int, n: int, top: bool, k: in
             Yc = sp_y.code_add(XB[idx[0], xi], r1codes[j])
             flat = inv[xi]
             sing = np.flatnonzero(~flat)
-            flat[sing] = _bulk.full_rank_mask(field, np.concatenate(
-                [xs[xi[sing]], _bulk.decode(field, Yc[sing], m, n)], axis=2))
+            flat[sing] = table[cls[xi[sing]], j[sing]]
+            if len(sing) and not cross_checked:
+                s = sing[0]
+                direct = _bulk.full_rank_mask(field, np.concatenate(
+                    [xs[xi[s]], _bulk.decode(field, Yc[s], m, n)], axis=1))
+                if bool(direct) != bool(flat[s]):
+                    raise TheoremViolated("the (col X, R_j) flat table disagrees with "
+                                          "the rank of (X | Y)")
+                cross_checked = True
             eq_xa = inv[xi] & (Yc == XA[xi])
             y_zero = inv[xi] & (Yc == 0) & (top and k == 2)
             eq += int(eq_xa.sum())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bfgeo import _bulk
-from bfgeo.errors import PreconditionViolated, ShapeMismatch
+from bfgeo.errors import PreconditionViolated, ShapeMismatch, TheoremViolated
 from bfgeo.fields import enumerate_homs, identity_hom, make_field
 from bfgeo.grassmann import (Flat, Side, check_rigidity_step,
                              check_rigidity_step_cols, check_rigidity_top,
@@ -328,6 +328,52 @@ def test_blocked_sweep_matches_the_per_centre_loop(case, monkeypatch):
             assert max(sizes) == size
     if want["strata_checked"] > 1:
         assert sweep(E, hom, *args, workers=4, **kw) == want
+
+
+# (E, D, m, n, proper subspaces of D^m): one table class per subspace
+FLAT_TABLE_CASES = {
+    "gf4-2x2": (F4, F4, 2, 2, 1 + 5),
+    "gf5-2x2": (F5, F5, 2, 2, 1 + 6),
+    "gf3-3x2": (F3, F3, 3, 2, 1 + 13 + 13),
+    "gf3-gf9-2x2": (F3, F9, 2, 2, 1 + 10),
+}
+
+
+@pytest.mark.parametrize("case", list(FLAT_TABLE_CASES))
+def test_flat_table_equals_the_rank_of_every_singular_survivor(case):
+    # (X | X B + R) has rank m exactly where the (col X, R) table says so,
+    # for every singular X, every rank-1 R and B drawn as the sweep draws
+    # its pencil members, from E embedded in D
+    import bfgeo.grassmann as gm
+    E, D, m, n, subspaces = FLAT_TABLE_CASES[case]
+    hom = identity_hom(E) if E == D else enumerate_homs(E, D)[0]
+    xs = _bulk.all_matrices(D, m, m)
+    r1 = space(D, m, n).rank1
+    cls, table = gm._flat_table(D, xs, r1)
+    assert table.shape == (subspaces, len(r1))
+    sing = np.flatnonzero(cls >= 0)
+    assert np.array_equal(sing, np.flatnonzero(~_bulk.invertible_mask(D, xs)))
+    X = xs[sing][:, None]
+    rng = np.random.default_rng(len(xs))
+    for B in hom.vapply(rng.integers(0, E.q, size=(3, m, n)).astype(E.dtype)):
+        Y = D.vadd(_bulk.matmul(D, X, B[None, None]), r1[None])
+        got = _bulk.full_rank_mask(D, np.concatenate(
+            [np.broadcast_to(X, Y.shape[:2] + (m, m)), Y], axis=3))
+        assert np.array_equal(got, table[cls[sing]])
+    assert table.any() and not table.all()
+
+
+def test_a_wrong_flat_table_is_caught_at_run_time(monkeypatch):
+    import bfgeo.grassmann as gm
+    real = gm._flat_table
+
+    def negated(*args):
+        cls, table = real(*args)
+        return cls, ~table
+
+    monkeypatch.setattr(gm, "_flat_table", negated)
+    with pytest.raises(TheoremViolated):
+        check_rigidity_top(F4, identity_hom(F4), 2, 2, 2)
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 4)])

@@ -380,3 +380,13 @@ def test_cli_target_too_small_for_either_form_exit_2(argv, capsys):
     assert code == 2
     assert rep["witnesses"] == ["InvalidParams: target too small for either form: "
                                 "2x3 source, 2x2 target"]
+
+
+@pytest.mark.parametrize("which", ["4.1", "4.2", "4.3", "4.4"])
+@pytest.mark.parametrize("d_field", ["3,1", "2,3"])
+def test_lemma_check_without_an_embedding_exits_2(which, d_field, capsys):
+    # GF(4) embeds in neither GF(3) nor GF(8)
+    code, rep = run_cli(capsys, "lemma-check", "--which", which,
+                        "--e-field", "2,2", "--d-field", d_field)
+    assert code == 2
+    assert rep["witnesses"] == ["ValueError: no field homomorphism between these fields"]
