@@ -16,11 +16,11 @@ import functools
 import numpy as np
 
 from . import _bulk
-from .errors import (Disjoint, NotAdjacent, NotAdjacentSet, NotMaximal,
-                     PreconditionViolated, ShapeMismatch, TheoremViolated,
-                     WrongKinds, ZeroNotMember)
+from .errors import (Disjoint, DomainTooLarge, NotAdjacent, NotAdjacentSet,
+                     NotMaximal, PreconditionViolated, ShapeMismatch,
+                     TheoremViolated, WrongKinds, ZeroNotMember)
 from .fields import Field
-from .matrices import Mat, adjacent, space
+from .matrices import Mat, adjacent, space, space_size
 
 
 class Kind(enum.Enum):
@@ -510,31 +510,70 @@ def all_maximal_sets(field: Field, m: int, n: int):
     return out
 
 
+CLIQUE_SEARCH_LIMIT = 1 << 12
+
+
+def _bits(mask: int):
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _neighbour_bits(sp) -> list:
+    """Each point's neighbourhood as one Python int, bit c for code c, read
+    from the neighbour table alone."""
+    perms = sp.neighbor_perms
+    rows = np.zeros((sp.count, sp.count), dtype=bool)
+    rows[np.arange(sp.count), perms] = True
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(r.tobytes(), "little") for r in packed]
+
+
 def bron_kerbosch_cliques(field: Field, m: int, n: int):
     """All maximal cliques by pure graph search (no structure consulted).
 
-    Returns a list of frozensets of matrix codes.  Intended as an
-    independent oracle at small sizes.
+    Returns a list of frozensets of matrix codes, ordered by their sorted
+    members.  Intended as an independent oracle at small sizes: the search
+    reads the neighbour table only.  Bron-Kerbosch with the Tomita pivot,
+    on neighbourhoods stored as int bitsets, so P & N(v) is one AND and
+    |P & N(v)| one bit count (San Segundo, Rodriguez-Losada and Jimenez
+    2011).  DomainTooLarge past CLIQUE_SEARCH_LIMIT points.
     """
+    q = field.q
+    if space_size(q, m, n) > CLIQUE_SEARCH_LIMIT:
+        raise DomainTooLarge(f"q^(m*n) = {q}^{m * n} exceeds the clique-search "
+                             f"bound {CLIQUE_SEARCH_LIMIT}")
     sp = space(field, m, n)
-    if sp.count > 4096:
-        raise MemoryError("brute-force clique search is for small spaces")
-    perms = sp.neighbor_perms
-    nbrs = [frozenset(int(c) for c in perms[:, v]) for v in range(sp.count)]
+    nbrs = _neighbour_bits(sp)
     out = []
-
-    def expand(R, P, X):
-        if not P and not X:
-            out.append(frozenset(R))
-            return
-        pivot = max(P | X, key=lambda v: len(P & nbrs[v]))
-        for v in list(P - nbrs[pivot]):
-            expand(R | {v}, P & nbrs[v], X & nbrs[v])
-            P = P - {v}
-            X = X | {v}
-
-    expand(set(), set(range(sp.count)), set())
-    return out
+    # (R, P, X) states on an explicit stack: a clique of the whole space
+    # (1 x n) is count deep, past Python's recursion limit
+    stack = [([], (1 << sp.count) - 1, 0)]
+    while stack:
+        R, P, X = stack.pop()
+        if not P:
+            if not X:
+                out.append(R)
+            continue
+        # Tomita pivot: the u in P | X with the most neighbours in P; no u
+        # has more than |P|, so the scan stops at the first that has |P|
+        size, best, rest = P.bit_count(), -1, P | X
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            hits = (P & nbrs[u]).bit_count()
+            if hits > best:
+                best, pivot = hits, u
+                if hits == size:
+                    break
+            rest ^= low
+        for v in _bits(P & ~nbrs[pivot]):
+            stack.append((R + [v], P & nbrs[v], X & nbrs[v]))
+            P &= ~(1 << v)
+            X |= 1 << v
+    return [frozenset(c) for c in sorted(map(sorted, out))]
 
 
 def clique_number(field: Field, m: int, n: int) -> int:

@@ -277,9 +277,11 @@ def _run_rigidity(ctxE: Field, homEtoD: FieldHom, m: int, n: int, k: int,
     else:
         if not (m >= k > r >= 1 and n > r):
             raise PreconditionViolated("need m >= k > r >= 1 and n > r")
-    # sweeps enumerate all of D^(m x m); keep that desk-scale
-    if D.q ** (m * m) > X_SPACE_BUDGET:
-        raise BudgetExceeded(f"X-space of size {D.q ** (m * m)} over budget")
+    # sweeps enumerate all of D^(m x m); keep that desk-scale.  As q >= 2,
+    # m*m is bounded before the power, so a huge m builds no huge integer
+    if m * m > X_SPACE_BUDGET.bit_length() or D.q ** (m * m) > X_SPACE_BUDGET:
+        raise BudgetExceeded(
+            f"X-space of size q^(m*m) = {D.q}^{m * m} over the budget {X_SPACE_BUDGET}")
 
     center_rank = k if top else r
     nbr_k = k - 1 if top else k

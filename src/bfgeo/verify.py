@@ -10,21 +10,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _bulk
+from . import _bulk, cliques
 from .cliques import (Kind, VertexSet, all_maximal_sets, bron_kerbosch_cliques,
-                      classify_clique, clique_number, intersect, line_through,
-                      maximal_sets_through, two_pencil_sweep)
+                      classify_clique, clique_number, maximal_sets_through,
+                      two_pencil_sweep)
 from .errors import DomainTooLarge, SingularTwist
 from .fields import Field, field_from_order
 from .homs import (MapTable, Orientation, build_witness_hom, hom_exists,
                    is_colouring, is_degenerate, is_graph_hom, moebius_twist,
                    proper_coloring, random_valid_params, standard_table,
                    validate_params)
-from .matrices import SPACE_LIMIT, Mat, bfs_distance_rows, space
+from .matrices import SPACE_LIMIT, Mat, bfs_distance_rows, space, space_size
 from .recovery import dim_bound_check, recover_standard
 
 
 _PAIR_BLOCK_BYTES = 4 << 20
+
+
+def _row_blocks(rows: int, row_bytes: int):
+    """Slices of rows, each block within _PAIR_BLOCK_BYTES at row_bytes a row."""
+    step = max(1, _PAIR_BLOCK_BYTES // row_bytes)
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
 def _pairwise_ranks(field: Field, entries):
@@ -42,10 +48,9 @@ def _pairwise_ranks(field: Field, entries):
             f"{count}^2 matrix pairs exceed the enumeration bound {SPACE_LIMIT}")
     ranks = _bulk.rank(field, space(field, m, n).entries).astype(np.int8)
     out = np.empty((count, count), dtype=np.int8)
-    width = max(1, _PAIR_BLOCK_BYTES // (8 * count * m * n))
-    for lo in range(0, count, width):
-        diffs = field.vsub(entries[lo:lo + width, None], entries[None, :])
-        out[lo:lo + width] = ranks[_bulk.encode(field, diffs)]
+    for rows in _row_blocks(count, 8 * count * m * n):
+        diffs = field.vsub(entries[rows, None], entries[None, :])
+        out[rows] = ranks[_bulk.encode(field, diffs)]
     return out
 
 
@@ -62,104 +67,184 @@ def distance_theorem_check(field: Field, m: int, n: int) -> dict:
     }
 
 
+def _maximal_set_counts(q: int, m: int, n: int):
+    """(|ONE|, |TWO|): the number of maximal sets of each kind, from the
+    closed forms (q^m - 1)/(q - 1) q^(mn - n) and (q^n - 1)/(q - 1)
+    q^(mn - m); DomainTooLarge past SPACE_LIMIT points, before any power."""
+    count = space_size(q, m, n)
+    return ((q**m - 1) // (q - 1) * (count // q**n),
+            (q**n - 1) // (q - 1) * (count // q**m))
+
+
+def _check_pair_budget(what: str, pairs: int):
+    if pairs > SPACE_LIMIT:
+        raise DomainTooLarge(f"{pairs} {what} pairs exceed the enumeration bound {SPACE_LIMIT}")
+
+
+def _membership(codes, count: int) -> np.ndarray:
+    """(sets, count) float32 0/1 matrix of the sets of point codes.  A
+    product of two such matrices counts shared points exactly: every count
+    is at most count <= SPACE_LIMIT < 2^24, below float32's integer range."""
+    out = np.zeros((len(codes), count), dtype=np.float32)
+    for t, c in enumerate(codes):
+        out[t, c] = 1
+    return out
+
+
+def _clique_kinds(field: Field, m: int, n: int, codes) -> np.ndarray:
+    """Whether each clique (sorted member codes) is a maximal set of kind ONE.
+
+    One clique test per clique size, on the differences from each clique's
+    lex-min member, as classify_clique takes them: kind ONE where a shared
+    column generator exists, maximal at q^n points (ONE) or q^m (TWO).  A
+    clique failing either is handed to classify_clique, which raises its
+    exact NotAdjacentSet, NotMaximal or TheoremViolated.
+    """
+    sizes = np.array([len(c) for c in codes])
+    ones = np.zeros(len(codes), dtype=bool)
+    entries = space(field, m, n).entries
+    for size in np.unique(sizes):
+        idx = np.flatnonzero(sizes == size)
+        ok = np.zeros(len(idx), dtype=bool)
+        if size > 1:
+            pts = entries[np.stack([codes[t] for t in idx])]
+            passes, u, _ = cliques._clique_test(field, field.vsub(pts[:, 1:], pts[:, :1]))
+            ones[idx] = u.any(axis=1)
+            ok = passes & (size == np.where(ones[idx], field.q**n, field.q**m))
+        for t in idx[~ok]:
+            ones[t] = classify_clique(VertexSet(field, m, n, codes[t])).kind is Kind.ONE
+    return ones
+
+
 def clique_structure_check(field: Field, m: int, n: int) -> dict:
     """Every edge lies in exactly two maximal cliques, one of each kind,
     and distinct cliques meet in 1 point (same kind) or q (different).
 
     The clique list comes from plain Bron-Kerbosch graph search, so the
-    coset structure is confirmed rather than assumed.
+    coset structure is confirmed rather than assumed.  Shared points of
+    every pair of cliques, and the cliques hosting each edge, are read from
+    products of one (cliques x points) membership matrix.  DomainTooLarge
+    past SPACE_LIMIT clique pairs, from the closed-form clique count.
     """
+    total = sum(_maximal_set_counts(field.q, m, n))
+    _check_pair_budget("clique", total * (total - 1) // 2)
     sp = space(field, m, n)
-    cliques = bron_kerbosch_cliques(field, m, n)
-    kinds = []
-    member = np.zeros((len(cliques), sp.count), dtype=bool)
-    for t, c in enumerate(cliques):
-        codes = np.fromiter(c, dtype=np.int64)
-        member[t, codes] = True
-        kinds.append(classify_clique(VertexSet(field, m, n, codes)).kind)
-    kinds = np.array([k is Kind.ONE for k in kinds])
+    codes = [np.array(sorted(c), dtype=np.int64)
+             for c in bron_kerbosch_cliques(field, m, n)]
+    ones = _clique_kinds(field, m, n, codes)
+    member = _membership(codes, sp.count)
 
+    # each edge a < b once; its hosts are the cliques holding both ends
     violations = []
-    edges = 0
-    for nbr in sp.neighbor_perms_half:
-        a = np.arange(sp.count)
-        b = nbr
-        # char 2: R = -R, so each edge shows up from both endpoints
-        keep = a < b if field.p == 2 else np.ones(sp.count, bool)
+    perms = sp.neighbor_perms
+    one_member = member[ones]
+    for rows in _row_blocks(sp.count, 4 * sp.count):
+        b = perms[:, rows]
+        a = np.broadcast_to(np.arange(sp.count)[rows], b.shape)
+        keep = a < b
         a, b = a[keep], b[keep]
-        edges += len(a)
-        both = member[:, a] & member[:, b]
-        total = both.sum(axis=0)
-        ones = (both & kinds[:, None]).sum(axis=0)
-        bad = (total != 2) | (ones != 1)
-        violations.extend(f"edge {int(x)}-{int(y)}"
-                          for x, y in zip(a[bad], b[bad]))
+        hosts = (member[:, rows].T @ member)[a - rows.start, b]
+        hosts_one = (one_member[:, rows].T @ one_member)[a - rows.start, b]
+        bad = (hosts != 2) | (hosts_one != 1)
+        violations += [f"edge {int(x)}-{int(y)}" for x, y in zip(a[bad], b[bad])]
+    edges = sp.count * len(perms) // 2
 
-    pair_violations = []
-    sets_ = [frozenset(c) for c in cliques]
-    for i in range(len(sets_)):
-        for j in range(i + 1, len(sets_)):
-            k = len(sets_[i] & sets_[j])
-            if k == 0:
-                continue
-            want = 1 if kinds[i] == kinds[j] else field.q
-            if k != want:
-                pair_violations.append(f"cliques {i},{j}: {k}")
+    # shared points of clique i with every later j
+    later = np.arange(len(codes))
+    for rows in _row_blocks(len(codes), 4 * len(codes)):
+        shared = (member[rows] @ member.T).astype(np.int64)
+        first = later[rows, None]
+        want = np.where(ones[first] == ones, 1, field.q)
+        i, j = np.nonzero((later > first) & (shared != 0) & (shared != want))
+        violations += [f"cliques {x + rows.start},{y}: {shared[x, y]}" for x, y in zip(i, j)]
     return {
-        "cliques": len(cliques),
+        "cliques": len(codes),
         "edges_checked": edges,
-        "clique_pairs": len(sets_) * (len(sets_) - 1) // 2,
-        "violations": sorted(violations + pair_violations),
+        "clique_pairs": len(codes) * (len(codes) - 1) // 2,
+        "violations": sorted(violations),
     }
+
+
+def _rebuilt_lines(field: Field, tinv, P, offset, pts) -> np.ndarray:
+    """(pairs, q) sorted codes of each line through the (pairs, q, m, n)
+    points of a kind-ONE host, rebuilt as line_through and Line do it: host
+    coordinates c by the inverse transform tinv, alpha = monic(c1 - c0),
+    beta = c0, then P (lambda alpha + beta in row 0) + offset.  tinv, P and
+    offset are the hosts' (pairs, 1, m, m), (pairs, 1, m, m) and
+    (pairs, 1, m, n) stacks."""
+    coords = _bulk.matmul(field, tinv, field.vsub(pts, offset))[:, :, 0, :]
+    alpha = _bulk.monic(field, field.vsub(coords[:, 1], coords[:, 0]))
+    lam = np.arange(field.q, dtype=np.int64)[None, :, None]
+    block = np.zeros(pts.shape, dtype=field.dtype)
+    block[:, :, 0, :] = field.vadd(field.vmul(lam, alpha[:, None]), coords[:, :1])
+    out = field.vadd(_bulk.matmul(field, P, block), offset)
+    return np.sort(_bulk.encode(field, out), axis=1)
+
+
+# meeting pairs whose line the check also takes through the public line_through
+_LINE_SAMPLE = 8
 
 
 def line_structure_check(field: Field, m: int, n: int) -> dict:
     """Lines of a clique's affine geometry = opposite-kind intersections.
 
-    Checks both directions exhaustively on the standard row clique: every
-    parametric line arises as an intersection with a unique opposite-kind
-    clique, and every nonempty opposite-kind intersection has q points and
-    a unique host pair.
+    Every ONE x TWO intersection size comes from one membership product
+    and must be 0 or q.  Each meeting pair's q points are the members of
+    its ONE clique that the TWO clique holds; the line through them is
+    rebuilt in its ONE host, for every pair at once, and must give the
+    points back, and each line must have a unique host pair.  A fixed
+    sample of pairs also goes through the public line_through.  Every
+    parametric line of the standard row clique must be an intersection.
+    DomainTooLarge past SPACE_LIMIT ONE x TWO pairs, before any set is built.
     """
+    q = field.q
+    one_count, two_count = _maximal_set_counts(q, m, n)
+    _check_pair_budget("opposite-kind", one_count * two_count)
+    sp = space(field, m, n)
     sets_ = all_maximal_sets(field, m, n)
     ones = [s for s in sets_ if s.kind is Kind.ONE]
     twos = [s for s in sets_ if s.kind is Kind.TWO]
+    one_codes = np.stack([M.codes for M in ones])
+    tinv, P, offset = (np.stack(a)[:, None] for a in
+                       zip(*((M._tinv.a, M.transform.a, M.offset.a) for M in ones)))
+    one_member = _membership(one_codes, sp.count)
+    two_member = _membership([N.codes for N in twos], sp.count)
     violations = []
-    line_hosts = {}
-    for M in ones:
-        for N in twos:
-            pts = intersect(M, N)
-            if len(pts) == 0:
-                continue
-            if len(pts) != field.q:
-                violations.append(f"intersection size {len(pts)}")
-                continue
-            ell = line_through(M, N)
-            if ell.points() != pts:
-                violations.append("line does not reproduce the intersection")
-            key = tuple(int(c) for c in pts.codes)
-            line_hosts.setdefault(key, []).append((M.key(), N.key()))
-    for key, hosts in line_hosts.items():
-        if len(hosts) != 1:
-            violations.append(f"line with {len(hosts)} host pairs")
+    meet = []
+    for rows in _row_blocks(len(ones), 4 * len(twos)):
+        sizes = one_member[rows] @ two_member.T
+        violations += [f"intersection size {int(k)}" for k in sizes[(sizes != 0) & (sizes != q)]]
+        i, j = np.nonzero(sizes == q)
+        meet.append(np.stack([i + rows.start, j], axis=1))
+    meet = np.concatenate(meet)
+
+    # a pair's q points as an int64 stack, and the rebuild's few temporaries
+    lines = np.empty((len(meet), q), dtype=np.int64)
+    for rows in _row_blocks(len(meet), 8 * 8 * q * m * n):
+        i, j = meet[rows].T
+        held = two_member[j[:, None], one_codes[i]] != 0
+        lines[rows] = one_codes[i][held].reshape(-1, q)
+        rebuilt = _rebuilt_lines(field, tinv[i], P[i], offset[i], sp.entries[lines[rows]])
+        wrong = (rebuilt != lines[rows]).any(axis=1)
+        violations += ["line does not reproduce the intersection"] * int(wrong.sum())
+    for t in np.unique(np.linspace(0, len(meet) - 1, min(_LINE_SAMPLE, len(meet))).astype(np.int64)):
+        i, j = meet[t]
+        if not np.array_equal(cliques.line_through(ones[i], twos[j]).points().codes, lines[t]):
+            violations.append("line_through disagrees with the batched line")
+    known, hosts = np.unique(lines, axis=0, return_counts=True)
+    violations += [f"line with {int(k)} host pairs" for k in hosts[hosts != 1]]
 
     # every parametric line of the standard row clique is an intersection
-    M1 = next(s for s in ones if s.contains(Mat.zeros(field, m, n))
-              and s.contains(Mat.unit(field, m, n, 0, 0)))
-    sp_rows = space(field, 1, n)
-    lam = np.arange(field.q, dtype=np.int64)
-    param_lines = set()
-    for alpha in sp_rows.monic_rows:
-        for beta in sp_rows.entries[:, 0]:
-            mats = np.zeros((field.q, m, n), dtype=field.dtype)
-            mats[:, 0, :] = field.vadd(field.vmul(lam[:, None], alpha[None, :]), beta)
-            param_lines.add(tuple(sorted(int(c) for c in _bulk.encode(field, mats))))
-    known = set(line_hosts.keys())
-    for ell in param_lines:
-        if ell not in known:
-            violations.append("parametric line missing from intersections")
+    row_space = space(field, 1, n)
+    lam = np.arange(q, dtype=np.int64)[:, None]
+    mats = np.zeros((len(row_space.monic_rows), row_space.count, q, m, n), dtype=field.dtype)
+    mats[..., 0, :] = field.vadd(field.vmul(lam, row_space.monic_rows[:, None, None]),
+                                 row_space.entries[None])
+    param_lines = np.unique(np.sort(_bulk.encode(field, mats).reshape(-1, q), axis=1), axis=0)
+    missing = len(np.unique(np.concatenate([known, param_lines]), axis=0)) - len(known)
+    violations += ["parametric line missing from intersections"] * missing
     return {
-        "lines": len(line_hosts),
+        "lines": len(known),
         "param_lines_row_clique": len(param_lines),
         "violations": sorted(violations),
     }

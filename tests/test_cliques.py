@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bfgeo import _bulk, cliques
+from bfgeo import _bulk, cliques, verify
 from bfgeo.cliques import (Kind, Line, MaximalSet, VertexSet, all_maximal_sets,
                            bron_kerbosch_cliques, classify_clique,
                            clique_number, complete_to_invertible_col,
@@ -422,3 +422,133 @@ def test_an_adjacent_set_failing_the_clique_test_breaks_loudly(monkeypatch):
         dim_adjacent_set(S)
     with pytest.raises(NotAdjacentSet):
         classify_clique(far)
+
+
+# ---------------------------------------------------------------------------
+# the bulk structure checks against their pair-by-pair oracles
+# ---------------------------------------------------------------------------
+
+ORACLE_SPACES = [(F2, 2, 2), (F3, 2, 2), (F2, 2, 3)]
+
+
+def frozenset_bron_kerbosch(field, m, n):
+    """The clique search on Python frozensets, with the same Tomita pivot."""
+    perms = space(field, m, n).neighbor_perms
+    nbrs = [frozenset(int(c) for c in perms[:, v]) for v in range(perms.shape[1])]
+    out = []
+
+    def expand(R, P, X):
+        if not P and not X:
+            out.append(frozenset(R))
+            return
+        pivot = max(P | X, key=lambda v: len(P & nbrs[v]))
+        for v in list(P - nbrs[pivot]):
+            expand(R | {v}, P & nbrs[v], X & nbrs[v])
+            P = P - {v}
+            X = X | {v}
+
+    expand(set(), set(range(perms.shape[1])), set())
+    return out
+
+
+def pairwise_clique_structure(field, m, n):
+    """clique_structure_check one clique, edge row and clique pair at a time."""
+    sp = space(field, m, n)
+    found = sorted(frozenset_bron_kerbosch(field, m, n), key=sorted)
+    member = np.zeros((len(found), sp.count), dtype=bool)
+    kinds = []
+    for t, c in enumerate(found):
+        codes = np.fromiter(c, dtype=np.int64)
+        member[t, codes] = True
+        kinds.append(classify_clique(VertexSet(field, m, n, codes)).kind is Kind.ONE)
+    kinds = np.array(kinds)
+    violations, edges = [], 0
+    for b in sp.neighbor_perms:
+        a = np.arange(sp.count)
+        a, b = a[a < b], b[a < b]
+        edges += len(a)
+        both = member[:, a] & member[:, b]
+        bad = (both.sum(axis=0) != 2) | ((both & kinds[:, None]).sum(axis=0) != 1)
+        violations += [f"edge {x}-{y}" for x, y in zip(a[bad], b[bad])]
+    for i in range(len(found)):
+        for j in range(i + 1, len(found)):
+            k = len(found[i] & found[j])
+            if k and k != (1 if kinds[i] == kinds[j] else field.q):
+                violations.append(f"cliques {i},{j}: {k}")
+    return {"cliques": len(found), "edges_checked": edges,
+            "clique_pairs": len(found) * (len(found) - 1) // 2,
+            "violations": sorted(violations)}
+
+
+def pairwise_line_structure(field, m, n):
+    """line_structure_check by intersect and line_through on every pair."""
+    sets_ = all_maximal_sets(field, m, n)
+    violations, hosts = [], {}
+    for M in (s for s in sets_ if s.kind is Kind.ONE):
+        for N in (s for s in sets_ if s.kind is Kind.TWO):
+            pts = intersect(M, N)
+            if len(pts) == 0:
+                continue
+            if len(pts) != field.q:
+                violations.append(f"intersection size {len(pts)}")
+                continue
+            if line_through(M, N).points() != pts:
+                violations.append("line does not reproduce the intersection")
+            hosts.setdefault(tuple(pts.codes.tolist()), []).append((M.key(), N.key()))
+    violations += [f"line with {len(h)} host pairs" for h in hosts.values() if len(h) != 1]
+    rows = space(field, 1, n)
+    lam = np.arange(field.q)
+    param_lines = set()
+    for alpha in rows.monic_rows:
+        for beta in rows.entries[:, 0]:
+            mats = np.zeros((field.q, m, n), dtype=field.dtype)
+            mats[:, 0, :] = field.vadd(field.vmul(lam[:, None], alpha[None, :]), beta)
+            param_lines.add(tuple(sorted(_bulk.encode(field, mats).tolist())))
+    violations += ["parametric line missing from intersections"] * len(param_lines - set(hosts))
+    return {"lines": len(hosts), "param_lines_row_clique": len(param_lines),
+            "violations": sorted(violations)}
+
+
+@pytest.mark.parametrize("field,m,n", ORACLE_SPACES)
+def test_bitset_search_matches_the_frozenset_search(field, m, n):
+    assert bron_kerbosch_cliques(field, m, n) == sorted(frozenset_bron_kerbosch(field, m, n),
+                                                        key=sorted)
+
+
+@pytest.mark.parametrize("field,m,n", ORACLE_SPACES)
+def test_bulk_structure_checks_match_the_pairwise_oracles(field, m, n):
+    assert verify.clique_structure_check(field, m, n) == pairwise_clique_structure(field, m, n)
+    assert verify.line_structure_check(field, m, n) == pairwise_line_structure(field, m, n)
+
+
+def test_a_wrong_line_through_fails_the_line_check(monkeypatch):
+    real = cliques.line_through
+
+    def shifted(M, N):
+        # beta moved off the line: e_k with k past alpha's leading 1
+        ell = real(M, N)
+        e = np.zeros_like(ell.beta)
+        e[(int(np.argmax(ell.alpha != 0)) + 1) % len(e)] = 1
+        return Line(ell.host, ell.alpha, M.field.vadd(ell.beta, e))
+
+    monkeypatch.setattr(cliques, "line_through", shifted)
+    assert "line_through disagrees with the batched line" in \
+        verify.line_structure_check(F4, 2, 2)["violations"]
+
+
+@pytest.mark.parametrize("wrong", ["every clique kind TWO", "no clique passes"])
+def test_a_wrong_clique_test_fails_the_clique_check(wrong, monkeypatch):
+    real = cliques._clique_test
+
+    def mutated(field, D):
+        passes, u, v = real(field, D)
+        if wrong == "no clique passes":
+            return np.zeros_like(passes), u, v
+        return passes, np.zeros_like(u), v
+
+    monkeypatch.setattr(cliques, "_clique_test", mutated)
+    try:
+        violations = verify.clique_structure_check(F4, 2, 2)["violations"]
+    except TheoremViolated:
+        violations = ["raised"]
+    assert violations

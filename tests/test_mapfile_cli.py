@@ -390,3 +390,40 @@ def test_lemma_check_without_an_embedding_exits_2(which, d_field, capsys):
                         "--e-field", "2,2", "--d-field", d_field)
     assert code == 2
     assert rep["witnesses"] == ["ValueError: no field homomorphism between these fields"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["clique-classify", "--field", "2,1", "--shape", "4x4"],
+    ["exists", "--src", "4:4x4", "--dst", "2:4x4", "--certificate"],
+    ["line-check", "--field", "2,1", "--shape", "3x4"],
+    ["line-check", "--field", "2,1", "--shape", "4x4"],
+], ids=" ".join)
+def test_clique_and_line_sweeps_past_their_bounds_exit_2(argv, capsys):
+    # 2^16 points are past the clique search; 3x4 has 1792 x 7680 ONE x TWO pairs
+    code, rep = within_a_second(lambda: run_cli(capsys, *argv))
+    assert code == 2
+    assert rep["witnesses"][0].startswith("DomainTooLarge:")
+
+
+def test_clique_search_bound_names_the_exponent(capsys):
+    code, rep = run_cli(capsys, "exists", "--src", "4:4x4", "--dst", "2:4x4", "--certificate")
+    assert rep["witnesses"] == ["DomainTooLarge: q^(m*n) = 2^16 exceeds the "
+                                "clique-search bound 4096"]
+
+
+@pytest.mark.parametrize("m", [60, 90, 20000])
+def test_rigidity_x_space_bounded_before_the_power(m, capsys):
+    # 4^(m*m) has thousands of digits at m = 60; m*m is bounded first
+    code, rep = within_a_second(lambda: run_cli(
+        capsys, "lemma-check", "--which", "4.1", "-m", str(m), "-n", "2"))
+    assert code == 2
+    assert rep["witnesses"] == [f"BudgetExceeded: X-space of size q^(m*m) = 4^{m * m} "
+                                "over the budget 1048576"]
+
+
+def test_certificate_on_a_complete_graph_target(capsys):
+    # GF(2)^(1x10) is one 1024-clique: the search goes 1024 deep without
+    # recursion (it once raised RecursionError)
+    code, rep = run_cli(capsys, "exists", "--src", "2:1x11", "--dst", "2:1x10", "--certificate")
+    assert code == 0
+    assert rep["counts"]["target_clique_number"] == 1024
