@@ -557,8 +557,10 @@ def bron_kerbosch_cliques(field: Field, m: int, n: int):
             if not X:
                 out.append(R)
             continue
-        # Tomita pivot: the u in P | X with the most neighbours in P; no u
-        # has more than |P|, so the scan stops at the first that has |P|
+        # Tomita pivot: the u in P | X with the most neighbours in P.  No u
+        # has more than |P|, nor a u in P more than |P| - 1, so the scan
+        # stops at the first u that reaches its bound (any pivot in P | X
+        # gives every maximal clique)
         size, best, rest = P.bit_count(), -1, P | X
         while rest:
             low = rest & -rest
@@ -566,7 +568,7 @@ def bron_kerbosch_cliques(field: Field, m: int, n: int):
             hits = (P & nbrs[u]).bit_count()
             if hits > best:
                 best, pivot = hits, u
-                if hits == size:
+                if hits == size or (hits == size - 1 and P & low):
                     break
             rest ^= low
         for v in _bits(P & ~nbrs[pivot]):

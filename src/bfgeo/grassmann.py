@@ -104,30 +104,32 @@ def stratum(field: Field, m: int, n: int, k: int, r: int, axis: str) -> np.ndarr
 # rigidity sweeps
 # ---------------------------------------------------------------------------
 
-# Byte budget for one block of rigidity centres: the X B codes of the union
-# of the block's pencils (members x X-space points, 8 bytes a code).  With
-# the chunks below it bounds a sweep's working memory whatever the shape.
+# Byte budget for one block of rigidity centres: one row of X-space codes
+# (8 bytes a code) per member of the union of the block's pencils (X B), per
+# distinct (B_1, B_t) pair (X B_t - X B_1) and per centre (X (A - B_1)).
+# With the chunks below it bounds a sweep's working memory whatever the shape.
 _RIGIDITY_BLOCK_BYTES = 8 << 20
-# Chunk for every other per-block array: (X, rank-1) candidates of the
-# survivor scan, and bytes of the entry stacks and of the W-row gathers.
+# Chunk for every other per-block array: bytes of the entry stacks and of
+# the W rows, and (a quarter of it) of one chunk's packed survivor words.
 _CHUNK = 1 << 22
 
 
 def _blocks(jobs, nx: int, threads: int):
-    """Consecutive runs of the (A, pencil) jobs, each run's pencil union
-    within the block budget at nx codes a member, and at most
+    """Consecutive runs of the (A, pencil) jobs, each run's rows (see the
+    budget) within the block budget at nx codes a row, and at most
     ceil(jobs / threads) jobs a run, so every thread gets one."""
     most = -(-len(jobs) // threads)
-    blocks, union = [], set()
+    blocks, seen = [], set()  # members, and (B_1, B_t) pairs as tuples
     for job in jobs:
-        pencil = set(job[1].tolist())
+        pencil = job[1].tolist()
+        own = set(pencil) | {(pencil[0], b) for b in pencil[1:]}
+        seen |= own
         if (blocks and len(blocks[-1]) < most
-                and len(union | pencil) * nx * 8 <= _RIGIDITY_BLOCK_BYTES):
+                and (len(seen) + len(blocks[-1]) + 1) * nx * 8 <= _RIGIDITY_BLOCK_BYTES):
             blocks[-1].append(job)
-            union |= pencil
         else:
             blocks.append([job])
-            union = pencil
+            seen = own
     return blocks
 
 
@@ -154,6 +156,80 @@ def _flat_table(field: Field, xs, r1):
     return cls, _bulk.full_rank_mask(field, pairs)
 
 
+# Survivor sets over the K rank-1 matrices are packed K bits a row into
+# little-endian 64-bit words: bit j is bit j % 64 of word j // 64.
+
+def _pack_bits(bits, words: int):
+    out = np.zeros(bits.shape[:-1] + (8 * words,), dtype=np.uint8)
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    out[..., :packed.shape[-1]] = packed
+    return out.view("<u8")
+
+
+def _set_bits(packed):
+    """Index arrays (..., j) of every set bit of a packed array, row-major."""
+    *lead, w = np.nonzero(packed)
+    bits = np.unpackbits(packed[(*lead, w)][:, None].view(np.uint8), axis=1,
+                         bitorder="little")
+    row, b = np.nonzero(bits)
+    return (*(i[row] for i in lead), 64 * w[row] + b)
+
+
+def _take_bits(keep, *columns):
+    """For each (centres, X) array of columns j (-1 for none), the number of
+    rows of keep whose bit j is set; then clears all of those bits."""
+    words = keep.reshape(-1)
+    base = np.arange(0, words.size, keep.shape[-1])
+    picks = []
+    for j in columns:
+        j = j.reshape(-1)
+        bit = np.where(j >= 0, np.left_shift(np.uint64(1), (j & 63).astype(np.uint64)), 0)
+        # j = -1 reads a word of its own row and clears no bit: the words
+        # of one column stay distinct, as the in-place clear needs
+        picks.append((base + np.maximum(j, 0) // 64, bit))
+    counts = [int(np.count_nonzero(words[at] & bit)) for at, bit in picks]
+    for at, bit in picks:
+        words[at] &= ~bit
+    return counts
+
+
+def _pencil_and(W, D, pairs, valid):
+    """keep[c, x]: the AND of W rows D[pairs[c, t], x] over the further
+    members t of centre c's pencil, a machine word at a time."""
+    keep = np.empty(pairs.shape[:1] + D.shape[1:] + W.shape[1:], dtype=W.dtype)
+    if not pairs.shape[1]:
+        keep[...] = valid
+        return keep
+    np.take(W, D[pairs[:, 0]], axis=0, out=keep)
+    gather = np.empty_like(keep)
+    for t in range(1, pairs.shape[1]):
+        np.take(W, D[pairs[:, t]], axis=0, out=gather)
+        keep &= gather
+    return keep
+
+
+def _branch_columns(sp_y, r1index, XAB, XB1, inv, zero_branch: bool):
+    """Columns j of the two documented branches, for each (centre, X) of a
+    chunk: Y = X A iff R_j = X (A - B_1), whose codes XAB holds, and Y = 0
+    iff R_j = -X B_1 (top, k = 2 only).  -1 where X is singular or the
+    branch is off; r1index maps a rank-1 code to its j."""
+    j_eq = np.where(inv, r1index[XAB], -1)
+    if not zero_branch:
+        return j_eq, np.full_like(j_eq, -1)
+    return j_eq, np.where(inv, r1index[sp_y.code_sub(0, XB1)], -1)
+
+
+def _codes_of_products(field: Field, xs, mats):
+    """out[i, x]: the code of xs[x] mats[i], a chunk of mats at a time (the
+    product's temporaries and encode's int64 copy within _CHUNK)."""
+    out = np.empty((len(mats), len(xs)), dtype=np.int64)
+    step = max(1, _CHUNK // (32 * mats[0].size * len(xs)))
+    for lo in range(0, len(mats), step):
+        out[lo:lo + step] = _bulk.encode(field, _bulk.matmul(
+            field, xs[None], mats[lo:lo + step, None]))
+    return out
+
+
 def _check_block(field: Field, xs, nbrs, block, m: int, n: int, top: bool, k: int):
     """Survivor classification for a block of stratum centres.
 
@@ -162,86 +238,138 @@ def _check_block(field: Field, xs, nbrs, block, m: int, n: int, top: bool, k: in
     of rank 1, and Y - X B_t = R_j - (X B_t - X B_1).  So j survives for X
     iff W[X B_t - X B_1, j] for every further member B_t, where W[d, j]
     says R_j - d has rank 1 (R_j is a common neighbour of 0 and d).  The
-    X B codes are packed once for the union of the block's pencils, and W
-    has rows only for the differences that occur.
+    X B codes are packed once for the union of the block's pencils, the
+    differences once per distinct (B_1, B_t) pair, and W has rows only for
+    the differences that occur.  Centres of one pencil size are taken a
+    chunk at a time, and a chunk's survivor sets are the word-level AND of
+    its members' W rows, one row of 64-bit words per (centre, X).
 
     A survivor is a flat iff (X | Y) has rank m.  With X invertible it has.
     With X singular, two identities reduce the test to a table lookup:
     (X | X B_1 + R_j) = (X | R_j) [[I, B_1], [0, I]], so the rank drops B_1
     and the centre; and rank(X | R_j) = dim(col X + col R_j), so it
-    depends only on col X and j (see _flat_table).  The first singular-X
-    survivor of the block is also tested on its own (X | Y), and a
-    disagreement raises TheoremViolated.
+    depends only on col X and j (see _flat_table).  Survivors are
+    classified on their bits: Y = X A and Y = 0 are one column each per
+    invertible X (see _branch_columns), counted and cleared, and any bit
+    still set under the flat mask is a counterexample, the only survivors
+    decoded.  The first singular-X and the first invertible-X survivor of
+    the block are also tested on their own Y, and a disagreement raises
+    TheoremViolated.
 
     Returns the block's (y_eq_xa, y_zero, counterexamples) tallies.
     """
     sp_y = space(field, m, n)
     r1codes = sp_y.rank1_codes
     NX, K = len(xs), len(r1codes)
+    words = -(-K // 64)
     union, member = np.unique(np.concatenate([p for _, p in block]),
                               return_inverse=True)
-    members = np.split(member, np.cumsum([len(p) for _, p in block])[:-1])
-    XB = np.empty((len(union), NX), dtype=np.int64)
-    step = max(1, _CHUNK // (8 * NX * m * n))
-    for lo in range(0, len(union), step):
-        XB[lo:lo + step] = _bulk.encode(field, _bulk.matmul(
-            field, xs[None], nbrs[union[lo:lo + step], None]))
+    sizes = np.array([len(p) for _, p in block])
+    starts = np.cumsum(sizes) - sizes
+    first = member[starts]  # B_1 of each centre, as an index into union
+    XB = _codes_of_products(field, xs, nbrs[union])
 
-    def diffs(idx):
-        return sp_y.code_sub(XB[idx[1:]], XB[idx[0]])
+    # X B_t - X B_1 once per distinct (B_1, B_t), pair_of listing each
+    # centre's further members in turn; W, bit-packed over j, has one row
+    # per difference code in slot, and D holds the W row of each pair and
+    # X (a space has at most SPACE_LIMIT codes, so the rows fit int32)
+    further = np.ones(len(member), dtype=bool)
+    further[starts] = False
+    pair_keys, pair_of = np.unique((np.repeat(first, sizes) * len(union) + member)[further],
+                                   return_inverse=True)
+    b1, bt = np.divmod(pair_keys, len(union))
+    step = max(1, _CHUNK // (64 * NX))  # code_sub takes several int64 temporaries
+    runs = [slice(lo, lo + step) for lo in range(0, len(pair_keys), step)]
 
-    # W, bit-packed over j, with one row per difference code in slot
-    slot = np.zeros(sp_y.count, dtype=np.int64)
-    for idx in members:
-        slot[diffs(idx)] = 1
+    def diffs(run):
+        return sp_y.code_sub(XB[bt[run]], XB[b1[run]])
+
+    slot = np.zeros(sp_y.count, dtype=np.int32)
+    for run in runs:
+        slot[diffs(run)] = 1
     dcodes = np.flatnonzero(slot)
     slot[dcodes] = np.arange(len(dcodes))
+    D = np.empty((len(pair_keys), NX), dtype=np.int32)
+    for run in runs:
+        D[run] = slot[diffs(run)]
     r1mask = np.zeros(sp_y.count, dtype=bool)
     r1mask[r1codes] = True
-    W = np.empty((len(dcodes), -(-K // 8)), dtype=np.uint8)
+    W = np.empty((len(dcodes), words), dtype="<u8")
     step = max(1, _CHUNK // K)
     for lo in range(0, len(dcodes), step):
-        W[lo:lo + step] = np.packbits(r1mask[sp_y.code_sub(
-            r1codes, dcodes[lo:lo + step, None])], axis=1)
+        W[lo:lo + step] = _pack_bits(r1mask[sp_y.code_sub(
+            r1codes, dcodes[lo:lo + step, None])], words)
 
-    # only full-rank (X | Y) are flats: X invertible, or else (X | R_j) of
-    # rank m, read from the (col X, j) table; Y = X A and Y = 0 are read
-    # off the codes
+    # only full-rank (X | Y) are flats: every j for X invertible, else the
+    # (col X, j) table row
     cls, table = _flat_table(field, xs, sp_y.rank1)
     inv = cls < 0
-    cross_checked = False
+    table = _pack_bits(table, words)
+    valid = _pack_bits(np.ones(K, dtype=bool), words)
+    # X (A - B_1) once per distinct A - B_1 of the block
+    As = np.stack([A for A, _ in block])
+    offsets, off_of = np.unique(_bulk.encode(field, field.vsub(As, nbrs[union[first]])),
+                                return_inverse=True)
+    XAB = _codes_of_products(field, xs, _bulk.decode(field, offsets, m, n))
+    r1index = np.full(sp_y.count, -1, dtype=np.int64)
+    r1index[r1codes] = np.arange(K)
+
+    unchecked = {False, True}  # X invertible: the first survivor of each kind
     eq = zero = 0
     ces = []
-    for (A, _), idx in zip(block, members):
-        rows = slot[diffs(idx)]
-        XA = _bulk.encode(field, _bulk.matmul(field, xs, A[None]))
-        for lo in range(0, NX, step):
-            r = rows[:, lo:lo + step]
-            keep = np.full((r.shape[1], W.shape[1]), 0xFF, dtype=np.uint8)
-            per = max(1, _CHUNK // keep.size)  # members a gather
-            for t in range(0, len(r), per):
-                keep &= np.bitwise_and.reduce(W[r[t:t + per]], axis=0)
-            xi, j = np.divmod(np.flatnonzero(np.unpackbits(keep, axis=1, count=K)), K)
-            xi += lo
-            Yc = sp_y.code_add(XB[idx[0], xi], r1codes[j])
-            flat = inv[xi]
-            sing = np.flatnonzero(~flat)
-            flat[sing] = table[cls[xi[sing]], j[sing]]
-            if len(sing) and not cross_checked:
-                s = sing[0]
-                direct = _bulk.full_rank_mask(field, np.concatenate(
-                    [xs[xi[s]], _bulk.decode(field, Yc[s], m, n)], axis=1))
-                if bool(direct) != bool(flat[s]):
-                    raise TheoremViolated("the (col X, R_j) flat table disagrees with "
-                                          "the rank of (X | Y)")
-                cross_checked = True
-            eq_xa = inv[xi] & (Yc == XA[xi])
-            y_zero = inv[xi] & (Yc == 0) & (top and k == 2)
-            eq += int(eq_xa.sum())
-            zero += int(y_zero.sum())
-            bad = flat & ~(eq_xa | y_zero)
-            ces.extend((Mat(field, A).to_text(), Mat(field, xs[x]).to_text(),
-                        sp_y.mat(int(y)).to_text()) for x, y in zip(xi[bad], Yc[bad]))
+    # a chunk is (centres of one pencil size) x (a run of X), within a
+    # quarter of _CHUNK (larger chunks measured no faster): the survivor
+    # words twice, and 8 int64 rows, a (centre, X)
+    cell = 8 * (2 * words + 8)
+    xstep = max(1, min(NX, _CHUNK // 4 // cell))
+    per = max(1, _CHUNK // 4 // (cell * xstep))
+    for size in np.unique(sizes):
+        group = np.flatnonzero(sizes == size)
+        for lo in range(0, len(group), per):
+            cs = group[lo:lo + per]
+            pairs = pair_of[(starts[cs] - cs)[:, None] + np.arange(size - 1)]
+            for x0 in range(0, NX, xstep):
+                xr = slice(x0, x0 + xstep)
+                keep = _pencil_and(W, D[:, xr], pairs, valid)
+                XB1 = XB[first[cs], xr]
+                j_eq, j_zero = _branch_columns(sp_y, r1index, XAB[off_of[cs], xr], XB1,
+                                               inv[xr], top and k == 2)
+
+                alive = keep.any(axis=-1) if unchecked else None
+                for invertible in list(unchecked):
+                    hit = np.flatnonzero(alive & (inv[xr] == invertible))
+                    if not len(hit):
+                        continue
+                    c, x = divmod(int(hit[0]), keep.shape[1])
+                    j = int(_set_bits(keep[c, x])[0][0])
+                    Y = int(sp_y.code_add(XB1[c, x], r1codes[j]))
+                    X = xs[x0 + x]
+                    if invertible:
+                        XA = int(_bulk.encode(field, _bulk.matmul(field, X, As[cs[c]])))
+                        agree = ((Y == XA) == (j == j_eq[c, x])
+                                 and (top and k == 2 and Y == 0) == (j == j_zero[c, x]))
+                    else:
+                        direct = _bulk.full_rank_mask(field, np.concatenate(
+                            [X, _bulk.decode(field, Y, m, n)], axis=1))
+                        bit = table[cls[x0 + x], j // 64] >> np.uint64(j % 64) & 1
+                        agree = bool(direct) == bool(bit)
+                    if not agree:
+                        raise TheoremViolated(
+                            "the Y = X A and Y = 0 columns disagree with Y itself" if invertible
+                            else "the (col X, R_j) flat table disagrees with the rank of (X | Y)")
+                    unchecked.discard(invertible)
+
+                hit_eq, hit_zero = _take_bits(keep, j_eq, j_zero)
+                eq += hit_eq
+                zero += hit_zero
+                # what is left under the flat mask is a counterexample
+                keep &= np.where(inv[xr, None], ~np.uint64(0), table[cls[xr]])
+                if keep.any():
+                    c, x, j = _set_bits(keep)
+                    Yc = sp_y.code_add(XB1[c, x], r1codes[j])
+                    ces.extend((Mat(field, As[cs[ci]]).to_text(),
+                                Mat(field, xs[x0 + xi]).to_text(), sp_y.mat(int(y)).to_text())
+                               for ci, xi, y in zip(c, x, Yc))
     return eq, zero, ces
 
 
@@ -302,12 +430,16 @@ def _run_rigidity(ctxE: Field, homEtoD: FieldHom, m: int, n: int, k: int,
 
     vacuous = []
     jobs = []  # (A, pencil): the indices in nbrs of A's unit perturbations
-    for A in centers:
-        pencil = np.flatnonzero(_bulk.adjacent_mask(D, D.vsub(nbrs, A)))
-        if len(pencil) == 0:
-            vacuous.append(Mat(D, A).to_text())
-            continue
-        jobs.append((A, pencil))
+    step = max(1, _CHUNK // (8 * m * n * max(1, len(nbrs))))
+    for lo in range(0, len(centers), step):
+        chunk = centers[lo:lo + step]
+        adjacent = _bulk.adjacent_mask(D, D.vsub(nbrs[None], chunk[:, None]))
+        for A, row in zip(chunk, adjacent):
+            pencil = np.flatnonzero(row)
+            if len(pencil) == 0:
+                vacuous.append(Mat(D, A).to_text())
+                continue
+            jobs.append((A, pencil))
 
     xs = _bulk.all_matrices(D, m, m, X_SPACE_BUDGET)
 

@@ -20,7 +20,7 @@ from .cliques import Kind, MaximalSet, _clique_test
 from .errors import (InvalidParams, InvalidXi, NoHomExists, NotHom,
                      ShapeMismatch, SingularTwist, TheoremViolated)
 from .fields import Field, FieldHom, enumerate_homs, field_from_order, make_field
-from .matrices import Mat, random_invertible, space
+from .matrices import Mat, random_invertible, space, table_budget
 
 
 class MapTable:
@@ -274,8 +274,10 @@ def random_valid_params(rng, src_field: Field, m: int, n: int,
     A surjective tau admits only L = 0 (any nonzero twist makes some
     denominator singular), so the search is skipped in that case.  Raises
     InvalidParams before any draw when the target cannot hold the source
-    in the asked (or in either) orientation.
+    in the asked (or in either) orientation, and DomainTooLarge when the
+    table would be past the table budget.
     """
+    table_budget(src_field.q, m, n, m2, n2)
     taus = enumerate_homs(src_field, dst_field)
     if not taus:
         raise ValueError("no field homomorphism between these fields")
@@ -698,6 +700,7 @@ def build_witness_hom(q: int, m: int, n: int, q2: int, m2: int, n2: int) -> MapT
     """
     if not hom_exists(q, m, n, q2, m2, n2):
         raise NoHomExists(f"{q}^max({m},{n}) > {q2}^max({m2},{n2})")
+    table_budget(q, m, n, m2, n2)
     src = field_from_order(q)
     dst = field_from_order(q2)
     coloring = proper_coloring(src, m, n)

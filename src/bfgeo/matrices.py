@@ -23,6 +23,9 @@ from .errors import DomainTooLarge, ShapeMismatch, Singular
 from .fields import Field, FieldHom
 
 SPACE_LIMIT = 1 << 20
+# entries of one map table's image stack, q^(m*n) * m' * n', and of its
+# m' x m' and n' x n' factors
+TABLE_LIMIT = 1 << 24
 _GROUP_TABLE_LIMIT = 1 << 20  # int16 entries: code tables hold <= 2 MiB a space
 
 
@@ -220,6 +223,15 @@ def space_size(q: int, m: int, n: int) -> int:
         raise DomainTooLarge(
             f"q^(m*n) = {q}^{m * n} exceeds the enumeration bound {SPACE_LIMIT}")
     return q ** (m * n)
+
+
+def table_budget(q: int, m: int, n: int, m2: int, n2: int):
+    """DomainTooLarge, before any allocation, when a map table from
+    GF(q)^(m x n) to m2 x n2 images, or its m2 x m2 and n2 x n2 factors,
+    would hold more than TABLE_LIMIT entries."""
+    if max(space_size(q, m, n) * m2 * n2, m2 * m2, n2 * n2) > TABLE_LIMIT:
+        raise DomainTooLarge(f"a table of {q}^{m * n} images of shape {m2}x{n2} exceeds "
+                             f"the table bound of {TABLE_LIMIT} entries")
 
 
 class MatrixSpace:

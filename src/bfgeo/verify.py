@@ -14,7 +14,7 @@ from . import _bulk, cliques
 from .cliques import (Kind, VertexSet, all_maximal_sets, bron_kerbosch_cliques,
                       classify_clique, clique_number, maximal_sets_through,
                       two_pencil_sweep)
-from .errors import DomainTooLarge, SingularTwist
+from .errors import DomainTooLarge, PreconditionViolated, SingularTwist
 from .fields import Field, field_from_order
 from .homs import (MapTable, Orientation, build_witness_hom, hom_exists,
                    is_colouring, is_degenerate, is_graph_hom, moebius_twist,
@@ -125,7 +125,11 @@ def clique_structure_check(field: Field, m: int, n: int) -> dict:
     every pair of cliques, and the cliques hosting each edge, are read from
     products of one (cliques x points) membership matrix.  DomainTooLarge
     past SPACE_LIMIT clique pairs, from the closed-form clique count.
+    PreconditionViolated on a 1 x n or m x 1 space, which is one complete
+    graph with a single maximal clique.
     """
+    if min(m, n) < 2:
+        raise PreconditionViolated(f"need m, n >= 2: GF({field.q})^({m}x{n}) is one clique")
     total = sum(_maximal_set_counts(field.q, m, n))
     _check_pair_budget("clique", total * (total - 1) // 2)
     sp = space(field, m, n)

@@ -1,5 +1,7 @@
 """Flats, flat distance, the graph embedding, and rigidity sweeps."""
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -285,8 +287,9 @@ ORACLE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", list(ORACLE_CASES))
-def test_blocked_sweep_matches_the_per_centre_loop(case, monkeypatch):
+def _with_the_oracle(case, monkeypatch):
+    """(run, want): the case's sweep, with its off-stratum centre patched
+    in, and the report the per-centre loop gives for it."""
     import bfgeo.grassmann as gm
     sweep, E, D, args, kw, extra = ORACLE_CASES[case]
     hom = identity_hom(E) if E == D else enumerate_homs(E, D)[0]
@@ -302,11 +305,21 @@ def test_blocked_sweep_matches_the_per_centre_loop(case, monkeypatch):
             return np.concatenate([out, np.array([extra], dtype=field.dtype)])
 
         monkeypatch.setattr(gm, "stratum", with_extra)
+
+    def run(**more):
+        return sweep(E, hom, *args, **kw, **more)
+
     with monkeypatch.context() as patch:
         patch.setattr(gm, "_check_block", _loop_block)
-        want = sweep(E, hom, *args, **kw)
+        want = run()
     assert bool(want["counterexamples"]) == (extra is not None)
+    return run, want
 
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_blocked_sweep_matches_the_per_centre_loop(case, monkeypatch):
+    import bfgeo.grassmann as gm
+    run, want = _with_the_oracle(case, monkeypatch)
     sizes = []
     blocked = gm._check_block
 
@@ -323,11 +336,75 @@ def test_blocked_sweep_matches_the_per_centre_loop(case, monkeypatch):
             if size is not None:
                 patch.setattr(gm, "_blocks", lambda jobs, nx, threads, size=size: [
                     jobs[i:i + size] for i in range(0, len(jobs), size)])
-            assert sweep(E, hom, *args, **kw) == want
+            assert run() == want
         if size is not None:
             assert max(sizes) == size
     if want["strata_checked"] > 1:
-        assert sweep(E, hom, *args, workers=4, **kw) == want
+        assert run(workers=4) == want
+
+
+@pytest.mark.parametrize("case", ["gf4-top", "gf5-top-sampled"])
+def test_small_chunks_match_the_per_centre_loop(case, monkeypatch):
+    # a small chunk splits each pencil-size group of centres into several
+    # chunks and the X-space into several runs; gf4-top also mixes pencils
+    # of 8 and 17 members in one block
+    import bfgeo.grassmann as gm
+    run, want = _with_the_oracle(case, monkeypatch)
+    chunks = []
+    real = gm._pencil_and
+
+    def recording(W, D, pairs, valid):
+        chunks.append((pairs.shape[1], D.shape[1]))
+        return real(W, D, pairs, valid)
+
+    monkeypatch.setattr(gm, "_pencil_and", recording)
+    monkeypatch.setattr(gm, "_CHUNK", 1 << 13)
+    assert run() == want
+    per_size = collections.Counter(members for members, _ in chunks)
+    assert min(per_size.values()) > 1
+    assert len(per_size) == (2 if case == "gf4-top" else 1)
+    assert max(xs for _, xs in chunks) < ORACLE_CASES[case][2].q ** 4
+
+
+def _caught(sweep, *args):
+    """Whether a sweep raises TheoremViolated or reports a counterexample."""
+    try:
+        return bool(sweep(F4, identity_hom(F4), *args)["counterexamples"])
+    except TheoremViolated:
+        return True
+
+
+SWEEPS = {"top": (check_rigidity_top, 2, 2, 2), "step": (check_rigidity_step, 2, 2, 2, 1)}
+
+
+@pytest.mark.parametrize("sweep", list(SWEEPS))
+def test_a_shifted_y_eq_xa_column_is_caught(sweep, monkeypatch):
+    import bfgeo.grassmann as gm
+    real = gm._branch_columns
+
+    def shifted(sp_y, *rest):
+        j_eq, j_zero = real(sp_y, *rest)
+        return np.where(j_eq >= 0, (j_eq + 1) % len(sp_y.rank1_codes), j_eq), j_zero
+
+    monkeypatch.setattr(gm, "_branch_columns", shifted)
+    assert _caught(*SWEEPS[sweep])
+
+
+@pytest.mark.parametrize("sweep", list(SWEEPS))
+def test_a_corrupt_survivor_row_is_caught(sweep, monkeypatch):
+    # every survivor bit of one invertible X, of the first centre of each
+    # chunk, flipped
+    import bfgeo.grassmann as gm
+    real = gm._pencil_and
+    x = int(np.argmax(_bulk.invertible_mask(F4, _bulk.all_matrices(F4, 2, 2))))
+
+    def corrupt(W, D, pairs, valid):
+        keep = real(W, D, pairs, valid)
+        keep[0, x] ^= valid
+        return keep
+
+    monkeypatch.setattr(gm, "_pencil_and", corrupt)
+    assert _caught(*SWEEPS[sweep])
 
 
 # (E, D, m, n, proper subspaces of D^m): one table class per subspace

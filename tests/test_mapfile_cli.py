@@ -405,6 +405,32 @@ def test_clique_and_line_sweeps_past_their_bounds_exit_2(argv, capsys):
     assert rep["witnesses"][0].startswith("DomainTooLarge:")
 
 
+@pytest.mark.parametrize("shape", ["1x2", "3x1"])
+def test_clique_classify_on_a_single_clique_exits_2(shape, capsys):
+    # GF(3)^(1x2) is one complete graph: every edge once reported as torn
+    code, rep = run_cli(capsys, "clique-classify", "--field", "3,1", "--shape", shape)
+    assert code == 2
+    assert rep["witnesses"] == [f"PreconditionViolated: need m, n >= 2: GF(3)^({shape}) "
+                                "is one clique"]
+
+
+@pytest.mark.parametrize("argv,sizes", [
+    (["hom-verify", "--random-standard", "1", "--src", "4:2x2", "--dst", "4:100000x100000"],
+     "4^4 images of shape 100000x100000"),
+    (["witness-hom", "--src", "2:2x2", "--dst", "2:100000x100000"],
+     "2^4 images of shape 100000x100000"),
+    (["hom-verify", "--random-standard", "1", "--src", "2:1x1", "--dst", "2:100000x1"],
+     "2^1 images of shape 100000x1"),
+], ids=["hom-verify 100000x100000", "witness-hom 100000x100000", "hom-verify 100000x1"])
+def test_huge_target_shapes_exit_2_before_any_table(argv, sizes, capsys):
+    # --dst bounds the field, not m'n': the tables (or the 100000 x 100000
+    # factor P) were allocated and failed with a MemoryError traceback
+    code, rep = within_a_second(lambda: run_cli(capsys, *argv))
+    assert code == 2
+    assert rep["witnesses"] == [f"DomainTooLarge: a table of {sizes} exceeds the table "
+                                "bound of 16777216 entries"]
+
+
 def test_clique_search_bound_names_the_exponent(capsys):
     code, rep = run_cli(capsys, "exists", "--src", "4:4x4", "--dst", "2:4x4", "--certificate")
     assert rep["witnesses"] == ["DomainTooLarge: q^(m*n) = 2^16 exceeds the "
