@@ -296,10 +296,3 @@ def decode(field: Field, codes, m: int, n: int):
         out[..., t] = rem % field.q
         rem //= field.q
     return out.reshape(codes.shape + (m, n))
-
-
-def all_matrices(field: Field, m: int, n: int, limit: int = 1 << 20):
-    count = field.q ** (m * n)
-    if count > limit:
-        raise MemoryError(f"matrix space of size {count} exceeds limit {limit}")
-    return decode(field, np.arange(count), m, n)

@@ -16,11 +16,10 @@ import functools
 import numpy as np
 
 from . import _bulk
-from .errors import (Disjoint, DomainTooLarge, NotAdjacent, NotAdjacentSet,
-                     NotMaximal, PreconditionViolated, ShapeMismatch,
-                     TheoremViolated, WrongKinds, ZeroNotMember)
+from .errors import (Disjoint, NotAdjacent, NotAdjacentSet, NotMaximal, PreconditionViolated,
+                     ShapeMismatch, TheoremViolated, WrongKinds, ZeroNotMember)
 from .fields import Field
-from .matrices import Mat, adjacent, space, space_size
+from .matrices import Mat, adjacent, bounded_power, space
 
 
 class Kind(enum.Enum):
@@ -106,10 +105,10 @@ class MaximalSet:
         """(cardinality, m, n) stack of all members, in parameter order."""
         F = self.field
         if self.kind is Kind.ONE:
-            xs = _bulk.all_matrices(F, 1, self.n)
+            xs = space(F, 1, self.n).entries
             pts = F.vmul(self.direction[None, :, None], xs)
         else:
-            ys = _bulk.all_matrices(F, self.m, 1)
+            ys = space(F, self.m, 1).entries
             pts = F.vmul(ys, self.direction[None, None, :])
         return F.vadd(pts, self.offset.a)
 
@@ -541,10 +540,7 @@ def bron_kerbosch_cliques(field: Field, m: int, n: int):
     |P & N(v)| one bit count (San Segundo, Rodriguez-Losada and Jimenez
     2011).  DomainTooLarge past CLIQUE_SEARCH_LIMIT points.
     """
-    q = field.q
-    if space_size(q, m, n) > CLIQUE_SEARCH_LIMIT:
-        raise DomainTooLarge(f"q^(m*n) = {q}^{m * n} exceeds the clique-search "
-                             f"bound {CLIQUE_SEARCH_LIMIT}")
+    bounded_power(field.q, m * n, "q^(m*n)", CLIQUE_SEARCH_LIMIT, "clique-search bound {}")
     sp = space(field, m, n)
     nbrs = _neighbour_bits(sp)
     out = []

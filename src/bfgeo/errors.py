@@ -52,7 +52,7 @@ class Singular(BfgeoError):
 
 
 class DomainTooLarge(BfgeoError):
-    pass
+    """Work sized by the user is past its bound (``matrices.bounded``)."""
 
 
 # --- clique geometry ---------------------------------------------------------
@@ -82,12 +82,6 @@ class Disjoint(BfgeoError):
 
 
 class PreconditionViolated(BfgeoError):
-    pass
-
-
-# --- flats and stratum sweeps -------------------------------------------------
-
-class BudgetExceeded(BfgeoError):
     pass
 
 

@@ -23,12 +23,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import _bulk
-from .errors import (BudgetExceeded, PreconditionViolated, ShapeMismatch,
-                     TheoremViolated)
+from .errors import PreconditionViolated, ShapeMismatch, TheoremViolated
 from .fields import Field, FieldHom
 from .matrices import Mat, space
-
-X_SPACE_BUDGET = 1 << 20
 
 
 class Side(enum.Enum):
@@ -107,7 +104,8 @@ def stratum(field: Field, m: int, n: int, k: int, r: int, axis: str) -> np.ndarr
 # Byte budget for one block of rigidity centres: one row of X-space codes
 # (8 bytes a code) per member of the union of the block's pencils (X B), per
 # distinct (B_1, B_t) pair (X B_t - X B_1) and per centre (X (A - B_1)).
-# With the chunks below it bounds a sweep's working memory whatever the shape.
+# A centre whose pencil alone passes it gets a block of its own, so there its
+# own rows are the bound (15.5 MB a block on GF(3) 3x3 with k = 3).
 _RIGIDITY_BLOCK_BYTES = 8 << 20
 # Chunk for every other per-block array: bytes of the entry stacks and of
 # the W rows, and (a quarter of it) of one chunk's packed survivor words.
@@ -405,11 +403,8 @@ def _run_rigidity(ctxE: Field, homEtoD: FieldHom, m: int, n: int, k: int,
     else:
         if not (m >= k > r >= 1 and n > r):
             raise PreconditionViolated("need m >= k > r >= 1 and n > r")
-    # sweeps enumerate all of D^(m x m); keep that desk-scale.  As q >= 2,
-    # m*m is bounded before the power, so a huge m builds no huge integer
-    if m * m > X_SPACE_BUDGET.bit_length() or D.q ** (m * m) > X_SPACE_BUDGET:
-        raise BudgetExceeded(
-            f"X-space of size q^(m*m) = {D.q}^{m * m} over the budget {X_SPACE_BUDGET}")
+    # sweeps enumerate all of D^(m x m), bounded before the strata are built
+    xs = space(D, m, m).entries
 
     center_rank = k if top else r
     nbr_k = k - 1 if top else k
@@ -440,8 +435,6 @@ def _run_rigidity(ctxE: Field, homEtoD: FieldHom, m: int, n: int, k: int,
                 vacuous.append(Mat(D, A).to_text())
                 continue
             jobs.append((A, pencil))
-
-    xs = _bulk.all_matrices(D, m, m, X_SPACE_BUDGET)
 
     def work(block):
         return _check_block(D, xs, nbrs, block, m, n, top, k)

@@ -20,7 +20,12 @@ from .cliques import Kind, MaximalSet, _clique_test
 from .errors import (InvalidParams, InvalidXi, NoHomExists, NotHom,
                      ShapeMismatch, SingularTwist, TheoremViolated)
 from .fields import Field, FieldHom, enumerate_homs, field_from_order, make_field
-from .matrices import Mat, random_invertible, space, table_budget
+from .matrices import (Mat, bounded, bounded_power, random_invertible, space, space_size,
+                       table_budget)
+
+# hom_exists' powers q^max(m,n): 2^(2^20), far above 65536^4096 = 2^65536,
+# the largest target power of a table within TABLE_LIMIT (n'^2 <= 2^24)
+EXISTS_LIMIT = 1 << (1 << 20)
 
 
 class MapTable:
@@ -40,7 +45,7 @@ class MapTable:
         self.m2 = m2
         self.n2 = n2
         raw = np.asarray(images)
-        count = src_field.q ** (m * n)
+        count = space_size(src_field.q, m, n)
         if raw.shape != (count, m2, n2):
             raise ShapeMismatch(
                 f"need {count} images of shape ({m2}, {n2}), got {raw.shape}")
@@ -343,10 +348,11 @@ def is_graph_hom(f: MapTable, mode: str = "exhaustive", samples: int = 10**5,
 
     Exhaustive mode tests every maximal clique of the source's cheaper kind
     (``MatrixSpace.clique_members``), which together hold every edge once;
-    sampled mode draws the given number of random adjacent pairs.  Returns
-    (ok, witness) where the witness, if any, is the lexicographically first
-    violating pair (by source codes).  The exhaustive verdict is kept on
-    the table and returned by later exhaustive calls.
+    sampled mode draws the given number, at most SPACE_LIMIT, of random
+    adjacent pairs.  Returns (ok, witness) where the witness, if any, is
+    the lexicographically first violating pair (by source codes).  The
+    exhaustive verdict is kept on the table and returned by later
+    exhaustive calls.
     """
     if mode == "exhaustive" and "is_graph_hom" in f._verdicts:
         return f._verdicts["is_graph_hom"]
@@ -357,6 +363,7 @@ def is_graph_hom(f: MapTable, mode: str = "exhaustive", samples: int = 10**5,
     if mode == "exhaustive":
         best = _first_torn_edge(f)
     elif mode == "sampled":
+        bounded(samples, f"sampled pairs = {samples}")
         rng = np.random.default_rng(seed)
         a = rng.integers(0, sp.count, size=samples)
         r = rng.integers(0, len(sp.rank1), size=samples)
@@ -651,11 +658,14 @@ def moebius_twist(f: MapTable, L: Mat, side: TwistSide = TwistSide.LEFT) -> MapT
 # ---------------------------------------------------------------------------
 
 def hom_exists(q: int, m: int, n: int, q2: int, m2: int, n2: int) -> bool:
-    """q^max(m,n) <= q2^max(m2,n2), in exact integer arithmetic."""
+    """q^max(m,n) <= q2^max(m2,n2), in exact integer arithmetic; either
+    power past EXISTS_LIMIT is DomainTooLarge."""
     if min(q, m, n, q2, m2, n2) < 1:
         raise ValueError("all parameters must be positive")
     field_from_order(q), field_from_order(q2)  # validates prime powers
-    return q ** max(m, n) <= q2 ** max(m2, n2)
+    bound = f"power bound 2^{EXISTS_LIMIT.bit_length() - 1}"
+    return (bounded_power(q, max(m, n), "q^max(m,n)", EXISTS_LIMIT, bound)
+            <= bounded_power(q2, max(m2, n2), "q'^max(m',n')", EXISTS_LIMIT, bound))
 
 
 def proper_coloring(field: Field, m: int, n: int) -> MapTable:

@@ -216,22 +216,37 @@ def adjacent(A: Mat, B: Mat) -> bool:
 # whole-space helper with cached enumerations
 # ---------------------------------------------------------------------------
 
+def bounded(size: int, what: str, limit: int = SPACE_LIMIT,
+            bound: str = "enumeration bound {}") -> int:
+    """size, or DomainTooLarge "<what> exceeds the <bound>" past limit: the
+    one check for work sized by the user.  Sizes that are powers go
+    through bounded_power; the rest are products of bounded numbers."""
+    if size > limit:
+        raise DomainTooLarge(f"{what} exceeds the {bound.format(limit)}")
+    return size
+
+
+def bounded_power(q: int, e: int, label: str, limit: int = SPACE_LIMIT,
+                  bound: str = "enumeration bound {}") -> int:
+    """q^e for q >= 2, bounded as "<label> = q^e".  As q^e >= 2^(e *
+    (bit_length(q) - 1)), an exponent that alone passes limit is refused
+    before the power: a huge e never builds a huge integer."""
+    past = e * (q.bit_length() - 1) >= limit.bit_length()
+    return bounded(limit + 1 if past else q ** e, f"{label} = {q}^{e}", limit, bound)
+
+
 def space_size(q: int, m: int, n: int) -> int:
-    """q^(m*n), or DomainTooLarge past SPACE_LIMIT.  As q >= 2, m*n is
-    bounded before the power, so a huge shape never builds a huge integer."""
-    if m * n > SPACE_LIMIT.bit_length() or q ** (m * n) > SPACE_LIMIT:
-        raise DomainTooLarge(
-            f"q^(m*n) = {q}^{m * n} exceeds the enumeration bound {SPACE_LIMIT}")
-    return q ** (m * n)
+    """q^(m*n), or DomainTooLarge past SPACE_LIMIT."""
+    return bounded_power(q, m * n, "q^(m*n)")
 
 
 def table_budget(q: int, m: int, n: int, m2: int, n2: int):
     """DomainTooLarge, before any allocation, when a map table from
     GF(q)^(m x n) to m2 x n2 images, or its m2 x m2 and n2 x n2 factors,
     would hold more than TABLE_LIMIT entries."""
-    if max(space_size(q, m, n) * m2 * n2, m2 * m2, n2 * n2) > TABLE_LIMIT:
-        raise DomainTooLarge(f"a table of {q}^{m * n} images of shape {m2}x{n2} exceeds "
-                             f"the table bound of {TABLE_LIMIT} entries")
+    bounded(max(space_size(q, m, n) * m2 * n2, m2 * m2, n2 * n2),
+            f"a table of {q}^{m * n} images of shape {m2}x{n2}", TABLE_LIMIT,
+            "table bound of {} entries")
 
 
 class MatrixSpace:
@@ -253,7 +268,7 @@ class MatrixSpace:
     @functools.cached_property
     def entries(self):
         """(count, m, n) array of every matrix, in code order."""
-        return _bulk.all_matrices(self.field, self.m, self.n, SPACE_LIMIT)
+        return _bulk.decode(self.field, np.arange(self.count), self.m, self.n)
 
     @functools.cached_property
     def monic_cols(self):

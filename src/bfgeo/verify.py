@@ -14,13 +14,14 @@ from . import _bulk, cliques
 from .cliques import (Kind, VertexSet, all_maximal_sets, bron_kerbosch_cliques,
                       classify_clique, clique_number, maximal_sets_through,
                       two_pencil_sweep)
-from .errors import DomainTooLarge, PreconditionViolated, SingularTwist
+from .errors import PreconditionViolated, SingularTwist
 from .fields import Field, field_from_order
 from .homs import (MapTable, Orientation, build_witness_hom, hom_exists,
                    is_colouring, is_degenerate, is_graph_hom, moebius_twist,
                    proper_coloring, random_valid_params, standard_table,
                    validate_params)
-from .matrices import SPACE_LIMIT, Mat, bfs_distance_rows, space, space_size
+from .matrices import (Mat, bfs_distance_rows, bounded, bounded_power, space,
+                       space_size)
 from .recovery import dim_bound_check, recover_standard
 
 
@@ -43,9 +44,7 @@ def _pairwise_ranks(field: Field, entries):
     difference's code: no code arithmetic, which the BFS uses, is involved.
     Row blocks keep the encoded differences under ``_PAIR_BLOCK_BYTES``."""
     count, m, n = entries.shape
-    if count * count > SPACE_LIMIT:
-        raise DomainTooLarge(
-            f"{count}^2 matrix pairs exceed the enumeration bound {SPACE_LIMIT}")
+    bounded_power(count, 2, "matrix pairs")
     ranks = _bulk.rank(field, space(field, m, n).entries).astype(np.int8)
     out = np.empty((count, count), dtype=np.int8)
     for rows in _row_blocks(count, 8 * count * m * n):
@@ -74,11 +73,6 @@ def _maximal_set_counts(q: int, m: int, n: int):
     count = space_size(q, m, n)
     return ((q**m - 1) // (q - 1) * (count // q**n),
             (q**n - 1) // (q - 1) * (count // q**m))
-
-
-def _check_pair_budget(what: str, pairs: int):
-    if pairs > SPACE_LIMIT:
-        raise DomainTooLarge(f"{pairs} {what} pairs exceed the enumeration bound {SPACE_LIMIT}")
 
 
 def _membership(codes, count: int) -> np.ndarray:
@@ -131,7 +125,7 @@ def clique_structure_check(field: Field, m: int, n: int) -> dict:
     if min(m, n) < 2:
         raise PreconditionViolated(f"need m, n >= 2: GF({field.q})^({m}x{n}) is one clique")
     total = sum(_maximal_set_counts(field.q, m, n))
-    _check_pair_budget("clique", total * (total - 1) // 2)
+    bounded(pairs := total * (total - 1) // 2, f"clique pairs = {pairs}")
     sp = space(field, m, n)
     codes = [np.array(sorted(c), dtype=np.int64)
              for c in bron_kerbosch_cliques(field, m, n)]
@@ -203,7 +197,7 @@ def line_structure_check(field: Field, m: int, n: int) -> dict:
     """
     q = field.q
     one_count, two_count = _maximal_set_counts(q, m, n)
-    _check_pair_budget("opposite-kind", one_count * two_count)
+    bounded(pairs := one_count * two_count, f"opposite-kind pairs = {pairs}")
     sp = space(field, m, n)
     sets_ = all_maximal_sets(field, m, n)
     ones = [s for s in sets_ if s.kind is Kind.ONE]
@@ -326,11 +320,12 @@ def pigeonhole_certificate(q: int, m: int, n: int, q2: int, m2: int, n2: int) ->
 
     A graph homomorphism restricts injectively to cliques, so a source
     clique larger than the target's clique number forbids any.  The target
-    clique number comes from exhaustive search.
+    clique number comes from exhaustive search; the source clique is a
+    count of points, DomainTooLarge past SPACE_LIMIT.
     """
     dst = field_from_order(q2)
     omega = clique_number(dst, m2, n2)
-    source_clique = q ** max(m, n)
+    source_clique = bounded_power(q, max(m, n), "q^max(m,n)")
     return {
         "exists": hom_exists(q, m, n, q2, m2, n2),
         "source_max_clique": source_clique,

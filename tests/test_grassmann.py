@@ -226,7 +226,7 @@ def _loop_survivors(field, A, Bs, m, n):
     r1codes = sp_y.rank1_codes
     r1mask = np.zeros(sp_y.count, dtype=bool)
     r1mask[r1codes] = True
-    xs = _bulk.all_matrices(field, m, m)
+    xs = space(field, m, m).entries
     NX, K = len(xs), len(r1codes)
     XBcodes = np.empty((len(Bs), NX), dtype=np.int64)
     for t, B in enumerate(Bs):
@@ -396,7 +396,7 @@ def test_a_corrupt_survivor_row_is_caught(sweep, monkeypatch):
     # chunk, flipped
     import bfgeo.grassmann as gm
     real = gm._pencil_and
-    x = int(np.argmax(_bulk.invertible_mask(F4, _bulk.all_matrices(F4, 2, 2))))
+    x = int(np.argmax(_bulk.invertible_mask(F4, space(F4, 2, 2).entries)))
 
     def corrupt(W, D, pairs, valid):
         keep = real(W, D, pairs, valid)
@@ -424,7 +424,7 @@ def test_flat_table_equals_the_rank_of_every_singular_survivor(case):
     import bfgeo.grassmann as gm
     E, D, m, n, subspaces = FLAT_TABLE_CASES[case]
     hom = identity_hom(E) if E == D else enumerate_homs(E, D)[0]
-    xs = _bulk.all_matrices(D, m, m)
+    xs = space(D, m, m).entries
     r1 = space(D, m, n).rank1
     cls, table = gm._flat_table(D, xs, r1)
     assert table.shape == (subspaces, len(r1))

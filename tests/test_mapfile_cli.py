@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bfgeo.cli import main
+from bfgeo.cliques import VertexSet, classify_clique
 from bfgeo.errors import (DomainTooLarge, DuplicateKey, FormatError,
                           IncompleteDomain)
 from bfgeo.fields import make_field
@@ -443,8 +444,8 @@ def test_rigidity_x_space_bounded_before_the_power(m, capsys):
     code, rep = within_a_second(lambda: run_cli(
         capsys, "lemma-check", "--which", "4.1", "-m", str(m), "-n", "2"))
     assert code == 2
-    assert rep["witnesses"] == [f"BudgetExceeded: X-space of size q^(m*m) = 4^{m * m} "
-                                "over the budget 1048576"]
+    assert rep["witnesses"] == [f"DomainTooLarge: q^(m*n) = 4^{m * m} exceeds the "
+                                "enumeration bound 1048576"]
 
 
 def test_certificate_on_a_complete_graph_target(capsys):
@@ -453,3 +454,95 @@ def test_certificate_on_a_complete_graph_target(capsys):
     code, rep = run_cli(capsys, "exists", "--src", "2:1x11", "--dst", "2:1x10", "--certificate")
     assert code == 0
     assert rep["counts"]["target_clique_number"] == 1024
+
+
+# every size string and numeric option at 0, -1, 10^5 and just past its
+# bound: GF(2) 1x21 passes SPACE_LIMIT, 1x13 the clique search, a 2048x2048
+# target TABLE_LIMIT, -m 4 -n 4 the GF(4) X-space, --cols 4 GF(4)^(3x4)
+_SHAPES = ["0x2", "-1x2", "100000x100000", "1x21"]
+_SPACES = ["2:0x2", "2:-1x2", "2:100000x100000", "0:2x2", "-1:2x2", "100000:2x2", "2:1x21"]
+_VALUES = ["0", "-1", "100000"]
+
+
+def _pair_commands(pair):
+    return [["exists", *pair], ["exists", *pair, "--certificate"], ["witness-hom", *pair],
+            ["hom-verify", "--random-standard", "1", *pair],
+            ["recover", "--roundtrip", "1", *pair], ["recover", "--dim-bound", "1", *pair],
+            ["lemma-check", "--which", "5.1", "--sample", "1", *pair]]
+
+
+def _bound_cases():
+    cases = [[cmd, "--field", "2,1", f"--shape={s}"] for s in _SHAPES
+             for cmd in ("bfs-check", "clique-classify", "line-check", "color")]
+    cases += [argv + [f"--shape={s}"] for s in _SHAPES
+              for argv in (["twist", "--identity-sweep", "--field", "2,1"],
+                           ["lemma-check", "--which", "3.1", "--field", "2,1"])]
+    # a source goes with a target that holds it, so no case is a plain "no"
+    for s in _SPACES:
+        cases += _pair_commands([f"--src={s}", "--dst=2:100000x100000"])
+        cases += _pair_commands(["--src=4:2x2", f"--dst={s}"])
+    cases += _pair_commands(["--src=4:2x2", "--dst=4:2048x2048"])
+    cases += [["exists", "--src=2:1x14", "--dst=2:1x13", "--certificate"],
+              ["clique-classify", "--field", "2,1", "--shape=2x7"]]
+    cases += [["lemma-check", "--which", w, opt, v] for w in ("4.1", "4.2", "4.3", "4.4")
+              for opt in ("-m", "-n", "-k", "-r") for v in _VALUES]
+    cases += [["lemma-check", "--which", w, "-m", "4", "-n", "4"]
+              for w in ("4.1", "4.2", "4.3", "4.4")]
+    cases += [["xi-demo", "--cols", v] for v in _VALUES + ["4"]]
+    cases += [argv + ["--seed", v] for v in _VALUES for argv in (
+        ["hom-verify", "--map", "MAP", "--sample", "10"],
+        ["hom-verify", "--random-standard", "1", "--src", "4:2x2", "--dst", "16:3x3"],
+        ["recover", "--roundtrip", "1", "--src", "4:2x2", "--dst", "16:3x3"],
+        ["recover", "--dim-bound", "1", "--src", "4:2x2", "--dst", "16:3x3"],
+        ["lemma-check", "--which", "4.1", "--sample", "1"],
+        ["lemma-check", "--which", "5.1", "--sample", "1"])]
+    cases += [["hom-verify", "--map", "MAP", "--sample", v] for v in _VALUES + ["1048577"]]
+    cases += [["lemma-check", "--which", "4.1", "--sample", v] for v in _VALUES]
+    cases += [["exists", "--grid", "--max-domain", v] for v in _VALUES]
+    # a large work count is work asked for, run in flat memory: 0 and -1 only
+    cases += [argv + [v] for v in ("0", "-1") for argv in (
+        ["hom-verify", "--src", "4:2x2", "--dst", "16:3x3", "--random-standard"],
+        ["recover", "--src", "4:2x2", "--dst", "16:3x3", "--roundtrip"],
+        ["recover", "--src", "4:2x2", "--dst", "16:3x3", "--dim-bound"],
+        ["lemma-check", "--which", "5.1", "--sample"])]
+    return cases
+
+
+@pytest.mark.parametrize("argv", _bound_cases(), ids=" ".join)
+def test_sizes_and_counts_exit_0_or_2_within_a_second(argv, tmp_path, capsys):
+    path = tmp_path / "id.bfmap"
+    write_map_table(identity_table(), path)
+    argv = [str(path) if a == "MAP" else a for a in argv]
+    code = within_a_second(lambda: main(argv))
+    out, err = capsys.readouterr()
+    assert code in (0, 2)
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["exists", "--src", "3:1x1", "--dst", "65521:1000000x1"], "65521^1000000"),
+    (["exists", "--src", "65521:1x10000000", "--dst", "3:1x1"], "65521^10000000"),
+    (["exists", "--src", "2:100000x2", "--dst", "2:2x2", "--certificate"], "2^100000"),
+    (["hom-verify", "--map", "MAP", "--sample", "1000000000000"], "1000000000000"),
+], ids=["exists target power", "exists source power", "certificate source clique",
+        "sample count"])
+def test_user_sized_work_is_refused_before_it_starts(argv, named, tmp_path, capsys):
+    # these took 4.6 s or more, printed a clique too long for a report, or
+    # asked numpy for 7.28 TiB of draws
+    path = tmp_path / "id.bfmap"
+    write_map_table(identity_table(), path)
+    argv = [str(path) if a == "MAP" else a for a in argv]
+    code, rep = within_a_second(lambda: run_cli(capsys, *argv))
+    assert code == 2
+    assert rep["witnesses"][0].startswith("DomainTooLarge:")
+    assert named in rep["witnesses"][0]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MapTable(make_field(2, 1), 300, 300, make_field(2, 1), 1, 1, np.zeros((2, 1, 1))),
+    lambda: classify_clique(VertexSet(make_field(2, 1), 1, 25, [0, 1])),
+], ids=["MapTable 300x300", "classify_clique 1x25"])
+def test_api_sizes_are_refused_before_the_power(build):
+    # a ValueError from formatting 2^90000, and a bare MemoryError, before
+    with pytest.raises(DomainTooLarge, match=r"q\^\(m\*n\) = 2\^"):
+        within_a_second(build)

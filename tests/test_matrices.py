@@ -158,6 +158,17 @@ def test_encode_rejects_codes_past_int64():
     assert _bulk.encode(make_field(2, 1), top) == 2**63 - 1
 
 
+def test_bounded_power_refuses_past_the_limit_before_the_power():
+    assert matrices.bounded_power(2, 20, "q^e") == 1 << 20  # at the bound
+    assert matrices.bounded_power(32, 4, "q^e") == 1 << 20
+    for q, e in [(2, 21), (1025, 2), (3, 10**15), (65521, 10**12)]:
+        with pytest.raises(DomainTooLarge, match=rf"^q\^e = {q}\^{e} exceeds the "
+                                                 "enumeration bound 1048576$"):
+            matrices.bounded_power(q, e, "q^e")
+    with pytest.raises(DomainTooLarge, match="^pairs = 5 exceeds the table bound of 4 entries$"):
+        matrices.bounded(5, "pairs = 5", 4, "table bound of {} entries")
+
+
 def test_count_rank_matrices_vs_exhaustive():
     for (p, k, m, n) in [(2, 1, 2, 2), (2, 1, 2, 3), (3, 1, 2, 2)]:
         F = make_field(p, k)

@@ -23,6 +23,40 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def _raises(tree):
+    """(enclosing function, raised name, line) of every raise in tree."""
+    out = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                out.append((func, getattr(exc, "id", getattr(exc, "attr", None)), child.lineno))
+            visit(child, func)
+
+    visit(tree, None)
+    return out
+
+
+def test_size_bounds_come_from_the_shared_helpers():
+    # work sized by the user is refused by matrices.bounded (bounded_power
+    # calls it) or by _bulk.encode's int64 check, always as DomainTooLarge
+    allowed = {("matrices.py", "bounded"), ("_bulk.py", "encode")}
+    found = []
+    for path in sorted((ROOT / "src" / "bfgeo").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line} raise {name}" for func, name, line in _raises(tree)
+                  if name == "MemoryError"
+                  or (name == "DomainTooLarge" and (path.name, func) not in allowed)]
+        found += [f"{path.name}:{node.lineno} BudgetExceeded" for node in ast.walk(tree)
+                  if "BudgetExceeded" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                          getattr(node, "name", None))]
+    assert found == []
+
+
 def test_benchmark_selftest_passes():
     # the benchmark binds library names (is_graph_hom in two modules, the
     # rigidity sweeps, MatrixSpace methods); a rename must fail here
