@@ -23,9 +23,9 @@ ADJUGATE_MAX = 3
 def matmul(field: Field, A, B):
     """(..., m, t) @ (..., t, n) elementwise over the batch.
 
-    Odd prime fields sum the t raw products in an int32 (or, when
-    (p - 1)^2 t could overflow that, int64) accumulator and reduce once per
-    entry; other fields add table products term by term.
+    Odd prime fields take one np.matmul of the raw residues in an int32
+    (or, when (p - 1)^2 t could overflow that, int64) accumulator and
+    reduce once per entry; other fields add table products term by term.
     """
     A = np.asarray(A)
     B = np.asarray(B)
@@ -33,12 +33,9 @@ def matmul(field: Field, A, B):
     if B.shape[-2] != t:
         raise ValueError("inner dimensions disagree")
     if field.k == 1 and field.p > 2:
-        p = field.p
-        A = A.astype(np.int32 if (p - 1) ** 2 * t < 2**31 else np.int64)
-        out = A[..., :, 0, None] * B[..., None, 0, :]
-        for s in range(1, t):
-            out += A[..., :, s, None] * B[..., None, s, :]
-        out %= p
+        acc = np.int32 if (field.p - 1) ** 2 * t < 2**31 else np.int64
+        out = np.matmul(A.astype(acc, copy=False), B.astype(acc, copy=False))
+        out %= field.p
         return out.astype(field._arith_dtype, copy=False)
     out = field.vmul(A[..., :, 0, None], B[..., None, 0, :])
     for s in range(1, t):
@@ -105,17 +102,24 @@ def nonzero_mask(mats):
 
 
 def rank_le1_mask(field: Field, mats):
-    """True where the matrix has rank <= 1 (every 2x2 minor vanishes)."""
+    """True where the matrix has rank <= 1 (every 2x2 minor vanishes).
+
+    Over an odd prime field a minor is one integer a d - b c in the
+    field's arithmetic dtype, reduced once; other fields use the tables.
+    """
     M = np.asarray(mats)
     m, n = M.shape[-2:]
+    prime = field.k == 1 and field.p > 2
+    if prime:
+        M = M.astype(field._arith_dtype, copy=False)
     ok = np.ones(M.shape[:-2], dtype=bool)
-    for i in range(m - 1):
-        for i2 in range(i + 1, m):
-            for j in range(n - 1):
-                for j2 in range(j + 1, n):
-                    d = field.vsub(field.vmul(M[..., i, j], M[..., i2, j2]),
-                                   field.vmul(M[..., i, j2], M[..., i2, j]))
-                    ok &= d == 0
+    for i, i2 in itertools.combinations(range(m), 2):
+        for j, j2 in itertools.combinations(range(n), 2):
+            a, b, c, d = M[..., i, j], M[..., i, j2], M[..., i2, j], M[..., i2, j2]
+            if prime:
+                ok &= (a * d - b * c) % field.p == 0
+            else:
+                ok &= field.vmul(a, d) == field.vmul(b, c)
     return ok
 
 

@@ -345,6 +345,16 @@ def _shared(names):
     return parent
 
 
+# lemma-check: the options each --which reads, and every option's default;
+# an option the selected sweep does not read is a usage error
+_RIGIDITY = ("e_field", "d_field", "m", "n", "k", "sample")
+LEMMA_READS = {"3.1": ("field", "shape"), "4.1": _RIGIDITY, "4.2": _RIGIDITY + ("r",),
+               "4.3": _RIGIDITY, "4.4": _RIGIDITY + ("r",), "5.1": ("src", "dst", "sample")}
+LEMMA_DEFAULTS = {"field": "2,2", "shape": "2x2", "src": "4:2x2", "dst": None,
+                  "e_field": "2,2", "d_field": None, "m": 2, "n": 2, "k": 2, "r": 1,
+                  "sample": None}
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The parser; each subcommand carries its modes as (selector option,
     required options, handler).  The mode whose selector is set runs, the
@@ -400,13 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("lemma-check", ("field", "shape", "src", "dst", "seed"),
             (None, (), cmd_lemma_check))
-    p.set_defaults(field="2,2", shape="2x2", src="4:2x2")
-    p.add_argument("--which", required=True,
-                   choices=["3.1", "4.1", "4.2", "4.3", "4.4", "5.1"])
-    p.add_argument("--e-field", default="2,2")
+    p.add_argument("--which", required=True, choices=list(LEMMA_READS))
+    p.add_argument("--e-field")
     p.add_argument("--d-field")
-    for flag, default in (("-m", 2), ("-n", 2), ("-k", 2), ("-r", 1)):
-        p.add_argument(flag, type=int, default=default)
+    for flag in ("-m", "-n", "-k", "-r"):
+        p.add_argument(flag, type=int)
     p.add_argument("--sample", type=_count(1), default=None)
 
     add("fit-semiaffine", ("map",), (None, ("map",), cmd_fit_semiaffine))
@@ -422,7 +430,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _flag(dest: str) -> str:
-    return "--" + dest.replace("_", "-")
+    return ("-" if len(dest) == 1 else "--") + dest.replace("_", "-")
+
+
+def _lemma_options(ap, args):
+    """ap.error (exit 2) on an option the selected --which does not read;
+    else fill in the defaults."""
+    unread = [_flag(dest) for dest in LEMMA_DEFAULTS
+              if getattr(args, dest) is not None and dest not in LEMMA_READS[args.which]]
+    if unread:
+        ap.error(f"lemma-check --which {args.which} does not read " + ", ".join(unread))
+    for dest, default in LEMMA_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
 
 
 def _mode_handler(ap, args):
@@ -437,6 +457,8 @@ def _mode_handler(ap, args):
     if missing:
         ap.error(f"{args.command}: the following arguments are required: "
                  + ", ".join(missing))
+    if args.command == "lemma-check":
+        _lemma_options(ap, args)
     return handler
 
 

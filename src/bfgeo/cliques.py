@@ -241,17 +241,30 @@ def _clique_test(field: Field, D):
     none is shared.  A passing item with both lies on one line.  The name
     stays private: perfbench's tracer wraps public functions only, and its
     self-test expects ``adjacent_mask`` directly under ``is_graph_hom``.
+
+    The generators are read from D_0 alone.  With u_0[i] = 1, a rank-1 D_k
+    has column generator u_0 iff D_k = u_0 (x) D_k[i, :], and then its
+    coefficient row D_k[i, :] determines it; likewise v_0, with v_0[j] = 1,
+    and the coefficient column D_k[:, j].  So distinctness compares
+    coefficient vectors, zero-padded to max(m, n) entries.
     """
     B, K, m, n = D.shape
     idx = np.nonzero(_bulk.adjacent_mask(field, D).all(axis=1))[0]
     Dk = D[idx]
-    gu, gv = (_bulk.generators(field, Dk, axis) for axis in ("col", "row"))
-    col = (gu == gu[:, :1]).all(axis=(1, 2))
-    row = (gv == gv[:, :1]).all(axis=(1, 2))
-    # distinct: an item fails where two of its rows meet after a lexsort
-    flat = Dk.reshape(len(idx) * K, m * n)
-    item = np.repeat(np.arange(len(idx)), K)
-    order = np.lexsort(tuple(flat[:, e] for e in range(m * n - 1, -1, -1)) + (item,))
+    gu, gv = (_bulk.generators(field, Dk[:, 0], axis) for axis in ("col", "row"))
+    items = np.arange(len(idx))
+    rows = Dk[items, :, np.argmax(gu != 0, axis=1)]  # (B', K, n): D_k[i, :]
+    cols = Dk[items, :, :, np.argmax(gv != 0, axis=1)]  # (B', K, m): D_k[:, j]
+    col = (field.vmul(gu[:, None, :, None], rows[:, :, None, :]) == Dk).all(axis=(1, 2, 3))
+    row = (field.vmul(cols[..., None], gv[:, None, None, :]) == Dk).all(axis=(1, 2, 3))
+    # distinct: an item fails where two of its coefficient vectors meet
+    # after a lexsort (a row-only item by columns, any other by rows)
+    key = np.zeros((len(idx), K, max(m, n)), dtype=D.dtype)
+    key[col, :, :n] = rows[col]
+    key[~col, :, :m] = cols[~col]
+    flat = key.reshape(-1, key.shape[-1])
+    item = np.repeat(items, K)
+    order = np.lexsort(tuple(flat[:, e] for e in range(flat.shape[1] - 1, -1, -1)) + (item,))
     flat, item = flat[order], item[order]
     dup = (flat[1:] == flat[:-1]).all(axis=1) & (item[1:] == item[:-1])
     distinct = np.ones(len(idx), dtype=bool)
@@ -259,8 +272,8 @@ def _clique_test(field: Field, D):
     passes = np.zeros(B, dtype=bool)
     passes[idx] = (col | row) & distinct
     u, v = np.zeros((B, m), dtype=field.dtype), np.zeros((B, n), dtype=field.dtype)
-    u[idx[col]] = gu[col, 0]
-    v[idx[row]] = gv[row, 0]
+    u[idx[col]] = gu[col]
+    v[idx[row]] = gv[row]
     return passes, u, v
 
 

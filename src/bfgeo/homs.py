@@ -20,7 +20,7 @@ from .cliques import Kind, MaximalSet, _clique_test
 from .errors import (InvalidParams, InvalidXi, NoHomExists, NotHom,
                      ShapeMismatch, SingularTwist, TheoremViolated)
 from .fields import Field, FieldHom, enumerate_homs, field_from_order, make_field
-from .matrices import (Mat, bounded, bounded_power, random_invertible, space, space_size,
+from .matrices import (Mat, bounded, bounded_power, random_invertible, space,
                        table_budget)
 
 # hom_exists' powers q^max(m,n): 2^(2^20), far above 65536^4096 = 2^65536,
@@ -45,7 +45,7 @@ class MapTable:
         self.m2 = m2
         self.n2 = n2
         raw = np.asarray(images)
-        count = space_size(src_field.q, m, n)
+        count = table_budget(src_field.q, m, n, m2, n2)
         if raw.shape != (count, m2, n2):
             raise ShapeMismatch(
                 f"need {count} images of shape ({m2}, {n2}), got {raw.shape}")

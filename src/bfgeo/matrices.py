@@ -26,6 +26,9 @@ SPACE_LIMIT = 1 << 20
 # entries of one map table's image stack, q^(m*n) * m' * n', and of its
 # m' x m' and n' x n' factors
 TABLE_LIMIT = 1 << 24
+# 2x2 minors of one m' x n' image, C(m',2) * C(n',2): the rank-1 test of a
+# table's differences takes them one at a time
+MINOR_LIMIT = 1 << 14
 _GROUP_TABLE_LIMIT = 1 << 20  # int16 entries: code tables hold <= 2 MiB a space
 
 
@@ -240,13 +243,18 @@ def space_size(q: int, m: int, n: int) -> int:
     return bounded_power(q, m * n, "q^(m*n)")
 
 
-def table_budget(q: int, m: int, n: int, m2: int, n2: int):
-    """DomainTooLarge, before any allocation, when a map table from
-    GF(q)^(m x n) to m2 x n2 images, or its m2 x m2 and n2 x n2 factors,
-    would hold more than TABLE_LIMIT entries."""
-    bounded(max(space_size(q, m, n) * m2 * n2, m2 * m2, n2 * n2),
+def table_budget(q: int, m: int, n: int, m2: int, n2: int) -> int:
+    """q^(m*n), or DomainTooLarge, before any allocation, when a map table
+    from GF(q)^(m x n) to m2 x n2 images, or its m2 x m2 and n2 x n2
+    factors, would hold more than TABLE_LIMIT entries, or an image more
+    than MINOR_LIMIT 2x2 minors."""
+    count = space_size(q, m, n)
+    bounded(max(count * m2 * n2, m2 * m2, n2 * n2),
             f"a table of {q}^{m * n} images of shape {m2}x{n2}", TABLE_LIMIT,
             "table bound of {} entries")
+    bounded(m2 * (m2 - 1) * n2 * (n2 - 1) // 4, f"the 2x2 minor count of a {m2}x{n2} image",
+            MINOR_LIMIT, "minor bound {}")
+    return count
 
 
 class MatrixSpace:

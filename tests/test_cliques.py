@@ -427,6 +427,85 @@ def test_an_adjacent_set_failing_the_clique_test_breaks_loudly(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the clique test against the per-difference generator oracle
+
+def _reference_clique_test(field, D):
+    """Both generators of every difference, compared with the first; the
+    differences distinct on all m * n entries."""
+    B, K, m, n = D.shape
+    idx = np.nonzero(_bulk.adjacent_mask(field, D).all(axis=1))[0]
+    Dk = D[idx]
+    gu, gv = (_bulk.generators(field, Dk, axis) for axis in ("col", "row"))
+    col = (gu == gu[:, :1]).all(axis=(1, 2))
+    row = (gv == gv[:, :1]).all(axis=(1, 2))
+    distinct = np.array([len({d.tobytes() for d in item}) == K for item in Dk], dtype=bool)
+    passes = np.zeros(B, dtype=bool)
+    passes[idx] = (col | row) & distinct
+    u, v = np.zeros((B, m), dtype=field.dtype), np.zeros((B, n), dtype=field.dtype)
+    u[idx[col]] = gu[col, 0]
+    v[idx[row]] = gv[row, 0]
+    return passes, u, v
+
+
+def _difference_stacks(field, m, n, rng, B=24):
+    """Named (B, K, m, n) difference stacks: every kind of clique test
+    outcome, with items built to pass and items built to fail."""
+    K = min(6, field.q ** min(m, n) - 1)
+
+    def draw(*shape, low=0):
+        return rng.integers(low, field.q, size=shape).astype(field.dtype)
+
+    def outer(a, b):
+        return field.vmul(a, b).astype(field.dtype)
+
+    def distinct(length):  # K distinct nonzero coefficient vectors
+        codes = rng.choice(field.q ** length - 1, size=K, replace=False) + 1
+        return _bulk.decode(field, codes, 1, length)[:, 0].astype(field.dtype)
+
+    col = outer(draw(B, 1, m, 1, low=1), distinct(n)[None, :, None, :])  # one column generator
+    row = outer(distinct(m)[None, :, :, None], draw(B, 1, 1, n, low=1))  # one row generator
+    scalars = rng.permutation(field.q - 1)[:K].reshape(1, -1, 1, 1) + 1  # distinct, nonzero
+    line = outer(outer(draw(B, 1, m, 1, low=1), draw(B, 1, 1, n, low=1)), scalars)
+    # coefficient rows that differ from the first in one entry only
+    near = draw(B, 1, 1, n).repeat(K, axis=1)
+    for k in range(1, K):
+        e, c = (k - 1) % n, 1 + (k - 1) // n % (field.q - 1)
+        near[:, k, 0, e] = field.vadd(near[:, k, 0, e], c)
+    near = outer(draw(B, 1, m, 1, low=1), near)
+    corrupted = col.copy()
+    corrupted[::2, -1] = draw(B // 2, m, n)
+    duplicated = col.copy()
+    duplicated[:, -1] = duplicated[:, 1]
+    zero = row.copy()
+    zero[::2, 2] = 0
+    mixed = np.concatenate([col[:, :-1], row[:, -1:]], axis=1)
+    return {"column": col, "row": row, "line": line, "near-duplicate": near,
+            "corrupted": corrupted, "duplicated": duplicated, "zero difference": zero,
+            "mixed": mixed, "K = 1": col[:, :1], "failing": draw(B, K, m, n)}
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 4), (2, 16)],
+                         ids=["GF(2)", "GF(3)", "GF(4)", "GF(5)", "GF(9)", "GF(16)", "GF(2^16)"])
+def test_clique_test_matches_the_per_difference_oracle(p, k):
+    field = make_field(p, k)
+    rng = np.random.default_rng(p * 100 + k)
+    seen = set()
+    for m, n in ((2, 3), (3, 3)):
+        for name, D in _difference_stacks(field, m, n, rng).items():
+            for stack in (D, np.swapaxes(D, 2, 3)):  # both orientations
+                want = _reference_clique_test(field, stack)
+                got = cliques._clique_test(field, stack)
+                for w, g in zip(want, got):
+                    assert g.dtype == w.dtype and np.array_equal(g, w), (name, m, n)
+                seen |= {(name, bool(want[0].any()), bool(want[0].all()))}
+    # items built to pass do, items built to fail do not
+    for name in ("column", "row", "line", "K = 1", "near-duplicate"):
+        assert any(s[0] == name and s[1] for s in seen), name
+    for name in ("corrupted", "duplicated", "zero difference", "mixed", "failing"):
+        assert any(s[0] == name and not s[2] for s in seen), name
+
+
+# ---------------------------------------------------------------------------
 # the bulk structure checks against their pair-by-pair oracles
 # ---------------------------------------------------------------------------
 

@@ -13,7 +13,7 @@ from bfgeo.errors import (DomainTooLarge, DuplicateKey, FormatError,
 from bfgeo.fields import make_field
 from bfgeo.homs import MapTable, build_witness_hom
 from bfgeo.mapfile import parse_map_table, write_map_table
-from bfgeo.matrices import space
+from bfgeo.matrices import MINOR_LIMIT, space
 from bfgeo.reports import RunReport, emit_report
 
 F4 = make_field(2, 2)
@@ -458,7 +458,8 @@ def test_certificate_on_a_complete_graph_target(capsys):
 
 # every size string and numeric option at 0, -1, 10^5 and just past its
 # bound: GF(2) 1x21 passes SPACE_LIMIT, 1x13 the clique search, a 2048x2048
-# target TABLE_LIMIT, -m 4 -n 4 the GF(4) X-space, --cols 4 GF(4)^(3x4)
+# target TABLE_LIMIT (from a 2x2 source) or MINOR_LIMIT (from a 1x1 one, and
+# 16x17 is just inside it), -m 4 -n 4 the GF(4) X-space, --cols 4 GF(4)^(3x4)
 _SHAPES = ["0x2", "-1x2", "100000x100000", "1x21"]
 _SPACES = ["2:0x2", "2:-1x2", "2:100000x100000", "0:2x2", "-1:2x2", "100000:2x2", "2:1x21"]
 _VALUES = ["0", "-1", "100000"]
@@ -482,6 +483,8 @@ def _bound_cases():
         cases += _pair_commands([f"--src={s}", "--dst=2:100000x100000"])
         cases += _pair_commands(["--src=4:2x2", f"--dst={s}"])
     cases += _pair_commands(["--src=4:2x2", "--dst=4:2048x2048"])
+    cases += [[*argv, "--src=2:1x1", f"--dst=4:{s}"] for s in ("2048x2048", "16x17")
+              for argv in (["witness-hom"], ["recover", "--dim-bound", "1"])]
     cases += [["exists", "--src=2:1x14", "--dst=2:1x13", "--certificate"],
               ["clique-classify", "--field", "2,1", "--shape=2x7"]]
     cases += [["lemma-check", "--which", w, opt, v] for w in ("4.1", "4.2", "4.3", "4.4")
@@ -524,11 +527,13 @@ def test_sizes_and_counts_exit_0_or_2_within_a_second(argv, tmp_path, capsys):
     (["exists", "--src", "65521:1x10000000", "--dst", "3:1x1"], "65521^10000000"),
     (["exists", "--src", "2:100000x2", "--dst", "2:2x2", "--certificate"], "2^100000"),
     (["hom-verify", "--map", "MAP", "--sample", "1000000000000"], "1000000000000"),
+    (["witness-hom", "--src", "2:1x1", "--dst", "4:2048x2048"], "minor count of a 2048x2048"),
 ], ids=["exists target power", "exists source power", "certificate source clique",
-        "sample count"])
+        "sample count", "2x2 minors"])
 def test_user_sized_work_is_refused_before_it_starts(argv, named, tmp_path, capsys):
-    # these took 4.6 s or more, printed a clique too long for a report, or
-    # asked numpy for 7.28 TiB of draws
+    # these took 4.6 s or more, printed a clique too long for a report,
+    # asked numpy for 7.28 TiB of draws, or took C(2048, 2)^2 2x2 minors of
+    # a 2-point table within the table bound
     path = tmp_path / "id.bfmap"
     write_map_table(identity_table(), path)
     argv = [str(path) if a == "MAP" else a for a in argv]
@@ -536,6 +541,24 @@ def test_user_sized_work_is_refused_before_it_starts(argv, named, tmp_path, caps
     assert code == 2
     assert rep["witnesses"][0].startswith("DomainTooLarge:")
     assert named in rep["witnesses"][0]
+
+
+def test_a_table_past_the_minor_bound_is_refused_when_built():
+    images = np.zeros((2, 17, 17), dtype=np.uint8)
+    with pytest.raises(DomainTooLarge, match=f"minor bound {MINOR_LIMIT}"):
+        MapTable(make_field(2, 1), 1, 1, make_field(2, 2), 17, 17, images)
+    MapTable(make_field(2, 1), 1, 1, make_field(2, 2), 16, 17, images[:, :16])
+
+
+@pytest.mark.parametrize("argv,unread", [
+    (["--which", "3.1", "-m", "100000"], "-m"),
+    (["--which", "4.1", "-r", "-1"], "-r"),
+    (["--which", "5.1", "--field", "2,2", "-k", "3"], "--field, -k"),
+    (["--which", "4.2", "--src", "4:2x2", "--shape", "2x2"], "--shape, --src"),
+], ids=" ".join)
+def test_lemma_check_refuses_options_its_sweep_does_not_read(argv, unread, capsys):
+    assert main(["lemma-check", *argv]) == 2
+    assert f"does not read {unread}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("build", [

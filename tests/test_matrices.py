@@ -1,5 +1,6 @@
 """Matrix arithmetic, rank metric and the BFS graph distance."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -345,10 +346,43 @@ def test_prime_field_matmul_matches_the_termwise_product(p, t):
         out = _bulk.matmul(F, A, B)
         assert np.array_equal(out, ref)
         assert out.dtype.itemsize <= ref.dtype.itemsize
+    # one left factor for a whole stack, as in P @ images
+    B = rng.integers(0, p, size=(50, t, 2)).astype(F.dtype)
+    assert np.array_equal(_bulk.matmul(F, A[0], B), _termwise_matmul(F, A[0], B))
     # the largest entries: (p - 1)^2 t must not overflow the accumulator
     top = np.full((2, 3, t), p - 1, dtype=F.dtype)
     assert np.array_equal(_bulk.matmul(F, top, np.swapaxes(top, 1, 2)),
                           _termwise_matmul(F, top, np.swapaxes(top, 1, 2)))
+    assert np.array_equal(_bulk.matmul(F, top[0], np.swapaxes(top, 1, 2)),
+                          _termwise_matmul(F, top[0], np.swapaxes(top, 1, 2)))
+
+
+def _table_rank_le1(field, M):
+    """Reference mask: every 2x2 minor through vmul and vsub."""
+    m, n = M.shape[-2:]
+    ok = np.ones(M.shape[:-2], dtype=bool)
+    for i, i2 in itertools.combinations(range(m), 2):
+        for j, j2 in itertools.combinations(range(n), 2):
+            ok &= field.vsub(field.vmul(M[..., i, j], M[..., i2, j2]),
+                             field.vmul(M[..., i, j2], M[..., i2, j])) == 0
+    return ok
+
+
+# 181 is the last prime whose minors fit int16, 191 the first that does not
+@pytest.mark.parametrize("p", [3, 5, 181, 191, 32749, 65521])
+def test_prime_field_rank_le1_mask_matches_the_table_minors(p):
+    F = make_field(p, 1)
+    rng = np.random.default_rng(p)
+    mats = rng.integers(0, p, size=(300, 3, 4))
+    mats[::3] = mats[::3, :, :1] * mats[::3, :1, :] % p  # rank <= 1
+    # all p - 1, and a d - b c at the extremes +-(p - 1)^2
+    top = np.full((3, 4), p - 1)
+    diag, anti = np.zeros((3, 4), dtype=np.int64), np.zeros((3, 4), dtype=np.int64)
+    diag[0, 0] = diag[1, 1] = anti[0, 1] = anti[1, 0] = p - 1
+    mats = np.concatenate([mats, [top, diag, anti]]).astype(F.dtype)
+    got = _bulk.rank_le1_mask(F, mats)
+    assert np.array_equal(got, _table_rank_le1(F, mats))
+    assert got[-3] and not got[-2] and not got[-1] and got[:-3:3].all()
 
 
 def test_solve_affine():
