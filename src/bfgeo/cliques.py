@@ -19,7 +19,7 @@ from . import _bulk
 from .errors import (Disjoint, NotAdjacent, NotAdjacentSet, NotMaximal, PreconditionViolated,
                      ShapeMismatch, TheoremViolated, WrongKinds, ZeroNotMember)
 from .fields import Field
-from .matrices import Mat, adjacent, bounded_power, space
+from .matrices import Mat, adjacent, bounded_power, check_codes, space
 
 
 class Kind(enum.Enum):
@@ -79,9 +79,8 @@ class MaximalSet:
     @functools.cached_property
     def direction(self) -> np.ndarray:
         """Monic generator of the defining 1-dimensional space."""
-        if self.kind is Kind.ONE:
-            return _bulk.monic(self.field, self.transform.col(0))
-        return _bulk.monic(self.field, self.transform.row(0))
+        t = self.transform.a
+        return _bulk.monic(self.field, t[:, 0] if self.kind is Kind.ONE else t[0])
 
     def cardinality(self) -> int:
         return self.field.q ** (self.n if self.kind is Kind.ONE else self.m)
@@ -91,15 +90,18 @@ class MaximalSet:
             raise ShapeMismatch("candidate lives in a different space")
         return bool(self.contains_batch(X.a[None])[0])
 
-    def contains_batch(self, entries) -> np.ndarray:
-        """Vectorized membership on a (N, m, n) stack."""
+    def _local(self, entries) -> np.ndarray:
+        """P^-1 (X - A) (kind ONE), or ((X - A) Q^-1)^T (kind TWO), per item
+        of an (N, m, n) stack: a member's parameters in row 0, zero below."""
         F = self.field
         diff = F.vsub(entries, self.offset.a)
         if self.kind is Kind.ONE:
-            local = _bulk.matmul(F, self._tinv.a, diff)
-            return ~local[..., 1:, :].any(axis=(-2, -1))
-        local = _bulk.matmul(F, diff, self._tinv.a)
-        return ~local[..., :, 1:].any(axis=(-2, -1))
+            return _bulk.matmul(F, self._tinv.a, diff)
+        return np.swapaxes(_bulk.matmul(F, diff, self._tinv.a), -2, -1)
+
+    def contains_batch(self, entries) -> np.ndarray:
+        """Vectorized membership on a (N, m, n) stack."""
+        return ~self._local(entries)[..., 1:, :].any(axis=(-2, -1))
 
     def point_entries(self) -> np.ndarray:
         """(cardinality, m, n) stack of all members, in parameter order."""
@@ -150,7 +152,7 @@ class VertexSet:
         self.field = field
         self.m = m
         self.n = n
-        self.codes = np.unique(np.asarray(codes, dtype=np.int64))
+        self.codes = check_codes(field, m, n, np.unique(np.asarray(codes, dtype=np.int64)))
 
     @classmethod
     def _from_sorted(cls, field: Field, m: int, n: int, codes) -> "VertexSet":
@@ -342,12 +344,11 @@ class Line:
         lam = np.arange(F.q, dtype=np.int64)
         coords = F.vadd(F.vmul(lam[:, None], self.alpha[None, :]), self.beta)
         P = self.host.transform
+        block = np.zeros((F.q, self.host.m, self.host.n), dtype=F.dtype)
         if self.host.kind is Kind.ONE:
-            block = np.zeros((F.q, self.host.m, self.host.n), dtype=F.dtype)
             block[:, 0, :] = coords
             out = _bulk.matmul(F, P.a, block)
         else:
-            block = np.zeros((F.q, self.host.m, self.host.n), dtype=F.dtype)
             block[:, :, 0] = coords
             out = _bulk.matmul(F, block, P.a)
         return F.vadd(out, self.host.offset.a)
@@ -359,15 +360,6 @@ class Line:
         return self.host.field.q
 
 
-def _host_coords(M: MaximalSet, pts) -> np.ndarray:
-    """Coordinates of member points in M's parameter space."""
-    F = M.field
-    diff = F.vsub(pts, M.offset.a)
-    if M.kind is Kind.ONE:
-        return _bulk.matmul(F, M._tinv.a, diff)[:, 0, :]
-    return _bulk.matmul(F, diff, M._tinv.a)[:, :, 0]
-
-
 def line_through(M: MaximalSet, N: MaximalSet) -> Line:
     """The line M cap N when the kinds differ and they meet."""
     if M.kind == N.kind:
@@ -377,7 +369,7 @@ def line_through(M: MaximalSet, N: MaximalSet) -> Line:
         raise Disjoint("cliques do not meet")
     if len(pts) != M.field.q:
         raise TheoremViolated("opposite-kind cliques meet in q points")
-    coords = _host_coords(M, pts.entries())
+    coords = M._local(pts.entries())[:, 0, :]  # the points in M's parameter space
     beta = coords[0]
     alpha = _bulk.monic(M.field, M.field.vsub(coords[1], coords[0]))
     return Line(M, alpha, beta)
@@ -497,30 +489,8 @@ def two_pencil_sweep(field: Field, m: int, n: int, rows, cols):
 
 
 # ---------------------------------------------------------------------------
-# structural enumeration and the independent brute-force oracle
+# the independent brute-force oracle
 # ---------------------------------------------------------------------------
-
-def all_maximal_sets(field: Field, m: int, n: int):
-    """Every maximal clique of the space, one canonical object per set.
-
-    Per direction, codes are visited in ascending order and a clique is
-    built only at a code no earlier clique of that direction holds.  That
-    code is the clique's lex-min member, so the clique is already in
-    canonical form, and every coset of the direction is built once.
-    """
-    sp = space(field, m, n)
-    out = []
-    for kind, dirs in ((Kind.ONE, sp.monic_cols), (Kind.TWO, sp.monic_rows)):
-        for d in dirs:
-            covered = np.zeros(sp.count, dtype=bool)
-            for code in range(sp.count):
-                if covered[code]:
-                    continue
-                ms = MaximalSet.through(kind, d, Mat.decode(field, code, m, n))
-                covered[ms.codes] = True
-                out.append(ms)
-    return out
-
 
 CLIQUE_SEARCH_LIMIT = 1 << 12
 

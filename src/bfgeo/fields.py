@@ -147,6 +147,8 @@ class Field:
     # -- construction-time tables ------------------------------------------
 
     def _raw_mul(self, a: int, b: int) -> int:
+        if self.k == 1:
+            return a * b % self.p
         prod = _poly_mul(_int_to_poly(a, self.p), _int_to_poly(b, self.p), self.p)
         return _poly_to_int(_poly_mod(prod, list(self.modulus), self.p), self.p)
 

@@ -177,7 +177,9 @@ class Mat:
 
     @staticmethod
     def decode(field: Field, code: int, m: int, n: int) -> "Mat":
-        return Mat(field, _bulk.decode(field, np.int64(code), m, n))
+        """The matrix of a code, or ValueError outside [0, q^(m*n))."""
+        code = check_codes(field, m, n, np.int64(code))
+        return Mat(field, _bulk.decode(field, code, m, n))
 
     def to_text(self) -> str:
         """Row-major text form, e.g. "0,1;2,3" for a 2x2."""
@@ -199,6 +201,18 @@ class Mat:
 
     def __repr__(self):
         return f"Mat(GF({self.field.q}), \"{self.to_text()}\")"
+
+
+def check_codes(field: Field, m: int, n: int, codes):
+    """The int64 codes, or ValueError outside [0, q^(m*n)).  The top code is
+    divided by q m*n times, at most 63 as q^63 > 2^63: no power is taken."""
+    codes = np.asarray(codes, dtype=np.int64)
+    top = int(codes.max(initial=0))
+    for _ in range(min(m * n, 63)):
+        top //= field.q
+    if top or codes.min(initial=0) < 0:
+        raise ValueError(f"code outside [0, {field.q}^{m * n}) for a {m}x{n} matrix")
+    return codes
 
 
 # ---------------------------------------------------------------------------
@@ -327,29 +341,43 @@ class MatrixSpace:
             out[t] = self.code_add(codes, r)
         return out
 
-    @functools.cached_property
-    def clique_members(self):
-        """(cliques, q^max(m, n)) member codes of the maximal cliques of one kind.
-
-        The kind is ONE (X0 + u GF(q)^(1 x n), u a monic column) when
-        m <= n, else TWO (X0 + GF(q)^(m x 1) v, v a monic row): either kind
-        holds each edge in exactly one clique, and this one has the fewer
-        directions.  For a direction whose leading 1 is at index i, the
-        bases X0 are the matrices zero in row (column) i, and the members
-        are X0 + u w (w v) with w in code order; so members ascend in code
-        and member 0 is the base.
+    def maximal_cliques(self, axis: str):
+        """(cliques, members) codes of the maximal cliques of one kind, cached:
+        axis "col" (as in ``_bulk.generators``) gives kind ONE, X0 + u
+        GF(q)^(1 x n) for u in ``monic_cols``, "row" kind TWO, X0 +
+        GF(q)^(m x 1) v for v in ``monic_rows``, direction by direction.  The
+        bases X0 are the matrices zero in row (column) i, u's (v's) leading
+        1, and the members X0 + u w (w v) for w in code order: they ascend,
+        and member 0, the base, is the lex-min member.  Kind TWO bases need
+        not ascend within a direction.  Another axis raises AttributeError.
         """
-        F, q = self.field, self.field.q
-        tall = self.m > self.n
-        r, s = (self.n, self.m) if tall else (self.m, self.n)
-        ws = _bulk.decode(F, np.arange(q**s), 1, s)
-        rest = _bulk.decode(F, np.arange(q**((r - 1) * s)), r - 1, s)
+        return getattr(self, f"_{axis}_cliques")
+
+    @functools.cached_property
+    def _col_cliques(self):
+        return self._clique_rows(self.m, self.n, transpose=False)
+
+    @functools.cached_property
+    def _row_cliques(self):
+        return self._clique_rows(self.n, self.m, transpose=True)
+
+    def _clique_rows(self, r: int, s: int, transpose: bool):
+        """Kind ONE of the r x s space, its members transposed if asked."""
+        F = self.field
+        ws = _bulk.decode(F, np.arange(F.q**s), 1, s)
+        rest = _bulk.decode(F, np.arange(F.q**((r - 1) * s)), r - 1, s)
         out = []
         for u in _monic_vectors(F, r):
             bases = np.insert(rest, int(np.argmax(u != 0)), 0, axis=1)
             members = F.vadd(bases[:, None], F.vmul(u[:, None], ws)[None])
-            out.append(_bulk.encode(F, np.swapaxes(members, -2, -1) if tall else members))
+            out.append(_bulk.encode(F, np.swapaxes(members, -2, -1) if transpose else members))
         return np.concatenate(out)
+
+    @property
+    def clique_members(self):
+        """``maximal_cliques`` of the kind with the fewer directions (ONE when
+        m <= n): either kind holds each edge in exactly one clique."""
+        return self.maximal_cliques("row" if self.m > self.n else "col")
 
     def cliques_through(self, codes):
         """(len(codes), directions) rows of ``clique_members``: per point X,

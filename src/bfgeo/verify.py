@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _bulk, cliques
-from .cliques import (Kind, VertexSet, all_maximal_sets, bron_kerbosch_cliques,
+from .cliques import (Kind, VertexSet, bron_kerbosch_cliques,
                       classify_clique, clique_number, maximal_sets_through,
                       two_pencil_sweep)
 from .errors import PreconditionViolated, SingularTwist
@@ -191,7 +191,8 @@ def line_structure_check(field: Field, m: int, n: int) -> dict:
     its ONE clique that the TWO clique holds; the line through them is
     rebuilt in its ONE host, for every pair at once, and must give the
     points back, and each line must have a unique host pair.  A fixed
-    sample of pairs also goes through the public line_through.  Every
+    sample of lines is also taken by the public line_through, in the
+    cliques maximal_sets_through gives for two of its points.  Every
     parametric line of the standard row clique must be an intersection.
     DomainTooLarge past SPACE_LIMIT ONE x TWO pairs, before any set is built.
     """
@@ -199,17 +200,14 @@ def line_structure_check(field: Field, m: int, n: int) -> dict:
     one_count, two_count = _maximal_set_counts(q, m, n)
     bounded(pairs := one_count * two_count, f"opposite-kind pairs = {pairs}")
     sp = space(field, m, n)
-    sets_ = all_maximal_sets(field, m, n)
-    ones = [s for s in sets_ if s.kind is Kind.ONE]
-    twos = [s for s in sets_ if s.kind is Kind.TWO]
-    one_codes = np.stack([M.codes for M in ones])
-    tinv, P, offset = (np.stack(a)[:, None] for a in
-                       zip(*((M._tinv.a, M.transform.a, M.offset.a) for M in ones)))
-    one_member = _membership(one_codes, sp.count)
-    two_member = _membership([N.codes for N in twos], sp.count)
-    violations = []
-    meet = []
-    for rows in _row_blocks(len(ones), 4 * len(twos)):
+    one_codes, two_codes = sp.maximal_cliques("col"), sp.maximal_cliques("row")
+    # ONE clique i: transform P[i // per_one] (as MaximalSet.through), offset member 0
+    per_one = len(one_codes) // len(sp.monic_cols)
+    P = np.stack([cliques.complete_to_invertible_col(field, u).a for u in sp.monic_cols])[:, None]
+    tinv = _bulk.inverse(field, P)
+    one_member, two_member = (_membership(c, sp.count) for c in (one_codes, two_codes))
+    violations, meet = [], []
+    for rows in _row_blocks(len(one_codes), 4 * len(two_codes)):
         sizes = one_member[rows] @ two_member.T
         violations += [f"intersection size {int(k)}" for k in sizes[(sizes != 0) & (sizes != q)]]
         i, j = np.nonzero(sizes == q)
@@ -222,12 +220,13 @@ def line_structure_check(field: Field, m: int, n: int) -> dict:
         i, j = meet[rows].T
         held = two_member[j[:, None], one_codes[i]] != 0
         lines[rows] = one_codes[i][held].reshape(-1, q)
-        rebuilt = _rebuilt_lines(field, tinv[i], P[i], offset[i], sp.entries[lines[rows]])
+        d, offset = i // per_one, sp.entries[one_codes[i, :1]]
+        rebuilt = _rebuilt_lines(field, tinv[d], P[d], offset, sp.entries[lines[rows]])
         wrong = (rebuilt != lines[rows]).any(axis=1)
         violations += ["line does not reproduce the intersection"] * int(wrong.sum())
     for t in np.unique(np.linspace(0, len(meet) - 1, min(_LINE_SAMPLE, len(meet))).astype(np.int64)):
-        i, j = meet[t]
-        if not np.array_equal(cliques.line_through(ones[i], twos[j]).points().codes, lines[t]):
+        M, N = maximal_sets_through(sp.mat(lines[t, 0]), sp.mat(lines[t, 1]))
+        if not np.array_equal(cliques.line_through(M, N).points().codes, lines[t]):
             violations.append("line_through disagrees with the batched line")
     known, hosts = np.unique(lines, axis=0, return_counts=True)
     violations += [f"line with {int(k)} host pairs" for k in hosts[hosts != 1]]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bfgeo import _bulk, cliques, verify
-from bfgeo.cliques import (Kind, Line, MaximalSet, VertexSet, all_maximal_sets,
+from bfgeo.cliques import (Kind, Line, MaximalSet, VertexSet,
                            bron_kerbosch_cliques, classify_clique,
                            clique_number, complete_to_invertible_col,
                            complete_to_invertible_row, dim_adjacent_entries,
@@ -194,9 +194,25 @@ def test_line_equals_intersection_random():
         assert len(pts) == 4
 
 
+def test_out_of_range_codes_are_refused():
+    # these were read modulo q^(m*n): [0, -1] as {0, "1,1;1,1"}, and
+    # [0, 1, 16, 17] as 4 points holding 2 matrices, of dimension 1
+    for codes in ([0, -1], [0, 1, 16, 17]):
+        with pytest.raises(ValueError, match="outside"):
+            VertexSet(F2, 2, 2, codes)
+    with pytest.raises(ValueError, match="outside"):
+        Mat.decode(F2, 16, 2, 2)  # once the zero matrix
+    with pytest.raises(ValueError, match="outside"):
+        Mat.decode(F2, -1, 2, 2)
+    assert Mat.decode(F2, 15, 2, 2) == Mat(F2, [[1, 1], [1, 1]])
+    assert len(VertexSet(F2, 2, 2, [15, 0, 15])) == 2
+    # past int64, every code is in range and no power is taken
+    assert len(VertexSet(F2, 300, 300, [0, 2**62])) == 2
+
+
 def test_every_line_sits_in_one_clique_of_each_kind():
     # exhaustive at GF(2)^(2x2): lines = opposite-kind intersections
-    sets_ = all_maximal_sets(F2, 2, 2)
+    sets_ = every_offset_sets(F2, 2, 2)
     ones = [s for s in sets_ if s.kind is Kind.ONE]
     twos = [s for s in sets_ if s.kind is Kind.TWO]
     lines = {}
@@ -271,18 +287,16 @@ def test_two_pencil_sweep_gf4():
 
 
 def test_structural_sets_match_brute_force_cliques():
-    sets_ = all_maximal_sets(F2, 2, 2)
-    assert len(sets_) == 24  # 12 of each kind: 3 directions x 4 cosets
-    structural = {frozenset(int(c) for c in _bulk.encode(F2, s.point_entries()))
-                  for s in sets_}
-    brute = set(bron_kerbosch_cliques(F2, 2, 2))
-    assert structural == brute
+    sp = space(F2, 2, 2)
+    rows = np.concatenate([sp.maximal_cliques("col"), sp.maximal_cliques("row")])
+    assert len(rows) == 24  # 12 of each kind: 3 directions x 4 cosets
+    assert sorted(map(frozenset, rows.tolist()), key=sorted) == bron_kerbosch_cliques(F2, 2, 2)
     assert clique_number(F2, 2, 2) == 4
 
 
 def every_offset_sets(field, m, n):
-    """A MaximalSet for every direction and offset, kept by first key: the
-    enumeration all_maximal_sets ran before it skipped covered offsets."""
+    """A canonical MaximalSet for every direction and offset, kept by first
+    key: per kind and direction, one per clique, ordered by lex-min member."""
     sp = space(field, m, n)
     out = {}
     for kind in (Kind.ONE, Kind.TWO):
@@ -300,17 +314,28 @@ def every_offset_sets(field, m, n):
     return list(out.values())
 
 
-@pytest.mark.parametrize("field,m,n", [(F2, 2, 3), (F3, 2, 2)])
-def test_all_maximal_sets_match_the_every_offset_enumeration(field, m, n):
-    got, want = all_maximal_sets(field, m, n), every_offset_sets(field, m, n)
-    assert [s.key() for s in got] == [s.key() for s in want]
-    assert [(s.offset, s.transform) for s in got] == [(s.offset, s.transform) for s in want]
+@pytest.mark.parametrize("field,m,n", [(F2, 2, 3), (F3, 2, 2), (F2, 3, 2)])
+def test_maximal_cliques_match_the_every_offset_enumeration(field, m, n):
+    sp, want = space(field, m, n), every_offset_sets(field, m, n)
+    total = 0
+    for kind, axis, dirs in ((Kind.ONE, "col", sp.monic_cols), (Kind.TWO, "row", sp.monic_rows)):
+        got = sp.maximal_cliques(axis)
+        assert got is sp.maximal_cliques(axis)  # cached on the space
+        total += len(got)
+        # members ascend, so member 0 is the lex-min member
+        assert (np.diff(got, axis=1) > 0).all()
+        for d, block in zip(dirs, np.split(got, len(dirs))):
+            sets_ = [s for s in want if s.kind is kind and np.array_equal(s.direction, d)]
+            # kind TWO bases need not ascend within a direction
+            block = block[np.argsort(block[:, 0])]
+            assert np.array_equal(block, np.stack([s.codes for s in sets_]))
     q = field.q
 
     def gauss(k):
         return (q**k - 1) // (q - 1)
 
-    assert len(got) == gauss(m) * q**(m * n - n) + gauss(n) * q**(m * n - m)
+    assert total == len(want) == gauss(m) * q**(m * n - n) + gauss(n) * q**(m * n - m)
+    assert sp.clique_members is sp.maximal_cliques("row" if m > n else "col")
 
 
 def test_exactly_two_cliques_per_edge_small():
@@ -330,7 +355,7 @@ def test_exactly_two_cliques_per_edge_small():
 
 def test_intersection_cardinality_dichotomy():
     for field in (F2, F3):
-        sets_ = all_maximal_sets(field, 2, 2)
+        sets_ = every_offset_sets(field, 2, 2)
         q = field.q
         for i, M in enumerate(sets_):
             # oracle: M's points that N's transform-based membership test keeps
@@ -563,7 +588,7 @@ def pairwise_clique_structure(field, m, n):
 
 def pairwise_line_structure(field, m, n):
     """line_structure_check by intersect and line_through on every pair."""
-    sets_ = all_maximal_sets(field, m, n)
+    sets_ = every_offset_sets(field, m, n)
     violations, hosts = [], {}
     for M in (s for s in sets_ if s.kind is Kind.ONE):
         for N in (s for s in sets_ if s.kind is Kind.TWO):

@@ -69,6 +69,31 @@ def test_construction_rejections():
         field_from_order(1000000000000000003)
 
 
+def prime_factors(n):
+    out, d = set(), 2
+    while d * d <= n:
+        while n % d == 0:
+            out.add(d)
+            n //= d
+        d += 1
+    return out | ({n} if n > 1 else set())
+
+
+@pytest.mark.parametrize("p", [7, 251, 257, 65521])
+def test_prime_field_tables_are_powers_of_the_least_primitive_root(p):
+    F = make_field(p, 1)
+    g = F.generator
+
+    def primitive(c):
+        return all(pow(c, (p - 1) // r, p) != 1 for r in prime_factors(p - 1))
+
+    assert primitive(g) and not any(primitive(c) for c in range(2, g))
+    i = np.arange(p - 1)
+    assert np.array_equal(F._exp, [pow(g, e, p) for e in range(p - 1)])
+    assert np.array_equal(F._log[F._exp], i)
+    assert (F.inv_table[1:].astype(np.int64) * (i + 1) % p == 1).all()
+
+
 def test_gf4_alpha_squared():
     F = make_field(2, 2)
     alpha = 2  # class of x

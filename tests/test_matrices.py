@@ -1,7 +1,9 @@
 """Matrix arithmetic, rank metric and the BFS graph distance."""
 
+import gc
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -461,6 +463,20 @@ def test_clique_members_hold_each_edge_once(p, k, m, n):
     assert len(lo) == sp.count * count_rank_matrices(F, m, n, 1) // 2
     diffs = F.vsub(sp.entries[hi], sp.entries[lo])
     assert (_bulk.rank(F, diffs) == 1).all()
+
+
+def test_a_cleared_space_is_freed_with_its_tables():
+    # the tables live on the instance: a cache keyed on the space would keep
+    # it, and its neighbour tables, alive after space.cache_clear()
+    sp = space(make_field(3, 1), 2, 3)
+    for table in (sp.entries, sp.neighbor_perms, sp.clique_members,
+                  sp.maximal_cliques("col"), sp.maximal_cliques("row")):
+        assert len(table)
+    ref = weakref.ref(sp)
+    del sp, table
+    space.cache_clear()
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize("p,k,m,n", [(2, 1, 2, 3), (2, 1, 3, 1), (3, 1, 3, 2),
