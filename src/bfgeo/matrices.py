@@ -481,8 +481,10 @@ def bfs_distance_rows(space: MatrixSpace, sources, max_level: int | None = None)
     for a source when X + R was on its frontier for some rank-1 increment R.
     That gather reaches the same matrices as scattering each frontier point
     to its neighbours because the increments are closed under negation.
-    No rank or arithmetic distance is consulted.  The search stops after
-    ``max_level`` levels (default min(m, n) + 1); unreached matrices hold -1.
+    No rank or arithmetic distance is consulted.  Each level's unpacked
+    bits, times level + 1, are added to rows that start at -1 (0 at the
+    sources).  The search stops after ``max_level`` levels (default
+    min(m, n) + 1); unreached matrices hold -1.
     Sources go in blocks, and increments in chunks, so that the gathered
     array stays under ``_BFS_BLOCK_BYTES``.
     """
@@ -512,8 +514,8 @@ def _bfs_block(perms, sources, dist, cap):
         if not nxt.any():
             break
         seen |= nxt
-        x, s = np.nonzero(np.unpackbits(nxt, axis=1, count=len(sources)))
-        dist[s, x] = level
+        bits = np.unpackbits(nxt, axis=1, count=len(sources)).view(np.int8)
+        dist += bits.T * np.int8(level + 1)
         front = nxt
 
 

@@ -14,14 +14,14 @@ from . import _bulk, cliques
 from .cliques import (Kind, VertexSet, bron_kerbosch_cliques,
                       classify_clique, clique_number, maximal_sets_through,
                       two_pencil_sweep)
-from .errors import PreconditionViolated, SingularTwist
+from .errors import PreconditionViolated
 from .fields import Field, field_from_order
-from .homs import (MapTable, Orientation, build_witness_hom, hom_exists,
-                   is_colouring, is_degenerate, is_graph_hom, moebius_twist,
-                   proper_coloring, random_valid_params, standard_table,
-                   validate_params)
-from .matrices import (Mat, bfs_distance_rows, bounded, bounded_power, space,
-                       space_size)
+from .homs import (MapTable, Orientation, TwistSide, _resolvent, build_witness_hom,
+                   hom_exists, is_colouring, is_degenerate, is_graph_hom,
+                   moebius_twist, proper_coloring, random_valid_params,
+                   standard_table, validate_params)
+from .matrices import (TABLE_LIMIT, Mat, bfs_distance_rows, bounded, bounded_power,
+                       count_rank_matrices, space, space_size)
 from .recovery import dim_bound_check, recover_standard
 
 
@@ -40,29 +40,42 @@ def _pairwise_ranks(field: Field, entries):
     past SPACE_LIMIT pairs.
 
     Each point of the space is ranked once by rref, and a pair reads the
-    rank of its difference, taken by field subtraction, at that
-    difference's code: no code arithmetic, which the BFS uses, is involved.
-    Row blocks keep the encoded differences under ``_PAIR_BLOCK_BYTES``."""
+    rank of its difference at that difference's code.  The code is built
+    one entry position t at a time, code * q + (E_a - E_b)[t], the digit
+    read from a (q, count) table of field differences x - E_b[t] at row
+    x = E_a[t]: no code arithmetic, which the BFS uses, is involved.  Row
+    blocks keep the int64 codes under ``_PAIR_BLOCK_BYTES``."""
     count, m, n = entries.shape
     bounded_power(count, 2, "matrix pairs")
     ranks = _bulk.rank(field, space(field, m, n).entries).astype(np.int8)
+    flat = entries.reshape(count, m * n)
+    values = np.arange(field.q)[:, None]
     out = np.empty((count, count), dtype=np.int8)
-    for rows in _row_blocks(count, 8 * count * m * n):
-        diffs = field.vsub(entries[rows, None], entries[None, :])
-        out[rows] = ranks[_bulk.encode(field, diffs)]
+    for rows in _row_blocks(count, 8 * count):
+        code = np.zeros((len(flat[rows]), count), dtype=np.int64)
+        for t in range(m * n):
+            code *= field.q
+            code += field.vsub(values, flat[:, t])[flat[rows, t]]
+        out[rows] = ranks[code]
     return out
 
 
 def distance_theorem_check(field: Field, m: int, n: int) -> dict:
-    """Exhaustive: BFS path length equals rank distance, every pair."""
+    """Exhaustive: BFS path length equals rank distance, every pair, and
+    the pairs at rank distance 1 are the q^(mn) N_1 / 2 edges of the
+    closed form, N_1 the number of rank-1 matrices."""
     sp = space(field, m, n)
     ads = _pairwise_ranks(field, sp.entries)
     a, b = np.nonzero(bfs_distance_rows(sp, np.arange(sp.count)) != ads)
+    mismatches = [f"{int(x)}:{int(y)}" for x, y in zip(a, b)]
+    edges = int((ads == 1).sum()) // 2
+    if edges != (want := sp.count * count_rank_matrices(field, m, n, 1) // 2):
+        mismatches.append(f"edges {edges}, closed form {want}")
     return {
         "vertices": sp.count,
         "pairs": sp.count * sp.count,
-        "edges": int((ads == 1).sum()) // 2,
-        "mismatches": sorted(f"{int(x)}:{int(y)}" for x, y in zip(a, b)),
+        "edges": edges,
+        "mismatches": sorted(mismatches),
     }
 
 
@@ -115,10 +128,11 @@ def clique_structure_check(field: Field, m: int, n: int) -> dict:
     and distinct cliques meet in 1 point (same kind) or q (different).
 
     The clique list comes from plain Bron-Kerbosch graph search, so the
-    coset structure is confirmed rather than assumed.  Shared points of
-    every pair of cliques, and the cliques hosting each edge, are read from
-    products of one (cliques x points) membership matrix.  DomainTooLarge
-    past SPACE_LIMIT clique pairs, from the closed-form clique count.
+    coset structure is confirmed rather than assumed, and the number found
+    must be the closed-form clique count.  Shared points of every pair of
+    cliques, and the cliques hosting each edge, are read from products of
+    one (cliques x points) membership matrix.  DomainTooLarge past
+    SPACE_LIMIT clique pairs, from the closed-form clique count.
     PreconditionViolated on a 1 x n or m x 1 space, which is one complete
     graph with a single maximal clique.
     """
@@ -131,9 +145,9 @@ def clique_structure_check(field: Field, m: int, n: int) -> dict:
              for c in bron_kerbosch_cliques(field, m, n)]
     ones = _clique_kinds(field, m, n, codes)
     member = _membership(codes, sp.count)
+    violations = [] if len(codes) == total else [f"{len(codes)} cliques, closed form {total}"]
 
     # each edge a < b once; its hosts are the cliques holding both ends
-    violations = []
     perms = sp.neighbor_perms
     one_member = member[ones]
     for rows in _row_blocks(sp.count, 4 * sp.count):
@@ -248,15 +262,21 @@ def line_structure_check(field: Field, m: int, n: int) -> dict:
 
 
 def coloring_check(field: Field, m: int, n: int) -> dict:
-    c = proper_coloring(field, m, n)
-    codes = c.image_codes()
-    sp = space(field, m, n)
+    """The proper coloring uses q^max(m, n) colors and no edge is
+    monochromatic.  Edges are streamed, one code_add per rank-1 increment
+    R, each edge once as X, X + R with code(X) < code(X + R); DomainTooLarge
+    past TABLE_LIMIT edges, from the closed-form count, before any work."""
+    count = space_size(field.q, m, n)
+    bounded(count * count_rank_matrices(field, m, n, 1) // 2,
+            f"the edge count of GF({field.q})^({m}x{n})", TABLE_LIMIT, "edge bound {}")
+    codes = proper_coloring(field, m, n).image_codes()
+    sp, a = space(field, m, n), np.arange(count)
     mono = 0
     edges = 0
-    for nbr in sp.neighbor_perms_half:
-        a = np.arange(sp.count)
-        keep = a < nbr if field.p == 2 else np.ones(sp.count, bool)
-        mono += int((codes[a[keep]] == codes[nbr[keep]]).sum())
+    for r in sp.rank1_codes:
+        b = sp.code_add(a, r)
+        keep = a < b
+        mono += int((codes[keep] == codes[b[keep]]).sum())
         edges += int(keep.sum())
     colors, expected = int(len(np.unique(codes))), field.q ** max(m, n)
     return {
@@ -339,29 +359,41 @@ def identity_twist_sweep(field: Field, m: int, n: int) -> dict:
     Valid twists must preserve all pairwise distances exactly; singular
     ones must come with a checkable witness.  Over a single field only the
     zero twist is valid, which the sweep confirms.
+
+    The denominators I + X L of a block of twists L over every point X are
+    one resolvent stack, its blocks under ``_PAIR_BLOCK_BYTES``.  A twist
+    is singular where some denominator is, and its witness is the first
+    such X, as moebius_twist reports it.  The witnesses' denominators are
+    rebuilt in one product and ranked by rref, not by the determinant the
+    stack used, and must be singular.  Valid twists go through the public
+    moebius_twist and keep every pairwise rank distance.
     """
-    base = _pairwise_ranks(field, space(field, m, n).entries)
+    sp, twists = space(field, m, n), space(field, n, m)
+    base = _pairwise_ranks(field, sp.entries)
     f = MapTable.identity(field, m, n)
-    valid = []
-    singular = 0
-    violations = []
-    for code, L in enumerate(space(field, n, m)):
-        try:
-            theta = moebius_twist(f, L)
-        except SingularTwist as e:
-            singular += 1
-            G = Mat.identity(field, m) + f.apply(e.witness) @ L
-            if G.rank() == m:
-                violations.append(f"bogus singular witness for L={code}")
-            continue
-        valid.append(code)
-        if not np.array_equal(base, _pairwise_ranks(field, theta.images)):
-            violations.append(f"distances moved under L={code}")
+    valid, violations, singular, witnesses = [], [], [], []
+    for rows in _row_blocks(twists.count, 8 * sp.count * m * m):
+        ok, _ = _resolvent(field, sp.entries[None], twists.entries[rows, None],
+                           TwistSide.LEFT, invert=False)
+        bad = ~ok.all(axis=1)
+        codes = np.arange(twists.count)[rows]
+        singular.append(codes[bad])
+        witnesses.append(np.argmax(~ok[bad], axis=1))
+        for code in codes[~bad].tolist():
+            valid.append(code)
+            theta = moebius_twist(f, twists.mat(code))
+            if not np.array_equal(base, _pairwise_ranks(field, theta.images)):
+                violations.append((code, f"distances moved under L={code}"))
+    singular, witnesses = np.concatenate(singular), np.concatenate(witnesses)
+    G = field.vadd(_bulk.identity(field, m),
+                   _bulk.matmul(field, sp.entries[witnesses], twists.entries[singular]))
+    violations += [(code, f"bogus singular witness for L={code}")
+                   for code in singular[_bulk.rank(field, G) == m].tolist()]
     return {
-        "twists_tried": space(field, n, m).count,
+        "twists_tried": twists.count,
         "valid": valid,
-        "singular": singular,
-        "violations": violations,
+        "singular": len(singular),
+        "violations": [v for _, v in sorted(violations)],
     }
 
 

@@ -675,3 +675,12 @@ def test_a_wrong_clique_test_fails_the_clique_check(wrong, monkeypatch):
     except TheoremViolated:
         violations = ["raised"]
     assert violations
+
+
+def test_a_lost_clique_fails_the_closed_form_count(monkeypatch):
+    assert verify.clique_structure_check(F2, 2, 2)["violations"] == []
+    real = verify.bron_kerbosch_cliques
+    monkeypatch.setattr(verify, "bron_kerbosch_cliques", lambda *a: real(*a)[1:])
+    info = verify.clique_structure_check(F2, 2, 2)
+    assert info["cliques"] == 23
+    assert "23 cliques, closed form 24" in info["violations"]

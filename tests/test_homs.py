@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bfgeo import _bulk, homs
+from bfgeo import _bulk, homs, verify
 from bfgeo.cliques import Kind, MaximalSet, clique_number, unit_ball
 from bfgeo.errors import (InvalidParams, InvalidXi, NoHomExists, NotHom,
                           SingularTwist, TheoremViolated)
@@ -1082,3 +1082,62 @@ def test_is_colouring_of_65536_images_within_a_second():
     # 65536 distinct images, one adjacent set: the pairwise loop took minutes
     f = MapTable.identity(F2, 1, 16)
     assert within_a_second(lambda: is_colouring(f)) is True
+
+
+def per_twist_sweep(field, m, n):
+    """verify.identity_twist_sweep as one moebius_twist call per twist."""
+    base = verify._pairwise_ranks(field, space(field, m, n).entries)
+    f = MapTable.identity(field, m, n)
+    valid, singular, violations = [], 0, []
+    for code, L in enumerate(space(field, n, m)):
+        try:
+            theta = moebius_twist(f, L)
+        except SingularTwist as e:
+            singular += 1
+            G = Mat.identity(field, m) + f.apply(e.witness) @ L
+            if G.rank() == m:
+                violations.append(f"bogus singular witness for L={code}")
+            continue
+        valid.append(code)
+        if not np.array_equal(base, verify._pairwise_ranks(field, theta.images)):
+            violations.append(f"distances moved under L={code}")
+    return {"twists_tried": space(field, n, m).count, "valid": valid,
+            "singular": singular, "violations": violations}
+
+
+@pytest.mark.parametrize("p,k,m,n", [(2, 1, 2, 2), (3, 1, 2, 2), (2, 2, 2, 2), (2, 1, 2, 3),
+                                     (2, 1, 3, 2), (2, 1, 4, 2), (3, 1, 1, 3)])
+def test_batched_twist_sweep_matches_the_per_twist_loop(p, k, m, n, monkeypatch):
+    # 4x2 takes the invertible-mask path past ADJUGATE_MAX, not the determinant
+    field = make_field(p, k)
+    want = per_twist_sweep(field, m, n)
+    count, twists = space(field, m, n).count, space(field, n, m).count
+    assert twists % 5
+    # blocks of 5 twists, the last one short; then every twist in one block
+    for budget in (5 * 8 * count * m * m, verify._PAIR_BLOCK_BYTES):
+        monkeypatch.setattr(verify, "_PAIR_BLOCK_BYTES", budget)
+        assert verify.identity_twist_sweep(field, m, n) == want
+
+
+def test_twist_sweep_rechecks_each_singular_witness_by_rank(monkeypatch):
+    # every rank full: each singular twist's witness is then bogus, listed
+    # in code order
+    monkeypatch.setattr(_bulk, "rank", lambda field, mats: np.full(np.shape(mats)[:-2], 2))
+    info = verify.identity_twist_sweep(F2, 2, 2)
+    assert info["singular"] == 15
+    assert info["violations"] == [f"bogus singular witness for L={c}" for c in range(1, 16)]
+
+
+def test_twist_sweep_compares_the_valid_twists_distances(monkeypatch):
+    real = verify.moebius_twist
+
+    def one_image_moved(f, L):
+        theta = real(f, L)
+        images = theta.images.copy()
+        images[1] = images[0]
+        return MapTable(f.src_field, f.m, f.n, f.dst_field, f.m2, f.n2, images)
+
+    monkeypatch.setattr(verify, "moebius_twist", one_image_moved)
+    info = verify.identity_twist_sweep(F4, 2, 2)
+    assert info["valid"] == [0]
+    assert info["violations"] == ["distances moved under L=0"]

@@ -1,7 +1,11 @@
 """Map-table files, report canonicalization, CLI exit codes."""
 
 import json
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +17,11 @@ from bfgeo.errors import (DomainTooLarge, DuplicateKey, FormatError,
 from bfgeo.fields import make_field
 from bfgeo.homs import MapTable, build_witness_hom
 from bfgeo.mapfile import parse_map_table, write_map_table
-from bfgeo.matrices import MINOR_LIMIT, space
+from bfgeo.matrices import MINOR_LIMIT, TABLE_LIMIT, space
 from bfgeo.reports import RunReport, emit_report
 
 F4 = make_field(2, 2)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def identity_table():
@@ -520,6 +525,31 @@ def test_sizes_and_counts_exit_0_or_2_within_a_second(argv, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code in (0, 2)
     assert "Traceback" not in out + err
+
+
+# a child process under a 1.5 GB address-space cap, so a table that grows
+# with the space fails there with MemoryError rather than filling the host
+_CAPPED_CLI = """\
+import resource, signal, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+from bfgeo.cli import main
+signal.setitimer(signal.ITIMER_REAL, 1.0)
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("shape", ["2x10", "4x5"])
+def test_color_past_its_edge_bound_exits_2_under_a_memory_cap(shape):
+    # GF(2)^(2x10) is exactly SPACE_LIMIT points; its 1.6e9 edges (2.4e8 at
+    # 4x5) once went through a (3069, 2^20) int64 neighbour table, 24.0 GiB
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_CLI, "color", "--field", "2,1",
+                           f"--shape={shape}"], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["witnesses"] == [
+        f"DomainTooLarge: the edge count of GF(2)^({shape}) exceeds the edge bound {TABLE_LIMIT}"]
 
 
 @pytest.mark.parametrize("argv,named", [

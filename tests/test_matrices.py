@@ -227,7 +227,7 @@ def frontier_bfs_oracle(A: Mat, max_level=None):
 
 
 @pytest.mark.parametrize("p,k,m,n", [(2, 1, 2, 3), (3, 1, 2, 2), (2, 2, 3, 2),
-                                     (2, 1, 1, 4)])
+                                     (2, 1, 1, 4), (5, 1, 2, 2)])
 @pytest.mark.parametrize("max_level", [1, None])
 def test_bfs_rows_match_the_frontier_bfs(p, k, m, n, max_level, monkeypatch):
     F = make_field(p, k)
@@ -261,15 +261,33 @@ def test_distance_check_reports_a_corrupted_neighbour_row(monkeypatch):
     assert info["edges"] == sp.count * len(sp.rank1) // 2
 
 
+def test_distance_check_counts_edges_against_the_closed_form(monkeypatch):
+    F = make_field(3, 1)
+    edges = 81 * count_rank_matrices(F, 2, 2, 1) // 2
+    assert verify.distance_theorem_check(F, 2, 2)["edges"] == edges == 1296
+    real = verify._pairwise_ranks
+
+    def one_edge_lost(field, entries):
+        out = real(field, entries)
+        b = int(space(field, 2, 2).rank1_codes[0])
+        out[0, b] = out[b, 0] = 2
+        return out
+
+    monkeypatch.setattr(verify, "_pairwise_ranks", one_edge_lost)
+    info = verify.distance_theorem_check(F, 2, 2)
+    assert info["edges"] == edges - 1
+    assert f"edges {edges - 1}, closed form {edges}" in info["mismatches"]
+
+
 def test_pairwise_ranks_equal_a_direct_rref_of_every_difference(monkeypatch):
     F = make_field(3, 1)
     ents = space(F, 2, 2).entries
     for stack in (ents, ents[np.random.default_rng(3).permutation(len(ents))]):
         diffs = F.vsub(stack[:, None], stack[None]).reshape(-1, 2, 2)
         direct = _bulk.rank(F, diffs).reshape(len(stack), len(stack))
-        # one row block; then blocks of 7 rows of 81 int64 2x2 differences,
+        # one row block; then blocks of 7 rows of 81 int64 difference codes,
         # the last one short
-        for budget in (verify._PAIR_BLOCK_BYTES, 7 * 81 * 4 * 8):
+        for budget in (verify._PAIR_BLOCK_BYTES, 7 * 8 * 81):
             monkeypatch.setattr(verify, "_PAIR_BLOCK_BYTES", budget)
             assert np.array_equal(verify._pairwise_ranks(F, stack), direct)
 
