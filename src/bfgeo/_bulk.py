@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import DomainTooLarge
-from .fields import Field
+from .fields import Field, _mod
 
 # inverse() uses the adjugate up to this size and RREF([A | I]) above it;
 # at 4 x 4 the adjugate's cofactor work already costs more than elimination
@@ -24,8 +24,9 @@ def matmul(field: Field, A, B):
     """(..., m, t) @ (..., t, n) elementwise over the batch.
 
     Odd prime fields take one np.matmul of the raw residues in an int32
-    (or, when (p - 1)^2 t could overflow that, int64) accumulator and
-    reduce once per entry; other fields add table products term by term.
+    (or, when (p - 1)^2 t could overflow that, int64) accumulator, whose
+    sums are reduced mod p by one ``_mod`` over the whole product; other
+    fields add table products term by term.
     """
     A = np.asarray(A)
     B = np.asarray(B)
@@ -35,8 +36,7 @@ def matmul(field: Field, A, B):
     if field.k == 1 and field.p > 2:
         acc = np.int32 if (field.p - 1) ** 2 * t < 2**31 else np.int64
         out = np.matmul(A.astype(acc, copy=False), B.astype(acc, copy=False))
-        out %= field.p
-        return out.astype(field._arith_dtype, copy=False)
+        return _mod(out, field.p).astype(field._arith_dtype, copy=False)
     out = field.vmul(A[..., :, 0, None], B[..., None, 0, :])
     for s in range(1, t):
         out = field.vadd(out, field.vmul(A[..., :, s, None], B[..., None, s, :]))
@@ -105,7 +105,8 @@ def rank_le1_mask(field: Field, mats):
     """True where the matrix has rank <= 1 (every 2x2 minor vanishes).
 
     Over an odd prime field a minor is one integer a d - b c in the
-    field's arithmetic dtype, reduced once; other fields use the tables.
+    field's arithmetic dtype, in [-(p - 1)^2, (p - 1)^2], and vanishes
+    when ``_mod`` of it by p is 0; other fields compare table products.
     """
     M = np.asarray(mats)
     m, n = M.shape[-2:]
@@ -117,7 +118,7 @@ def rank_le1_mask(field: Field, mats):
         for j, j2 in itertools.combinations(range(n), 2):
             a, b, c, d = M[..., i, j], M[..., i, j2], M[..., i2, j], M[..., i2, j2]
             if prime:
-                ok &= (a * d - b * c) % field.p == 0
+                ok &= _mod(a * d - b * c, field.p) == 0
             else:
                 ok &= field.vmul(a, d) == field.vmul(b, c)
     return ok
@@ -297,6 +298,6 @@ def decode(field: Field, codes, m: int, n: int):
     out = np.empty(codes.shape + (m * n,), dtype=field.dtype)
     rem = codes.copy()
     for t in range(m * n - 1, -1, -1):
-        out[..., t] = rem % field.q
+        out[..., t] = _mod(rem, field.q)
         rem //= field.q
     return out.reshape(codes.shape + (m, n))

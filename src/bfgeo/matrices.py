@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _bulk
 from .errors import DomainTooLarge, ShapeMismatch, Singular
-from .fields import Field, FieldHom
+from .fields import Field, FieldHom, _mod
 
 SPACE_LIMIT = 1 << 20
 # entries of one map table's image stack, q^(m*n) * m' * n', and of its
@@ -335,6 +335,11 @@ class MatrixSpace:
         return self._perms_for(_bulk.encode(self.field, self.rank1_half))
 
     def _perms_for(self, increments):
+        """(len(increments), count) int64 table of code(X + R), refused by
+        DomainTooLarge past TABLE_LIMIT entries before it is allocated."""
+        bounded(len(increments) * self.count, f"the {len(increments)} x {self.count} "
+                f"neighbour table of GF({self.field.q})^({self.m}x{self.n})", TABLE_LIMIT,
+                "table bound of {} entries")
         codes = np.arange(self.count, dtype=np.int64)
         out = np.empty((len(increments), self.count), dtype=np.int64)
         for t, r in enumerate(increments):
@@ -406,8 +411,9 @@ class MatrixSpace:
         """add[a, b]: code of the digit-group sum a + b, in int16 a radix-p digit at a time."""
         q, p, k = self.field.q, self.field.p, self.field.k
         g = max(g for g in range(1, self.m * self.n + 1) if q**(2 * g) <= _GROUP_TABLE_LIMIT)
-        d = np.arange(q**g, dtype=np.int16)[:, None] // p ** np.arange(g * k, dtype=np.int16) % p
-        return sum((d[:, None, i] + d[:, i]) % p * p**i for i in range(g * k))
+        shifted = np.arange(q**g, dtype=np.int16)[:, None] // p ** np.arange(g * k, dtype=np.int16)
+        d = _mod(shifted, p)
+        return sum(_mod(d[:, None, i] + d[:, i], p) * p**i for i in range(g * k))
 
     @functools.cached_property
     def _group_neg(self):
@@ -436,7 +442,9 @@ class MatrixSpace:
             return np.asarray((F.vsub if negate else F.vadd)(c1, c2), dtype=np.int64)
         add, neg, out, w = self._group_add, self._group_neg, 0, 1
         while w * len(add) < self.count:
-            (c1, a), (c2, b) = np.divmod(c1, len(add)), np.divmod(c2, len(add))
+            # the low group as in fields._mod, keeping the quotient for the next group
+            h1, h2 = c1 // len(add), c2 // len(add)
+            a, b, c1, c2 = c1 - h1 * len(add), c2 - h2 * len(add), h1, h2
             out = out + w * add[a, neg[b] if negate else b].astype(np.int64)
             w *= len(add)
         return out + w * add[c1, neg[c2] if negate else c2].astype(np.int64)

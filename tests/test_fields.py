@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from bfgeo.errors import DegreeTooLarge, NotPrime
-from bfgeo.fields import (FieldHom, canonical_modulus, enumerate_homs,
-                          field_from_order, identity_hom, make_field,
+from bfgeo.fields import (FieldHom, _mod, canonical_modulus, enumerate_homs,
+                          field_from_order, identity_hom, is_prime, make_field,
                           parse_field_name)
 
 
@@ -92,6 +92,98 @@ def test_prime_field_tables_are_powers_of_the_least_primitive_root(p):
     assert np.array_equal(F._exp, [pow(g, e, p) for e in range(p - 1)])
     assert np.array_equal(F._log[F._exp], i)
     assert (F.inv_table[1:].astype(np.int64) * (i + 1) % p == 1).all()
+
+
+def assert_same(got, want):
+    """Equal values in the same dtype (or both Python ints)."""
+    assert type(got) is type(want)
+    assert np.asarray(got).dtype == np.asarray(want).dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 182) if is_prime(p)])
+def test_mod_is_numpy_remainder_on_int16_residue_products(p):
+    # sums, differences, products and 2x2 minors of residues reach
+    # [-(p - 1)^2, (p - 1)^2]; at p = 181, x // p * p = -32580 at the bottom
+    x = np.arange(-(p - 1) ** 2, (p - 1) ** 2 + 1, dtype=np.int16)
+    assert_same(_mod(x, p), x % p)
+    assert_same(_mod(x[:1], p), x[:1] % p)
+    assert_same(_mod(x[0], p), x[0] % p)  # a numpy scalar, as from a 0-d vadd
+    assert_same(_mod(-(p - 1) ** 2, p), -(p - 1) ** 2 % p)
+
+
+@pytest.mark.parametrize("d", [191, 251, 257, 65520, 65521])
+def test_mod_is_numpy_remainder_on_int64_residue_products(d):
+    # p > 181 works in int64; d = q - 1 reduces the logarithms of GF(q)
+    top = (d - 1) ** 2
+    rng = np.random.default_rng(d)
+    x = np.concatenate([np.arange(-3 * d, 3 * d), [-top, 1 - top, top - 1, top],
+                        rng.integers(-top, top, size=10**5, endpoint=True)])
+    assert_same(_mod(x, d), x % d)
+    assert_same(_mod(x.reshape(-1, 2), d), x.reshape(-1, 2) % d)
+
+
+# (p, t) on both sides of the int32 accumulator bound (p - 1)^2 t < 2^31
+@pytest.mark.parametrize("p,t", [(3, 4), (181, 4), (32749, 2), (32749, 3), (65521, 1),
+                                 (65521, 4)])
+def test_mod_is_numpy_remainder_on_matmul_accumulators(p, t):
+    top = (p - 1) ** 2 * t
+    acc = np.int32 if top < 2**31 else np.int64
+    rng = np.random.default_rng(p + t)
+    x = np.concatenate([np.arange(0, 3 * p), [top - 1, top],
+                        rng.integers(0, top, size=10**5, endpoint=True)]).astype(acc)
+    assert_same(_mod(x, p), x % p)
+
+
+@pytest.mark.parametrize("d", [3, 5, 9, 25, 625, 729, 1021, 65521])
+def test_mod_is_numpy_remainder_on_int64_codes(d):
+    # codes reach q^(m n) - 1 <= 2^63 - 1; code arithmetic divides by q^g
+    rng = np.random.default_rng(d)
+    x = np.concatenate([np.arange(0, 3 * d), [2**63 - d, 2**63 - 1],
+                        rng.integers(0, 2**63 - 1, size=10**5, endpoint=True)]).astype(np.int64)
+    assert_same(_mod(x, d), x % d)
+
+
+def _remainder_kernels(F, a, b):
+    """vadd, vsub and vmul as written with numpy's %, for odd p."""
+    p, q = F.p, F.q
+    if F.k == 1:
+        A = np.asarray(a, dtype=F._arith_dtype)
+        return (A + b) % p, (A - b) % p, (A * b) % p
+    a, b = np.asarray(a), np.asarray(b)
+
+    def add(a, b):
+        d = (F._digits[a] + F._digits[b]) % p
+        out = (d @ F._powers).astype(np.int64)
+        return out if F.add_table is None else out.astype(F.add_table.dtype)
+
+    if F.mul_table is None:
+        prod = F._exp[(F._log[a].astype(np.int64) + F._log[b]) % (q - 1)]
+        prod = np.where((a == 0) | (b == 0), 0, prod)
+    else:
+        prod = F.mul_table[a, b]
+    return add(a, b), add(a, F.neg_table[b]), prod
+
+
+# odd primes in int16 and int64, odd extension fields with and without the
+# dense q x q tables
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (181, 1), (191, 1), (257, 1), (65521, 1),
+                                 (3, 2), (7, 2), (5, 4), (3, 6)])
+def test_field_kernels_keep_the_remainder_values_and_dtypes(p, k):
+    F = make_field(p, k)
+    rng = np.random.default_rng(p * 10 + k)
+    a = rng.integers(0, F.q, size=(200, 3)).astype(F.dtype)
+    b = rng.integers(0, F.q, size=(200, 3)).astype(F.dtype)
+    a[:2], b[:2] = 0, F.q - 1
+    for x, y in [(a, b), (a, b.astype(np.int64)), (a.astype(np.int64), b[0]),
+                 (a, int(b[1, 0])), (a[0, 0], b[0, 0])]:
+        got = F.vadd(x, y), F.vsub(x, y), F.vmul(x, y)
+        for g, want in zip(got, _remainder_kernels(F, x, y)):
+            assert_same(g, want)
+    if k > 1:
+        a64, b64 = a.astype(np.int64), b.astype(np.int64)
+        d = (F._digits[a64] + F._digits[b64]) % p
+        assert_same(F._vadd_nocache(a64, b64), (d @ F._powers).astype(np.int64))
 
 
 def test_gf4_alpha_squared():

@@ -528,28 +528,47 @@ def test_sizes_and_counts_exit_0_or_2_within_a_second(argv, tmp_path, capsys):
 
 
 # a child process under a 1.5 GB address-space cap, so a table that grows
-# with the space fails there with MemoryError rather than filling the host
-_CAPPED_CLI = """\
+# with the space fails there with MemoryError rather than filling the host;
+# the script's imports come first, then a 1 s timer before the call
+_CAPPED = """\
 import resource, signal, sys
 resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
-from bfgeo.cli import main
+{imports}
 signal.setitimer(signal.ITIMER_REAL, 1.0)
-sys.exit(main(sys.argv[1:]))
+{call}
 """
+_CAPPED_CLI = _CAPPED.format(imports="from bfgeo.cli import main",
+                             call="sys.exit(main(sys.argv[1:]))")
+_CAPPED_BFS = _CAPPED.format(
+    imports="from bfgeo.fields import make_field\nfrom bfgeo.matrices import Mat, bfs_distances",
+    call="bfs_distances(Mat.zeros(make_field(2, 1), 2, 10))")
+
+
+def run_capped(script, *argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 @pytest.mark.parametrize("shape", ["2x10", "4x5"])
 def test_color_past_its_edge_bound_exits_2_under_a_memory_cap(shape):
     # GF(2)^(2x10) is exactly SPACE_LIMIT points; its 1.6e9 edges (2.4e8 at
     # 4x5) once went through a (3069, 2^20) int64 neighbour table, 24.0 GiB
-    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", _CAPPED_CLI, "color", "--field", "2,1",
-                           f"--shape={shape}"], env=env, capture_output=True, text=True,
-                          timeout=60)
+    proc = run_capped(_CAPPED_CLI, "color", "--field", "2,1", f"--shape={shape}")
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
     assert json.loads(proc.stdout)["witnesses"] == [
         f"DomainTooLarge: the edge count of GF(2)^({shape}) exceeds the edge bound {TABLE_LIMIT}"]
+
+
+def test_bfs_past_the_table_bound_raises_domain_too_large_under_a_memory_cap():
+    # the same (3069, 2^20) neighbour table, built by the public BFS with no
+    # CLI pair bound in front of it, once raised a 24.0 GiB MemoryError
+    proc = run_capped(_CAPPED_BFS)
+    assert proc.returncode == 1
+    assert proc.stderr.rstrip().splitlines()[-1] == (
+        "bfgeo.errors.DomainTooLarge: the 3069 x 1048576 neighbour table of GF(2)^(2x10) "
+        f"exceeds the table bound of {TABLE_LIMIT} entries")
 
 
 @pytest.mark.parametrize("argv,named", [

@@ -377,6 +377,50 @@ def test_prime_field_matmul_matches_the_termwise_product(p, t):
                           _termwise_matmul(F, top[0], np.swapaxes(top, 1, 2)))
 
 
+@pytest.mark.parametrize("p", [3, 5, 181, 191, 65521])
+def test_prime_field_bulk_kernels_keep_the_remainder_values_and_dtypes(p):
+    # the kernels as written with numpy's %, on entries up to p - 1: matrix
+    # 0 has rank 1, matrix 1 the minor 0 (p - 1) - (p - 1)^2 = -(p - 1)^2
+    # and rank 2, matrix 2 rank 1 with zero rows and columns
+    F = make_field(p, 1)
+    rng = np.random.default_rng(p)
+    M = rng.integers(0, p, size=(300, 3, 4)).astype(F.dtype)
+    M[0], M[1], M[1, 0, 0] = p - 1, p - 1, 0
+    M[2] = np.outer([1, 2, 0], [0, 1, 1, p - 1]) % p
+    B = rng.integers(0, p, size=(4, 2)).astype(F.dtype)
+    acc = np.int32 if (p - 1) ** 2 * 4 < 2**31 else np.int64
+    want = (np.matmul(M.astype(acc), B.astype(acc)) % p).astype(F._arith_dtype)
+    got = _bulk.matmul(F, M, B)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    W = M.astype(np.int64)
+    want = np.ones(len(M), dtype=bool)
+    for i, i2 in itertools.combinations(range(3), 2):
+        for j, j2 in itertools.combinations(range(4), 2):
+            want &= (W[:, i, j] * W[:, i2, j2] - W[:, i, j2] * W[:, i2, j]) % p == 0
+    got = _bulk.rank_le1_mask(F, M)
+    assert got.dtype == bool and np.array_equal(got, want)
+    assert got[0] and not got[1] and got[2]
+
+
+@pytest.mark.parametrize("p,k,m,n", [(5, 1, 2, 3), (3, 2, 2, 2), (65521, 1, 1, 3),
+                                     (3, 1, 3, 13)])
+def test_decode_keeps_the_remainder_digits_and_the_field_dtype(p, k, m, n):
+    # up to q^(m n) - 1: 3^39 - 1 is the largest GF(3) code within int64
+    F = make_field(p, k)
+    top = F.q ** (m * n) - 1
+    codes = np.random.default_rng(p).integers(0, top, size=(50, 4), endpoint=True)
+    codes[0, :2] = 0, top
+    want = np.empty(codes.shape + (m * n,), dtype=F.dtype)
+    rem = codes.copy()
+    for t in range(m * n - 1, -1, -1):
+        want[..., t] = rem % F.q
+        rem //= F.q
+    got = _bulk.decode(F, codes, m, n)
+    assert got.dtype == F.dtype
+    assert np.array_equal(got, want.reshape(codes.shape + (m, n)))
+    assert np.array_equal(_bulk.encode(F, got), codes)
+
+
 def _table_rank_le1(field, M):
     """Reference mask: every 2x2 minor through vmul and vsub."""
     m, n = M.shape[-2:]
@@ -567,3 +611,5 @@ def test_code_tables_stay_small():
         sp.code_add(zero, zero), sp.code_sub(zero, zero)
         held = sum(v.nbytes for v in vars(sp).values() if isinstance(v, np.ndarray))
         assert held <= 2 << 20, (p, k, m, n)
+        if p > 2 and p ** (2 * k) <= 1 << 20:
+            assert sp._group_add.dtype == np.int16, (p, k, m, n)

@@ -2,12 +2,18 @@
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
+
+from bfgeo import _bulk
+from bfgeo.fields import Field
+from bfgeo.matrices import MatrixSpace
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -54,6 +60,22 @@ def test_size_bounds_come_from_the_shared_helpers():
         found += [f"{path.name}:{node.lineno} BudgetExceeded" for node in ast.walk(tree)
                   if "BudgetExceeded" in (getattr(node, "id", None), getattr(node, "attr", None),
                                           getattr(node, "name", None))]
+    assert found == []
+
+
+# numpy's array % divides element by element and branches on the sign,
+# 2-18x slower than fields._mod's floor division by one integer; divmod and
+# its kin are kept out too, so that every kernel reduces the one way
+@pytest.mark.parametrize("kernel", [
+    Field.vadd, Field.vsub, Field.vmul, Field._vadd_nocache, _bulk.matmul,
+    _bulk.rank_le1_mask, _bulk.decode, MatrixSpace._code_op, MatrixSpace._group_add.func,
+], ids=lambda f: f.__qualname__)
+def test_odd_characteristic_kernels_reduce_by_floor_division(kernel):
+    tree = ast.parse(textwrap.dedent(inspect.getsource(kernel)))
+    slow = {"divmod", "remainder", "mod", "fmod"}
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(getattr(node, "op", None), ast.Mod)
+             or (isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in slow)]
     assert found == []
 
 
