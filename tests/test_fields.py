@@ -1,5 +1,7 @@
 """Field construction, arithmetic and homomorphism enumeration."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,76 @@ def assert_same(got, want):
     assert type(got) is type(want)
     assert np.asarray(got).dtype == np.asarray(want).dtype
     assert np.array_equal(got, want)
+
+
+def oracle_tables(F):
+    """F's tables built one polynomial product at a time: the least
+    generator by the order of each candidate, then its powers."""
+    p, k, q = F.p, F.k, F.q
+    digits = [[a // p**i % p for i in range(k)] for a in range(q)]
+    mod = list(F.modulus)
+
+    def mul(a, b):
+        return sum(c * p**i for i, c in enumerate(poly_mul_mod(digits[a], digits[b], mod, p)))
+
+    gen = 1
+    for cand in range(2, q):
+        x, order = cand, 1
+        while x != 1:
+            x, order = mul(x, cand), order + 1
+        if order == q - 1:
+            gen = cand
+            break
+    exp = np.empty(q - 1, dtype=np.int32)
+    log = np.zeros(q, dtype=np.int32)
+    x = 1
+    for i in range(q - 1):
+        exp[i], log[x] = x, i
+        x = mul(x, gen)
+    inv = np.zeros(q, dtype=np.int32)
+    inv[1:] = exp[(q - 1 - log[1:]) % (q - 1)]
+    d, pw = np.array(digits), p ** np.arange(k)
+    out = {"generator": gen, "_exp": exp, "_log": log, "inv_table": inv,
+           "neg_table": (-d % p @ pw).astype(np.int32), "add_table": None, "mul_table": None}
+    if q <= 256:
+        out["add_table"] = ((d[:, None] + d[None]) % p @ pw).astype(np.uint8)
+        out["mul_table"] = np.zeros((q, q), dtype=np.uint8)
+        out["mul_table"][1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
+    return out
+
+
+# every field of at most 4096 elements that the test suite builds, and the
+# two largest extension fields of at most 4096 elements
+ORACLE_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 6), (2, 8), (2, 12), (3, 1), (3, 2),
+                 (3, 3), (3, 4), (3, 6), (3, 7), (5, 1), (5, 2), (5, 3), (5, 4), (7, 1),
+                 (7, 2), (11, 1), (181, 1), (191, 1), (193, 1), (251, 1), (257, 1),
+                 (1021, 1), (1031, 1)]
+
+
+@pytest.mark.parametrize("p,k", ORACLE_FIELDS)
+def test_tables_match_the_polynomial_power_loop(p, k):
+    F = make_field(p, k)
+    for name, want in oracle_tables(F).items():
+        if want is None:
+            assert getattr(F, name) is None, name
+        else:
+            assert_same(getattr(F, name), want)
+
+
+@pytest.mark.parametrize("p,k,gen", [(2, 16, 3), (3, 10, 34), (65521, 1, 17)])
+def test_large_field_tables_are_powers_of_the_least_generator(p, k, gen):
+    # the power loop is too slow here: the generator is the one it found,
+    # exp lists each nonzero element once, and a seeded sample of its steps
+    # (the wrap back to 1 among them) are products by g
+    F = make_field(p, k)
+    q = F.q
+    assert F.generator == gen
+    assert np.array_equal(np.sort(F._exp), np.arange(1, q))
+    assert np.array_equal(F._log[F._exp], np.arange(q - 1))
+    mod, g = list(F.modulus), list(F.coeffs(gen))
+    for i in [q - 2, *np.random.default_rng(q).integers(0, q - 1, size=300)]:
+        step = poly_mul_mod(list(F.coeffs(F._exp[i])), g, mod, p)
+        assert F.element(step) == F._exp[(i + 1) % (q - 1)]
 
 
 @pytest.mark.parametrize("p", [p for p in range(3, 182) if is_prime(p)])
@@ -206,7 +278,7 @@ def test_field_axioms_exhaustive(p, k):
     assert np.array_equal(F.vmul(np.arange(q), np.ones(q, dtype=int)), np.arange(q))
     assert not F.vadd(np.arange(q), F.vneg(np.arange(q))).any()
     nz = np.arange(1, q)
-    assert np.array_equal(F.vmul(nz, F.vinv(nz)), np.ones(q - 1, dtype=int))
+    assert np.array_equal(F.vmul(nz, F.inv_table[nz]), np.ones(q - 1, dtype=int))
     # associativity and distributivity on all triples when affordable
     if q <= 16:
         t = np.arange(q)
@@ -230,7 +302,7 @@ def test_scalar_arith_matches_reference_polynomials():
 def test_inv_and_div():
     F = make_field(2, 2)
     assert F.inv(1) == 1
-    for a in F.nonzero_elements():
+    for a in range(1, F.q):
         assert F.mul(a, F.inv(a)) == 1
     with pytest.raises(ZeroDivisionError):
         F.inv(0)
@@ -303,10 +375,96 @@ def test_galois_group_is_cyclic_of_order_k():
         seen = {g}
         cur = g
         for _ in range(F.k - 1):
-            cur = cur.compose(g)
+            cur = FieldHom(F, F, cur.table[g.table])
             seen.add(cur)
         generated = generated or len(seen) == F.k
     assert generated
+
+
+def pair_check(src, dst, t):
+    """The ring laws of a table on all q^2 operand pairs."""
+    t = np.asarray(t)
+    a = np.repeat(np.arange(src.q), src.q)
+    b = np.tile(np.arange(src.q), src.q)
+    return bool(src.p == dst.p and t[0] == 0 and t[1] == 1 and len(np.unique(t)) == src.q
+                and (t[src.vadd(a, b)] == dst.vadd(t[a], t[b])).all()
+                and (t[src.vmul(a, b)] == dst.vmul(t[a], t[b])).all())
+
+
+def proven(src, dst, t):
+    try:
+        FieldHom(src, dst, t)
+    except ValueError:
+        return False
+    return True
+
+
+SMALL_FIELDS = [make_field(p, k) for p, k in ORACLE_FIELDS if p**k <= 256]
+SMALL_PAIRS = [(s, d) for s in SMALL_FIELDS for d in SMALL_FIELDS
+               if s.p == d.p and d.k % s.k == 0]
+
+
+@pytest.mark.parametrize("src,dst", SMALL_PAIRS, ids=lambda F: F.name)
+def test_every_hom_passes_the_pair_check_and_the_proof(src, dst):
+    homs = enumerate_homs(src, dst)
+    assert len(homs) == src.k
+    for h in homs:
+        assert pair_check(src, dst, h.table) and proven(src, dst, h.table)
+
+
+@pytest.mark.parametrize("src,dst", [(s, d) for s, d in SMALL_PAIRS
+                                     if s.k > 1 and d.q ** (s.k - 1) <= 4096],
+                         ids=lambda F: F.name)
+def test_the_proof_accepts_the_additive_tables_the_pair_check_accepts(src, dst):
+    # every table with t[1] = 1 that is GF(p)-linear on digit vectors: one
+    # per choice of the images of x, ..., x^(k-1)
+    accepted = set()
+    for images in itertools.product(range(dst.q), repeat=src.k - 1):
+        basis = dst._digits[[1, *images]]
+        t = src._digits @ basis % src.p @ dst._powers
+        ok = proven(src, dst, t)
+        assert ok == pair_check(src, dst, t), images
+        if ok:
+            accepted.add(tuple(t))
+    assert accepted == {tuple(h.table) for h in enumerate_homs(src, dst)}
+
+
+def _swapped():
+    t = np.arange(16)
+    t[[2, 3]] = 3, 2
+    return make_field(2, 4), make_field(2, 4), t
+
+
+def _digit_permutation():
+    # additive and fixes 1, but x -> x^2 -> x is not a ring map of GF(8)
+    F8 = make_field(2, 3)
+    return F8, F8, F8._digits[:, [0, 2, 1]] @ F8._powers
+
+
+def _wrong_order():
+    # GF(4)'s generator x -> the generator of GF(16)*, of order 15, not 3
+    F16 = make_field(2, 4)
+    h = F16.generator
+    return make_field(2, 2), F16, [0, 1, h, F16.add(h, 1)]
+
+
+@pytest.mark.parametrize("case,match", [
+    (_swapped, "additivity fails"),
+    (_digit_permutation, "multiplicativity fails"),
+    (_wrong_order, "multiplicativity fails"),
+    (lambda: (make_field(2, 1), make_field(3, 1), [0, 1]), "characteristics differ"),
+    (lambda: (make_field(2, 2), make_field(2, 2), [0, 1, 2, 9]), "outside GF"),
+    # 2^32 + 3 wraps to 3 in int32, which would make this the identity
+    (lambda: (make_field(2, 2), make_field(2, 2), np.array([0, 1, 2, 2**32 + 3])),
+     "outside GF"),
+], ids=["two images swapped", "digit permutation", "generator image of wrong order",
+        "characteristics differ", "image out of range", "image past int32"])
+def test_the_proof_rejects_near_misses(case, match):
+    src, dst, t = case()
+    if src.p == dst.p and max(t) < dst.q:
+        assert not pair_check(src, dst, t)
+    with pytest.raises(ValueError, match=match):
+        FieldHom(src, dst, t)
 
 
 def test_invalid_hom_rejected():

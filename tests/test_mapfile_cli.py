@@ -113,6 +113,29 @@ def test_cli_field_info(capsys):
     assert rep["params"]["modulus"] == "1,1,1"
 
 
+# a fresh process, so no field or homomorphism is cached yet; as in
+# within_a_second, a SIGALRM timer, started after the imports
+_FIELD_INFO_5S = """\
+import signal, sys
+from bfgeo.cli import main
+signal.setitimer(signal.ITIMER_REAL, 5.0)
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("field,k", [("2,12", 12), ("3,7", 7), ("2,16", 16), ("3,10", 10)])
+def test_cli_field_info_on_large_fields_within_five_seconds(field, k):
+    # building the tables and proving all k automorphisms took 3-16 s when
+    # the homomorphism check ran over all q^2 operand pairs up to q = 4096
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _FIELD_INFO_5S, "field-info", "--field", field],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["counts"]["self_homs"] == k
+    assert rep["counts"]["order"] == int(field.split(",")[0]) ** k
+
+
 def test_cli_bfs_check(capsys):
     code, rep = run_cli(capsys, "bfs-check", "--field", "2,1", "--shape", "2x2")
     assert code == 0

@@ -63,6 +63,13 @@ def test_size_bounds_come_from_the_shared_helpers():
     assert found == []
 
 
+def test_field_homomorphisms_are_proven_not_sampled():
+    # FieldHom once checked 10^6 random operand pairs above q = 4096; the
+    # proof in its place reads every element
+    text = (ROOT / "src" / "bfgeo" / "fields.py").read_text()
+    assert [w for w in ("random", "default_rng", "_HOM_EXHAUSTIVE_LIMIT") if w in text] == []
+
+
 # numpy's array % divides element by element and branches on the sign,
 # 2-18x slower than fields._mod's floor division by one integer; divmod and
 # its kin are kept out too, so that every kernel reduces the one way
