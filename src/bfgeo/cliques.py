@@ -16,8 +16,8 @@ import functools
 import numpy as np
 
 from . import _bulk
-from .errors import (Disjoint, NotAdjacent, NotAdjacentSet, NotMaximal, PreconditionViolated,
-                     ShapeMismatch, TheoremViolated, WrongKinds, ZeroNotMember)
+from .errors import (Disjoint, NotAdjacent, NotAdjacentSet, NotMaximal, ShapeMismatch,
+                     TheoremViolated, WrongKinds, ZeroNotMember)
 from .fields import Field
 from .matrices import Mat, adjacent, bounded_power, check_codes, space
 
@@ -412,80 +412,6 @@ def unit_ball(A: Mat) -> VertexSet:
     """All matrices at arithmetic distance <= 1 from A."""
     sp, a = space(A.field, A.m, A.n), A.encode()
     return VertexSet(A.field, A.m, A.n, np.r_[a, sp.code_add(a, sp.rank1_codes)])
-
-
-# ---------------------------------------------------------------------------
-# the two-pencil support constraint
-# ---------------------------------------------------------------------------
-
-def two_pencil_constraint(A: Mat, B1: Mat, B2: Mat, rows, cols) -> bool:
-    """Support dichotomy forced on a common neighbor of two pencil members.
-
-    B1 != B2 must both be supported on rows x cols (a proper pencil), and A
-    adjacent to both.  Returns whether A vanishes off the given rows or off
-    the given columns; sweeps elsewhere assert this is always true.
-    """
-    rows = sorted(set(rows))
-    cols = sorted(set(cols))
-    m, n = A.shape
-    if not rows or not cols or len(rows) >= min(m, n) or len(cols) >= min(m, n):
-        raise PreconditionViolated("index sets must be nonempty and proper")
-    if B1 == B2:
-        raise PreconditionViolated("pencil members must differ")
-    row_mask = np.zeros(m, dtype=bool)
-    row_mask[rows] = True
-    col_mask = np.zeros(n, dtype=bool)
-    col_mask[cols] = True
-    for B in (B1, B2):
-        if B.a[~row_mask].any() or B.a[:, ~col_mask].any():
-            raise PreconditionViolated("pencil member supported outside rows x cols")
-    if not (adjacent(A, B1) and adjacent(A, B2)):
-        raise PreconditionViolated("A must be adjacent to both pencil members")
-    off_rows_vanish = not A.a[~row_mask].any()
-    off_cols_vanish = not A.a[:, ~col_mask].any()
-    return off_rows_vanish or off_cols_vanish
-
-
-def two_pencil_sweep(field: Field, m: int, n: int, rows, cols):
-    """Exhaustively scan all qualifying (A, B1, B2) triples.
-
-    Returns (checked, violations) where violations lists the offending A
-    codes; the expected result is an empty list.
-    """
-    sp = space(field, m, n)
-    rows = sorted(set(rows))
-    cols = sorted(set(cols))
-    # pencil members: all matrices supported on rows x cols
-    support = [(i, j) for i in rows for j in cols]
-    K = len(support)
-    pencil = np.zeros((field.q**K, m, n), dtype=field.dtype)
-    combos = _bulk.decode(field, np.arange(field.q**K), 1, K)[:, 0, :]
-    for t, (i, j) in enumerate(support):
-        pencil[:, i, j] = combos[:, t]
-
-    all_entries = sp.entries
-    checked = 0
-    violations = []
-    row_mask = np.zeros(m, dtype=bool)
-    row_mask[rows] = True
-    col_mask = np.zeros(n, dtype=bool)
-    col_mask[cols] = True
-    adj_to = []
-    for B in pencil:
-        diffs = field.vsub(all_entries, B)
-        adj_to.append(_bulk.adjacent_mask(field, diffs))
-    adj_to = np.stack(adj_to)  # (pencil, space)
-    off_rows_ok = ~all_entries[:, ~row_mask, :].any(axis=(1, 2))
-    off_cols_ok = ~all_entries[:, :, ~col_mask].any(axis=(1, 2))
-    good = off_rows_ok | off_cols_ok
-    for b1 in range(len(pencil)):
-        for b2 in range(b1 + 1, len(pencil)):
-            qualifying = adj_to[b1] & adj_to[b2]
-            checked += int(qualifying.sum())
-            bad = qualifying & ~good
-            if bad.any():
-                violations.extend(int(c) for c in np.nonzero(bad)[0])
-    return checked, sorted(set(violations))
 
 
 # ---------------------------------------------------------------------------

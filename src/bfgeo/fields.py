@@ -48,6 +48,19 @@ def _mod(x, d: int):
     return np.subtract(x, q, out=q) if isinstance(q, np.ndarray) else x - q
 
 
+def _check_indices(raw, q: int, out_of_range: str) -> np.ndarray:
+    """raw as an array of element indices of GF(q), checked before any cast:
+    ValueError on a non-integer dtype (float, str, object), which a cast
+    would truncate or refuse with numpy's own error, and ValueError
+    (out_of_range) on an entry outside [0, q), which it would wrap."""
+    raw = np.asarray(raw)
+    if raw.dtype.kind not in "biu":
+        raise ValueError(f"element indices must be integers, not {raw.dtype}")
+    if raw.max() >= q or (raw.dtype.kind == "i" and raw.min() < 0):
+        raise ValueError(out_of_range)
+    return raw
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -209,23 +222,16 @@ class Field:
     # -- scalar API -----------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self.k == 1:
-            return (a + b) % self.p
-        return int(self.add_table[a, b]) if self.add_table is not None \
-            else int(self._vadd_nocache(np.int64(a), np.int64(b)))
+        return int(self.vadd(a, b))
 
     def neg(self, a: int) -> int:
         return int(self.neg_table[a])
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return int(self.vsub(a, b))
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self._exp[(int(self._log[a]) + int(self._log[b])) % (self.q - 1)])
+        return int(self.vmul(a, b))
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -380,10 +386,8 @@ class FieldHom:
         t = np.asarray(table)
         if t.shape != (src.q,):
             raise ValueError("image table must list every source element")
-        # bounded before the int32 cast, which would wrap an int64 entry
-        if t.min() < 0 or t.max() >= dst.q:
-            raise ValueError(f"not a ring homomorphism: an image lies outside GF({dst.q})")
-        self.table = t.astype(np.int32)
+        message = f"not a ring homomorphism: an image lies outside GF({dst.q})"
+        self.table = _check_indices(t, dst.q, message).astype(np.int32)
         self._validate()
 
     def _validate(self):

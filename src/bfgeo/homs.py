@@ -19,7 +19,8 @@ from . import _bulk
 from .cliques import Kind, MaximalSet, _clique_test
 from .errors import (InvalidParams, InvalidXi, NoHomExists, NotHom,
                      ShapeMismatch, SingularTwist, TheoremViolated)
-from .fields import Field, FieldHom, enumerate_homs, field_from_order, make_field
+from .fields import (Field, FieldHom, _check_indices, enumerate_homs, field_from_order,
+                     make_field)
 from .matrices import (Mat, bounded, bounded_power, random_invertible, space,
                        table_budget)
 
@@ -49,10 +50,9 @@ class MapTable:
         if raw.shape != (count, m2, n2):
             raise ShapeMismatch(
                 f"need {count} images of shape ({m2}, {n2}), got {raw.shape}")
-        # range-check before the cast, which would wrap or overflow
-        if raw.max() >= dst_field.q or (raw.dtype.kind != "u" and raw.min() < 0):
-            raise ValueError("image entry out of range for the target field")
-        images = raw.astype(dst_field.dtype)
+        images = _check_indices(raw, dst_field.q,
+                                "image entry out of range for the target field")
+        images = images.astype(dst_field.dtype)
         images.setflags(write=False)
         self.images = images
         self._verdicts = {}

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _bulk
 from .errors import DomainTooLarge, ShapeMismatch, Singular
-from .fields import Field, FieldHom, _mod
+from .fields import Field, FieldHom, _check_indices, _mod
 
 SPACE_LIMIT = 1 << 20
 # entries of one map table's image stack, q^(m*n) * m' * n', and of its
@@ -42,10 +42,8 @@ class Mat:
         raw = np.asarray(entries)
         if raw.ndim != 2 or raw.size == 0:
             raise ShapeMismatch("Mat needs a nonempty 2-d entry array")
-        # range-check before the cast, which would wrap or overflow
-        if raw.max() >= field.q or (raw.dtype.kind != "u" and raw.min() < 0):
-            raise ValueError("entry index out of range for the field")
-        a = raw.astype(field.dtype)
+        a = _check_indices(raw, field.q, "entry index out of range for the field")
+        a = a.astype(field.dtype)
         a.setflags(write=False)
         self.a = a
 

@@ -12,8 +12,7 @@ import numpy as np
 
 from . import _bulk, cliques
 from .cliques import (Kind, VertexSet, bron_kerbosch_cliques,
-                      classify_clique, clique_number, maximal_sets_through,
-                      two_pencil_sweep)
+                      classify_clique, clique_number, maximal_sets_through)
 from .errors import PreconditionViolated
 from .fields import Field, field_from_order
 from .homs import (MapTable, Orientation, TwistSide, _resolvent, build_witness_hom,
@@ -79,6 +78,13 @@ def distance_theorem_check(field: Field, m: int, n: int) -> dict:
     }
 
 
+def _require_grid(field: Field, m: int, n: int):
+    """PreconditionViolated unless m, n >= 2, the paper's hypothesis: a
+    1 x n or m x 1 space is one complete graph, a single maximal clique."""
+    if min(m, n) < 2:
+        raise PreconditionViolated(f"need m, n >= 2: GF({field.q})^({m}x{n}) is one clique")
+
+
 def _maximal_set_counts(q: int, m: int, n: int):
     """(|ONE|, |TWO|): the number of maximal sets of each kind, from the
     closed forms (q^m - 1)/(q - 1) q^(mn - n) and (q^n - 1)/(q - 1)
@@ -136,8 +142,7 @@ def clique_structure_check(field: Field, m: int, n: int) -> dict:
     PreconditionViolated on a 1 x n or m x 1 space, which is one complete
     graph with a single maximal clique.
     """
-    if min(m, n) < 2:
-        raise PreconditionViolated(f"need m, n >= 2: GF({field.q})^({m}x{n}) is one clique")
+    _require_grid(field, m, n)
     total = sum(_maximal_set_counts(field.q, m, n))
     bounded(pairs := total * (total - 1) // 2, f"clique pairs = {pairs}")
     sp = space(field, m, n)
@@ -177,22 +182,6 @@ def clique_structure_check(field: Field, m: int, n: int) -> dict:
     }
 
 
-def _rebuilt_lines(field: Field, tinv, P, offset, pts) -> np.ndarray:
-    """(pairs, q) sorted codes of each line through the (pairs, q, m, n)
-    points of a kind-ONE host, rebuilt as line_through and Line do it: host
-    coordinates c by the inverse transform tinv, alpha = monic(c1 - c0),
-    beta = c0, then P (lambda alpha + beta in row 0) + offset.  tinv, P and
-    offset are the hosts' (pairs, 1, m, m), (pairs, 1, m, m) and
-    (pairs, 1, m, n) stacks."""
-    coords = _bulk.matmul(field, tinv, field.vsub(pts, offset))[:, :, 0, :]
-    alpha = _bulk.monic(field, field.vsub(coords[:, 1], coords[:, 0]))
-    lam = np.arange(field.q, dtype=np.int64)[None, :, None]
-    block = np.zeros(pts.shape, dtype=field.dtype)
-    block[:, :, 0, :] = field.vadd(field.vmul(lam, alpha[:, None]), coords[:, :1])
-    out = field.vadd(_bulk.matmul(field, P, block), offset)
-    return np.sort(_bulk.encode(field, out), axis=1)
-
-
 # meeting pairs whose line the check also takes through the public line_through
 _LINE_SAMPLE = 8
 
@@ -202,23 +191,22 @@ def line_structure_check(field: Field, m: int, n: int) -> dict:
 
     Every ONE x TWO intersection size comes from one membership product
     and must be 0 or q.  Each meeting pair's q points are the members of
-    its ONE clique that the TWO clique holds; the line through them is
-    rebuilt in its ONE host, for every pair at once, and must give the
-    points back, and each line must have a unique host pair.  A fixed
-    sample of lines is also taken by the public line_through, in the
-    cliques maximal_sets_through gives for two of its points.  Every
-    parametric line of the standard row clique must be an intersection.
-    DomainTooLarge past SPACE_LIMIT ONE x TWO pairs, before any set is built.
+    its ONE clique that the TWO clique holds.  q distinct points form an
+    affine line iff their differences from the first have rank <= 1, so
+    each pair's (q - 1) x mn difference stack is ranked, every pair in one
+    batched rref; and each line must have a unique host pair.  A fixed sample of lines is also taken by the public
+    line_through, in the cliques maximal_sets_through gives for two of its
+    points.  Every parametric line of the standard row clique must be an
+    intersection.  PreconditionViolated on a 1 x n or m x 1 space, as in
+    clique_structure_check; DomainTooLarge past SPACE_LIMIT ONE x TWO
+    pairs, before any set is built.
     """
+    _require_grid(field, m, n)
     q = field.q
     one_count, two_count = _maximal_set_counts(q, m, n)
     bounded(pairs := one_count * two_count, f"opposite-kind pairs = {pairs}")
     sp = space(field, m, n)
     one_codes, two_codes = sp.maximal_cliques("col"), sp.maximal_cliques("row")
-    # ONE clique i: transform P[i // per_one] (as MaximalSet.through), offset member 0
-    per_one = len(one_codes) // len(sp.monic_cols)
-    P = np.stack([cliques.complete_to_invertible_col(field, u).a for u in sp.monic_cols])[:, None]
-    tinv = _bulk.inverse(field, P)
     one_member, two_member = (_membership(c, sp.count) for c in (one_codes, two_codes))
     violations, meet = [], []
     for rows in _row_blocks(len(one_codes), 4 * len(two_codes)):
@@ -228,15 +216,15 @@ def line_structure_check(field: Field, m: int, n: int) -> dict:
         meet.append(np.stack([i + rows.start, j], axis=1))
     meet = np.concatenate(meet)
 
-    # a pair's q points as an int64 stack, and the rebuild's few temporaries
+    # a pair's q points as an int64 stack, and their differences from the first
     lines = np.empty((len(meet), q), dtype=np.int64)
     for rows in _row_blocks(len(meet), 8 * 8 * q * m * n):
         i, j = meet[rows].T
         held = two_member[j[:, None], one_codes[i]] != 0
         lines[rows] = one_codes[i][held].reshape(-1, q)
-        d, offset = i // per_one, sp.entries[one_codes[i, :1]]
-        rebuilt = _rebuilt_lines(field, tinv[d], P[d], offset, sp.entries[lines[rows]])
-        wrong = (rebuilt != lines[rows]).any(axis=1)
+        pts = sp.entries[lines[rows]]
+        diffs = field.vsub(pts[:, 1:], pts[:, :1]).reshape(len(pts), q - 1, m * n)
+        wrong = _bulk.rank(field, diffs) > 1
         violations += ["line does not reproduce the intersection"] * int(wrong.sum())
     for t in np.unique(np.linspace(0, len(meet) - 1, min(_LINE_SAMPLE, len(meet))).astype(np.int64)):
         M, N = maximal_sets_through(sp.mat(lines[t, 0]), sp.mat(lines[t, 1]))
@@ -468,7 +456,38 @@ def dim_bound_sweep(src: Field, m: int, n: int, dst: Field, m2: int, n2: int,
     return {"sets_checked": checked, "violations": violations}
 
 
+def _pencil_dichotomy(entries, rows, cols) -> np.ndarray:
+    """Whether each matrix of the (N, m, n) stack vanishes off the given
+    rows or off the given columns: Lemma 3.1's conclusion."""
+    off_rows = np.delete(entries, rows, axis=1).any(axis=(1, 2))
+    off_cols = np.delete(entries, cols, axis=2).any(axis=(1, 2))
+    return ~off_rows | ~off_cols
+
+
 def two_pencil_check(field: Field, m: int, n: int, rows, cols) -> dict:
-    checked, violations = two_pencil_sweep(field, m, n, rows, cols)
-    return {"triples_checked": checked,
-            "violations": [str(v) for v in violations]}
+    """Lemma 3.1, exhaustively: a common neighbour X of two distinct
+    members of the pencil of matrices supported on rows x cols vanishes
+    off rows or off cols.
+
+    c_X, the number of pencil members adjacent to X, is summed one member
+    at a time.  X is the common neighbour of c_X (c_X - 1) / 2 member
+    pairs, the triples checked, and a violation when c_X >= 2 and X fails
+    the dichotomy.  PreconditionViolated unless m, n >= 2 and rows, cols
+    are nonempty sets of indices in range, each smaller than min(m, n)
+    (a proper pencil).
+    """
+    _require_grid(field, m, n)
+    rows, cols = sorted(set(rows)), sorted(set(cols))
+    if (not rows or not cols or max(len(rows), len(cols)) >= min(m, n)
+            or min(rows + cols) < 0 or rows[-1] >= m or cols[-1] >= n):
+        raise PreconditionViolated("index sets must be nonempty, in range and proper")
+    entries = space(field, m, n).entries
+    pencil = np.zeros((field.q ** (len(rows) * len(cols)), m, n), dtype=field.dtype)
+    pencil[:, np.array(rows)[:, None], cols] = _bulk.decode(
+        field, np.arange(len(pencil)), len(rows), len(cols))
+    hits = np.zeros(len(entries), dtype=np.int64)
+    for B in pencil:
+        hits += _bulk.adjacent_mask(field, field.vsub(entries, B))
+    bad = np.flatnonzero((hits >= 2) & ~_pencil_dichotomy(entries, rows, cols))
+    return {"triples_checked": int((hits * (hits - 1) // 2).sum()),
+            "violations": [str(c) for c in bad.tolist()]}

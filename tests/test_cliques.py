@@ -11,8 +11,7 @@ from bfgeo.cliques import (Kind, Line, MaximalSet, VertexSet,
                            clique_number, complete_to_invertible_col,
                            complete_to_invertible_row, dim_adjacent_entries,
                            dim_adjacent_set,
-                           intersect, line_through, maximal_sets_through,
-                           two_pencil_constraint, two_pencil_sweep, unit_ball)
+                           intersect, line_through, maximal_sets_through, unit_ball)
 from bfgeo.errors import (Disjoint, NotAdjacent, NotAdjacentSet, NotMaximal,
                           PreconditionViolated, TheoremViolated, WrongKinds,
                           ZeroNotMember)
@@ -269,21 +268,68 @@ def test_unit_ball():
     assert unit_ball(A).contains(A)
 
 
-def test_two_pencil_example():
-    A = Mat.unit(F4, 2, 2, 0, 0)
-    B1 = Mat.unit(F4, 2, 2, 0, 0, c=2)
-    B2 = Mat.unit(F4, 2, 2, 0, 0, c=3)
-    assert two_pencil_constraint(A, B1, B2, rows=[0], cols=[0])
-    with pytest.raises(PreconditionViolated):
-        two_pencil_constraint(A, B1, B1, rows=[0], cols=[0])
-    with pytest.raises(PreconditionViolated):
-        two_pencil_constraint(A, B1, Mat.unit(F4, 2, 2, 1, 1), rows=[0], cols=[0])
+def pairwise_two_pencil(field, m, n, rows, cols, good=None):
+    """two_pencil_check by the pair loop: every pair b1 < b2 of pencil
+    members, each common neighbour X once per pair, a violation where X is
+    not good (by default: vanishing off rows or off cols)."""
+    sp = space(field, m, n)
+    support = [(i, j) for i in rows for j in cols]
+    combos = _bulk.decode(field, np.arange(field.q ** len(support)), 1, len(support))[:, 0]
+    pencil = np.zeros((len(combos), m, n), dtype=field.dtype)
+    for t, (i, j) in enumerate(support):
+        pencil[:, i, j] = combos[:, t]
+    adj_to = np.stack([_bulk.adjacent_mask(field, field.vsub(sp.entries, B)) for B in pencil])
+    if good is None:
+        off_rows = np.ones(m, dtype=bool)
+        off_rows[rows] = False
+        off_cols = np.ones(n, dtype=bool)
+        off_cols[cols] = False
+        good = (~sp.entries[:, off_rows].any(axis=(1, 2))
+                | ~sp.entries[:, :, off_cols].any(axis=(1, 2)))
+    checked, violations = 0, set()
+    for b1 in range(len(pencil)):
+        for b2 in range(b1 + 1, len(pencil)):
+            qualifying = adj_to[b1] & adj_to[b2]
+            checked += int(qualifying.sum())
+            violations.update(int(c) for c in np.flatnonzero(qualifying & ~good))
+    return {"triples_checked": checked, "violations": [str(c) for c in sorted(violations)]}
 
 
-def test_two_pencil_sweep_gf4():
-    checked, violations = two_pencil_sweep(F4, 2, 2, rows=[0], cols=[0])
-    assert violations == []
-    assert checked > 0
+@pytest.mark.parametrize("field,m,n,rows,cols", [
+    (F4, 2, 2, [0], [0]), (F3, 2, 3, [0], [0]), (F2, 3, 3, [0], [0]), (F5, 2, 2, [0], [0]),
+    (F2, 3, 3, [0, 1], [0, 1]), (F3, 3, 3, [1], [0, 2]),
+], ids=["GF(4) 2x2", "GF(3) 2x3", "GF(2) 3x3", "GF(5) 2x2", "GF(2) 3x3 rows 0,1 cols 0,1",
+        "GF(3) 3x3 row 1 cols 0,2"])
+def test_two_pencil_check_matches_the_pair_loop(field, m, n, rows, cols):
+    info = verify.two_pencil_check(field, m, n, rows, cols)
+    assert info == pairwise_two_pencil(field, m, n, rows, cols)
+    assert info["triples_checked"] > 0 and info["violations"] == []
+
+
+def test_two_pencil_check_reports_the_points_failing_a_mutated_dichotomy(monkeypatch):
+    # every third point declared bad: the violations are those among the
+    # common neighbours of two members, as the pair loop finds them
+    real = verify._pencil_dichotomy
+
+    def mutated(entries, rows, cols):
+        return real(entries, rows, cols) & (np.arange(len(entries)) % 3 != 0)
+
+    monkeypatch.setattr(verify, "_pencil_dichotomy", mutated)
+    sp = space(F3, 2, 3)
+    info = verify.two_pencil_check(F3, 2, 3, [0], [0])
+    assert info == pairwise_two_pencil(F3, 2, 3, [0], [0],
+                                       good=mutated(sp.entries, [0], [0]))
+    assert info["violations"]
+
+
+@pytest.mark.parametrize("m,n,rows,cols", [
+    (2, 2, [], [0]), (2, 2, [0], []), (2, 2, [0, 1], [0]), (2, 3, [0], [0, 1, 2]),
+    (2, 3, [0], [0, 1]), (2, 2, [2], [0]), (2, 2, [0], [-1]), (1, 3, [0], [0]), (3, 1, [0], [0]),
+], ids=["no rows", "no cols", "rows not proper", "cols past min(m, n)", "cols not proper",
+        "row out of range", "negative col", "1x3", "3x1"])
+def test_two_pencil_check_needs_a_proper_pencil(m, n, rows, cols):
+    with pytest.raises(PreconditionViolated):
+        verify.two_pencil_check(F4, m, n, rows, cols)
 
 
 def test_structural_sets_match_brute_force_cliques():
@@ -642,6 +688,21 @@ def test_clique_search_on_the_largest_complete_graph_is_fast():
 def test_bulk_structure_checks_match_the_pairwise_oracles(field, m, n):
     assert verify.clique_structure_check(field, m, n) == pairwise_clique_structure(field, m, n)
     assert verify.line_structure_check(field, m, n) == pairwise_line_structure(field, m, n)
+
+
+@pytest.mark.parametrize("field", [F3, F4, F5], ids=lambda f: f"GF({f.q})")
+def test_clique_members_off_a_line_fail_the_line_check(field, monkeypatch):
+    # one TWO clique moved to meet ONE clique 0 in q - 1 points of a line
+    # and one member of clique 0 off it: q members of one clique, no line
+    # (over GF(2) any two points are a line)
+    sp = space(field, 2, 2)
+    one, two = sp.maximal_cliques("col"), sp.maximal_cliques("row").copy()
+    j = int(np.argmax(np.isin(two, one[0]).sum(axis=1) == field.q))
+    line = np.intersect1d(one[0], two[j])
+    two[j, two[j] == line[-1]] = np.setdiff1d(one[0], line)[0]
+    monkeypatch.setattr(sp, "maximal_cliques", lambda kind: one if kind == "col" else two)
+    assert "line does not reproduce the intersection" in \
+        verify.line_structure_check(field, 2, 2)["violations"]
 
 
 def test_a_wrong_line_through_fails_the_line_check(monkeypatch):

@@ -289,6 +289,26 @@ def test_field_axioms_exhaustive(p, k):
                               F.vadd(F.vmul(aa, bb), F.vmul(aa, cc)))
 
 
+@pytest.mark.parametrize("q", [2, 4, 5, 257, 512, 729])
+def test_scalar_ops_agree_with_the_vector_ops(q):
+    # every branch of the kernels: xor, int16 and int64 residues, q x q
+    # tables, digit rows and log/exp.  All pairs up to GF(257); past it
+    # every element against 0, 1, q - 1 and a stride, in each slot, as all
+    # pairs of GF(729) take 15 s of scalar calls on 2 vCPUs
+    F = field_from_order(q)
+    a = np.arange(q)
+    if q <= 257:
+        pairs = [(a[:, None], a[None, :])]
+    else:
+        b = np.unique(np.r_[0, 1, q - 1, a[::q // 13]])
+        pairs = [(a[:, None], b[None, :]), (b[:, None], a[None, :])]
+    for x, y in pairs:
+        for op in ("add", "sub", "mul"):
+            scalar = np.frompyfunc(lambda s, t: getattr(F, op)(int(s), int(t)), 2, 1)(x, y)
+            assert all(type(v) is int for v in scalar.ravel()), op
+            assert np.array_equal(scalar.astype(np.int64), getattr(F, "v" + op)(x, y)), op
+
+
 def test_scalar_arith_matches_reference_polynomials():
     F = make_field(3, 2)
     mod = list(F.modulus)
@@ -465,6 +485,16 @@ def test_the_proof_rejects_near_misses(case, match):
         assert not pair_check(src, dst, t)
     with pytest.raises(ValueError, match=match):
         FieldHom(src, dst, t)
+
+
+@pytest.mark.parametrize("table", [[0, 1, 2.7, 3], np.array(["0", "1", "2", "3"]),
+                                   np.array([0, 1, 2, 3], dtype=object)],
+                         ids=["float", "str", "object"])
+def test_hom_table_must_be_integers(table):
+    # [0, 1, 2.7, 3] was cast to [0, 1, 2, 3], the identity of GF(4)
+    F4 = make_field(2, 2)
+    with pytest.raises(ValueError, match="must be integers"):
+        FieldHom(F4, F4, table)
 
 
 def test_invalid_hom_rejected():

@@ -270,6 +270,17 @@ def test_map_table_range_checks_images_before_the_cast():
     assert four.images.dtype == F5.dtype and is_colouring(four)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.str_, object])
+def test_map_table_refuses_non_integer_images(dtype):
+    # an image entry 0.3 was cast to 0, silently, and a str one raised
+    # numpy's own UFuncTypeError
+    images = MapTable.identity(F4, 2, 2).images.astype(dtype)
+    if dtype is np.float64:
+        images[7, 1, 0] = 0.3
+    with pytest.raises(ValueError, match="must be integers"):
+        MapTable(F4, 2, 2, F4, 2, 2, images)
+
+
 def test_is_colouring():
     const = MapTable(F4, 2, 2, F4, 2, 2,
                      np.zeros((256, 2, 2), dtype=F4.dtype))

@@ -434,10 +434,14 @@ def test_clique_and_line_sweeps_past_their_bounds_exit_2(argv, capsys):
     assert rep["witnesses"][0].startswith("DomainTooLarge:")
 
 
-@pytest.mark.parametrize("shape", ["1x2", "3x1"])
-def test_clique_classify_on_a_single_clique_exits_2(shape, capsys):
-    # GF(3)^(1x2) is one complete graph: every edge once reported as torn
-    code, rep = run_cli(capsys, "clique-classify", "--field", "3,1", "--shape", shape)
+@pytest.mark.parametrize("shape", ["1x2", "1x3", "3x1"])
+@pytest.mark.parametrize("argv", [["clique-classify"], ["line-check"],
+                                  ["lemma-check", "--which", "3.1"]], ids=" ".join)
+def test_clique_sweeps_on_a_single_clique_exit_2(argv, shape, capsys):
+    # GF(3)^(1x2) is one complete graph: clique-classify reported every
+    # edge as torn, line-check passed with 336 "lines" on GF(4)^(1x3), and
+    # the pencil rows = cols = [0] is not proper when min(m, n) = 1
+    code, rep = run_cli(capsys, *argv, "--field", "3,1", "--shape", shape)
     assert code == 2
     assert rep["witnesses"] == [f"PreconditionViolated: need m, n >= 2: GF(3)^({shape}) "
                                 "is one clique"]

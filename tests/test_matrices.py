@@ -511,6 +511,17 @@ def test_mat_rejects_out_of_range_entries():
     assert Mat(F257, [[256, 0]]).a[0, 0] == 256
 
 
+@pytest.mark.parametrize("entries", [
+    [[0.5, 1], [2, 3.9]], [[0.0, 1.0], [2.0, 3.0]], np.array([["0", "1"], ["2", "3"]]),
+    np.array([[0, 1], [2, 3]], dtype=object),
+], ids=["fractions", "whole floats", "str", "object"])
+def test_mat_refuses_non_integer_entries(entries):
+    # [[0.5, 1], [2, 3.9]] was cast to [[0, 1], [2, 3]], silently
+    with pytest.raises(ValueError, match="must be integers"):
+        Mat(F4, entries)
+    assert Mat(F4, np.array([[True, False]])).a.tolist() == [[1, 0]]
+
+
 @pytest.mark.parametrize("p,k,m,n", [(2, 1, 2, 3), (2, 1, 3, 1), (3, 1, 3, 2),
                                      (2, 2, 2, 2), (5, 1, 1, 3)])
 def test_clique_members_hold_each_edge_once(p, k, m, n):

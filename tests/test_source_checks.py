@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from bfgeo import _bulk
+from bfgeo import _bulk, verify
 from bfgeo.fields import Field
 from bfgeo.matrices import MatrixSpace
 
@@ -68,6 +68,23 @@ def test_field_homomorphisms_are_proven_not_sampled():
     # proof in its place reads every element
     text = (ROOT / "src" / "bfgeo" / "fields.py").read_text()
     assert [w for w in ("random", "default_rng", "_HOM_EXHAUSTIVE_LIMIT") if w in text] == []
+
+
+def test_pencil_and_line_checks_are_one_bulk_pass_each():
+    # Lemma 3.1 once ran a scalar pencil test beside an O(pencil^2) loop over
+    # member pairs, and the line check rebuilt each line in its host from
+    # inverted transforms; one count and one rank test replace them
+    text = "".join(p.read_text() for p in sorted((ROOT / "src" / "bfgeo").glob("*.py")))
+    gone = ("two_pencil_constraint", "two_pencil_sweep", "_rebuilt_lines")
+    assert [w for w in gone if w in text] == []
+    pencil = ast.parse(textwrap.dedent(inspect.getsource(verify.two_pencil_check)))
+    nested = [inner.lineno for outer in ast.walk(pencil) if isinstance(outer, ast.For)
+              for inner in ast.walk(outer) if isinstance(inner, ast.For) and inner is not outer]
+    assert nested == []
+    line = ast.parse(textwrap.dedent(inspect.getsource(verify.line_structure_check)))
+    calls = [ast.unparse(node.func).split(".")[-1] for node in ast.walk(line)
+             if isinstance(node, ast.Call)]
+    assert [c for c in calls if c in ("inverse", "complete_to_invertible_col")] == []
 
 
 # numpy's array % divides element by element and branches on the sign,
