@@ -18,51 +18,32 @@ import numpy as np
 from . import _bulk
 from .errors import (Disjoint, NotAdjacent, NotAdjacentSet, NotMaximal, ShapeMismatch,
                      TheoremViolated, WrongKinds, ZeroNotMember)
-from .fields import Field
+from .fields import Field, _check_indices
 from .matrices import Mat, adjacent, bounded_power, check_codes, space
 
 
 class Kind(enum.Enum):
-    ONE = "type_one"   # common column space: rows of P^-1 (X - A) vanish below row 1
-    TWO = "type_two"   # common row space: columns of (X - A) Q^-1 vanish beyond col 1
+    ONE = "type_one"   # common column space u: A + u (x) GF(q)^(1 x n)
+    TWO = "type_two"   # common row space v: A + GF(q)^(m x 1) (x) v
 
     def other(self) -> "Kind":
         return Kind.TWO if self is Kind.ONE else Kind.ONE
 
 
-def complete_to_invertible_col(field: Field, u) -> Mat:
-    """Invertible matrix whose first column is u, rest standard basis columns."""
-    u = np.asarray(u)
-    m = len(u)
-    i = int(np.nonzero(u)[0][0])
-    cols = [u] + [np.eye(m, dtype=field.dtype)[:, j] for j in range(m) if j != i]
-    return Mat(field, np.stack(cols, axis=1))
-
-
-def complete_to_invertible_row(field: Field, v) -> Mat:
-    return complete_to_invertible_col(field, v).T
-
-
 class MaximalSet:
-    """A maximal clique P M1 + A (kind ONE) or N1 Q + A (kind TWO)."""
+    """A maximal clique A + u (x) GF(q)^(1 x n) (kind ONE, u of length m)
+    or A + GF(q)^(m x 1) (x) v (kind TWO, v of length n): its kind, its
+    direction u or v, stored monic, and its offset A."""
 
-    def __init__(self, kind: Kind, transform: Mat, offset: Mat):
+    def __init__(self, kind: Kind, direction, offset: Mat):
         self.kind = kind
-        self.transform = transform
         self.offset = offset
-        m, n = offset.shape
-        want = m if kind is Kind.ONE else n
-        if transform.shape != (want, want):
-            raise ShapeMismatch("transform size disagrees with the offset shape")
-        self._tinv = transform.inverse()  # also certifies invertibility
-
-    @staticmethod
-    def through(kind: Kind, direction, offset: Mat) -> "MaximalSet":
-        """The clique of this kind through offset whose defining space the
-        direction spans, with the canonical completion as transform."""
-        if kind is Kind.ONE:
-            return MaximalSet(kind, complete_to_invertible_col(offset.field, direction), offset)
-        return MaximalSet(kind, complete_to_invertible_row(offset.field, direction), offset)
+        F = offset.field
+        direction = np.asarray(direction)
+        if direction.shape != (offset.m if kind is Kind.ONE else offset.n,):
+            raise ShapeMismatch("direction length disagrees with the offset shape")
+        message = "direction entry outside the field"
+        self.direction = _bulk.monic(F, _check_indices(direction, F.q, message))
 
     @property
     def field(self) -> Field:
@@ -76,12 +57,6 @@ class MaximalSet:
     def n(self) -> int:
         return self.offset.n
 
-    @functools.cached_property
-    def direction(self) -> np.ndarray:
-        """Monic generator of the defining 1-dimensional space."""
-        t = self.transform.a
-        return _bulk.monic(self.field, t[:, 0] if self.kind is Kind.ONE else t[0])
-
     def cardinality(self) -> int:
         return self.field.q ** (self.n if self.kind is Kind.ONE else self.m)
 
@@ -90,29 +65,35 @@ class MaximalSet:
             raise ShapeMismatch("candidate lives in a different space")
         return bool(self.contains_batch(X.a[None])[0])
 
-    def _local(self, entries) -> np.ndarray:
-        """P^-1 (X - A) (kind ONE), or ((X - A) Q^-1)^T (kind TWO), per item
-        of an (N, m, n) stack: a member's parameters in row 0, zero below."""
-        F = self.field
-        diff = F.vsub(entries, self.offset.a)
+    def _coords(self, entries) -> np.ndarray:
+        """The coefficient vector w of X - A per item of an (N, m, n) stack,
+        read at the direction's leading 1: the row of X - A there (kind
+        ONE), or the column (kind TWO).  X is a member iff X = A + u (x) w
+        (or A + w (x) v)."""
+        i = int(np.argmax(self.direction != 0))
+        entries, A = np.asarray(entries), self.offset.a
         if self.kind is Kind.ONE:
-            return _bulk.matmul(F, self._tinv.a, diff)
-        return np.swapaxes(_bulk.matmul(F, diff, self._tinv.a), -2, -1)
+            return self.field.vsub(entries[..., i, :], A[i])
+        return self.field.vsub(entries[..., :, i], A[:, i])
+
+    def _members(self, w) -> np.ndarray:
+        """A + u (x) w (kind ONE) or A + w (x) v (kind TWO) per coefficient
+        vector of the (N, n) (or (N, m)) stack w."""
+        F, d = self.field, self.direction
+        if self.kind is Kind.ONE:
+            pts = F.vmul(d[:, None], w[..., None, :])
+        else:
+            pts = F.vmul(w[..., :, None], d[None, :])
+        return F.vadd(pts, self.offset.a)
 
     def contains_batch(self, entries) -> np.ndarray:
         """Vectorized membership on a (N, m, n) stack."""
-        return ~self._local(entries)[..., 1:, :].any(axis=(-2, -1))
+        return (self._members(self._coords(entries)) == entries).all(axis=(-2, -1))
 
     def point_entries(self) -> np.ndarray:
         """(cardinality, m, n) stack of all members, in parameter order."""
-        F = self.field
-        if self.kind is Kind.ONE:
-            xs = space(F, 1, self.n).entries
-            pts = F.vmul(self.direction[None, :, None], xs)
-        else:
-            ys = space(F, self.m, 1).entries
-            pts = F.vmul(ys, self.direction[None, None, :])
-        return F.vadd(pts, self.offset.a)
+        width = self.n if self.kind is Kind.ONE else self.m
+        return self._members(space(self.field, 1, width).entries[:, 0, :])
 
     @functools.cached_property
     def codes(self) -> np.ndarray:
@@ -130,9 +111,9 @@ class MaximalSet:
         return (self.kind, tuple(int(c) for c in u), int(self.codes[0]))
 
     def canonical(self) -> "MaximalSet":
-        """Same set with the completion transform and lex-min offset."""
+        """Same set with the lex-min member as offset."""
         off = Mat.decode(self.field, int(self.codes[0]), self.m, self.n)
-        return MaximalSet.through(self.kind, self.direction, off)
+        return MaximalSet(self.kind, self.direction, off)
 
     def __eq__(self, other):
         return isinstance(other, MaximalSet) and self.key() == other.key()
@@ -209,14 +190,14 @@ def maximal_sets_through(A: Mat, B: Mat):
 
     Kind ONE collects every X with column space of (X - A) inside that of
     (B - A); kind TWO is the row-space analogue.  Offsets are A itself,
-    transforms are canonical completions of the monic space generators.
+    directions the monic generators of those spaces.
     """
     if not adjacent(A, B):
         raise NotAdjacent("inputs are not at arithmetic distance 1")
     D = (B - A).a
     F = A.field
-    return (MaximalSet.through(Kind.ONE, _bulk.generators(F, D, "col"), A),
-            MaximalSet.through(Kind.TWO, _bulk.generators(F, D, "row"), A))
+    return (MaximalSet(Kind.ONE, _bulk.generators(F, D, "col"), A),
+            MaximalSet(Kind.TWO, _bulk.generators(F, D, "row"), A))
 
 
 def intersect(M: MaximalSet, N: MaximalSet) -> VertexSet:
@@ -280,8 +261,9 @@ def _clique_test(field: Field, D):
 
 
 def _clique_host(field: Field, pts):
-    """(kind, monic generator) of the clique form hosting the (N, m, n)
-    stack, N >= 2, from the clique test on its differences from pts[0].
+    """(u, v) of the clique test on the differences of the (N, m, n) stack,
+    N >= 2, from pts[0]: the shared monic column and row generators, a zero
+    one where none is shared.
 
     A failing stack is scanned pair by pair: NotAdjacentSet when some pair
     is not adjacent.  Every pairwise-adjacent set fits one of the two coset
@@ -289,9 +271,17 @@ def _clique_host(field: Field, pts):
     """
     passes, u, v = _clique_test(field, field.vsub(pts[None, 1:], pts[0]))
     if passes[0]:
-        return (Kind.ONE, u[0]) if u[0].any() else (Kind.TWO, v[0])
+        return u[0], v[0]
     _check_pairwise_adjacent(field, pts)
     raise TheoremViolated("adjacent set outside both clique forms")
+
+
+def _clique_dim(field: Field, D, u, v) -> int:
+    """Rank of the coefficient vectors of the (K, m, n) differences D of a
+    passing clique test item with generators (u, v): the rows of D at u's
+    leading 1 where u is shared, else the columns at v's."""
+    w = D[:, np.argmax(u != 0), :] if u.any() else D[:, :, np.argmax(v != 0)]
+    return int(_bulk.rank(field, w[None])[0])
 
 
 def _check_pairwise_adjacent(field: Field, pts):
@@ -313,10 +303,8 @@ def classify_clique(S: VertexSet) -> MaximalSet:
     F = S.field
     pts = S.entries()
     A = Mat(F, pts[0])  # codes are sorted, so this is the lex-min member
-    if len(S) == 1:
-        host = MaximalSet.through(Kind.ONE, np.eye(S.m, dtype=F.dtype)[:, 0], A)
-    else:
-        host = MaximalSet.through(*_clique_host(F, pts), A)
+    u, v = _clique_host(F, pts) if len(S) > 1 else (np.eye(S.m, dtype=F.dtype)[:, 0], None)
+    host = MaximalSet(Kind.ONE, u, A) if u.any() else MaximalSet(Kind.TWO, v, A)
 
     if len(S) == host.cardinality():
         return host.canonical()
@@ -340,18 +328,11 @@ class Line:
             raise ValueError("line direction must be nonzero")
 
     def point_entries(self) -> np.ndarray:
+        """The host's members at coefficient vectors lambda alpha + beta,
+        lambda = 0, ..., q - 1."""
         F = self.host.field
         lam = np.arange(F.q, dtype=np.int64)
-        coords = F.vadd(F.vmul(lam[:, None], self.alpha[None, :]), self.beta)
-        P = self.host.transform
-        block = np.zeros((F.q, self.host.m, self.host.n), dtype=F.dtype)
-        if self.host.kind is Kind.ONE:
-            block[:, 0, :] = coords
-            out = _bulk.matmul(F, P.a, block)
-        else:
-            block[:, :, 0] = coords
-            out = _bulk.matmul(F, block, P.a)
-        return F.vadd(out, self.host.offset.a)
+        return self.host._members(F.vadd(F.vmul(lam[:, None], self.alpha[None, :]), self.beta))
 
     def points(self) -> VertexSet:
         return VertexSet.from_entries(self.host.field, self.point_entries())
@@ -369,7 +350,7 @@ def line_through(M: MaximalSet, N: MaximalSet) -> Line:
         raise Disjoint("cliques do not meet")
     if len(pts) != M.field.q:
         raise TheoremViolated("opposite-kind cliques meet in q points")
-    coords = M._local(pts.entries())[:, 0, :]  # the points in M's parameter space
+    coords = M._coords(pts.entries())  # the points in M's parameter space
     beta = coords[0]
     alpha = _bulk.monic(M.field, M.field.vsub(coords[1], coords[0]))
     return Line(M, alpha, beta)
@@ -392,20 +373,11 @@ def dim_adjacent_entries(field: Field, entries) -> int:
     """
     # row-major lex = code order, so 0, if present, comes first
     pts = np.unique(np.asarray(entries), axis=0)
-    m, n = pts.shape[1:]
     if pts[0].any():
         raise ZeroNotMember("dimension is defined for sets through 0")
     if len(pts) < 2:
         raise NotAdjacentSet("need at least two points")
-    kind, g = _clique_host(field, pts)
-    nonzero = pts[1:] if kind is Kind.ONE else np.swapaxes(pts[1:], 1, 2)
-    # coordinates x with X = g x (or X^t = g x): g is monic, so the row of
-    # X at g's leading 1 is x itself
-    i = int(np.argmax(g != 0))
-    dim = int(_bulk.rank(field, nonzero[None, :, i, :])[0])
-    if dim > max(m, n):
-        raise TheoremViolated("adjacent set dimension exceeds max(m, n)")
-    return dim
+    return _clique_dim(field, pts[1:], *_clique_host(field, pts))
 
 
 def unit_ball(A: Mat) -> VertexSet:

@@ -61,15 +61,21 @@ def _check_indices(raw, q: int, out_of_range: str) -> np.ndarray:
     return raw
 
 
+def _prime_factors(n: int) -> list:
+    """The distinct primes dividing n, ascending, by trial division (none
+    for n < 2)."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 # ---------------------------------------------------------------------------
@@ -176,25 +182,38 @@ class Field:
         # discrete log via the least multiplicative generator g.  On digit
         # rows, multiplying by g is the matrix sum_j g_j C^j mod p, C the
         # modulus's companion matrix (row i holds the digits of x^(i+1)).
-        # Doubling E = (E, E M), M = M M lists g's first q - 1 powers, and
-        # g generates iff 1 appears exactly once among them.
+        # g generates iff g^((q-1)/r) != 1 for every prime r of q - 1, row 0
+        # of a k x k matrix power; for the g taken, doubling E = (E, E M),
+        # M = M M lists its first q - 1 powers, and 1 appears once among them.
         comp = np.zeros((k, k), dtype=np.int64)
         comp[:-1, 1:] = np.eye(k - 1, dtype=np.int64)
         comp[-1] = np.negative(self.modulus[:-1]) % p
         cpow = [np.eye(k, dtype=np.int64)]
         for _ in range(k - 1):
             cpow.append(cpow[-1] @ comp % p)
+
+        def power(mul, e):  # mul^e by square and multiply
+            out = cpow[0]
+            while e:
+                if e & 1:
+                    out = out @ mul % p
+                mul, e = mul @ mul % p, e >> 1
+            return out
+
         for gen in range(2, q) if q > 2 else (1,):
             mul = np.tensordot(digits[gen], cpow, axes=1) % p
-            pw = cpow[0][:1]
-            while len(pw) < q - 1:
-                pw = np.vstack([pw, pw @ mul % p])
-                mul = mul @ mul % p
-            exp = (pw[:q - 1] @ self._powers).astype(np.int32)
-            if np.count_nonzero(exp == 1) == 1:
+            if all(power(mul, (q - 1) // r)[0] @ self._powers != 1
+                   for r in _prime_factors(q - 1)):
                 break
         else:
             raise TheoremViolated(f"GF({q})* has no generator")
+        pw = cpow[0][:1]
+        while len(pw) < q - 1:
+            pw = np.vstack([pw, pw @ mul % p])
+            mul = mul @ mul % p
+        exp = (pw[:q - 1] @ self._powers).astype(np.int32)
+        if np.count_nonzero(exp == 1) != 1:
+            raise TheoremViolated(f"GF({q})*: the order test passed {gen}, not a generator")
         self.generator = gen
         log = np.zeros(q, dtype=np.int32)
         log[exp] = np.arange(q - 1, dtype=np.int32)
@@ -328,25 +347,12 @@ def make_field(p: int, k: int) -> Field:
 
 def field_from_order(q: int) -> Field:
     """Resolve a prime power q to its interned field GF(q)."""
-    if q < 2:
-        raise NotPrime(f"{q} is not a prime power")
     if q > ORDER_LIMIT:
         raise DegreeTooLarge(f"q = {q} outside (0, {ORDER_LIMIT}]")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        p = q
-    k = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m != 1:
+    primes = _prime_factors(q)
+    if len(primes) != 1:
         raise NotPrime(f"{q} is not a prime power")
-    return make_field(p, k)
+    return make_field(primes[0], len(_int_to_poly(q, primes[0])) - 1)
 
 
 def parse_field_name(name: str) -> Field:

@@ -592,8 +592,8 @@ def _cover_verdict(f: MapTable, ball0, center, u, v):
     row clique of v through its image (e1 for a zero generator), once
     every image of A's ball lies in M or N."""
     F2, cimg = f.dst_field, Mat(f.dst_field, f.images[center])
-    M = MaximalSet.through(Kind.ONE, u if u.any() else np.eye(f.m2, dtype=F2.dtype)[:, 0], cimg)
-    N = MaximalSet.through(Kind.TWO, v if v.any() else np.eye(f.n2, dtype=F2.dtype)[:, 0], cimg)
+    M = MaximalSet(Kind.ONE, u if u.any() else np.eye(f.m2, dtype=F2.dtype)[:, 0], cimg)
+    N = MaximalSet(Kind.TWO, v if v.any() else np.eye(f.n2, dtype=F2.dtype)[:, 0], cimg)
     ball = f.images[f.src_space().code_add(ball0, center)]
     if not (M.contains_batch(ball) | N.contains_batch(ball)).all():
         raise TheoremViolated("the ball image leaves its two-clique cover")

@@ -109,9 +109,6 @@ class Mat:
             raise ShapeMismatch("matrix product shapes disagree")
         return Mat(self.field, _bulk.matmul(self.field, self.a, other.a))
 
-    def scale(self, c: int) -> "Mat":
-        return Mat(self.field, self.field.vmul(self.a, self.field.dtype(c)))
-
     @property
     def T(self) -> "Mat":
         return Mat(self.field, self.a.T)
@@ -149,12 +146,6 @@ class Mat:
 
     def block(self, rows, cols) -> "Mat":
         return Mat(self.field, self.a[np.ix_(rows, cols)])
-
-    def row(self, i: int):
-        return self.a[i].copy()
-
-    def col(self, j: int):
-        return self.a[:, j].copy()
 
     @staticmethod
     def hstack(left: "Mat", right: "Mat") -> "Mat":

@@ -23,11 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bulk
-from .cliques import (VertexSet, _clique_test, complete_to_invertible_col,
-                      complete_to_invertible_row, dim_adjacent_entries,
+from .cliques import (VertexSet, _clique_dim, _clique_test, dim_adjacent_entries,
                       dim_adjacent_set)
 from .errors import (Degenerate, DimDeficient, NoFit, NotHom,
-                     PreconditionViolated, UnsupportedField)
+                     PreconditionViolated, TheoremViolated, UnsupportedField)
 from .fields import Field, FieldHom, enumerate_homs
 from .homs import (MapTable, Orientation, StandardHomParams, is_degenerate,
                    is_graph_hom, standard_table)
@@ -147,23 +146,29 @@ def _axis_codes(f: MapTable, kind: str, i: int):
     return _bulk.encode(F, mats)
 
 
+def _complete_col(field: Field, u) -> Mat:
+    """Invertible matrix whose first column is u, then the standard basis
+    columns but the one at u's first nonzero entry."""
+    eye = np.eye(len(u), dtype=field.dtype)
+    return Mat(field, np.column_stack([u, np.delete(eye, np.argmax(u != 0), axis=1)]))
+
+
 def _complete_rows(field: Field, rows_mat) -> Mat:
-    """Extend full-row-rank (r, c) to an invertible c x c (rows on top)."""
+    """Extend full-row-rank (r, c) to an invertible c x c (rows on top).
+
+    Below the rows come the unit rows e_j, j ascending, for every j that is
+    not a pivot of the RREF of the rows with their columns reversed: e_j is
+    outside the span of the rows and e_0 .. e_{j-1} iff the rows' projection
+    onto coordinates j .. c - 1 has no pivot at j, so these are the e_j a
+    greedy scan over ascending j would take.
+    """
     rows_mat = np.asarray(rows_mat)
     r, c = rows_mat.shape
-    out = [rows_mat[i] for i in range(r)]
-    for j in range(c):
-        cand = np.zeros(c, dtype=field.dtype)
-        cand[j] = 1
-        trial = np.stack(out + [cand])
-        if int(_bulk.rank(field, trial[None])[0]) == len(out) + 1:
-            out.append(cand)
-            if len(out) == c:
-                break
-    M = Mat(field, np.stack(out))
-    if M.rank() != c:
+    R, rank = _bulk.rref(field, rows_mat[:, ::-1])
+    if rank != r:
         raise PreconditionViolated("rows to complete are linearly dependent")
-    return M
+    free = np.setdiff1d(np.arange(c), c - 1 - np.argmax(R[:r] != 0, axis=1))
+    return Mat(field, np.concatenate([rows_mat, np.eye(c, dtype=rows_mat.dtype)[free]]))
 
 
 def recover_standard(f: MapTable) -> RecoveryResult:
@@ -190,27 +195,33 @@ def recover_standard(f: MapTable) -> RecoveryResult:
     F2 = f.dst_field
     rows = np.stack([_axis_codes(f, "row", i) for i in range(f.m)])
     m1, n1 = rows[0], _axis_codes(f, "col", 0)
-    dim_m1 = dim_adjacent_entries(F2, f.images[m1])
+
+    # one clique test per axis image (f(0) = 0 is its first point, so its
+    # images are its differences) gives its generators and its dimension
+    def axis_test(images, axis_codes):
+        D = images[axis_codes[1:]]
+        passes, u, v = (a[0] for a in _clique_test(F2, D[None]))
+        if not passes:
+            raise TheoremViolated("an axis image of a graph homomorphism is not a clique")
+        return u, v, _clique_dim(F2, D, u, v)
+
+    # orientation: the kind of clique hosting the row-axis image.  On the
+    # straight or swapped view that makes it column-kind, P0 completes its
+    # column generator and Q0 the row generator w of the column-axis image
+    u, v, dim_m1 = axis_test(f.images, m1)
     if dim_m1 != f.n:
         raise DimDeficient(f"row axis image has dimension {dim_m1}, need {f.n}",
                            witness=("row_axis", dim_m1))
-    dim_n1 = dim_adjacent_entries(F2, f.images[n1])
+    straight = bool(u.any())
+    images = f.images if straight else np.swapaxes(f.images, 1, 2)
+    _, w, dim_n1 = axis_test(images, n1)
     if dim_n1 != f.m:
         raise DimDeficient(f"column axis image has dimension {dim_n1}, need {f.m}",
                            witness=("col_axis", dim_n1))
-
-    # orientation: the kind of clique hosting the row-axis image (f(0) = 0
-    # is its first point).  On the straight or swapped view that makes it
-    # column-kind, P0 completes its column generator and Q0 the row
-    # generator w of the column-axis image
-    ok_m, u, v = (a[0] for a in _clique_test(F2, f.images[m1[None, 1:]]))
-    straight = bool(u.any())
-    images = f.images if straight else np.swapaxes(f.images, 1, 2)
-    ok_n, _, w = (a[0] for a in _clique_test(F2, images[n1[None, 1:]]))
-    if not (ok_m and ok_n and w.any()):
+    if not w.any():
         raise NoFit("axis images do not align with opposite clique kinds")
-    P0 = complete_to_invertible_col(F2, u if straight else v)
-    Q0 = complete_to_invertible_row(F2, w)
+    P0 = _complete_col(F2, u if straight else v)
+    Q0 = _complete_col(F2, w).T
     # only the m row cliques and the column axis are read, in that order
     img1 = _bulk.matmul(F2, P0.inverse().a, _bulk.matmul(
         F2, images[np.concatenate([rows.ravel(), n1])], Q0.inverse().a))

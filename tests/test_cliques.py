@@ -8,13 +8,11 @@ import pytest
 from bfgeo import _bulk, cliques, verify
 from bfgeo.cliques import (Kind, Line, MaximalSet, VertexSet,
                            bron_kerbosch_cliques, classify_clique,
-                           clique_number, complete_to_invertible_col,
-                           complete_to_invertible_row, dim_adjacent_entries,
-                           dim_adjacent_set,
+                           clique_number, dim_adjacent_entries, dim_adjacent_set,
                            intersect, line_through, maximal_sets_through, unit_ball)
 from bfgeo.errors import (Disjoint, NotAdjacent, NotAdjacentSet, NotMaximal,
-                          PreconditionViolated, TheoremViolated, WrongKinds,
-                          ZeroNotMember)
+                          PreconditionViolated, ShapeMismatch, TheoremViolated,
+                          WrongKinds, ZeroNotMember)
 from bfgeo.fields import make_field
 from bfgeo.matrices import Mat, adjacent, space
 
@@ -26,15 +24,11 @@ F5 = make_field(5, 1)
 
 def std_row_clique(field, m, n, i):
     """The clique of matrices supported on row i, through 0."""
-    e = np.eye(m, dtype=field.dtype)[:, i]
-    return MaximalSet(Kind.ONE, complete_to_invertible_col(field, e),
-                      Mat.zeros(field, m, n))
+    return MaximalSet(Kind.ONE, np.eye(m, dtype=field.dtype)[:, i], Mat.zeros(field, m, n))
 
 
 def std_col_clique(field, m, n, j):
-    e = np.eye(n, dtype=field.dtype)[:, j]
-    return MaximalSet(Kind.TWO, complete_to_invertible_row(field, e),
-                      Mat.zeros(field, m, n))
+    return MaximalSet(Kind.TWO, np.eye(n, dtype=field.dtype)[:, j], Mat.zeros(field, m, n))
 
 
 def is_maximal_clique_oracle(S: VertexSet) -> bool:
@@ -63,6 +57,39 @@ def test_member_basics():
     E21 = Mat.unit(F4, 2, 2, 1, 0)
     assert not M1.contains(E21)
     assert N1.contains(E21)
+
+
+def test_a_maximal_set_is_a_kind_a_monic_direction_and_an_offset():
+    A = Mat.unit(F5, 2, 3, 1, 2, c=4)
+    M = MaximalSet(Kind.ONE, [0, 3], A)
+    assert M.direction.tolist() == [0, 1]
+    assert M == MaximalSet(Kind.ONE, [0, 1], A)
+    assert np.array_equal(M.point_entries(), MaximalSet(Kind.ONE, [0, 1], A).point_entries())
+    # members A + u (x) w, in the order of w's codes
+    w = space(F5, 1, 3).entries[:, 0, :]
+    want = F5.vadd(F5.vmul(M.direction[None, :, None], w[:, None, :]), A.a)
+    assert np.array_equal(M.point_entries(), want)
+    N = MaximalSet(Kind.TWO, [2, 0, 4], A)
+    assert N.direction.tolist() == [1, 0, 2]
+    assert N.contains(A) and not N.contains(A + Mat.unit(F5, 2, 3, 0, 1))
+    with pytest.raises(ShapeMismatch):
+        MaximalSet(Kind.ONE, [1, 0, 0], A)
+    with pytest.raises(ShapeMismatch):
+        MaximalSet(Kind.TWO, [[1, 0, 0]], A)
+    with pytest.raises(ValueError, match="zero vector"):
+        MaximalSet(Kind.TWO, [0, 0, 0], A)
+    with pytest.raises(ValueError, match="outside"):
+        MaximalSet(Kind.ONE, [1, 5], A)
+    with pytest.raises(ValueError, match="integers"):
+        MaximalSet(Kind.ONE, [1.0, 0.5], A)
+
+
+def test_line_coordinates_are_relative_to_the_monic_direction():
+    A = Mat.zeros(F5, 2, 2)
+    ell = line_through(MaximalSet(Kind.ONE, [0, 2], A), MaximalSet(Kind.TWO, [3, 3], A))
+    assert ell.host.direction.tolist() == [0, 1]
+    assert ell.alpha.tolist() == [1, 1] and ell.beta.tolist() == [0, 0]
+    assert ell.points() == intersect(ell.host, MaximalSet(Kind.TWO, [1, 1], A))
 
 
 def test_maximal_sets_through_standard_pairs():
@@ -105,8 +132,7 @@ def test_intersect_cardinalities():
         {Mat.unit(F4, 2, 2, 0, 0, c=x).encode() for x in range(4)}
     point = intersect(M1, M2)
     assert len(point) == 1 and point.contains(Mat.zeros(F4, 2, 2))
-    shifted = MaximalSet(Kind.ONE, M1.transform,
-                         Mat.unit(F4, 2, 2, 1, 0))
+    shifted = MaximalSet(Kind.ONE, M1.direction, Mat.unit(F4, 2, 2, 1, 0))
     assert len(intersect(M1, shifted)) == 0
 
 
@@ -114,7 +140,7 @@ def test_classify_full_standard_clique():
     M1 = std_row_clique(F4, 2, 2, 0)
     got = classify_clique(M1.points())
     assert got.kind is Kind.ONE
-    assert got.transform == Mat.identity(F4, 2)
+    assert got.direction.tolist() == [1, 0]
     assert got.offset == Mat.zeros(F4, 2, 2)
 
 
@@ -169,7 +195,7 @@ def test_lines():
     with pytest.raises(WrongKinds):
         line_through(M1, std_row_clique(F4, 2, 2, 1))
     # offset difference supported off row 1 and column 1 forces disjointness
-    shifted = MaximalSet(Kind.TWO, N1.transform, Mat.unit(F4, 2, 2, 1, 1))
+    shifted = MaximalSet(Kind.TWO, N1.direction, Mat.unit(F4, 2, 2, 1, 1))
     with pytest.raises(Disjoint):
         line_through(M1, shifted)
 
@@ -348,12 +374,8 @@ def every_offset_sets(field, m, n):
     for kind in (Kind.ONE, Kind.TWO):
         dirs = sp.monic_cols if kind is Kind.ONE else sp.monic_rows
         for d in dirs:
-            if kind is Kind.ONE:
-                t = complete_to_invertible_col(field, d)
-            else:
-                t = complete_to_invertible_row(field, d)
             for code in range(sp.count):
-                ms = MaximalSet(kind, t, Mat.decode(field, code, m, n))
+                ms = MaximalSet(kind, d, Mat.decode(field, code, m, n))
                 k = ms.key()
                 if k not in out:
                     out[k] = ms.canonical()
@@ -404,7 +426,7 @@ def test_intersection_cardinality_dichotomy():
         sets_ = every_offset_sets(field, 2, 2)
         q = field.q
         for i, M in enumerate(sets_):
-            # oracle: M's points that N's transform-based membership test keeps
+            # oracle: M's points that N's direction-based membership test keeps
             pts = _bulk.decode(field, M.codes, 2, 2)
             for N in sets_[i + 1:]:
                 got = intersect(M, N)
@@ -418,16 +440,18 @@ def test_intersection_cardinality_dichotomy():
 
 def pairwise_host_oracle(field, pts):
     """The route classification took before the clique test: an all-pairs
-    rank-1 scan, then the first clique form whose generator every
-    difference from pts[0] shares."""
+    rank-1 scan, then the column and the row generator every difference
+    from pts[0] shares, zero where the differences' generators differ."""
     diffs = field.vsub(pts[:, None], pts[None, :])[~np.eye(len(pts), dtype=bool)]
     if not _bulk.adjacent_mask(field, diffs).all():
         raise NotAdjacentSet("some pair is not at distance 1")
-    for kind, axis in ((Kind.ONE, "col"), (Kind.TWO, "row")):
+    shared = []
+    for axis in ("col", "row"):
         g = _bulk.generators(field, field.vsub(pts[1:], pts[0]), axis)
-        if (g == g[0]).all():
-            return kind, g[0]
-    raise TheoremViolated("adjacent set outside both clique forms")
+        shared.append(g[0] if (g == g[0]).all() else np.zeros_like(g[0]))
+    if not (shared[0].any() or shared[1].any()):
+        raise TheoremViolated("adjacent set outside both clique forms")
+    return tuple(shared)
 
 
 def outcome(fn, *args):
@@ -436,7 +460,7 @@ def outcome(fn, *args):
         got = fn(*args)
     except (NotAdjacentSet, NotMaximal, TheoremViolated, ZeroNotMember) as e:
         return type(e), getattr(e, "witness", None)
-    return got if isinstance(got, int) else (got.kind, got.transform, got.offset)
+    return got if isinstance(got, int) else (got.kind, got.direction.tolist(), got.offset)
 
 
 def oracle_sets(field, m, n, rng):

@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from bfgeo.errors import DegreeTooLarge, NotPrime
-from bfgeo.fields import (FieldHom, _mod, canonical_modulus, enumerate_homs,
+from bfgeo import fields
+from bfgeo.errors import DegreeTooLarge, NotPrime, TheoremViolated
+from bfgeo.fields import (Field, FieldHom, _mod, canonical_modulus, enumerate_homs,
                           field_from_order, identity_hom, is_prime, make_field,
                           parse_field_name)
 
@@ -155,6 +156,31 @@ def test_tables_match_the_polynomial_power_loop(p, k):
             assert getattr(F, name) is None, name
         else:
             assert_same(getattr(F, name), want)
+
+
+def test_prime_factors_resolve_orders_and_primes():
+    # one trial division serves is_prime, field_from_order and the order test
+    for n in range(-3, 3000):
+        want = sorted(prime_factors(n)) if n > 1 else []
+        assert fields._prime_factors(n) == want, n
+        assert is_prime(n) == (want == [n]), n
+    for q in range(-3, 1100):
+        primes = fields._prime_factors(q)
+        if len(primes) != 1:
+            with pytest.raises(NotPrime):
+                field_from_order(q)
+        else:
+            F = field_from_order(q)
+            assert (F.p, F.q) == (primes[0], q)
+
+
+def test_a_generator_passing_a_wrong_order_test_breaks_loudly(monkeypatch):
+    # with no primes listed for q - 1 = 6, GF(7)'s first candidate 2 (of
+    # order 3) passes the order test, and its power list holds 1 twice
+    real = fields._prime_factors
+    monkeypatch.setattr(fields, "_prime_factors", lambda n: [] if n == 6 else real(n))
+    with pytest.raises(TheoremViolated):
+        Field(7, 1)
 
 
 @pytest.mark.parametrize("p,k,gen", [(2, 16, 3), (3, 10, 34), (65521, 1, 17)])

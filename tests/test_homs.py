@@ -363,8 +363,8 @@ def _degenerate_oracle(f, decided):
             v = vs[iv] if iv is not None else np.eye(f.n2, dtype=F2.dtype)[:, 0]
             cimg = Mat(F2, center_img)
             return True, (Mat.decode(f.src_field, int(c_center), f.m, f.n),
-                          MaximalSet.through(Kind.ONE, u, cimg),
-                          MaximalSet.through(Kind.TWO, v, cimg))
+                          MaximalSet(Kind.ONE, u, cimg),
+                          MaximalSet(Kind.TWO, v, cimg))
     decided.append(len(ball0))
     return False, None
 
@@ -379,7 +379,7 @@ def _degeneracy_outcome(fn, f):
         return deg, None
     A, M, N = w
     return deg, (A.encode(),) + tuple(
-        (S.kind, S.transform.a.tolist(), S.offset.a.tolist()) for S in (M, N))
+        (S.kind, S.direction.tolist(), S.offset.a.tolist()) for S in (M, N))
 
 
 def _collapsed_ball_images(F, m, n, index):

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from bfgeo import _bulk, recovery
+from bfgeo import _bulk, cliques, recovery
 from bfgeo.cliques import VertexSet, _clique_test
 from bfgeo.errors import (Degenerate, DimDeficient, NoFit, NotHom,
-                          PreconditionViolated, UnsupportedField)
+                          PreconditionViolated, TheoremViolated, UnsupportedField)
 from bfgeo.fields import enumerate_homs, identity_hom, make_field
 from bfgeo.homs import (MapTable, Orientation, StandardHomParams, XiMapParams,
                         build_witness_hom, is_degenerate, is_graph_hom,
@@ -277,3 +277,63 @@ def test_complete_rows_rejects_dependent_rows():
     assert _complete_rows(F4, np.array([[0, 1, 2]])).rank() == 3
     with pytest.raises(PreconditionViolated):
         _complete_rows(F4, np.array([[1, 2, 3], [2, 3, 1]]))
+
+
+def greedy_complete_rows(field, rows_mat):
+    """The unit rows e_j taken j ascending, each kept when it raises the
+    rank of the rows so far."""
+    out = list(rows_mat)
+    for e in np.eye(rows_mat.shape[1], dtype=np.int64):
+        if _bulk.rank(field, np.stack(out + [e])[None])[0] == len(out) + 1:
+            out.append(e)
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("field", [F2, make_field(3, 1), F4, F5, F16])
+def test_complete_rows_takes_the_unit_rows_of_the_greedy_scan(field):
+    from bfgeo.recovery import _complete_rows
+    rng = np.random.default_rng(field.q)
+    done = 0
+    while done < 200:
+        c = int(rng.integers(1, 6))
+        rows_mat = rng.integers(field.q, size=(int(rng.integers(1, c + 1)), c))
+        rows_mat *= rng.random(rows_mat.shape) < rng.random()  # sparse rows too
+        if _bulk.rank(field, rows_mat[None])[0] < len(rows_mat):
+            continue
+        done += 1
+        want = greedy_complete_rows(field, rows_mat)
+        assert np.array_equal(_complete_rows(field, rows_mat).a, want)
+
+
+def test_recovery_tests_each_axis_image_once(monkeypatch):
+    rng = np.random.default_rng(43)
+    tbl = standard_table(random_valid_params(rng, F4, 2, 2, F16, 3, 3))
+    real, calls = recovery._clique_test, []
+
+    def counted(field, D):
+        calls.append(D.shape)
+        return real(field, D)
+
+    # is_graph_hom's summary on a checked table is stored; recovery's own
+    # clique tests, direct or through cliques, are counted
+    is_graph_hom(tbl, "exhaustive")
+    is_degenerate(tbl)
+    monkeypatch.setattr(recovery, "_clique_test", counted)
+    monkeypatch.setattr(cliques, "_clique_test", counted)
+    recover_standard(tbl)
+    assert calls == [(1, 15, 3, 3), (1, 15, 3, 3)]
+
+
+def test_an_axis_image_failing_the_clique_test_breaks_loudly(monkeypatch):
+    # a checked homomorphism maps each axis clique onto a clique
+    rng = np.random.default_rng(44)
+    tbl = standard_table(random_valid_params(rng, F4, 2, 2, F16, 3, 3))
+    real = recovery._clique_test
+
+    def reject(field, D):
+        passes, u, v = real(field, D)
+        return np.zeros_like(passes), u, v
+
+    monkeypatch.setattr(recovery, "_clique_test", reject)
+    with pytest.raises(TheoremViolated):
+        recover_standard(tbl)

@@ -122,8 +122,23 @@ def test_benchmark_workload_setups_run(monkeypatch):
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo):
-    # no other test runs the demos, which call the public API end to end
+    # no other test runs the demos, which call the public API end to end.
+    # Their stdout must equal tests/golden/demos/<demo>.txt byte for byte;
+    # after a change meant to alter it, rewrite the file with
+    # PYTHONPATH=src python demos/<demo>.py > tests/golden/demos/<demo>.txt
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+                          capture_output=True, timeout=300)
+    assert proc.returncode == 0, (proc.stdout + proc.stderr).decode()
+    golden = ROOT / "tests" / "golden" / "demos" / (demo[:-len(".py")] + ".txt")
+    assert proc.stdout == golden.read_bytes()
+
+
+def test_a_maximal_set_is_a_kind_a_direction_and_an_offset():
+    # MaximalSet once stored an invertible transform P, inverted it on every
+    # construction, and read members through P^-1; a monic direction and
+    # the offset give every member, membership and line without an inverse
+    text = (ROOT / "src" / "bfgeo" / "cliques.py").read_text()
+    gone = ("transform", "_tinv", "_local", "def through", ".through(", "inverse(",
+            "complete_to_invertible")
+    assert [w for w in gone if w in text] == []
