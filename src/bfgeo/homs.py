@@ -181,7 +181,14 @@ def _resolvent(F: Field, X, L, side: TwistSide, invert: bool = True):
     denominators, twisted is None unless invert is set and every
     denominator is invertible.  Up to _bulk.ADJUGATE_MAX one determinant of
     the stack gives both ok and the adjugate inverse's scale.
+
+    One all-zero twist matrix (L.ndim == 2) makes every denominator I, so
+    ok is all True and the twisted stack is X itself, with no kernel call;
+    callers must not write into it.  A stack of twists that merely holds a
+    zero L takes the full path.
     """
+    if L.ndim == 2 and not L.any():
+        return np.ones(X.shape[:-2], dtype=bool), X if invert else None
     if side is TwistSide.LEFT:
         prod = _bulk.matmul(F, X, L)
     else:

@@ -336,7 +336,7 @@ class MatrixSpace:
         return out
 
     def maximal_cliques(self, axis: str):
-        """(cliques, members) codes of the maximal cliques of one kind, cached:
+        """One (sets, size) code array of the maximal cliques of one kind, cached:
         axis "col" (as in ``_bulk.generators``) gives kind ONE, X0 + u
         GF(q)^(1 x n) for u in ``monic_cols``, "row" kind TWO, X0 +
         GF(q)^(m x 1) v for v in ``monic_rows``, direction by direction.  The

@@ -257,17 +257,19 @@ def _fit_straight(f: MapTable, img1, P0: Mat, Q0: Mat, tau: FieldHom):
     if g1[:, 1:, :].any():
         raise NoFit("row-axis image leaks outside the standard row clique")
     fit1 = fit_semiaffine(f.src_field, F2, g1[:, 0, :], tau=tau)
-    if fit1.P.rank() != n:
-        raise NoFit("row-axis fit is rank deficient")
-    Q2 = _complete_rows(F2, fit1.P.a)
+    try:
+        Q2 = _complete_rows(F2, fit1.P.a)
+    except PreconditionViolated:
+        raise NoFit("row-axis fit is rank deficient") from None
 
     gN = img1[m * k:]
     if gN[:, :, 1:].any():
         raise NoFit("column-axis image leaks outside the standard column clique")
     fitN = fit_semiaffine(f.src_field, F2, gN[:, :, 0], tau=tau)
-    if fitN.P.rank() != m:
-        raise NoFit("column-axis fit is rank deficient")
-    P2 = _complete_rows(F2, fitN.P.a).T
+    try:
+        P2 = _complete_rows(F2, fitN.P.a).T
+    except PreconditionViolated:
+        raise NoFit("column-axis fit is rank deficient") from None
 
     img2 = _bulk.matmul(F2, P2.inverse().a, _bulk.matmul(F2, img1[:m * k], Q2.inverse().a))
 

@@ -117,9 +117,10 @@ def _no_call(name):
 
 @pytest.mark.parametrize("orientation", list(Orientation))
 def test_one_determinant_per_resolvent_stack(orientation, monkeypatch):
-    F3 = make_field(3, 1)
-    params = random_valid_params(np.random.default_rng(3), F3, 2, 3, F3, 3, 4,
-                                 orientation=orientation)
+    # a nonzero twist: a zero one takes no determinant at all
+    params = random_valid_params(np.random.default_rng(5), make_field(3, 1), 2, 3,
+                                 make_field(3, 2), 3, 4, orientation=orientation)
+    assert not params.L.is_zero()
     calls = _stack_det_counts(monkeypatch)
     # the 2x2 and 3x3 denominators invert by adjugate, never by elimination
     monkeypatch.setattr(_bulk, "rref", _no_call("rref"))
@@ -128,6 +129,70 @@ def test_one_determinant_per_resolvent_stack(orientation, monkeypatch):
     assert len(calls) == 3
     assert {shape[-1] for shape, _ in calls} == {2, 3}
     assert all(shape[0] == 729 and count == 1 for shape, count in calls)
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_a_zero_twist_takes_no_resolvent_kernel(orientation, monkeypatch):
+    params = random_valid_params(np.random.default_rng(3), F5, 2, 3, F5, 3, 4,
+                                 orientation=orientation)
+    assert params.L.is_zero()
+    inside, calls, real = [], [], homs._resolvent
+
+    def resolvent(*args, **kwargs):
+        calls.append(1)
+        inside.append(True)
+        try:
+            return real(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def outside_only(name, kernel):
+        def call(*args, **kwargs):
+            assert not inside, f"_bulk.{name} called inside _resolvent"
+            return kernel(*args, **kwargs)
+        return call
+
+    for name in ("det", "inverse", "matmul", "invertible_mask"):
+        monkeypatch.setattr(_bulk, name, outside_only(name, getattr(_bulk, name)))
+    monkeypatch.setattr(homs, "_resolvent", resolvent)
+    standard_table(params)
+    assert validate_params(params) == (True, None)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("invert", [True, False])
+@pytest.mark.parametrize("side", list(TwistSide))
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("tau", [identity_hom(F5), EMB_4_16], ids=["GF(5)", "GF(4)->GF(16)"])
+def test_a_zero_twist_agrees_with_the_full_resolvent(tau, m, n, side, invert, monkeypatch):
+    # a (1, n, m) stack of one zero twist still takes the full path: the oracle
+    F = tau.dst
+    rng = np.random.default_rng(m * n)
+    xs = np.concatenate([np.zeros((1, m, n), dtype=np.int64),
+                         rng.integers(0, tau.src.q, size=(300, m, n))])
+    X = tau.vapply(xs.astype(tau.src.dtype))
+    L = np.zeros((n, m), dtype=F.dtype)
+    dets, real_det = [], _bulk.det
+    monkeypatch.setattr(_bulk, "det", lambda *a: dets.append(1) or real_det(*a))
+    ok, twisted = homs._resolvent(F, X, L, side, invert)
+    assert not dets
+    want_ok, want = homs._resolvent(F, X, L[None], side, invert)
+    assert dets
+    assert ok.shape == want_ok.shape == (len(X),) and ok.all() and want_ok.all()
+    if invert:
+        assert twisted is X and np.array_equal(twisted, want)
+    else:
+        assert twisted is None and want is None
+
+
+def test_a_zero_twist_keeps_the_identity_sweep_and_copies_the_table():
+    info = verify.identity_twist_sweep(F4, 2, 2)
+    assert (info["valid"], info["singular"], info["violations"]) == ([0], 255, [])
+    f = MapTable.identity(F4, 2, 2)
+    for side in TwistSide:
+        theta = moebius_twist(f, Mat.zeros(F4, 2, 2), side)
+        assert theta == f
+        assert not np.shares_memory(theta.images, f.images)
 
 
 @pytest.mark.parametrize("orientation", list(Orientation))

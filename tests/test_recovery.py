@@ -279,6 +279,29 @@ def test_complete_rows_rejects_dependent_rows():
         _complete_rows(F4, np.array([[1, 2, 3], [2, 3, 1]]))
 
 
+@pytest.mark.parametrize("axis", ["row", "column"])
+def test_a_rank_deficient_axis_fit_is_no_fit(axis):
+    # axis images x P with a rank-1 P on the failing axis: every fit of
+    # them has a rank-1 P, which the completion's RREF turns into NoFit
+    f = MapTable.identity(F4, 2, 2)
+    xs = row_points(F4, 2)
+    P = {a: np.eye(2, dtype=np.int64) for a in ("row", "column")}
+    P[axis] = np.array([[1, 0], [1, 0]])
+    img1 = np.zeros((3 * len(xs), 2, 2), dtype=np.int64)
+    img1[:len(xs), 0, :] = _bulk.matmul(F4, xs, P["row"])
+    img1[2 * len(xs):, :, 0] = _bulk.matmul(F4, xs, P["column"])
+    eye = Mat.identity(F4, 2)
+    with pytest.raises(NoFit, match=f"^{axis}-axis fit is rank deficient$"):
+        recovery._fit_straight(f, img1, eye, eye, identity_hom(F4))
+
+
+def test_recovery_ranks_no_axis_fit_twice(monkeypatch):
+    # the NoFit rank test is the completion's own RREF, not a Mat.rank
+    tbl = standard_table(random_valid_params(np.random.default_rng(43), F4, 2, 2, F16, 3, 3))
+    monkeypatch.setattr(Mat, "rank", lambda self: pytest.fail("Mat.rank called"))
+    assert recover_standard(tbl).residual_checked
+
+
 def greedy_complete_rows(field, rows_mat):
     """The unit rows e_j taken j ascending, each kept when it raises the
     rank of the rows so far."""
