@@ -5,11 +5,10 @@ Cliques come in two kinds: matrices sharing a column space direction
 lines of q points, equal kinds in at most a point.
 """
 
-from bfgeo.cliques import (bron_kerbosch_cliques, classify_clique, intersect,
-                           line_through, maximal_sets_through, unit_ball,
-                           VertexSet)
+from bfgeo.cliques import (classify_clique, clique_certificate, line_through,
+                           maximal_sets_through, unit_ball)
 from bfgeo.fields import make_field
-from bfgeo.matrices import Mat
+from bfgeo.matrices import Mat, space
 
 F4 = make_field(2, 2)
 Z = Mat.zeros(F4, 2, 2)
@@ -27,9 +26,11 @@ print(f"their intersection is a line with {len(ell)} points:",
 got = classify_clique(one.points())
 print(f"classified back: kind {got.kind.value}, offset {got.offset.to_text()}")
 
-# an independent brute-force enumeration finds the same cliques
-cliques = bron_kerbosch_cliques(F4, 2, 2)
+# the listed cosets, certified from the neighbour structure to be every maximal clique
+sp = space(F4, 2, 2)
+cliques = [*sp.maximal_cliques("col"), *sp.maximal_cliques("row")]
 sizes = {len(c) for c in cliques}
-print(f"\nBron-Kerbosch: {len(cliques)} maximal cliques, sizes {sizes}")
+print(f"\ncertified: {len(cliques)} maximal cliques, sizes {sizes}, "
+      f"failed steps {clique_certificate(sp)}")
 
 print(f"unit ball around 0 has {len(unit_ball(Z))} points (1 + 75 rank-1)")

@@ -29,7 +29,8 @@ w = build_witness_hom(2, 2, 2, 4, 2, 2)
 print(f"\nwitness GF(2)^(2x2) -> GF(4)^(2x2): hom {is_graph_hom(w)[0]}, "
       f"image inside one clique: {is_colouring(w)}")
 
-# the blocked case, certified by exhaustive clique search in the target
+# the blocked case, certified by the target's clique number, whose
+# maximal cliques are certified at 0
 F2 = make_field(2, 1)
 omega = clique_number(F2, 2, 2)
 print(f"\nblocked case 4^(2x3) -> 2^(2x2): source has a clique of "

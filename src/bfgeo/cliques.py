@@ -4,8 +4,8 @@ Every maximal pairwise-adjacent set of GF(q)^(m x n) is a coset of rank-1
 matrices sharing either a common column space (kind ONE, cardinality q^n)
 or a common row space (kind TWO, cardinality q^m).  This module builds
 them in canonical form, classifies explicit vertex sets against that
-structure, and provides an independent brute-force clique enumeration for
-cross-checking.
+structure, and certifies from the neighbour structure alone that the
+listed cosets are every maximal clique.
 """
 
 from __future__ import annotations
@@ -387,74 +387,83 @@ def unit_ball(A: Mat) -> VertexSet:
 
 
 # ---------------------------------------------------------------------------
-# the independent brute-force oracle
+# the listed maximal cliques, certified
 # ---------------------------------------------------------------------------
 
-CLIQUE_SEARCH_LIMIT = 1 << 12
+CLIQUE_NUMBER_LIMIT = 1 << 12
 
 
-def _bits(mask: int):
-    """The indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def clique_certificate(sp) -> list:
+    """The failed steps of a proof that ``sp.maximal_cliques`` of the two
+    kinds are exactly the maximal cliques of sp; empty when it holds.
 
-
-def _neighbour_bits(sp) -> list:
-    """Each point's neighbourhood as one Python int, bit c for code c, read
-    from the neighbour table alone."""
-    perms = sp.neighbor_perms
-    rows = np.zeros((sp.count, sp.count), dtype=bool)
-    rows[np.arange(sp.count), perms] = True
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    return [int.from_bytes(r.tobytes(), "little") for r in packed]
-
-
-def bron_kerbosch_cliques(field: Field, m: int, n: int):
-    """All maximal cliques by pure graph search (no structure consulted).
-
-    Returns a list of frozensets of matrix codes, ordered by their sorted
-    members.  Intended as an independent oracle at small sizes: the search
-    reads the neighbour table only.  Bron-Kerbosch with the Tomita pivot,
-    on neighbourhoods stored as int bitsets, so P & N(v) is one AND and
-    |P & N(v)| one bit count (San Segundo, Rodriguez-Losada and Jimenez
-    2011).  DomainTooLarge past CLIQUE_SEARCH_LIMIT points.
+    X ~ Y iff X - Y is in R1, ``sp.rank1_codes``, so every translation is
+    an automorphism and the proof runs at 0.  It reads R1, ``code_sub`` and
+    the listed rows, nothing of the coset theory.  S are the kind ONE rows
+    whose member 0 is code 0, T the kind TWO ones:
+    (a) each S and T is a clique: every member difference is in R1;
+    (b) each is maximal: no point of R1 (the neighbours of 0) outside it
+        is adjacent to all its members;
+    (c') each R in R1 lies in exactly one S and exactly one T;
+    (c) 0 and each R in R1 have q^m + q^n - q - 2 common neighbours, and
+        each S meets each T in q points;
+    (d) no point of S - T is adjacent to a point of T - S, for each pair;
+    (e) each listed row less its member 0 is an S (kind ONE) or T row.
+    A maximal clique K on an edge (a, a + R): K - a is a clique on 0 and R,
+    so by (a), (c') and (c) it lies in the union of the S and T holding R,
+    which is 0, R and their q^m + q^n - q - 2 common neighbours; by (d) it
+    lies in one of the two, and as K is maximal it is that set.  So the
+    maximal cliques are the translates of S and T, and by (e) so is every
+    listed row.
     """
-    bounded_power(field.q, m * n, "q^(m*n)", CLIQUE_SEARCH_LIMIT, "clique-search bound {}")
-    sp = space(field, m, n)
-    nbrs = _neighbour_bits(sp)
-    out = []
-    # (R, P, X) states on an explicit stack: a clique of the whole space
-    # (1 x n) is count deep, past Python's recursion limit
-    stack = [([], (1 << sp.count) - 1, 0)]
-    while stack:
-        R, P, X = stack.pop()
-        if not P:
-            if not X:
-                out.append(R)
-            continue
-        # Tomita pivot: the u in P | X with the most neighbours in P.  No u
-        # has more than |P|, nor a u in P more than |P| - 1, so the scan
-        # stops at the first u that reaches its bound (any pivot in P | X
-        # gives every maximal clique)
-        size, best, rest = P.bit_count(), -1, P | X
-        while rest:
-            low = rest & -rest
-            u = low.bit_length() - 1
-            hits = (P & nbrs[u]).bit_count()
-            if hits > best:
-                best, pivot = hits, u
-                if hits == size or (hits == size - 1 and P & low):
-                    break
-            rest ^= low
-        for v in _bits(P & ~nbrs[pivot]):
-            stack.append((R + [v], P & nbrs[v], X & nbrs[v]))
-            P &= ~(1 << v)
-            X |= 1 << v
-    return [frozenset(c) for c in sorted(map(sorted, out))]
+    q, m, n = sp.field.q, sp.m, sp.n
+    r1 = sp.rank1_codes
+    adj = np.zeros(sp.count, dtype=bool)
+    adj[r1] = True
+    fails, through0, inside = [], [], []
+    for kind, axis in ((Kind.ONE, "col"), (Kind.TWO, "row")):
+        rows = sp.maximal_cliques(axis)
+        Z = np.sort(rows[rows[:, 0] == 0], axis=1)
+        held = np.zeros((len(Z), sp.count), dtype=bool)
+        held[np.arange(len(Z))[:, None], Z] = True
+        through0.append(Z)
+        inside.append(held)
+        pairs = adj[sp.code_sub(Z[:, :, None], Z[:, None, :])] | np.eye(Z.shape[1], dtype=bool)
+        if not pairs.all():
+            fails.append(f"certificate (a): a {kind.value} set through 0 is no clique")
+        if (adj[sp.code_sub(r1, Z[:, 1:, None])].all(axis=1) & ~held[:, r1]).any():
+            fails.append(f"certificate (b): a {kind.value} set through 0 is not maximal")
+        if (held[:, r1].sum(axis=0) != 1).any():
+            fails.append(f"certificate (c'): a rank-1 point in other than one {kind.value} set")
+        # the set through 0 holding a translate's first nonzero member
+        t = np.sort(sp.code_sub(rows, rows[:, :1]), axis=1)
+        if not len(Z) or not (t == Z[held.argmax(axis=0)[t[:, 1]]]).all():
+            fails.append(f"certificate (e): a {kind.value} row is no translate of a set through 0")
+    S, T = through0
+    if (adj[sp.code_sub(r1[:, None], r1)].sum(axis=1) != q**m + q**n - q - 2).any():
+        fails.append("certificate (c): 0 and a rank-1 point with a wrong common-neighbour count")
+    s_out, t_out = ~inside[1][:, S], ~inside[0][:, T].swapaxes(0, 1)  # (|T|, |S|, size)
+    if (s_out.shape[2] - s_out.sum(axis=2) != q).any():
+        fails.append("certificate (c): sets through 0 of two kinds meeting in other than q points")
+    cross = adj[sp.code_sub(S[None, :, :, None], T[:, None, None, :])]
+    if (cross & s_out[..., :, None] & t_out[..., None, :]).any():
+        fails.append("certificate (d): a point of S - T adjacent to a point of T - S")
+    return fails
 
 
 def clique_number(field: Field, m: int, n: int) -> int:
-    """Clique number by exhaustive search (independent of the coset theory)."""
-    return max(len(c) for c in bron_kerbosch_cliques(field, m, n))
+    """q^max(m,n), on a space whose listed maximal cliques pass
+    :func:`clique_certificate`, TheoremViolated where a step fails.  A
+    1 x n or m x 1 space is one complete graph, its count - 1 nonzero
+    points all rank 1, so the answer is its count.  DomainTooLarge past
+    CLIQUE_NUMBER_LIMIT points."""
+    bounded_power(field.q, m * n, "q^(m*n)", CLIQUE_NUMBER_LIMIT, "clique-number bound {}")
+    sp = space(field, m, n)
+    if min(m, n) == 1:
+        if np.setdiff1d(sp.rank1_codes, 0).size != sp.count - 1:
+            raise TheoremViolated("a 1 x n space with a nonzero point not of rank 1")
+        return sp.count
+    fails = clique_certificate(sp)
+    if fails:
+        raise TheoremViolated("; ".join(fails))
+    return field.q ** max(m, n)

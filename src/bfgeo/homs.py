@@ -18,7 +18,7 @@ import numpy as np
 from . import _bulk
 from .cliques import Kind, MaximalSet, _clique_test
 from .errors import (InvalidParams, InvalidXi, NoHomExists, NotHom,
-                     ShapeMismatch, SingularTwist, TheoremViolated)
+                     ShapeMismatch, Singular, SingularTwist, TheoremViolated)
 from .fields import (Field, FieldHom, _check_indices, enumerate_homs, field_from_order,
                      make_field)
 from .matrices import (Mat, bounded, bounded_power, random_invertible, space,
@@ -146,8 +146,8 @@ class StandardHomParams:
         if self.L.shape != _twist_shape(o, self.m, self.n):
             shape = "n x m" if o is Orientation.STRAIGHT else "m x n"
             raise InvalidParams(f"{o.value} form needs an {shape} twist matrix")
-        self.P.inverse()
-        self.Q.inverse()
+        if not (_bulk.invertible_mask(dst, self.P.a) and _bulk.invertible_mask(dst, self.Q.a)):
+            raise Singular("matrix has no inverse")
 
     @property
     def m2(self) -> int:

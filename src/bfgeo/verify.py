@@ -11,8 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _bulk, cliques
-from .cliques import (Kind, VertexSet, bron_kerbosch_cliques,
-                      classify_clique, clique_number, maximal_sets_through)
+from .cliques import VertexSet, clique_number, maximal_sets_through
 from .errors import PreconditionViolated
 from .fields import Field, field_from_order
 from .homs import (MapTable, Orientation, TwistSide, _resolvent, build_witness_hom,
@@ -104,38 +103,14 @@ def _membership(codes, count: int) -> np.ndarray:
     return out
 
 
-def _clique_kinds(field: Field, m: int, n: int, codes) -> np.ndarray:
-    """Whether each clique (sorted member codes) is a maximal set of kind ONE.
-
-    One clique test per clique size, on the differences from each clique's
-    lex-min member, as classify_clique takes them: kind ONE where a shared
-    column generator exists, maximal at q^n points (ONE) or q^m (TWO).  A
-    clique failing either is handed to classify_clique, which raises its
-    exact NotAdjacentSet, NotMaximal or TheoremViolated.
-    """
-    sizes = np.array([len(c) for c in codes])
-    ones = np.zeros(len(codes), dtype=bool)
-    entries = space(field, m, n).entries
-    for size in np.unique(sizes):
-        idx = np.flatnonzero(sizes == size)
-        ok = np.zeros(len(idx), dtype=bool)
-        if size > 1:
-            pts = entries[np.stack([codes[t] for t in idx])]
-            passes, u, _ = cliques._clique_test(field, field.vsub(pts[:, 1:], pts[:, :1]))
-            ones[idx] = u.any(axis=1)
-            ok = passes & (size == np.where(ones[idx], field.q**n, field.q**m))
-        for t in idx[~ok]:
-            ones[t] = classify_clique(VertexSet(field, m, n, codes[t])).kind is Kind.ONE
-    return ones
-
-
 def clique_structure_check(field: Field, m: int, n: int) -> dict:
     """Every edge lies in exactly two maximal cliques, one of each kind,
     and distinct cliques meet in 1 point (same kind) or q (different).
 
-    The clique list comes from plain Bron-Kerbosch graph search, so the
-    coset structure is confirmed rather than assumed, and the number found
-    must be the closed-form clique count.  Shared points of every pair of
+    The cliques are ``maximal_cliques`` of each kind.  A step failed by
+    ``cliques.clique_certificate``, which proves from the neighbour
+    structure alone that they are every maximal clique, is a violation, as
+    is a count other than the closed form.  Shared points of every pair of
     cliques, and the cliques hosting each edge, are read from products of
     one (cliques x points) membership matrix.  DomainTooLarge past
     SPACE_LIMIT clique pairs, from the closed-form clique count.
@@ -146,11 +121,13 @@ def clique_structure_check(field: Field, m: int, n: int) -> dict:
     total = sum(_maximal_set_counts(field.q, m, n))
     bounded(pairs := total * (total - 1) // 2, f"clique pairs = {pairs}")
     sp = space(field, m, n)
-    codes = [np.array(sorted(c), dtype=np.int64)
-             for c in bron_kerbosch_cliques(field, m, n)]
-    ones = _clique_kinds(field, m, n, codes)
+    one, two = sp.maximal_cliques("col"), sp.maximal_cliques("row")
+    codes = [*one, *two]
+    ones = np.arange(len(codes)) < len(one)
     member = _membership(codes, sp.count)
-    violations = [] if len(codes) == total else [f"{len(codes)} cliques, closed form {total}"]
+    violations = cliques.clique_certificate(sp)
+    if len(codes) != total:
+        violations.append(f"{len(codes)} cliques, closed form {total}")
 
     # each edge a < b once; its hosts are the cliques holding both ends
     perms = sp.neighbor_perms
@@ -327,8 +304,9 @@ def pigeonhole_certificate(q: int, m: int, n: int, q2: int, m2: int, n2: int) ->
 
     A graph homomorphism restricts injectively to cliques, so a source
     clique larger than the target's clique number forbids any.  The target
-    clique number comes from exhaustive search; the source clique is a
-    count of points, DomainTooLarge past SPACE_LIMIT.
+    clique number is q'^max(m',n') on a target whose listed maximal cliques
+    pass the clique certificate; the source clique is a count of points,
+    DomainTooLarge past SPACE_LIMIT.
     """
     dst = field_from_order(q2)
     omega = clique_number(dst, m2, n2)

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from bfgeo import _bulk, cliques, verify
-from bfgeo.cliques import (Kind, Line, MaximalSet, VertexSet,
-                           bron_kerbosch_cliques, classify_clique,
+from bfgeo.cliques import (Kind, Line, MaximalSet, VertexSet, classify_clique,
                            clique_number, dim_adjacent_entries, dim_adjacent_set,
                            intersect, line_through, maximal_sets_through, unit_ball)
 from bfgeo.errors import (Disjoint, NotAdjacent, NotAdjacentSet, NotMaximal,
@@ -362,7 +361,8 @@ def test_structural_sets_match_brute_force_cliques():
     sp = space(F2, 2, 2)
     rows = np.concatenate([sp.maximal_cliques("col"), sp.maximal_cliques("row")])
     assert len(rows) == 24  # 12 of each kind: 3 directions x 4 cosets
-    assert sorted(map(frozenset, rows.tolist()), key=sorted) == bron_kerbosch_cliques(F2, 2, 2)
+    assert sorted(map(frozenset, rows.tolist()), key=sorted) == \
+        sorted(frozenset_bron_kerbosch(F2, 2, 2), key=sorted)
     assert clique_number(F2, 2, 2) == 4
 
 
@@ -407,7 +407,7 @@ def test_maximal_cliques_match_the_every_offset_enumeration(field, m, n):
 
 
 def test_exactly_two_cliques_per_edge_small():
-    cliques = bron_kerbosch_cliques(F2, 2, 2)
+    cliques = frozenset_bron_kerbosch(F2, 2, 2)
     sp = space(F2, 2, 2)
     for v in range(sp.count):
         for w in sp.neighbor_perms[:, v]:
@@ -468,7 +468,7 @@ def oracle_sets(field, m, n, rng):
     clique with one point moved, then random sets of 1 to 5 points."""
     count = field.q ** (m * n)
     out = []
-    for c in bron_kerbosch_cliques(field, m, n):
+    for c in sorted(frozenset_bron_kerbosch(field, m, n), key=sorted):
         codes = np.array(sorted(c))
         moved = codes.copy()
         moved[rng.integers(len(codes))] = rng.integers(count)
@@ -608,7 +608,8 @@ ORACLE_SPACES = [(F2, 2, 2), (F3, 2, 2), (F2, 2, 3)]
 
 
 def frozenset_bron_kerbosch(field, m, n):
-    """The clique search on Python frozensets, with the same Tomita pivot."""
+    """Bron-Kerbosch search with the Tomita pivot on Python frozensets: every
+    maximal clique, read from the neighbour table alone."""
     perms = space(field, m, n).neighbor_perms
     nbrs = [frozenset(int(c) for c in perms[:, v]) for v in range(perms.shape[1])]
     out = []
@@ -685,23 +686,24 @@ def pairwise_line_structure(field, m, n):
             "violations": sorted(violations)}
 
 
-@pytest.mark.parametrize("field,m,n", ORACLE_SPACES)
-def test_bitset_search_matches_the_frozenset_search(field, m, n):
-    assert bron_kerbosch_cliques(field, m, n) == sorted(frozenset_bron_kerbosch(field, m, n),
-                                                        key=sorted)
+@pytest.mark.parametrize("field,m,n", ORACLE_SPACES + [(F4, 2, 2)])
+def test_maximal_cliques_match_the_frozenset_search(field, m, n):
+    sp = space(field, m, n)
+    listed = [*sp.maximal_cliques("col"), *sp.maximal_cliques("row")]
+    found = sorted(frozenset_bron_kerbosch(field, m, n), key=sorted)
+    assert sorted((frozenset(r.tolist()) for r in listed), key=sorted) == found
+    assert clique_number(field, m, n) == max(map(len, found))
 
 
 @pytest.mark.parametrize("field,m,n", [(F3, 1, 3), (F2, 4, 1)])
-def test_bitset_search_matches_the_frozenset_search_on_one_clique(field, m, n):
-    # a 1 x n or m x 1 space is a complete graph: the pivot scan stops at a
-    # u of P with |P| - 1 neighbours in P
-    found = bron_kerbosch_cliques(field, m, n)
-    assert found == sorted(frozenset_bron_kerbosch(field, m, n), key=sorted)
-    assert found == [frozenset(range(space(field, m, n).count))]
+def test_clique_number_of_one_complete_graph_is_its_count(field, m, n):
+    count = space(field, m, n).count
+    assert frozenset_bron_kerbosch(field, m, n) == [frozenset(range(count))]
+    assert clique_number(field, m, n) == count
 
 
 def test_clique_search_on_the_largest_complete_graph_is_fast():
-    # one 4096-clique, the largest space the search takes: the scan once
+    # one 4096-clique, the largest space clique_number takes: a search once
     # went through all of P at each of the 4096 levels (8.8 s)
     start = time.perf_counter()
     assert clique_number(F2, 1, 12) == 4096
@@ -744,28 +746,44 @@ def test_a_wrong_line_through_fails_the_line_check(monkeypatch):
         verify.line_structure_check(F4, 2, 2)["violations"]
 
 
-@pytest.mark.parametrize("wrong", ["every clique kind TWO", "no clique passes"])
-def test_a_wrong_clique_test_fails_the_clique_check(wrong, monkeypatch):
-    real = cliques._clique_test
+def _wrong_cliques(wrong, sp, monkeypatch):
+    """Patch sp with one of four faults the clique certificate must find."""
+    one, r1 = sp.maximal_cliques("col").copy(), sp.rank1_codes
+    rank2 = int(np.setdiff1d(np.arange(1, sp.count), r1)[0])
+    if wrong in ("an extra rank-1 class", "a lost rank-1 class"):
+        x = rank2 if wrong == "an extra rank-1 class" else int(r1[0])
+        pair = [x, int(sp.code_sub(0, x))]
+        r1 = np.union1d(r1, pair) if wrong == "an extra rank-1 class" else np.setdiff1d(r1, pair)
+        monkeypatch.setattr(sp, "rank1_codes", r1)
+        return
+    if wrong == "a rank-2 point in a set through 0":
+        one[0, -1] = rank2
+    else:  # a row off every translate: one member of a row away from 0 moved out
+        t = int(np.argmax(one[:, 0] != 0))
+        one[t, -1] = np.setdiff1d(np.arange(sp.count), one[t])[0]
+    real = sp.maximal_cliques
+    monkeypatch.setattr(sp, "maximal_cliques", lambda axis: one if axis == "col" else real(axis))
 
-    def mutated(field, D):
-        passes, u, v = real(field, D)
-        if wrong == "no clique passes":
-            return np.zeros_like(passes), u, v
-        return passes, np.zeros_like(u), v
 
-    monkeypatch.setattr(cliques, "_clique_test", mutated)
-    try:
-        violations = verify.clique_structure_check(F4, 2, 2)["violations"]
-    except TheoremViolated:
-        violations = ["raised"]
-    assert violations
+@pytest.mark.parametrize("wrong", ["a rank-2 point in a set through 0", "a row off every translate",
+                                   "an extra rank-1 class", "a lost rank-1 class"])
+def test_wrong_cliques_fail_the_clique_certificate(wrong, monkeypatch):
+    sp = space(F4, 2, 2)
+    # the unpatched check first, so the cached neighbour table is the real one
+    assert verify.clique_structure_check(F4, 2, 2)["violations"] == []
+    _wrong_cliques(wrong, sp, monkeypatch)
+    assert any(v.startswith("certificate") for v in
+               verify.clique_structure_check(F4, 2, 2)["violations"])
+    with pytest.raises(TheoremViolated, match="certificate"):
+        clique_number(F4, 2, 2)
 
 
 def test_a_lost_clique_fails_the_closed_form_count(monkeypatch):
     assert verify.clique_structure_check(F2, 2, 2)["violations"] == []
-    real = verify.bron_kerbosch_cliques
-    monkeypatch.setattr(verify, "bron_kerbosch_cliques", lambda *a: real(*a)[1:])
+    sp = space(F2, 2, 2)
+    real = sp.maximal_cliques
+    monkeypatch.setattr(sp, "maximal_cliques",
+                        lambda axis: real(axis)[1:] if axis == "col" else real(axis))
     info = verify.clique_structure_check(F2, 2, 2)
     assert info["cliques"] == 23
     assert "23 cliques, closed form 24" in info["violations"]

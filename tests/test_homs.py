@@ -5,7 +5,7 @@ import pytest
 
 from bfgeo import _bulk, homs, verify
 from bfgeo.cliques import Kind, MaximalSet, clique_number, unit_ball
-from bfgeo.errors import (InvalidParams, InvalidXi, NoHomExists, NotHom,
+from bfgeo.errors import (InvalidParams, InvalidXi, NoHomExists, NotHom, Singular,
                           SingularTwist, TheoremViolated)
 from bfgeo.fields import enumerate_homs, identity_hom, make_field
 from bfgeo.homs import (MapTable, Orientation, StandardHomParams, TwistSide,
@@ -73,6 +73,20 @@ def test_validate_params():
     assert w.encode() == first
     with pytest.raises(InvalidParams):
         standard_table(bad)
+
+
+@pytest.mark.parametrize("singular", ["P", "Q"])
+def test_a_singular_p_or_q_is_rejected_without_an_inverse(singular, monkeypatch):
+    # P is 3 x 3 (the determinant test), Q 5 x 5 (the rank test); the
+    # singular one is the identity with its last diagonal entry cleared
+    monkeypatch.setattr(Mat, "inverse", lambda self: pytest.fail("inverse built"))
+    P, Q = Mat.identity(F4, 3), Mat.identity(F4, 5)
+    StandardHomParams(Orientation.STRAIGHT, P, Q, ID4, Mat.zeros(F4, 2, 2), 2, 2)
+    k = P.m if singular == "P" else Q.m
+    cut = Mat.identity(F4, k) - Mat.unit(F4, k, k, k - 1, k - 1)
+    P, Q = (cut, Q) if singular == "P" else (P, cut)
+    with pytest.raises(Singular, match="matrix has no inverse"):
+        StandardHomParams(Orientation.STRAIGHT, P, Q, ID4, Mat.zeros(F4, 2, 2), 2, 2)
 
 
 def test_validate_params_nonzero_twist_gf16():

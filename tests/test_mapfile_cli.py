@@ -428,7 +428,7 @@ def test_lemma_check_without_an_embedding_exits_2(which, d_field, capsys):
     ["line-check", "--field", "2,1", "--shape", "4x4"],
 ], ids=" ".join)
 def test_clique_and_line_sweeps_past_their_bounds_exit_2(argv, capsys):
-    # 2^16 points are past the clique search; 3x4 has 1792 x 7680 ONE x TWO pairs
+    # 2^16 points are past the clique number; 3x4 has 1792 x 7680 ONE x TWO pairs
     code, rep = within_a_second(lambda: run_cli(capsys, *argv))
     assert code == 2
     assert rep["witnesses"][0].startswith("DomainTooLarge:")
@@ -467,7 +467,7 @@ def test_huge_target_shapes_exit_2_before_any_table(argv, sizes, capsys):
 def test_clique_search_bound_names_the_exponent(capsys):
     code, rep = run_cli(capsys, "exists", "--src", "4:4x4", "--dst", "2:4x4", "--certificate")
     assert rep["witnesses"] == ["DomainTooLarge: q^(m*n) = 2^16 exceeds the "
-                                "clique-search bound 4096"]
+                                "clique-number bound 4096"]
 
 
 @pytest.mark.parametrize("m", [60, 90, 20000])
@@ -481,15 +481,24 @@ def test_rigidity_x_space_bounded_before_the_power(m, capsys):
 
 
 def test_certificate_on_a_complete_graph_target(capsys):
-    # GF(2)^(1x10) is one 1024-clique: the search goes 1024 deep without
-    # recursion (it once raised RecursionError)
+    # GF(2)^(1x10) is one 1024-clique (a clique search once raised
+    # RecursionError going 1024 deep)
     code, rep = run_cli(capsys, "exists", "--src", "2:1x11", "--dst", "2:1x10", "--certificate")
     assert code == 0
     assert rep["counts"]["target_clique_number"] == 1024
 
 
+def test_certificate_on_a_4096_point_grid_target_within_a_second(capsys):
+    # GF(2) 2x6 has 4096 points and 64 704 maximal cliques; a Bron-Kerbosch
+    # search for its clique number took 11 s
+    code, rep = within_a_second(lambda: run_cli(
+        capsys, "exists", "--src", "2:2x7", "--dst", "2:2x6", "--certificate"))
+    assert code == 0
+    assert rep["counts"]["target_clique_number"] == 64
+
+
 # every size string and numeric option at 0, -1, 10^5 and just past its
-# bound: GF(2) 1x21 passes SPACE_LIMIT, 1x13 the clique search, a 2048x2048
+# bound: GF(2) 1x21 passes SPACE_LIMIT, 1x13 the clique number, a 2048x2048
 # target TABLE_LIMIT (from a 2x2 source) or MINOR_LIMIT (from a 1x1 one, and
 # 16x17 is just inside it), -m 4 -n 4 the GF(4) X-space, --cols 4 GF(4)^(3x4)
 _SHAPES = ["0x2", "-1x2", "100000x100000", "1x21"]

@@ -70,6 +70,15 @@ def test_field_homomorphisms_are_proven_not_sampled():
     assert [w for w in ("random", "default_rng", "_HOM_EXHAUSTIVE_LIMIT") if w in text] == []
 
 
+def test_maximal_cliques_are_certified_not_searched():
+    # a Bron-Kerbosch search once found the maximal cliques again, in
+    # exponential worst-case time, and a classifier re-labelled its kinds;
+    # the certificate at 0 proves the listed cosets complete instead
+    text = "".join(p.read_text() for p in sorted((ROOT / "src" / "bfgeo").glob("*.py")))
+    gone = ("bron_kerbosch", "_neighbour_bits", "_clique_kinds")
+    assert [w for w in gone if w in text] == []
+
+
 def test_pencil_and_line_checks_are_one_bulk_pass_each():
     # Lemma 3.1 once ran a scalar pencil test beside an O(pencil^2) loop over
     # member pairs, and the line check rebuilt each line in its host from
