@@ -225,39 +225,46 @@ def _clique_test(field: Field, D):
     stays private: perfbench's tracer wraps public functions only, and its
     self-test expects ``adjacent_mask`` directly under ``is_graph_hom``.
 
-    The generators are read from D_0 alone.  With u_0[i] = 1, a rank-1 D_k
-    has column generator u_0 iff D_k = u_0 (x) D_k[i, :], and then its
-    coefficient row D_k[i, :] determines it; likewise v_0, with v_0[j] = 1,
-    and the coefficient column D_k[:, j].  So distinctness compares
-    coefficient vectors, zero-padded to max(m, n) entries.
+    The rank is checked on D_0 alone, whose generators u_0 and v_0 are
+    read.  With u_0[i] = 1, D_k has column generator u_0 iff
+    D_k = u_0 (x) D_k[i, :] with a nonzero coefficient row D_k[i, :], which
+    then determines it; that equation already bounds the rank by 1, so rank
+    exactly 1 is a nonzero coefficient vector.  Likewise v_0, with
+    v_0[j] = 1, and the coefficient column D_k[:, j].  So distinctness is a
+    per-item sort of the coefficient vectors' packed codes (rows where u_0
+    is shared, else columns), or of dense ids past the int64 code range.
     """
     B, K, m, n = D.shape
-    idx = np.nonzero(_bulk.adjacent_mask(field, D).all(axis=1))[0]
-    Dk = D[idx]
+    idx = np.nonzero(_bulk.adjacent_mask(field, D[:, 0]))[0]
+    Dk = D if len(idx) == B else D[idx]
     gu, gv = (_bulk.generators(field, Dk[:, 0], axis) for axis in ("col", "row"))
     items = np.arange(len(idx))
     rows = Dk[items, :, np.argmax(gu != 0, axis=1)]  # (B', K, n): D_k[i, :]
     cols = Dk[items, :, :, np.argmax(gv != 0, axis=1)]  # (B', K, m): D_k[:, j]
+    row_ids, col_ids = _vector_ids(field, rows), _vector_ids(field, cols)
     col = (field.vmul(gu[:, None, :, None], rows[:, :, None, :]) == Dk).all(axis=(1, 2, 3))
     row = (field.vmul(cols[..., None], gv[:, None, None, :]) == Dk).all(axis=(1, 2, 3))
-    # distinct: an item fails where two of its coefficient vectors meet
-    # after a lexsort (a row-only item by columns, any other by rows)
-    key = np.zeros((len(idx), K, max(m, n)), dtype=D.dtype)
-    key[col, :, :n] = rows[col]
-    key[~col, :, :m] = cols[~col]
-    flat = key.reshape(-1, key.shape[-1])
-    item = np.repeat(items, K)
-    order = np.lexsort(tuple(flat[:, e] for e in range(flat.shape[1] - 1, -1, -1)) + (item,))
-    flat, item = flat[order], item[order]
-    dup = (flat[1:] == flat[:-1]).all(axis=1) & (item[1:] == item[:-1])
-    distinct = np.ones(len(idx), dtype=bool)
-    distinct[item[1:][dup]] = False
+    col &= (row_ids != 0).all(axis=1)
+    row &= (col_ids != 0).all(axis=1)
+    ids = np.sort(np.where(col[:, None], row_ids, col_ids), axis=1)
     passes = np.zeros(B, dtype=bool)
-    passes[idx] = (col | row) & distinct
+    passes[idx] = (col | row) & (ids[:, 1:] != ids[:, :-1]).all(axis=1)
     u, v = np.zeros((B, m), dtype=field.dtype), np.zeros((B, n), dtype=field.dtype)
     u[idx[col]] = gu[col]
     v[idx[row]] = gv[row]
     return passes, u, v
+
+
+def _vector_ids(field: Field, V):
+    """One int64 per vector (last axis) of V, equal iff the vectors are and
+    0 for the zero vector: the code of the vector as a 1-row matrix while
+    it fits int64, else a dense id from np.unique over the stack and a
+    zero vector, which sorts first."""
+    length = V.shape[-1]
+    if field.q ** length <= 2**63:
+        return _bulk.encode(field, V[..., None, :])
+    flat = np.concatenate([np.zeros((1, length), V.dtype), V.reshape(-1, length)])
+    return np.unique(flat, axis=0, return_inverse=True)[1][1:].reshape(V.shape[:-1])
 
 
 def _clique_host(field: Field, pts):

@@ -554,6 +554,10 @@ def _difference_stacks(field, m, n, rng, B=24):
         return field.vmul(a, b).astype(field.dtype)
 
     def distinct(length):  # K distinct nonzero coefficient vectors
+        if field.q ** length > 2**63:  # past a C long: entrywise, distinct first entries
+            vecs = draw(K, length)
+            vecs[:, 0] = rng.choice(field.q - 1, size=K, replace=False) + 1
+            return vecs
         codes = rng.choice(field.q ** length - 1, size=K, replace=False) + 1
         return _bulk.decode(field, codes, 1, length)[:, 0].astype(field.dtype)
 
@@ -573,10 +577,19 @@ def _difference_stacks(field, m, n, rng, B=24):
     duplicated[:, -1] = duplicated[:, 1]
     zero = row.copy()
     zero[::2, 2] = 0
+    zero_last = col.copy()  # a collapsed edge after the first difference
+    zero_last[::2, -1] = 0
+    zero_first = col.copy()
+    zero_first[::2, 0] = 0
+    rank2_first = col.copy()
+    rank2_first[::2, 0] = 0
+    rank2_first[::2, 0, 0, 0] = rank2_first[::2, 0, 1, 1] = 1
     mixed = np.concatenate([col[:, :-1], row[:, -1:]], axis=1)
     return {"column": col, "row": row, "line": line, "near-duplicate": near,
             "corrupted": corrupted, "duplicated": duplicated, "zero difference": zero,
-            "mixed": mixed, "K = 1": col[:, :1], "failing": draw(B, K, m, n)}
+            "zero last column difference": zero_last, "zero first difference": zero_first,
+            "rank-2 first difference": rank2_first, "mixed": mixed, "K = 1": col[:, :1],
+            "failing": draw(B, K, m, n)}
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 4), (2, 16)],
@@ -585,7 +598,8 @@ def test_clique_test_matches_the_per_difference_oracle(p, k):
     field = make_field(p, k)
     rng = np.random.default_rng(p * 100 + k)
     seen = set()
-    for m, n in ((2, 3), (3, 3)):
+    # GF(2^16) 4x4 coefficient vectors overflow int64 codes: the dense-id path
+    for m, n in ((2, 3), (3, 3)) + (((4, 4),) if field.q ** 4 > 2**63 else ()):
         for name, D in _difference_stacks(field, m, n, rng).items():
             for stack in (D, np.swapaxes(D, 2, 3)):  # both orientations
                 want = _reference_clique_test(field, stack)
@@ -596,7 +610,8 @@ def test_clique_test_matches_the_per_difference_oracle(p, k):
     # items built to pass do, items built to fail do not
     for name in ("column", "row", "line", "K = 1", "near-duplicate"):
         assert any(s[0] == name and s[1] for s in seen), name
-    for name in ("corrupted", "duplicated", "zero difference", "mixed", "failing"):
+    for name in ("corrupted", "duplicated", "zero difference", "zero last column difference",
+                 "zero first difference", "rank-2 first difference", "mixed", "failing"):
         assert any(s[0] == name and not s[2] for s in seen), name
 
 

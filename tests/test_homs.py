@@ -635,6 +635,10 @@ def _hom_cases(src, m, n, dst, m2, n2, seed):
     half = std.copy()
     half[count // 2:] = std[count // 2]
     cases["half collapsed"] = half
+    first = std.copy()  # D_0 = 0 in one clique's test
+    members = space(src, m, n).clique_members
+    first[members[len(members) // 3, 1]] = first[members[len(members) // 3, 0]]
+    cases["first member collapsed"] = first
     if homs.hom_exists(src.q, m, n, dst.q, m2, n2):
         cases["witness"] = build_witness_hom(src.q, m, n, dst.q, m2, n2).images
     if m == 1 and m2 >= n and n2 >= n:
@@ -684,9 +688,22 @@ def test_clique_test_matches_the_edge_scan_on_the_xi_map(monkeypatch):
 def test_clique_test_on_a_target_whose_codes_overflow_int64(monkeypatch):
     F65536 = make_field(2, 16)  # 65536^16 destination codes
     cases = _hom_cases(F4, 2, 2, F65536, 4, 4, seed=16)
-    cases = {k: cases[k] for k in ("standard", "corrupted 1", "random", "witness")}
+    cases = {k: cases[k] for k in ("standard", "corrupted 1", "random", "witness",
+                                   "first member collapsed")}
     _assert_clique_test_matches_edge_scan(F4, 2, 2, F65536, 4, 4, cases, monkeypatch)
     assert is_graph_hom(MapTable(F4, 2, 2, F65536, 4, 4, cases["standard"])) == (True, None)
+
+
+def test_the_clique_test_ranks_the_first_differences_only(monkeypatch):
+    # the clique test once ranked every difference of every clique; the
+    # comparison with D_0's generators bounds the rank of the others by 1
+    rng = np.random.default_rng(28)
+    f = standard_table(random_valid_params(rng, F5, 2, 3, F5, 3, 4))
+    shapes, real = [], _bulk.adjacent_mask
+    monkeypatch.setattr(_bulk, "adjacent_mask",
+                        lambda field, D: shapes.append(np.shape(D)) or real(field, D))
+    assert is_graph_hom(f) == (True, None)
+    assert shapes and {(len(s),) + s[1:] for s in shapes} == {(3, 3, 4)}
 
 
 def test_map_table_owns_a_read_only_copy():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from bfgeo import _bulk, verify
+from bfgeo import _bulk, cliques, verify
 from bfgeo.fields import Field
 from bfgeo.matrices import MatrixSpace
 
@@ -94,6 +94,15 @@ def test_pencil_and_line_checks_are_one_bulk_pass_each():
     calls = [ast.unparse(node.func).split(".")[-1] for node in ast.walk(line)
              if isinstance(node, ast.Call)]
     assert [c for c in calls if c in ("inverse", "complete_to_invertible_col")] == []
+
+
+def test_the_clique_test_sorts_one_code_per_vector():
+    # distinctness was once a lexsort on max(m, n) + 1 keys over every coefficient
+    # vector; a per-item sort of one packed code or dense id replaces it
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cliques._clique_test)))
+    calls = [ast.unparse(node.func).split(".")[-1] for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    assert "lexsort" not in calls and "sort" in calls
 
 
 # numpy's array % divides element by element and branches on the sign,
