@@ -222,13 +222,22 @@ def solve_affine(field: Field, A, b):
     """All solutions of A x = b over the field.
 
     Returns (particular, basis) where basis rows span the solution space of
-    the homogeneous system, or None when the system is inconsistent.
+    the homogeneous system, or None when the system is inconsistent.  A
+    stack of systems, A (S, r, n) and b (S, r), is reduced by one ``rref``
+    and gives a list of S such results.
     """
     A = np.asarray(A, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    n = A.shape[1]
-    R, r = rref(field, np.concatenate([A, b[:, None]], axis=1))
-    R = R[:r]
+    n = A.shape[-1]
+    R, ranks = rref(field, np.concatenate([A, b[..., None]], axis=-1))
+    if A.ndim == 2:
+        return _affine_solution(field, R[:ranks], n)
+    return [_affine_solution(field, Ri[:r], n) for Ri, r in zip(R, ranks)]
+
+
+def _affine_solution(field: Field, R, n: int):
+    """(particular, basis) read off the nonzero rows R of a reduced
+    [A | b], or None when a pivot sits in the b column."""
     pivots = np.argmax(R != 0, axis=1)
     if np.any(pivots == n):
         return None

@@ -212,9 +212,10 @@ def intersect(M: MaximalSet, N: MaximalSet) -> VertexSet:
 # classification of explicit cliques
 # ---------------------------------------------------------------------------
 
-def _clique_test(field: Field, D):
+def _clique_test(field: Field, D, pad=None):
     """(passes, u, v) per item of the (B, K, m, n) stack of differences
-    from one point, K >= 1.
+    from one point, K >= 1; pad, a (B, K) mask, marks slots that only fill
+    an item up to K, each a copy of the item's D_0.
 
     Two rank-1 matrices differ in rank <= 1 iff they share a generator, and
     if every pair does, all share one.  So the item's points are pairwise
@@ -230,23 +231,43 @@ def _clique_test(field: Field, D):
     D_k = u_0 (x) D_k[i, :] with a nonzero coefficient row D_k[i, :], which
     then determines it; that equation already bounds the rank by 1, so rank
     exactly 1 is a nonzero coefficient vector.  Likewise v_0, with
-    v_0[j] = 1, and the coefficient column D_k[:, j].  So distinctness is a
-    per-item sort of the coefficient vectors' packed codes (rows where u_0
-    is shared, else columns), or of dense ids past the int64 code range.
+    v_0[j] = 1, and the coefficient column D_k[:, j].  On an item that
+    shares u_0, D_k = u_0 (x) r_k also shares v_0 iff r_k = r_k[j] v_0, so
+    the full row comparison runs only on the other items.  Distinctness is
+    a per-item sort of the coefficient vectors' packed codes (rows where
+    u_0 is shared, else columns), or of dense ids past the int64 code
+    range; padded slots take distinct negative ids, so they never repeat.
+    A copy of D_0 passes every other check.
     """
     B, K, m, n = D.shape
     idx = np.nonzero(_bulk.adjacent_mask(field, D[:, 0]))[0]
     Dk = D if len(idx) == B else D[idx]
     gu, gv = (_bulk.generators(field, Dk[:, 0], axis) for axis in ("col", "row"))
-    items = np.arange(len(idx))
-    rows = Dk[items, :, np.argmax(gu != 0, axis=1)]  # (B', K, n): D_k[i, :]
-    cols = Dk[items, :, :, np.argmax(gv != 0, axis=1)]  # (B', K, m): D_k[:, j]
-    row_ids, col_ids = _vector_ids(field, rows), _vector_ids(field, cols)
+    i0, j0 = np.argmax(gu != 0, axis=1), np.argmax(gv != 0, axis=1)
+    rows = Dk[np.arange(len(idx)), :, i0]  # (B', K, n): D_k[i, :]
+    ids = _vector_ids(field, rows)
     col = (field.vmul(gu[:, None, :, None], rows[:, :, None, :]) == Dk).all(axis=(1, 2, 3))
-    row = (field.vmul(cols[..., None], gv[:, None, None, :]) == Dk).all(axis=(1, 2, 3))
-    col &= (row_ids != 0).all(axis=1)
-    row &= (col_ids != 0).all(axis=1)
-    ids = np.sort(np.where(col[:, None], row_ids, col_ids), axis=1)
+    col &= (ids != 0).all(axis=1)
+    row = np.empty_like(col)
+
+    def part(a, sel):  # a on the selected items, uncopied when that is all of them
+        return a if len(sel) == len(col) else a[sel]
+
+    short, full = np.nonzero(col)[0], np.nonzero(~col)[0]
+    if len(short):
+        r, g = part(rows, short), part(gv, short)
+        lead = r[np.arange(len(short)), :, part(j0, short)]  # (s, K): r_k[j]
+        row[short] = (field.vmul(lead[:, :, None], g[:, None, :]) == r).all(axis=(1, 2))
+    if len(full):
+        Df, g = part(Dk, full), part(gv, full)
+        cols = Df[np.arange(len(full)), :, :, part(j0, full)]  # (f, K, m): D_k[:, j]
+        col_ids = _vector_ids(field, cols)
+        row[full] = (field.vmul(cols[..., None], g[:, None, None, :]) == Df).all(axis=(1, 2, 3))
+        row[full] &= (col_ids != 0).all(axis=1)
+        ids[full] = col_ids
+    if pad is not None:
+        ids = np.where(pad[idx], -1 - np.arange(K), ids)
+    ids = np.sort(ids, axis=1)
     passes = np.zeros(B, dtype=bool)
     passes[idx] = (col | row) & (ids[:, 1:] != ids[:, :-1]).all(axis=1)
     u, v = np.zeros((B, m), dtype=field.dtype), np.zeros((B, n), dtype=field.dtype)
@@ -270,25 +291,34 @@ def _vector_ids(field: Field, V):
 def _clique_host(field: Field, pts):
     """(u, v) of the clique test on the differences of the (N, m, n) stack,
     N >= 2, from pts[0]: the shared monic column and row generators, a zero
-    one where none is shared.
-
-    A failing stack is scanned pair by pair: NotAdjacentSet when some pair
-    is not adjacent.  Every pairwise-adjacent set fits one of the two coset
-    forms, so an adjacent set failing the test is a broken theorem.
+    one where none is shared; a failing stack raises :func:`_clique_failure`.
     """
     passes, u, v = _clique_test(field, field.vsub(pts[None, 1:], pts[0]))
-    if passes[0]:
-        return u[0], v[0]
+    if not passes[0]:
+        _clique_failure(field, pts)
+    return u[0], v[0]
+
+
+def _clique_failure(field: Field, pts):
+    """Raise for an (N, m, n) stack that failed the clique test, scanned
+    pair by pair: NotAdjacentSet when some pair is not adjacent.  Every
+    pairwise-adjacent set fits one of the two coset forms, so an adjacent
+    set failing the test is a broken theorem."""
     _check_pairwise_adjacent(field, pts)
     raise TheoremViolated("adjacent set outside both clique forms")
 
 
-def _clique_dim(field: Field, D, u, v) -> int:
-    """Rank of the coefficient vectors of the (K, m, n) differences D of a
-    passing clique test item with generators (u, v): the rows of D at u's
-    leading 1 where u is shared, else the columns at v's."""
-    w = D[:, np.argmax(u != 0), :] if u.any() else D[:, :, np.argmax(v != 0)]
-    return int(_bulk.rank(field, w[None])[0])
+def _clique_dims(field: Field, D, u, v):
+    """Rank of the coefficient vectors per item of the (B, K, m, n)
+    differences D of passing clique test items with generators u (B, m)
+    and v (B, n): the rows of D at u's leading 1 where u is shared, else
+    the columns at v's, zero-filled to max(m, n) entries for one rank."""
+    B, K, m, n = D.shape
+    items, col = np.arange(B), u.any(axis=1)
+    w = np.zeros((B, K, max(m, n)), dtype=D.dtype)
+    w[col, :, :n] = D[items, :, np.argmax(u != 0, axis=1)][col]
+    w[~col, :, :m] = D[items, :, :, np.argmax(v != 0, axis=1)][~col]
+    return _bulk.rank(field, w)
 
 
 def _check_pairwise_adjacent(field: Field, pts):
@@ -378,13 +408,52 @@ def dim_adjacent_entries(field: Field, entries) -> int:
     Works on entries alone, repeats dropped, so it needs no code for the
     points and takes matrices of any space, past the int64 code range too.
     """
-    # row-major lex = code order, so 0, if present, comes first
-    pts = np.unique(np.asarray(entries), axis=0)
-    if pts[0].any():
-        raise ZeroNotMember("dimension is defined for sets through 0")
-    if len(pts) < 2:
+    return int(_adjacent_dims(field, [entries])[0])
+
+
+def _adjacent_dims(field: Field, sets) -> np.ndarray:
+    """:func:`dim_adjacent_entries` of each (N, m, n) stack in the list,
+    by one clique test and one rank over all of them.
+
+    Each set drops its repeats by ``np.unique`` on its codes, or on its rows
+    past the int64 code range; either leaves its points in code order, so
+    0, if present, comes first.  The differences from 0 of every set are
+    one (sets, K, m, n) stack: a short set is filled up with copies of its
+    first one, masked as padding for the clique test, and a repeated row
+    leaves a rank unchanged.  The first failing set in order raises what it
+    would alone.
+    """
+    pts = _unique_points(field, [np.asarray(s) for s in sets])
+    ok = next((i for i, p in enumerate(pts) if len(p) < 2 or p[0].any()), len(pts))
+    dims = np.zeros(0, dtype=np.int64)
+    if ok:
+        sizes = np.array([len(p) - 1 for p in pts[:ok]])
+        k = np.arange(sizes.max())
+        pad = k >= sizes[:, None]
+        start = np.cumsum(sizes) - sizes
+        D = np.concatenate([p[1:] for p in pts[:ok]])[start[:, None] + np.where(pad, 0, k)]
+        passes, u, v = _clique_test(field, D, pad)
+        if not passes.all():
+            _clique_failure(field, pts[int(np.argmin(passes))])
+        dims = _clique_dims(field, D, u, v)
+    if ok < len(pts):
+        if len(pts[ok]) and pts[ok][0].any():
+            raise ZeroNotMember("dimension is defined for sets through 0")
         raise NotAdjacentSet("need at least two points")
-    return _clique_dim(field, pts[1:], *_clique_host(field, pts))
+    return dims
+
+
+def _unique_points(field: Field, stacks):
+    """Each (N, m, n) stack's distinct matrices in code order: by their
+    codes, all encoded at once, or by their rows past the int64 range."""
+    if not stacks:
+        return []
+    m, n = stacks[0].shape[-2:]
+    if field.q ** (m * n) > 2**63:
+        return [np.unique(s.reshape(len(s), m * n), axis=0).reshape(-1, m, n) for s in stacks]
+    codes = np.split(_bulk.encode(field, np.concatenate(stacks)),
+                     np.cumsum([len(s) for s in stacks])[:-1])
+    return [s[np.unique(c, return_index=True)[1]] for s, c in zip(stacks, codes)]
 
 
 def unit_ball(A: Mat) -> VertexSet:

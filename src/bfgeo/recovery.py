@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bulk
-from .cliques import (VertexSet, _clique_dim, _clique_test, dim_adjacent_entries,
-                      dim_adjacent_set)
+from .cliques import VertexSet, _adjacent_dims, _clique_dims, _clique_test
 from .errors import (Degenerate, DimDeficient, NoFit, NotHom,
                      PreconditionViolated, TheoremViolated, UnsupportedField)
 from .fields import Field, FieldHom, enumerate_homs
@@ -60,66 +59,96 @@ class WeightedSemiAffine:
         return F.vmul(F.inv_table[k][:, None].astype(np.int64), num)
 
 
+_NO_FIT = "table is not weighted semi-affine in the required form"
+
+
 def fit_semiaffine(src_field: Field, dst_field: Field, table,
                    tau: FieldHom | None = None) -> WeightedSemiAffine:
     """Fit a table D^n -> D'^n' as a weighted semi-affine map.
 
     The table rows are images in source code order and must send 0 to 0.
     With the constant denominator term pinned to 1, the relation
-    k(x) g(x) = x^tau P is linear in the unknowns (a, P); the exact system
-    is solved per candidate tau and each solution verified pointwise.
+    k(x) g(x) = x^tau P is linear in the unknowns (a, P); the exact systems
+    of all candidate tau are solved as one stack and each solution verified
+    pointwise, candidate by candidate.
     Raises NoFit when no parameterization reproduces the table.
     """
     table = np.asarray(table)
-    count, n2 = table.shape
-    n = 0
-    c = 1
-    while c < count:
-        c *= src_field.q
+    _table_width(src_field, table)  # refused even where no tau exists
+    taus = [tau] if tau is not None else enumerate_homs(src_field, dst_field)
+    for wsa in _fit_tables(src_field, dst_field, [table] * len(taus), taus):
+        if wsa is not None:
+            return wsa
+    raise NoFit(_NO_FIT)
+
+
+def _table_width(field: Field, table) -> int:
+    """n for a table of q^n rows that sends 0 to 0; ValueError otherwise."""
+    n, c = 0, 1
+    while c < len(table):
+        c *= field.q
         n += 1
-    if c != count:
+    if c != len(table):
         raise ValueError("table length is not a power of the field order")
     if table[0].any():
         raise ValueError("fit requires g(0) = 0")
-    xs = space(src_field, 1, n).entries[:, 0, :]
-    taus = [tau] if tau is not None else enumerate_homs(src_field, dst_field)
+    return n
+
+
+def _fit_tables(src_field: Field, dst_field: Field, tables, taus) -> list:
+    """The first verified fit per (table, tau) pair, None where none
+    verifies.  The systems of pairs of one shape are solved as one stack:
+    a canonical RREF is unique, so each solution equals its own solve."""
     F = dst_field
-    for cand in taus:
-        xt = cand.vapply(xs).astype(np.int64)
-        # unknowns: [a_0 .. a_{n-1}, P_00 .. P_{0,n2-1}, P_10, ...]
-        nunk = n + n * n2
-        rows = []
-        rhs = []
-        for j in range(n2):
-            block = np.zeros((count, nunk), dtype=np.int64)
-            block[:, :n] = F.vmul(xt, table[:, j][:, None].astype(np.int64))
-            for i in range(n):
-                block[:, n + i * n2 + j] = F.vneg(xt[:, i])
-            rows.append(block)
-            rhs.append(F.vneg(table[:, j]).astype(np.int64))
-        A_sys = np.concatenate(rows, axis=0)
-        b_sys = np.concatenate(rhs, axis=0)
-        sol = _bulk.solve_affine(F, A_sys, b_sys)
-        if sol is None:
+    xss = [space(src_field, 1, _table_width(src_field, t)).entries[:, 0, :] for t in tables]
+    systems = [_fit_system(F, tau.vapply(xs).astype(np.int64), t)
+               for t, tau, xs in zip(tables, taus, xss)]
+    groups = {}
+    for t, (A, _) in enumerate(systems):
+        groups.setdefault(A.shape, []).append(t)
+    sols = [None] * len(systems)
+    for group in groups.values():
+        A, b = (np.stack(part) for part in zip(*(systems[t] for t in group)))
+        for t, sol in zip(group, _bulk.solve_affine(F, A, b)):
+            sols[t] = sol
+    return [_verified_fit(F, *job) for job in zip(taus, xss, tables, sols)]
+
+
+def _fit_system(F: Field, xt, table):
+    """(A, b) of k(x) g(x) = x^tau P at the rows xt = x^tau, one block of
+    rows per output coordinate j; unknowns [a_0 .. a_{n-1}, P_00 .. P_{0,n'-1},
+    P_10, ...]."""
+    count, n = xt.shape
+    n2 = table.shape[1]
+    cols = table.T.astype(np.int64)
+    denom = F.vmul(xt[None], cols[:, :, None])  # (n', count, n): x_i^tau g_j(x)
+    numer = np.zeros((n2, count, n, n2), dtype=np.int64)
+    numer[np.arange(n2), :, :, np.arange(n2)] = F.vneg(xt)  # -x_i^tau at P_ij
+    A = np.concatenate([denom, numer.reshape(n2, count, n * n2)], axis=2)
+    return A.reshape(n2 * count, -1), F.vneg(cols).reshape(-1).astype(np.int64)
+
+
+def _verified_fit(F: Field, tau: FieldHom, xs, table, sol):
+    """The first point of the solution coset sol (x0 alone when the coset
+    is too large to scan) whose map reproduces the table, or None."""
+    if sol is None:
+        return None
+    x0, basis = sol
+    n, n2 = xs.shape[1], table.shape[1]
+    if len(basis) == 0 or F.q ** len(basis) > 256:
+        candidates = x0[None]
+    else:
+        coeffs = _bulk.decode(F, np.arange(F.q ** len(basis)), 1, len(basis))[:, 0, :]
+        candidates = F.vadd(x0[None], _bulk.matmul(F, coeffs.astype(np.int64), basis))
+    for u in candidates:
+        wsa = WeightedSemiAffine(tau, Mat(F, u[n:].reshape(n, n2)),
+                                 tuple(int(t) for t in u[:n]), 1)
+        if np.any(wsa.k_values(xs) == 0):
             continue
-        x0, basis = sol
-        # enumerate the solution coset when it is small enough to scan
-        if len(basis) == 0:
-            candidates = x0[None]
-        elif F.q ** len(basis) <= 256:
-            coeffs = _bulk.decode(F, np.arange(F.q ** len(basis)), 1, len(basis))[:, 0, :]
-            candidates = F.vadd(x0[None], _bulk.matmul(F, coeffs.astype(np.int64), basis))
-        else:
-            candidates = x0[None]
-        for u in candidates:
-            wsa = WeightedSemiAffine(cand, Mat(F, u[n:].reshape(n, n2)),
-                                     tuple(int(t) for t in u[:n]), 1)
-            if np.any(wsa.k_values(xs) == 0):
-                continue
-            if np.array_equal(np.asarray(wsa.evaluate(xs), dtype=np.int64),
-                              table.astype(np.int64)):
-                return wsa
-    raise NoFit("table is not weighted semi-affine in the required form")
+        if np.array_equal(np.asarray(wsa.evaluate(xs), dtype=np.int64),
+                          table.astype(np.int64)):
+            return wsa
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +228,11 @@ def recover_standard(f: MapTable) -> RecoveryResult:
     # one clique test per axis image (f(0) = 0 is its first point, so its
     # images are its differences) gives its generators and its dimension
     def axis_test(images, axis_codes):
-        D = images[axis_codes[1:]]
-        passes, u, v = (a[0] for a in _clique_test(F2, D[None]))
-        if not passes:
+        D = images[axis_codes[1:]][None]
+        passes, u, v = _clique_test(F2, D)
+        if not passes[0]:
             raise TheoremViolated("an axis image of a graph homomorphism is not a clique")
-        return u, v, _clique_dim(F2, D, u, v)
+        return u[0], v[0], int(_clique_dims(F2, D, u, v)[0])
 
     # orientation: the kind of clique hosting the row-axis image.  On the
     # straight or swapped view that makes it column-kind, P0 completes its
@@ -252,20 +281,22 @@ def _fit_straight(f: MapTable, img1, P0: Mat, Q0: Mat, tau: FieldHom):
     m, n, m2, n2 = f.m, f.n, *img1.shape[1:]
     k = f.src_field.q ** n
 
-    # first-stage fits on the two axis cliques pin down the inner frames
-    g1 = img1[:k]
+    # first-stage fits on the two axis cliques pin down the inner frames;
+    # both are solved at once, and a failure is raised in pipeline order
+    g1, gN = img1[:k], img1[m * k:]
     if g1[:, 1:, :].any():
         raise NoFit("row-axis image leaks outside the standard row clique")
-    fit1 = fit_semiaffine(f.src_field, F2, g1[:, 0, :], tau=tau)
+    fit1, fitN = _fit_tables(f.src_field, F2, [g1[:, 0, :], gN[:, :, 0]], [tau, tau])
+    if fit1 is None:
+        raise NoFit(_NO_FIT)
     try:
         Q2 = _complete_rows(F2, fit1.P.a)
     except PreconditionViolated:
         raise NoFit("row-axis fit is rank deficient") from None
-
-    gN = img1[m * k:]
     if gN[:, :, 1:].any():
         raise NoFit("column-axis image leaks outside the standard column clique")
-    fitN = fit_semiaffine(f.src_field, F2, gN[:, :, 0], tau=tau)
+    if fitN is None:
+        raise NoFit(_NO_FIT)
     try:
         P2 = _complete_rows(F2, fitN.P.a).T
     except PreconditionViolated:
@@ -273,16 +304,18 @@ def _fit_straight(f: MapTable, img1, P0: Mat, Q0: Mat, tau: FieldHom):
 
     img2 = _bulk.matmul(F2, P2.inverse().a, _bulk.matmul(F2, img1[:m * k], Q2.inverse().a))
 
-    # every axis clique must now map into its standard counterpart
+    # every axis clique must now map into its standard counterpart; the m
+    # row-clique fits are one stack
+    blocks = img2.reshape(m, k, m2, n2)
+    fits = _fit_tables(f.src_field, F2, [blocks[i, :, i, :] for i in range(m)], [tau] * m)
     L = np.zeros((n, m), dtype=np.int64)
     dref = None
     pscale = np.zeros(m, dtype=np.int64)
-    for i in range(m):
-        block = img2[i * k:(i + 1) * k]
-        other = np.arange(m2) != i
-        if block[:, other, :].any():
+    for i, fit_i in enumerate(fits):
+        if np.delete(blocks[i], i, axis=1).any():
             raise NoFit(f"row clique {i} does not align with its axis")
-        fit_i = fit_semiaffine(f.src_field, F2, block[:, i, :], tau=tau)
+        if fit_i is None:
+            raise NoFit(_NO_FIT)
         Pi = fit_i.P.a.astype(np.int64)
         if Pi[:, n:].any() or np.any((Pi[:, :n] != 0) & ~np.eye(n, dtype=bool)):
             raise NoFit(f"row clique {i} fit is not diagonal")
@@ -316,4 +349,14 @@ def dim_bound_check(f: MapTable, S: VertexSet) -> bool:
         raise PreconditionViolated("the set must contain 0")
     if f.images[0].any():
         raise PreconditionViolated("the table must fix 0")
-    return dim_adjacent_entries(f.dst_field, f.images[S.codes]) <= dim_adjacent_set(S)
+    return bool(_dim_bound_holds(f, [S.codes])[0])
+
+
+def _dim_bound_holds(f: MapTable, code_sets) -> np.ndarray:
+    """:func:`dim_bound_check` of each array of source codes in the list,
+    past its preconditions: the image sets' dimensions in one batched call,
+    then the source sets'."""
+    sizes = np.cumsum([len(c) for c in code_sets])[:-1]
+    src = np.split(_bulk.decode(f.src_field, np.concatenate(code_sets), f.m, f.n), sizes)
+    img = _adjacent_dims(f.dst_field, [f.images[c] for c in code_sets])
+    return img <= _adjacent_dims(f.src_field, src)

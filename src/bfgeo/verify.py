@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _bulk, cliques
-from .cliques import VertexSet, clique_number, maximal_sets_through
+from .cliques import Kind, MaximalSet, clique_number, maximal_sets_through
 from .errors import PreconditionViolated
 from .fields import Field, field_from_order
 from .homs import (MapTable, Orientation, TwistSide, _resolvent, build_witness_hom,
@@ -20,7 +20,7 @@ from .homs import (MapTable, Orientation, TwistSide, _resolvent, build_witness_h
                    standard_table, validate_params)
 from .matrices import (TABLE_LIMIT, Mat, bfs_distance_rows, bounded, bounded_power,
                        count_rank_matrices, space, space_size)
-from .recovery import dim_bound_check, recover_standard
+from .recovery import _dim_bound_holds, recover_standard
 
 
 _PAIR_BLOCK_BYTES = 4 << 20
@@ -408,30 +408,41 @@ def dim_bound_sweep(src: Field, m: int, n: int, dst: Field, m2: int, n2: int,
                     total: int | None = None) -> dict:
     """Random adjacent sets through 0 under random standard tables: n_sets
     per table, and total sets in all when given (the last table may take
-    fewer)."""
+    fewer).  Each set is drawn from the host of a random kind through 0 and
+    a random rank-1 point, and a table's sets are checked together."""
     rng = np.random.default_rng(seed)
     sp = space(src, m, n)
+    host = _rank1_hosts(sp)
     violations = []
     checked = 0
     total = n_tables * n_sets if total is None else total
     for _ in range(n_tables):
         p = random_valid_params(rng, src, m, n, dst, m2, n2)
         tbl = standard_table(p)
+        sets = []
         for _ in range(min(n_sets, total - checked)):
-            Z = Mat.zeros(src, m, n)
-            R = Mat(src, sp.rank1[rng.integers(len(sp.rank1))])
-            host = maximal_sets_through(Z, R)[int(rng.integers(2))]
-            pts = host.point_entries()
+            pts = host(int(rng.integers(len(sp.rank1))), int(rng.integers(2)))
             size = int(rng.integers(2, len(pts) + 1))
             take = rng.choice(len(pts), size=size, replace=False)
             sel = pts[take]
             if not (sel == 0).all(axis=(1, 2)).any():
                 sel[0] = 0
-            S = VertexSet.from_entries(src, sel)
+            sets.append(_bulk.encode(src, sel))
             checked += 1
-            if not dim_bound_check(tbl, S):
-                violations.append(f"dim bound fails on a {len(S)}-point set")
+        if sets:
+            holds = _dim_bound_holds(tbl, sets)
+            violations += [f"dim bound fails on a {len(np.unique(c))}-point set"
+                           for c, ok in zip(sets, holds) if not ok]
     return {"sets_checked": checked, "violations": violations}
+
+
+def _rank1_hosts(sp):
+    """host(r, k): the members of maximal_sets_through(0, R)[k] for
+    R = sp.rank1[r], u (x) w (kind ONE) or w (x) v (kind TWO) with w in code
+    order, from the monic generators of sp.rank1 taken once."""
+    zero = Mat.zeros(sp.field, sp.m, sp.n)
+    gens = [_bulk.generators(sp.field, sp.rank1, axis) for axis in ("col", "row")]
+    return lambda r, k: MaximalSet((Kind.ONE, Kind.TWO)[k], gens[k][r], zero).point_entries()
 
 
 def _pencil_dichotomy(entries, rows, cols) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Maximal cliques, intersections, lines, dimension, unit balls."""
 
+import functools
 import time
 
 import numpy as np
@@ -13,12 +14,15 @@ from bfgeo.errors import (Disjoint, NotAdjacent, NotAdjacentSet, NotMaximal,
                           PreconditionViolated, ShapeMismatch, TheoremViolated,
                           WrongKinds, ZeroNotMember)
 from bfgeo.fields import make_field
+from bfgeo.homs import random_valid_params, standard_table
 from bfgeo.matrices import Mat, adjacent, space
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
 F4 = make_field(2, 2)
 F5 = make_field(5, 1)
+F16 = make_field(2, 4)
+F256 = make_field(2, 8)
 
 
 def std_row_clique(field, m, n, i):
@@ -268,6 +272,14 @@ def test_dim_examples():
         dim_adjacent_entries(F4, pts[1:])
 
 
+def test_the_dimension_of_an_empty_set_is_refused():
+    # the empty set once read its first point before counting them
+    with pytest.raises(NotAdjacentSet, match="^need at least two points$"):
+        dim_adjacent_entries(F4, np.zeros((0, 2, 2)))
+    with pytest.raises(NotAdjacentSet, match="^need at least two points$"):
+        dim_adjacent_set(VertexSet(F4, 2, 2, []))
+
+
 def test_dim_invariant_under_equivalence():
     from bfgeo.matrices import random_invertible
     rng = np.random.default_rng(21)
@@ -454,6 +466,19 @@ def pairwise_host_oracle(field, pts):
     return tuple(shared)
 
 
+def pairwise_dim_oracle(field, entries):
+    """dim_adjacent_entries by the all-pairs scan and the rank of the points
+    as vectors of m * n entries: through 0, a set u (x) w_k in one clique
+    has the rank of its coefficient vectors w_k, as has w_k (x) v."""
+    pts = np.unique(np.asarray(entries), axis=0)
+    if len(pts) and pts[0].any():
+        raise ZeroNotMember("dimension is defined for sets through 0")
+    if len(pts) < 2:
+        raise NotAdjacentSet("need at least two points")
+    pairwise_host_oracle(field, pts)
+    return int(_bulk.rank(field, pts.reshape(1, len(pts), -1))[0])
+
+
 def outcome(fn, *args):
     """A call's result, or its exception type and witness."""
     try:
@@ -484,13 +509,14 @@ def test_classification_and_dimension_match_the_pairwise_oracle(field, m, n, mon
     for S in oracle_sets(field, m, n, rng):
         through0 = S.entries()
         through0 = field.vsub(through0, through0[rng.integers(len(S))])
-        for side in (got, want):
-            with monkeypatch.context() as mp:
-                if side is want:
-                    mp.setattr(cliques, "_clique_host", pairwise_host_oracle)
-                side.append((outcome(classify_clique, S),
-                             outcome(dim_adjacent_entries, field, through0),
-                             outcome(dim_adjacent_entries, field, S.entries())))
+        got.append((outcome(classify_clique, S),
+                    outcome(dim_adjacent_entries, field, through0),
+                    outcome(dim_adjacent_entries, field, S.entries())))
+        with monkeypatch.context() as mp:
+            mp.setattr(cliques, "_clique_host", pairwise_host_oracle)
+            want.append((outcome(classify_clique, S),
+                         outcome(pairwise_dim_oracle, field, through0),
+                         outcome(pairwise_dim_oracle, field, S.entries())))
     assert got == want
     # the sets reach both kinds of host and both rejections
     assert {r[0] for r, _, _ in got} == {Kind.ONE, Kind.TWO, NotMaximal, NotAdjacentSet}
@@ -508,8 +534,8 @@ def test_an_adjacent_set_failing_the_clique_test_breaks_loudly(monkeypatch):
         assert classify_clique(S).kind is Kind.ONE and dim_adjacent_set(S) == 3
     real = cliques._clique_test
 
-    def reject(field, D):
-        passes, u, v = real(field, D)
+    def reject(field, D, pad=None):
+        passes, u, v = real(field, D, pad)
         return np.zeros_like(passes), u, v
 
     monkeypatch.setattr(cliques, "_clique_test", reject)
@@ -613,6 +639,103 @@ def test_clique_test_matches_the_per_difference_oracle(p, k):
     for name in ("corrupted", "duplicated", "zero difference", "zero last column difference",
                  "zero first difference", "rank-2 first difference", "mixed", "failing"):
         assert any(s[0] == name and not s[2] for s in seen), name
+
+
+# ---------------------------------------------------------------------------
+# the batched dimension of many sets against the per-set path
+
+
+def sets_through_zero(field, m, n, rng):
+    """Sets through 0 of every size from 2 to the host's, for each kind: a
+    random monic direction with distinct coefficient vectors w, u (x) w or
+    w (x) v, the zero vector among them, in a random order."""
+    out = []
+    for width in (n, m):
+        for size in range(2, field.q ** width + 1):
+            direction = _bulk.monic(field, rng.integers(1, field.q, size=m + n - width))
+            codes = np.r_[0, rng.choice(np.arange(1, field.q ** width), size - 1, replace=False)]
+            w = _bulk.decode(field, rng.permutation(codes), 1, width)[:, 0]
+            if width == n:
+                pts = field.vmul(direction[None, :, None], w[:, None, :])
+            else:
+                pts = field.vmul(w[:, :, None], direction[None, None, :])
+            out.append(pts.astype(field.dtype))
+    return out
+
+
+def image_sets(dst, rng):
+    """The images of GF(4) 2x2 sets through 0 of every size, five sets to
+    a random standard table into dst^(3 x 3)."""
+    out = []
+    for t, S in enumerate(sets_through_zero(F4, 2, 2, rng)):
+        if t % 5 == 0:
+            tbl = standard_table(random_valid_params(rng, F4, 2, 2, dst, 3, 3))
+        out.append(tbl.images[_bulk.encode(F4, S)])
+    return out
+
+
+BATCHED = ["GF(4) 2x2 sources", "GF(16) 3x3 images", "GF(5) 2x3", "GF(256) 3x3 images"]
+
+
+@functools.cache
+def batched_case(name):
+    rng = np.random.default_rng(2929 + BATCHED.index(name))
+    if name == "GF(5) 2x3":
+        return F5, sets_through_zero(F5, 2, 3, rng)
+    if name == "GF(4) 2x2 sources":
+        return F4, sets_through_zero(F4, 2, 2, rng)
+    dst = F16 if name.startswith("GF(16)") else F256
+    return dst, image_sets(dst, rng)
+
+
+@pytest.mark.parametrize("name", BATCHED)
+def test_batched_dimension_equals_the_per_set_path(name):
+    field, sets = batched_case(name)
+    got = cliques._adjacent_dims(field, sets)
+    assert got.tolist() == [dim_adjacent_entries(field, S) for S in sets]
+    assert got.tolist() == [pairwise_dim_oracle(field, S) for S in sets]
+
+
+@pytest.mark.parametrize("name", BATCHED)
+def test_the_padded_clique_test_equals_the_unpadded_one(name):
+    # every set, and the set with one point moved off its clique or onto
+    # another point, as differences from its first point, filled up with
+    # copies of the first difference
+    field, sets = batched_case(name)
+    rng = np.random.default_rng(len(sets))
+    items = []
+    for S in sets:
+        for change in ("none", "moved", "repeated"):
+            T = S.copy()
+            if change == "moved":
+                T[-1] = rng.integers(field.q, size=T[-1].shape)
+            elif change == "repeated":
+                T[-1] = T[1 % (len(T) - 1)]
+            items.append(field.vsub(T[1:], T[0]))
+    K = max(len(D) for D in items)
+    pad = np.arange(K) >= np.array([len(D) for D in items])[:, None]
+    stack = np.stack([np.concatenate([D, D[:1].repeat(K - len(D), axis=0)]) for D in items])
+    got = cliques._clique_test(field, stack, pad)
+    for t, D in enumerate(items):
+        for g, w in zip(got, cliques._clique_test(field, D[None])):
+            assert np.array_equal(g[t], w[0]), (name, t)
+    assert got[0].any() and not got[0].all()
+
+
+def test_a_failing_set_raises_as_it_would_alone():
+    pts = std_row_clique(F4, 2, 3, 0).point_entries()  # code order, 0 first
+    good = pts[:5]
+    rank2 = np.stack([pts[0], np.eye(2, 3, dtype=pts.dtype)])
+    bad = {"missing 0": pts[1:4], "single point": pts[:1], "rank-2 pair": rank2,
+           "repeated point": pts[[0, 0]]}
+    for name, S in bad.items():
+        want = outcome(dim_adjacent_entries, F4, S)
+        assert want[0] in (ZeroNotMember, NotAdjacentSet), name
+        assert outcome(cliques._adjacent_dims, F4, [good, S, good]) == want, name
+    # the first failing set in order decides
+    assert outcome(cliques._adjacent_dims, F4, [good, rank2, pts[1:4]])[0] is NotAdjacentSet
+    assert outcome(cliques._adjacent_dims, F4, [good, pts[1:4], rank2])[0] is ZeroNotMember
+    assert cliques._adjacent_dims(F4, [good, good[::-1], pts]).tolist() == [2, 2, 3]
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from bfgeo import _bulk, cliques, recovery
-from bfgeo.cliques import VertexSet, _clique_test
+from bfgeo import _bulk, cliques, recovery, verify
+from bfgeo.cliques import VertexSet, _clique_test, maximal_sets_through
 from bfgeo.errors import (Degenerate, DimDeficient, NoFit, NotHom,
                           PreconditionViolated, TheoremViolated, UnsupportedField)
-from bfgeo.fields import enumerate_homs, identity_hom, make_field
+from bfgeo.fields import Field, FieldHom, enumerate_homs, identity_hom, make_field
 from bfgeo.homs import (MapTable, Orientation, StandardHomParams, XiMapParams,
                         build_witness_hom, is_degenerate, is_graph_hom,
                         make_xi_map, random_valid_params, standard_table)
@@ -360,3 +360,125 @@ def test_an_axis_image_failing_the_clique_test_breaks_loudly(monkeypatch):
     monkeypatch.setattr(recovery, "_clique_test", reject)
     with pytest.raises(TheoremViolated):
         recover_standard(tbl)
+
+
+@pytest.mark.parametrize("field,m,n", [(F4, 2, 2), (F5, 2, 3), (make_field(3, 1), 3, 2),
+                                       (F4, 1, 2)])
+def test_the_sweep_hosts_are_the_maximal_sets_through_0_and_r(field, m, n):
+    # the sweep builds its hosts from the generators of rank1, so that it
+    # draws the sets maximal_sets_through would give, rng stream included
+    sp = space(field, m, n)
+    host = verify._rank1_hosts(sp)
+    zero = Mat.zeros(field, m, n)
+    for r, R in enumerate(sp.rank1):
+        for k, M in enumerate(maximal_sets_through(zero, Mat(field, R))):
+            assert np.array_equal(host(r, k), M.point_entries()), (r, k)
+
+
+# ---------------------------------------------------------------------------
+# stacked solves and fits against the one-system path
+
+@pytest.mark.parametrize("field", [F2, F4, F5, F16], ids=lambda f: f"GF({f.q})")
+def test_the_stacked_solve_equals_the_one_system_solve(field):
+    rng = np.random.default_rng(field.q + 3)
+    for rows, cols in ((1, 1), (3, 5), (6, 4), (8, 8)):
+        S, r = 24, min(rows, cols)
+        left = rng.integers(field.q, size=(S, rows, r))
+        left *= (np.arange(r) < rng.integers(1, r + 1, size=S)[:, None])[:, None, :]
+        A = _bulk.matmul(field, left, rng.integers(field.q, size=(S, r, cols)))  # rank <= cap
+        x = rng.integers(field.q, size=(S, cols, 1))
+        b = _bulk.matmul(field, A, x)[..., 0]
+        b[::2] = rng.integers(field.q, size=(S // 2 + S % 2, rows))  # mostly inconsistent
+        got = _bulk.solve_affine(field, A, b)
+        assert len(got) == S
+        for t in range(S):
+            want = _bulk.solve_affine(field, A[t], b[t])
+            assert (got[t] is None) == (want is None)
+            if want is not None:
+                assert all(np.array_equal(g, w) for g, w in zip(got[t], want))
+                x0, basis = got[t]
+                Ax = _bulk.matmul(field, A[t], np.c_[x0, basis.T])
+                assert np.array_equal(Ax[:, 0], b[t]) and not Ax[:, 1:].any()
+        assert any(s is None for s in got) and any(s is not None for s in got)
+
+
+def one_fit(src_field: Field, F: Field, table, tau: FieldHom):
+    """fit_semiaffine's candidate for one tau as it was before the fits
+    were stacked: the system built block by block and solved alone."""
+    count, n2 = table.shape
+    n = int(round(np.log(count) / np.log(src_field.q)))
+    xs = space(src_field, 1, n).entries[:, 0, :]
+    xt = tau.vapply(xs).astype(np.int64)
+    blocks, rhs = [], []
+    for j in range(n2):
+        block = np.zeros((count, n + n * n2), dtype=np.int64)
+        block[:, :n] = F.vmul(xt, table[:, j][:, None].astype(np.int64))
+        for i in range(n):
+            block[:, n + i * n2 + j] = F.vneg(xt[:, i])
+        blocks.append(block)
+        rhs.append(F.vneg(table[:, j]).astype(np.int64))
+    sol = _bulk.solve_affine(F, np.concatenate(blocks), np.concatenate(rhs))
+    if sol is None:
+        return None
+    x0, basis = sol
+    candidates = x0[None]
+    if len(basis) and F.q ** len(basis) <= 256:
+        coeffs = _bulk.decode(F, np.arange(F.q ** len(basis)), 1, len(basis))[:, 0, :]
+        candidates = F.vadd(x0[None], _bulk.matmul(F, coeffs.astype(np.int64), basis))
+    for u in candidates:
+        wsa = WeightedSemiAffine(tau, Mat(F, u[n:].reshape(n, n2)),
+                                 tuple(int(t) for t in u[:n]), 1)
+        if not np.any(wsa.k_values(xs) == 0) and np.array_equal(wsa.evaluate(xs), table):
+            return wsa
+    return None
+
+
+def one_fit_each(src_field, dst_field, tables, taus):
+    return [one_fit(src_field, dst_field, np.asarray(t), tau) for t, tau in zip(tables, taus)]
+
+
+@pytest.mark.parametrize("src,shape,dst,shape2", [(F4, (2, 2), F16, (3, 3)),
+                                                  (F4, (2, 2), F4, (2, 2)),
+                                                  (F5, (2, 2), F5, (2, 2))])
+def test_stacked_fits_recover_the_parameters_of_the_one_system_fits(src, shape, dst, shape2,
+                                                                    monkeypatch):
+    rng = np.random.default_rng(src.q * 100 + dst.q)
+    for _ in range(100):
+        tbl = standard_table(random_valid_params(rng, src, *shape, dst, *shape2))
+        got = recover_standard(tbl).params
+        with monkeypatch.context() as mp:
+            mp.setattr(recovery, "_fit_tables", one_fit_each)
+            want = recover_standard(tbl).params
+        assert (got.orientation, got.tau) == (want.orientation, want.tau)
+        for g, w in ((got.P, want.P), (got.Q, want.Q), (got.L, want.L)):
+            assert np.array_equal(g.a, w.a)
+
+
+def test_fit_semiaffine_stacks_every_tau_and_keeps_the_first_fit():
+    # over GF(16) from GF(4) there are two taus: the stack returns the fit
+    # the tau-by-tau loop would, or NoFit where that loop finds none
+    rng = np.random.default_rng(29)
+    xs = row_points(F4, 2)
+    taus = enumerate_homs(F4, F16)
+    fitted = 0
+    for trial in range(40):
+        tau = taus[trial % 2]
+        P = rng.integers(F16.q, size=(2, 3))
+        a = rng.integers(F16.q, size=2) * (trial % 3 == 0)
+        wsa = WeightedSemiAffine(tau, Mat(F16, P), tuple(int(c) for c in a), 1)
+        if np.any(wsa.k_values(xs) == 0):
+            continue
+        table = wsa.evaluate(xs)
+        if trial % 4 == 1:
+            table = table.copy()
+            table[-1] = F16.vadd(table[-1], 1)  # off every fit
+        want = next((w for w in one_fit_each(F4, F16, [table] * 2, taus) if w), None)
+        try:
+            got = fit_semiaffine(F4, F16, table)
+        except NoFit:
+            assert want is None
+            continue
+        fitted += 1
+        assert (got.tau, got.a, got.b) == (want.tau, want.a, want.b)
+        assert np.array_equal(got.P.a, want.P.a)
+    assert fitted

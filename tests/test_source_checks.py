@@ -11,8 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from bfgeo import _bulk, cliques, verify
-from bfgeo.fields import Field
+import numpy as np
+
+from bfgeo import _bulk, cliques, recovery, verify
+from bfgeo.fields import Field, make_field
+from bfgeo.homs import random_valid_params, standard_table
 from bfgeo.matrices import MatrixSpace
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -103,6 +106,51 @@ def test_the_clique_test_sorts_one_code_per_vector():
     calls = [ast.unparse(node.func).split(".")[-1] for node in ast.walk(tree)
              if isinstance(node, ast.Call)]
     assert "lexsort" not in calls and "sort" in calls
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's arguments."""
+    real, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_the_dim_bound_sweep_runs_two_clique_tests_per_table(monkeypatch):
+    # each set once took two clique tests of its own, one for the source
+    # set and one for its image; a table's sets now share one of each
+    F4, F16 = make_field(2, 2), make_field(2, 4)
+    calls = counting(monkeypatch, cliques, "_clique_test")
+    info = verify.dim_bound_sweep(F4, 2, 2, F16, 3, 3, n_tables=2, n_sets=10, seed=5)
+    assert info == {"sets_checked": 20, "violations": []}
+    assert len(calls) <= 2 * 2
+    assert {D.shape[0] for _, D, _ in calls} == {10}
+
+
+def test_recovery_solves_at_most_three_stacks_per_twist_fit(monkeypatch):
+    # the two axis fits share one solve when their shapes agree, and the m
+    # row-clique fits share another; each fit once took a solve of its own
+    F4, F16 = make_field(2, 2), make_field(2, 4)
+    rng = np.random.default_rng(31)
+    solves, per_fit = counting(monkeypatch, _bulk, "solve_affine"), []
+    real = recovery._fit_straight
+
+    def fit(*args):
+        before = len(solves)
+        try:
+            return real(*args)
+        finally:
+            per_fit.append(len(solves) - before)
+
+    monkeypatch.setattr(recovery, "_fit_straight", fit)
+    for m, n in ((2, 2), (3, 2)):
+        tbl = standard_table(random_valid_params(rng, F4, m, n, F16, 3, 3))
+        assert recovery.recover_standard(tbl).residual_checked
+    assert per_fit and max(per_fit) <= 3
 
 
 # numpy's array % divides element by element and branches on the sign,
