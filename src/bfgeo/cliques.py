@@ -103,7 +103,7 @@ class MaximalSet:
         return codes
 
     def points(self) -> "VertexSet":
-        return VertexSet._from_sorted(self.field, self.m, self.n, self.codes)
+        return VertexSet(self.field, self.m, self.n, self.codes)
 
     def key(self):
         """Canonical identity: kind, defining space, lex-min member."""
@@ -134,13 +134,6 @@ class VertexSet:
         self.m = m
         self.n = n
         self.codes = check_codes(field, m, n, np.unique(np.asarray(codes, dtype=np.int64)))
-
-    @classmethod
-    def _from_sorted(cls, field: Field, m: int, n: int, codes) -> "VertexSet":
-        """A set on int64 codes already sorted and unique: no np.unique."""
-        out = cls.__new__(cls)
-        out.field, out.m, out.n, out.codes = field, m, n, codes
-        return out
 
     @staticmethod
     def from_mats(mats) -> "VertexSet":
@@ -204,8 +197,7 @@ def intersect(M: MaximalSet, N: MaximalSet) -> VertexSet:
     """Exact intersection; may be empty for parallel cliques."""
     if (M.field, M.m, M.n) != (N.field, N.m, N.n):
         raise ShapeMismatch("cliques live in different spaces")
-    return VertexSet._from_sorted(M.field, M.m, M.n,
-                                  np.intersect1d(M.codes, N.codes, assume_unique=True))
+    return VertexSet(M.field, M.m, M.n, np.intersect1d(M.codes, N.codes, assume_unique=True))
 
 
 # ---------------------------------------------------------------------------
@@ -288,59 +280,56 @@ def _vector_ids(field: Field, V):
     return np.unique(flat, axis=0, return_inverse=True)[1][1:].reshape(V.shape[:-1])
 
 
-def _clique_host(field: Field, pts):
-    """(u, v) of the clique test on the differences of the (N, m, n) stack,
-    N >= 2, from pts[0]: the shared monic column and row generators, a zero
-    one where none is shared; a failing stack raises :func:`_clique_failure`.
-    """
-    passes, u, v = _clique_test(field, field.vsub(pts[None, 1:], pts[0]))
-    if not passes[0]:
-        _clique_failure(field, pts)
-    return u[0], v[0]
+# Byte budget for one block of a clique test's or a pair scan's difference
+# stack (items x points x entries, sized at 8 bytes an entry): it bounds
+# their working memory whatever the input's size, unless one item's stack
+# (one row of the pair scan) alone is larger.
+_CLIQUE_BLOCK_BYTES = 2 << 20
+
+
+def _first_torn_pair(field: Field, pts, stop=None):
+    """The first pair (i, j), i < j, of the (N, m, n) stack whose points are
+    not adjacent, scanning rows i < stop (all by default); None if none is.
+    A block of rows at a time keeps each difference stack within
+    _CLIQUE_BLOCK_BYTES."""
+    stop = len(pts) if stop is None else stop
+    step = max(1, _CLIQUE_BLOCK_BYTES // (pts.size * 8))
+    for a in range(0, stop, step):
+        rows = np.arange(a, min(a + step, stop))
+        D = field.vsub(pts[None, :], pts[rows, None])
+        torn = ~_bulk.adjacent_mask(field, D) & (np.arange(len(pts)) > rows[:, None])
+        if torn.any():
+            i, j = np.unravel_index(np.argmax(torn), torn.shape)
+            return a + int(i), int(j)
+    return None
 
 
 def _clique_failure(field: Field, pts):
-    """Raise for an (N, m, n) stack that failed the clique test, scanned
-    pair by pair: NotAdjacentSet when some pair is not adjacent.  Every
-    pairwise-adjacent set fits one of the two coset forms, so an adjacent
-    set failing the test is a broken theorem."""
-    _check_pairwise_adjacent(field, pts)
-    raise TheoremViolated("adjacent set outside both clique forms")
-
-
-def _clique_dims(field: Field, D, u, v):
-    """Rank of the coefficient vectors per item of the (B, K, m, n)
-    differences D of passing clique test items with generators u (B, m)
-    and v (B, n): the rows of D at u's leading 1 where u is shared, else
-    the columns at v's, zero-filled to max(m, n) entries for one rank."""
-    B, K, m, n = D.shape
-    items, col = np.arange(B), u.any(axis=1)
-    w = np.zeros((B, K, max(m, n)), dtype=D.dtype)
-    w[col, :, :n] = D[items, :, np.argmax(u != 0, axis=1)][col]
-    w[~col, :, :m] = D[items, :, :, np.argmax(v != 0, axis=1)][~col]
-    return _bulk.rank(field, w)
-
-
-def _check_pairwise_adjacent(field: Field, pts):
-    """NotAdjacentSet unless every pair of the (N, m, n) stack is at distance 1."""
-    diffs_all = field.vsub(pts[:, None], pts[None, :])
-    off = ~np.eye(len(pts), dtype=bool)
-    if not _bulk.adjacent_mask(field, diffs_all[off]).all():
+    """Raise for an (N, m, n) stack of distinct points that failed the
+    clique test: NotAdjacentSet when the pair scan finds a pair that is not
+    adjacent.  Every pairwise-adjacent set fits one of the two coset forms,
+    so an adjacent set failing the test is a broken theorem."""
+    if _first_torn_pair(field, pts) is not None:
         raise NotAdjacentSet("some pair is not at distance 1")
+    raise TheoremViolated("adjacent set outside both clique forms")
 
 
 def classify_clique(S: VertexSet) -> MaximalSet:
     """Classify a pairwise-adjacent set; canonical form if maximal.
 
     Raises NotAdjacentSet when some pair is not adjacent, and NotMaximal
-    (with a concrete extension witness) when the clique is proper.
+    (with a concrete extension witness) when the clique is proper.  The
+    host's generators are those :func:`_adjacent_sets` reads off the set
+    translated to 0 by its first point.
     """
     if len(S) == 0:
         raise NotAdjacentSet("empty set")
     F = S.field
     pts = S.entries()
     A = Mat(F, pts[0])  # codes are sorted, so this is the lex-min member
-    u, v = _clique_host(F, pts) if len(S) > 1 else (np.eye(S.m, dtype=F.dtype)[:, 0], None)
+    u, v = np.eye(S.m, dtype=F.dtype)[0], None  # a single point: any host
+    if len(S) > 1:
+        _, (u,), (v,) = _adjacent_sets(F, [F.vsub(pts, A.a)])
     host = MaximalSet(Kind.ONE, u, A) if u.any() else MaximalSet(Kind.TWO, v, A)
 
     if len(S) == host.cardinality():
@@ -408,24 +397,27 @@ def dim_adjacent_entries(field: Field, entries) -> int:
     Works on entries alone, repeats dropped, so it needs no code for the
     points and takes matrices of any space, past the int64 code range too.
     """
-    return int(_adjacent_dims(field, [entries])[0])
+    return int(_adjacent_sets(field, [entries])[0][0])
 
 
-def _adjacent_dims(field: Field, sets) -> np.ndarray:
-    """:func:`dim_adjacent_entries` of each (N, m, n) stack in the list,
-    by one clique test and one rank over all of them.
+def _adjacent_sets(field: Field, sets):
+    """(dims, u, v) of the (N, m, n) stacks in the list, by one clique test
+    and one rank over all of them: each set's :func:`dim_adjacent_entries`
+    and the monic column (u, m entries) and row (v, n entries) generators
+    its points share, zero where none is shared.
 
-    Each set drops its repeats by ``np.unique`` on its codes, or on its rows
-    past the int64 code range; either leaves its points in code order, so
-    0, if present, comes first.  The differences from 0 of every set are
-    one (sets, K, m, n) stack: a short set is filled up with copies of its
-    first one, masked as padding for the clique test, and a repeated row
-    leaves a rank unchanged.  The first failing set in order raises what it
+    Each set drops its repeats by its :func:`_unique_points`, which leaves
+    its points in code order, so 0, if present, comes first.  The
+    differences from 0 of every set are one (sets, K, m, n) stack: a short
+    set is filled up with copies of its first one, masked as padding for
+    the clique test, and a repeated row leaves a rank unchanged.  The
+    dimension is the rank of the coefficient vectors: the rows at u's
+    leading 1 where u is shared, else the columns at v's, zero-filled to
+    max(m, n) entries.  The first failing set in order raises what it
     would alone.
     """
     pts = _unique_points(field, [np.asarray(s) for s in sets])
     ok = next((i for i, p in enumerate(pts) if len(p) < 2 or p[0].any()), len(pts))
-    dims = np.zeros(0, dtype=np.int64)
     if ok:
         sizes = np.array([len(p) - 1 for p in pts[:ok]])
         k = np.arange(sizes.max())
@@ -435,25 +427,25 @@ def _adjacent_dims(field: Field, sets) -> np.ndarray:
         passes, u, v = _clique_test(field, D, pad)
         if not passes.all():
             _clique_failure(field, pts[int(np.argmin(passes))])
-        dims = _clique_dims(field, D, u, v)
     if ok < len(pts):
         if len(pts[ok]) and pts[ok][0].any():
             raise ZeroNotMember("dimension is defined for sets through 0")
         raise NotAdjacentSet("need at least two points")
-    return dims
+    B, K, m, n = D.shape
+    items, col = np.arange(B), u.any(axis=1)
+    w = np.zeros((B, K, max(m, n)), dtype=D.dtype)
+    w[col, :, :n] = D[items, :, np.argmax(u != 0, axis=1)][col]
+    w[~col, :, :m] = D[items, :, :, np.argmax(v != 0, axis=1)][~col]
+    return _bulk.rank(field, w), u, v
 
 
 def _unique_points(field: Field, stacks):
-    """Each (N, m, n) stack's distinct matrices in code order: by their
-    codes, all encoded at once, or by their rows past the int64 range."""
-    if not stacks:
-        return []
+    """Each (N, m, n) stack's distinct matrices in code order, by the
+    :func:`_vector_ids` of their entries, all taken at once."""
     m, n = stacks[0].shape[-2:]
-    if field.q ** (m * n) > 2**63:
-        return [np.unique(s.reshape(len(s), m * n), axis=0).reshape(-1, m, n) for s in stacks]
-    codes = np.split(_bulk.encode(field, np.concatenate(stacks)),
-                     np.cumsum([len(s) for s in stacks])[:-1])
-    return [s[np.unique(c, return_index=True)[1]] for s, c in zip(stacks, codes)]
+    ids = _vector_ids(field, np.concatenate(stacks).reshape(-1, m * n))
+    ids = np.split(ids, np.cumsum([len(s) for s in stacks])[:-1])
+    return [s[np.unique(i, return_index=True)[1]] for s, i in zip(stacks, ids)]
 
 
 def unit_ball(A: Mat) -> VertexSet:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _bulk
-from .cliques import Kind, MaximalSet, _clique_test
+from . import _bulk, cliques
+from .cliques import Kind, MaximalSet, _clique_test, _first_torn_pair
 from .errors import (InvalidParams, InvalidXi, NoHomExists, NotHom,
                      ShapeMismatch, Singular, SingularTwist, TheoremViolated)
 from .fields import (Field, FieldHom, _check_indices, enumerate_homs, field_from_order,
@@ -394,13 +394,6 @@ def is_graph_hom(f: MapTable, mode: str = "exhaustive", samples: int = 10**5,
     return verdict
 
 
-# Byte budget for one block of the clique test's difference stack (cliques
-# x members x target entries, sized at 8 bytes an entry): it bounds the
-# test's working memory whatever the table's size, unless one clique's
-# stack alone is larger.
-_CLIQUE_BLOCK_BYTES = 2 << 20
-
-
 @dataclass(frozen=True)
 class _CliqueSummary:
     """The clique test's outcome per row of ``MatrixSpace.clique_members``.
@@ -418,14 +411,14 @@ class _CliqueSummary:
     v: np.ndarray
 
 
-def _summarise_cliques(F2: Field, img, cliques) -> _CliqueSummary:
-    """The clique test on every clique (members ascending, base first), a
-    block of cliques at a time."""
-    size, entries = cliques.shape[1], img[0].size
-    block = max(1, _CLIQUE_BLOCK_BYTES // (size * entries * 8))
+def _summarise_cliques(F2: Field, img, rows) -> _CliqueSummary:
+    """The clique test on every clique, a row of members (ascending, base
+    first) each, a block of ``cliques._CLIQUE_BLOCK_BYTES`` at a time."""
+    size, entries = rows.shape[1], img[0].size
+    block = max(1, cliques._CLIQUE_BLOCK_BYTES // (size * entries * 8))
     parts = []
-    for start in range(0, len(cliques), block):
-        members = cliques[start:start + block]
+    for start in range(0, len(rows), block):
+        members = rows[start:start + block]
         parts.append(_clique_test(F2, F2.vsub(img[members[:, 1:]], img[members[:, :1]])))
     return _CliqueSummary(*(np.concatenate(a) for a in zip(*parts)))
 
@@ -439,34 +432,21 @@ def _first_torn_edge(f: MapTable):
     failing cliques, by increasing base code, until the base passes the
     best lo found.
     """
-    F2, img, cliques = f.dst_field, f.images, f.src_space().clique_members
+    F2, img, rows = f.dst_field, f.images, f.src_space().clique_members
     failing = np.nonzero(~f._clique_summary.passes)[0]
     best = None
-    for t in failing[np.argsort(cliques[failing, 0], kind="stable")]:
-        if best is not None and cliques[t, 0] > best[0]:
+    for t in failing[np.argsort(rows[failing, 0], kind="stable")]:
+        members = rows[t]
+        if best is not None and members[0] > best[0]:
             break
-        pair = _first_torn_pair(F2, img, cliques[t], best)
+        stop = None if best is None else np.searchsorted(members, best[0], "right")
+        pair = _first_torn_pair(F2, img[members], stop)
         if pair is None and best is None:
             raise TheoremViolated("a failing clique has no torn pair")
-        if pair is not None and (best is None or pair < best):
-            best = pair
+        if pair is not None:
+            edge = tuple(int(members[i]) for i in pair)
+            best = min(best or edge, edge)
     return best
-
-
-def _first_torn_pair(F2: Field, img, members, best):
-    """The first pair (lo, hi) of clique members, members ascending, whose
-    images are not adjacent; None once lo would pass best's."""
-    I = img[members]
-    step = max(1, _CLIQUE_BLOCK_BYTES // (I.size * 8))
-    for a in range(0, len(members), step):
-        if best is not None and members[a] > best[0]:
-            return None
-        D = F2.vsub(I[None, :], I[a:a + step, None])
-        torn = ~_bulk.adjacent_mask(F2, D) & (members[None, :] > members[a:a + step, None])
-        if torn.any():
-            i, j = np.unravel_index(np.argmax(torn), torn.shape)
-            return int(members[a + i]), int(members[j])
-    return None
 
 
 def is_colouring(f: MapTable) -> bool:

@@ -469,7 +469,7 @@ def random_invertible(rng, field: Field, m: int) -> Mat:
 _BFS_BLOCK_BYTES = 4 << 20
 
 
-def bfs_distance_rows(space: MatrixSpace, sources, max_level: int | None = None):
+def bfs_distance_rows(space: MatrixSpace, sources):
     """(len(sources), count) int8 distances from each source code, by BFS.
 
     The frontier and seen sets of all sources in a block are bit-packed
@@ -480,14 +480,13 @@ def bfs_distance_rows(space: MatrixSpace, sources, max_level: int | None = None)
     to its neighbours because the increments are closed under negation.
     No rank or arithmetic distance is consulted.  Each level's unpacked
     bits, times level + 1, are added to rows that start at -1 (0 at the
-    sources).  The search stops after ``max_level`` levels (default
-    min(m, n) + 1); unreached matrices hold -1.
+    sources).  The search stops after min(m, n) + 1 levels; unreached
+    matrices hold -1.
     Sources go in blocks, and increments in chunks, so that the gathered
     array stays under ``_BFS_BLOCK_BYTES``.
     """
     sources = np.asarray(sources, dtype=np.int64).reshape(-1)
-    cap = min(space.m, space.n) + 1 if max_level is None else max_level
-    perms = space.neighbor_perms
+    perms, cap = space.neighbor_perms, min(space.m, space.n) + 1
     dist = np.full((len(sources), space.count), -1, dtype=np.int8)
     dist[np.arange(len(sources)), sources] = 0
     width = 8 * max(1, _BFS_BLOCK_BYTES // perms.size)
@@ -516,12 +515,12 @@ def _bfs_block(perms, sources, dist, cap):
         front = nxt
 
 
-def bfs_distances(A: Mat, max_level: int | None = None):
+def bfs_distances(A: Mat):
     """Distance from A to every matrix in its space: the one-source case of
     :func:`bfs_distance_rows`, with no rank consulted.  Unreached matrices
     hold -1."""
     sp = space(A.field, A.m, A.n)
-    return bfs_distance_rows(sp, [A.encode()], max_level)[0]
+    return bfs_distance_rows(sp, [A.encode()])[0]
 
 
 def graph_distance(A: Mat, B: Mat) -> int:

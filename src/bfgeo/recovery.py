@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bulk
-from .cliques import VertexSet, _adjacent_dims, _clique_dims, _clique_test
+from .cliques import VertexSet, _adjacent_sets
 from .errors import (Degenerate, DimDeficient, NoFit, NotHom,
-                     PreconditionViolated, TheoremViolated, UnsupportedField)
+                     PreconditionViolated, UnsupportedField)
 from .fields import Field, FieldHom, enumerate_homs
 from .homs import (MapTable, Orientation, StandardHomParams, is_degenerate,
                    is_graph_hom, standard_table)
@@ -130,7 +130,15 @@ def _fit_system(F: Field, xt, table):
 
 def _verified_fit(F: Field, tau: FieldHom, xs, table, sol):
     """The first point of the solution coset sol (x0 alone when the coset
-    is too large to scan) whose map reproduces the table, or None."""
+    is too large to scan) whose map reproduces the table, or None.
+
+    The scan stays for GF(2) sources, where x^tau has 0/1 entries and the
+    degree-2 terms of k(x) g(x) = x^tau P no longer pin the solution: the
+    table [[0],[7],[6],[0],[6],[0],[0],[7]] of GF(2)^3 -> GF(8) has x0 =
+    (a = (1,1,1), P = 0), whose k vanishes at x = (1,0,0), and the coset
+    point a = (2,2,5), P = (1;1;1) fits.  For q >= 3 those terms force
+    two solutions to share P, and a too unless P = 0.
+    """
     if sol is None:
         return None
     x0, basis = sol
@@ -225,32 +233,26 @@ def recover_standard(f: MapTable) -> RecoveryResult:
     rows = np.stack([_axis_codes(f, "row", i) for i in range(f.m)])
     m1, n1 = rows[0], _axis_codes(f, "col", 0)
 
-    # one clique test per axis image (f(0) = 0 is its first point, so its
-    # images are its differences) gives its generators and its dimension
-    def axis_test(images, axis_codes):
-        D = images[axis_codes[1:]][None]
-        passes, u, v = _clique_test(F2, D)
-        if not passes[0]:
-            raise TheoremViolated("an axis image of a graph homomorphism is not a clique")
-        return u[0], v[0], int(_clique_dims(F2, D, u, v)[0])
-
-    # orientation: the kind of clique hosting the row-axis image.  On the
-    # straight or swapped view that makes it column-kind, P0 completes its
-    # column generator and Q0 the row generator w of the column-axis image
-    u, v, dim_m1 = axis_test(f.images, m1)
+    # one clique test over both axis images (f(0) = 0 is the first point of
+    # each) gives their dimensions and generators.  Orientation: the kind of
+    # clique hosting the row-axis image.  On the straight or swapped view
+    # that makes it column-kind, P0 completes its column generator and Q0
+    # the row generator w of the column-axis image
+    dims, u, v = _adjacent_sets(F2, [f.images[m1], f.images[n1]])
+    dim_m1, dim_n1 = dims.tolist()
     if dim_m1 != f.n:
         raise DimDeficient(f"row axis image has dimension {dim_m1}, need {f.n}",
                            witness=("row_axis", dim_m1))
-    straight = bool(u.any())
-    images = f.images if straight else np.swapaxes(f.images, 1, 2)
-    _, w, dim_n1 = axis_test(images, n1)
     if dim_n1 != f.m:
         raise DimDeficient(f"column axis image has dimension {dim_n1}, need {f.m}",
                            witness=("col_axis", dim_n1))
+    straight = bool(u[0].any())
+    w = v[1] if straight else u[1]
     if not w.any():
         raise NoFit("axis images do not align with opposite clique kinds")
-    P0 = _complete_col(F2, u if straight else v)
+    P0 = _complete_col(F2, u[0] if straight else v[0])
     Q0 = _complete_col(F2, w).T
+    images = f.images if straight else np.swapaxes(f.images, 1, 2)
     # only the m row cliques and the column axis are read, in that order
     img1 = _bulk.matmul(F2, P0.inverse().a, _bulk.matmul(
         F2, images[np.concatenate([rows.ravel(), n1])], Q0.inverse().a))
@@ -358,5 +360,5 @@ def _dim_bound_holds(f: MapTable, code_sets) -> np.ndarray:
     then the source sets'."""
     sizes = np.cumsum([len(c) for c in code_sets])[:-1]
     src = np.split(_bulk.decode(f.src_field, np.concatenate(code_sets), f.m, f.n), sizes)
-    img = _adjacent_dims(f.dst_field, [f.images[c] for c in code_sets])
-    return img <= _adjacent_dims(f.src_field, src)
+    img = _adjacent_sets(f.dst_field, [f.images[c] for c in code_sets])[0]
+    return img <= _adjacent_sets(f.src_field, src)[0]

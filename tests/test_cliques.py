@@ -466,17 +466,28 @@ def pairwise_host_oracle(field, pts):
     return tuple(shared)
 
 
-def pairwise_dim_oracle(field, entries):
-    """dim_adjacent_entries by the all-pairs scan and the rank of the points
-    as vectors of m * n entries: through 0, a set u (x) w_k in one clique
-    has the rank of its coefficient vectors w_k, as has w_k (x) v."""
+def pairwise_set_oracle(field, entries):
+    """(dim, u, v) of a set through 0 by the all-pairs scan, and its
+    dimension by the rank of the points as vectors of m * n entries: a set
+    u (x) w_k in one clique has the rank of its coefficient vectors w_k, as
+    has w_k (x) v."""
     pts = np.unique(np.asarray(entries), axis=0)
     if len(pts) and pts[0].any():
         raise ZeroNotMember("dimension is defined for sets through 0")
     if len(pts) < 2:
         raise NotAdjacentSet("need at least two points")
-    pairwise_host_oracle(field, pts)
-    return int(_bulk.rank(field, pts.reshape(1, len(pts), -1))[0])
+    u, v = pairwise_host_oracle(field, pts)
+    return int(_bulk.rank(field, pts.reshape(1, len(pts), -1))[0]), u, v
+
+
+def pairwise_dim_oracle(field, entries):
+    """dim_adjacent_entries by :func:`pairwise_set_oracle`."""
+    return pairwise_set_oracle(field, entries)[0]
+
+
+def pairwise_sets_oracle(field, sets):
+    """cliques._adjacent_sets by :func:`pairwise_set_oracle`, set by set."""
+    return tuple(np.array(a) for a in zip(*(pairwise_set_oracle(field, S) for S in sets)))
 
 
 def outcome(fn, *args):
@@ -513,7 +524,7 @@ def test_classification_and_dimension_match_the_pairwise_oracle(field, m, n, mon
                     outcome(dim_adjacent_entries, field, through0),
                     outcome(dim_adjacent_entries, field, S.entries())))
         with monkeypatch.context() as mp:
-            mp.setattr(cliques, "_clique_host", pairwise_host_oracle)
+            mp.setattr(cliques, "_adjacent_sets", pairwise_sets_oracle)
             want.append((outcome(classify_clique, S),
                          outcome(pairwise_dim_oracle, field, through0),
                          outcome(pairwise_dim_oracle, field, S.entries())))
@@ -526,11 +537,11 @@ def test_an_adjacent_set_failing_the_clique_test_breaks_loudly(monkeypatch):
     S = std_row_clique(F4, 2, 3, 0).points()
     far = VertexSet.from_mats([Mat.zeros(F4, 2, 2), Mat.identity(F4, 2)])
 
-    def no_pair_scan(field, pts):
+    def no_pair_scan(field, pts, stop=None):
         raise AssertionError("pairs are scanned only after the clique test fails")
 
     with monkeypatch.context() as mp:
-        mp.setattr(cliques, "_check_pairwise_adjacent", no_pair_scan)
+        mp.setattr(cliques, "_first_torn_pair", no_pair_scan)
         assert classify_clique(S).kind is Kind.ONE and dim_adjacent_set(S) == 3
     real = cliques._clique_test
 
@@ -545,6 +556,26 @@ def test_an_adjacent_set_failing_the_clique_test_breaks_loudly(monkeypatch):
         dim_adjacent_set(S)
     with pytest.raises(NotAdjacentSet):
         classify_clique(far)
+
+
+@pytest.mark.parametrize("rows", [0.5, 1, 3])
+def test_the_pair_scan_of_a_failing_set_keeps_to_its_budget(rows, monkeypatch):
+    # the scan of a set failing the clique test once took all N^2 pairwise
+    # differences at once; each block now holds at most the budget's
+    # differences, or one row of N where that alone is more
+    pts = std_row_clique(F4, 2, 3, 0).point_entries()  # 64 points, 0 first
+    pts[-1] = 1  # rank 1, adjacent to 0, not to most of the row clique
+    N, S = len(pts), VertexSet.from_entries(F4, pts)
+    budget = int(rows * N)
+    monkeypatch.setattr(cliques, "_CLIQUE_BLOCK_BYTES", budget * pts[0].size * 8)
+    sizes, real = [], _bulk.adjacent_mask
+    monkeypatch.setattr(_bulk, "adjacent_mask",
+                        lambda field, D: sizes.append(np.prod(np.shape(D)[:-2])) or real(field, D))
+    for call in (lambda: classify_clique(S), lambda: dim_adjacent_entries(F4, pts)):
+        sizes.clear()
+        with pytest.raises(NotAdjacentSet):
+            call()
+        assert 1 < max(sizes) <= max(budget, N), (rows, sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +722,7 @@ def batched_case(name):
 @pytest.mark.parametrize("name", BATCHED)
 def test_batched_dimension_equals_the_per_set_path(name):
     field, sets = batched_case(name)
-    got = cliques._adjacent_dims(field, sets)
+    got = cliques._adjacent_sets(field, sets)[0]
     assert got.tolist() == [dim_adjacent_entries(field, S) for S in sets]
     assert got.tolist() == [pairwise_dim_oracle(field, S) for S in sets]
 
@@ -722,6 +753,10 @@ def test_the_padded_clique_test_equals_the_unpadded_one(name):
     assert got[0].any() and not got[0].all()
 
 
+def adjacent_dims(field, sets):
+    return cliques._adjacent_sets(field, sets)[0]
+
+
 def test_a_failing_set_raises_as_it_would_alone():
     pts = std_row_clique(F4, 2, 3, 0).point_entries()  # code order, 0 first
     good = pts[:5]
@@ -731,11 +766,11 @@ def test_a_failing_set_raises_as_it_would_alone():
     for name, S in bad.items():
         want = outcome(dim_adjacent_entries, F4, S)
         assert want[0] in (ZeroNotMember, NotAdjacentSet), name
-        assert outcome(cliques._adjacent_dims, F4, [good, S, good]) == want, name
+        assert outcome(adjacent_dims, F4, [good, S, good]) == want, name
     # the first failing set in order decides
-    assert outcome(cliques._adjacent_dims, F4, [good, rank2, pts[1:4]])[0] is NotAdjacentSet
-    assert outcome(cliques._adjacent_dims, F4, [good, pts[1:4], rank2])[0] is ZeroNotMember
-    assert cliques._adjacent_dims(F4, [good, good[::-1], pts]).tolist() == [2, 2, 3]
+    assert outcome(adjacent_dims, F4, [good, rank2, pts[1:4]])[0] is NotAdjacentSet
+    assert outcome(adjacent_dims, F4, [good, pts[1:4], rank2])[0] is ZeroNotMember
+    assert adjacent_dims(F4, [good, good[::-1], pts]).tolist() == [2, 2, 3]
 
 
 # ---------------------------------------------------------------------------

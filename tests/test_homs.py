@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bfgeo import _bulk, homs, verify
+from bfgeo import _bulk, cliques, homs, verify
 from bfgeo.cliques import Kind, MaximalSet, clique_number, unit_ball
 from bfgeo.errors import (InvalidParams, InvalidXi, NoHomExists, NotHom, Singular,
                           SingularTwist, TheoremViolated)
@@ -653,8 +653,8 @@ def _assert_clique_test_matches_edge_scan(src, m, n, dst, m2, n2, cases, monkeyp
     for name, imgs in cases.items():
         want = _edge_scan_oracle(MapTable(src, m, n, dst, m2, n2, imgs))
         for block in (1, 3, None):  # cliques (and pair-scan rows) a block
-            budget = block * size * m2 * n2 * 8 if block else homs._CLIQUE_BLOCK_BYTES
-            monkeypatch.setattr(homs, "_CLIQUE_BLOCK_BYTES", budget)
+            budget = block * size * m2 * n2 * 8 if block else cliques._CLIQUE_BLOCK_BYTES
+            monkeypatch.setattr(cliques, "_CLIQUE_BLOCK_BYTES", budget)
             ok, w = is_graph_hom(MapTable(src, m, n, dst, m2, n2, imgs))
             got = ok, (None if w is None else tuple(X.encode() for X in w))
             assert got == want, (name, block)
@@ -908,6 +908,10 @@ def test_build_witness_hom():
     assert is_graph_hom(w2)[0] and is_colouring(w2)
     w3 = build_witness_hom(2, 2, 2, 2, 1, 4)
     assert is_graph_hom(w3)[0] and is_colouring(w3)
+    for shape in [(2, 2, 2, 2, 3, 2), (4, 1, 2, 2, 4, 2)]:  # n' < m': down column 0
+        tall = build_witness_hom(*shape)
+        assert not tall.images[:, :, 1:].any() and tall.images[:, :, 0].any()
+        assert is_graph_hom(tall) == (True, None) and is_colouring(tall)
     with pytest.raises(NoHomExists):
         build_witness_hom(4, 2, 3, 2, 2, 2)
 
@@ -999,7 +1003,7 @@ def test_summary_decided_degeneracy_matches_the_per_center_loop(
     if block is not None:  # force block boundaries: centers, and cliques
         size = sp.clique_members.shape[1]
         monkeypatch.setattr(homs, "_DEGENERACY_BLOCK_BYTES", block * len(centers) * m2 * n2 * 8)
-        monkeypatch.setattr(homs, "_CLIQUE_BLOCK_BYTES", block * size * m2 * n2 * 8)
+        monkeypatch.setattr(cliques, "_CLIQUE_BLOCK_BYTES", block * size * m2 * n2 * 8)
     scanned = []
     real_hits = homs._ball_hits
     monkeypatch.setattr(homs, "_ball_hits",

@@ -205,12 +205,12 @@ def test_graph_distance_equals_rank_distance_exhaustive_small():
             assert dist[B.encode()] == arithmetic_distance(A, B)
 
 
-def frontier_bfs_oracle(A: Mat, max_level=None):
+def frontier_bfs_oracle(A: Mat):
     """One-source BFS that scatters frontier codes through neighbor_perms
     and deduplicates them with np.unique, level by level: the form
     bfs_distances had before the bit-packed gather, kept as its reference."""
     sp = space(A.field, A.m, A.n)
-    cap = min(A.m, A.n) + 1 if max_level is None else max_level
+    cap = min(A.m, A.n) + 1
     dist = np.full(sp.count, -1, dtype=np.int8)
     frontier = np.array([A.encode()], dtype=np.int64)
     dist[frontier] = 0
@@ -228,8 +228,7 @@ def frontier_bfs_oracle(A: Mat, max_level=None):
 
 @pytest.mark.parametrize("p,k,m,n", [(2, 1, 2, 3), (3, 1, 2, 2), (2, 2, 3, 2),
                                      (2, 1, 1, 4), (5, 1, 2, 2)])
-@pytest.mark.parametrize("max_level", [1, None])
-def test_bfs_rows_match_the_frontier_bfs(p, k, m, n, max_level, monkeypatch):
+def test_bfs_rows_match_the_frontier_bfs(p, k, m, n, monkeypatch):
     F = make_field(p, k)
     sp = space(F, m, n)
     if sp.count <= 100:
@@ -237,14 +236,14 @@ def test_bfs_rows_match_the_frontier_bfs(p, k, m, n, max_level, monkeypatch):
     else:  # unsorted, with a repeat, both ends of the code range
         rng = np.random.default_rng(sp.count)
         sources = np.r_[sp.count - 1, rng.integers(sp.count, size=40), 0, 7, 7]
-    want = np.stack([frontier_bfs_oracle(sp.mat(int(a)), max_level) for a in sources])
-    assert np.array_equal(bfs_distance_rows(sp, sources, max_level), want)
+    want = np.stack([frontier_bfs_oracle(sp.mat(int(a))) for a in sources])
+    assert np.array_equal(bfs_distance_rows(sp, sources), want)
     for a in sources[:3]:
-        assert np.array_equal(bfs_distances(sp.mat(int(a)), max_level), want[sources == a][0])
+        assert np.array_equal(bfs_distances(sp.mat(int(a))), want[sources == a][0])
     # blocks of 8 and of 16 sources; then 8 sources and one increment per gather
     for budget in (sp.neighbor_perms.size, 2 * sp.neighbor_perms.size, 1):
         monkeypatch.setattr(matrices, "_BFS_BLOCK_BYTES", budget)
-        assert np.array_equal(bfs_distance_rows(sp, sources, max_level), want)
+        assert np.array_equal(bfs_distance_rows(sp, sources), want)
 
 
 def test_distance_check_reports_a_corrupted_neighbour_row(monkeypatch):

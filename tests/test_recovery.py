@@ -97,6 +97,23 @@ def test_fit_rejections():
         fit_semiaffine(F4, F4, bad)
 
 
+def test_the_fit_scans_the_solution_coset_past_a_vanishing_denominator():
+    # the particular solution a = (1, 1, 1), P = 0 has k(1, 0, 0) = 0; a
+    # second point of the one-dimensional solution coset fits the table
+    F8 = make_field(2, 3)
+    tau, xs = enumerate_homs(F2, F8)[0], row_points(F2, 3)
+    table = np.array([[0], [7], [6], [0], [6], [0], [0], [7]])
+    A, b = recovery._fit_system(F8, tau.vapply(xs).astype(np.int64), table)
+    x0, basis = _bulk.solve_affine(F8, A[None], b[None])[0]
+    assert x0.tolist() == [1, 1, 1, 0, 0, 0] and len(basis) == 1
+    particular = WeightedSemiAffine(tau, Mat.zeros(F8, 3, 1), (1, 1, 1), 1)
+    assert [1, 0, 0] in xs[particular.k_values(xs) == 0].tolist()
+    assert recovery._verified_fit(F8, tau, xs, table, (x0, basis[:0])) is None
+    wsa = fit_semiaffine(F2, F8, table)
+    assert (wsa.a, wsa.P.a.tolist(), wsa.b) == ((2, 2, 5), [[1], [1], [1]], 1)
+    assert np.array_equal(wsa.evaluate(xs), table)
+
+
 def test_recover_identity():
     res = recover_standard(MapTable.identity(F4, 2, 2))
     assert res.residual_checked
@@ -331,33 +348,32 @@ def test_complete_rows_takes_the_unit_rows_of_the_greedy_scan(field):
 def test_recovery_tests_each_axis_image_once(monkeypatch):
     rng = np.random.default_rng(43)
     tbl = standard_table(random_valid_params(rng, F4, 2, 2, F16, 3, 3))
-    real, calls = recovery._clique_test, []
+    real, calls = cliques._clique_test, []
 
-    def counted(field, D):
+    def counted(field, D, pad=None):
         calls.append(D.shape)
-        return real(field, D)
+        return real(field, D, pad)
 
     # is_graph_hom's summary on a checked table is stored; recovery's own
-    # clique tests, direct or through cliques, are counted
+    # clique tests, all through cliques, are counted: both axis images share one
     is_graph_hom(tbl, "exhaustive")
     is_degenerate(tbl)
-    monkeypatch.setattr(recovery, "_clique_test", counted)
     monkeypatch.setattr(cliques, "_clique_test", counted)
     recover_standard(tbl)
-    assert calls == [(1, 15, 3, 3), (1, 15, 3, 3)]
+    assert calls == [(2, 15, 3, 3)]
 
 
 def test_an_axis_image_failing_the_clique_test_breaks_loudly(monkeypatch):
     # a checked homomorphism maps each axis clique onto a clique
     rng = np.random.default_rng(44)
     tbl = standard_table(random_valid_params(rng, F4, 2, 2, F16, 3, 3))
-    real = recovery._clique_test
+    real = cliques._clique_test
 
-    def reject(field, D):
-        passes, u, v = real(field, D)
+    def reject(field, D, pad=None):
+        passes, u, v = real(field, D, pad)
         return np.zeros_like(passes), u, v
 
-    monkeypatch.setattr(recovery, "_clique_test", reject)
+    monkeypatch.setattr(cliques, "_clique_test", reject)
     with pytest.raises(TheoremViolated):
         recover_standard(tbl)
 

@@ -82,6 +82,29 @@ def test_maximal_cliques_are_certified_not_searched():
     assert [w for w in gone if w in text] == []
 
 
+def test_point_sets_reach_the_clique_test_through_one_front_end():
+    # classification, dimension and recovery's axis test once each turned a
+    # point set into generators and a dimension their own way, beside two
+    # pair scans, one of them unbounded; _adjacent_sets and one blocked
+    # _first_torn_pair replace them
+    paths = sorted((ROOT / "src" / "bfgeo").glob("*.py"))
+    text = "".join(p.read_text() for p in paths)
+    gone = ("_clique_host", "_clique_dims", "_check_pairwise_adjacent", "_adjacent_dims")
+    assert [w for w in gone if w in text] == []
+    callers, scans = set(), []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                scans += [path.stem] * (func.name == "_first_torn_pair")
+                callers |= {(path.stem, func.name) for node in ast.walk(func)
+                            if isinstance(node, ast.Call)
+                            and ast.unparse(node.func) == "_clique_test"}
+    assert callers == {("homs", "_summarise_cliques"), ("homs", "is_colouring"),
+                       ("cliques", "_adjacent_sets")}
+    assert scans == ["cliques"]
+
+
 def test_pencil_and_line_checks_are_one_bulk_pass_each():
     # Lemma 3.1 once ran a scalar pencil test beside an O(pencil^2) loop over
     # member pairs, and the line check rebuilt each line in its host from
