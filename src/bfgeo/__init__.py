@@ -18,16 +18,15 @@ from .homs import (MapTable, Orientation, StandardHomParams, TwistSide,
                    standard_table, validate_params)
 from .mapfile import parse_map_table, write_map_table
 from .matrices import (Mat, MatrixSpace, adjacent, arithmetic_distance,
-                       bfs_distance_rows, bfs_distances, count_rank_matrices,
-                       graph_distance, random_invertible, space)
+                       bfs_distances, count_rank_matrices, graph_distance,
+                       random_invertible, space)
 from .recovery import (RecoveryResult, WeightedSemiAffine, dim_bound_check,
                        fit_semiaffine, recover_standard)
 
 __all__ = [
     "Field", "FieldHom", "make_field", "enumerate_homs", "identity_hom",
     "Mat", "MatrixSpace", "space", "arithmetic_distance", "adjacent",
-    "graph_distance", "bfs_distances", "bfs_distance_rows", "random_invertible",
-    "count_rank_matrices",
+    "graph_distance", "bfs_distances", "random_invertible", "count_rank_matrices",
     "Kind", "MaximalSet", "Line", "VertexSet", "maximal_sets_through",
     "classify_clique", "intersect", "line_through", "dim_adjacent_set",
     "unit_ball",

@@ -255,11 +255,9 @@ def cmd_lemma_check(args):
         info = verify.two_pencil_check(F, m, n, rows=[0], cols=[0])
         return _verdict_from(info, report)
     if which == "5.1":
-        src, m, n = _parse_space(args.src)
-        dst = _parse_space(args.dst)[0] if args.dst else src
-        report.params.update({"src": src.name, "dst": dst.name})
-        info = verify.standard_form_sweep(src, m, n, dst, max(m, 2), max(n, 2),
-                                          args.sample or 20, seed=args.seed)
+        args.dst, args.sample = args.dst or args.src, args.sample or 20
+        report.params.update(src=args.src, dst=args.dst, sample=args.sample)
+        info = SPACE_SWEEPS["random_standard"](_spaces(args), args.sample, args.seed)
         return _verdict_from(info, report)
     # flat rigidity sweeps
     E = parse_field_name(args.e_field)

@@ -316,20 +316,23 @@ class MatrixSpace:
     @functools.cached_property
     def neighbor_perms(self):
         """(K, count) table: row for increment R maps code(X) to code(X+R)."""
-        return self._perms_for(self.rank1_codes)
+        return self._perms_for(count_rank_matrices(self.field, self.m, self.n, 1),
+                               lambda: self.rank1_codes)
 
     @functools.cached_property
     def neighbor_perms_half(self):
         """Same, restricted to one representative per {R, -R} pair."""
-        return self._perms_for(_bulk.encode(self.field, self.rank1_half))
+        return self._perms_for(len(self.rank1_half),
+                               lambda: _bulk.encode(self.field, self.rank1_half))
 
-    def _perms_for(self, increments):
-        """(len(increments), count) int64 table of code(X + R), refused by
-        DomainTooLarge past TABLE_LIMIT entries before it is allocated."""
-        bounded(len(increments) * self.count, f"the {len(increments)} x {self.count} "
+    def _perms_for(self, rows: int, increments):
+        """int64 table of code(X + R), one row per code R of increments(),
+        refused by DomainTooLarge past TABLE_LIMIT entries at the given
+        count of rows, before the increments or the table are built."""
+        bounded(rows * self.count, f"the {rows} x {self.count} "
                 f"neighbour table of GF({self.field.q})^({self.m}x{self.n})", TABLE_LIMIT,
                 "table bound of {} entries")
-        codes = np.arange(self.count, dtype=np.int64)
+        codes, increments = np.arange(self.count, dtype=np.int64), increments()
         out = np.empty((len(increments), self.count), dtype=np.int64)
         for t, r in enumerate(increments):
             out[t] = self.code_add(codes, r)
@@ -469,58 +472,32 @@ def random_invertible(rng, field: Field, m: int) -> Mat:
 _BFS_BLOCK_BYTES = 4 << 20
 
 
-def bfs_distance_rows(space: MatrixSpace, sources):
-    """(len(sources), count) int8 distances from each source code, by BFS.
+def bfs_distances(A: Mat):
+    """Distance from A to every matrix in its space, by BFS over the
+    ``neighbor_perms`` table, with no rank consulted.
 
-    The frontier and seen sets of all sources in a block are bit-packed
-    over the sources, a (count, ceil(S/8)) uint8 array each, and one level
-    is ``nxt = OR-reduce(front[neighbor_perms], axis=0) & ~seen``: X is new
-    for a source when X + R was on its frontier for some rank-1 increment R.
-    That gather reaches the same matrices as scattering each frontier point
-    to its neighbours because the increments are closed under negation.
-    No rank or arithmetic distance is consulted.  Each level's unpacked
-    bits, times level + 1, are added to rows that start at -1 (0 at the
-    sources).  The search stops after min(m, n) + 1 levels; unreached
-    matrices hold -1.
-    Sources go in blocks, and increments in chunks, so that the gathered
-    array stays under ``_BFS_BLOCK_BYTES``.
+    One level is ``nxt = front[neighbor_perms].any(axis=0)`` over a boolean
+    frontier, less the matrices already reached: X is new when X + R was
+    on the frontier for some rank-1 increment R.  That gather reaches the
+    same matrices as scattering each frontier point to its neighbours
+    because the increments are closed under negation.  Increments go in
+    chunks, so that each gathered array stays under ``_BFS_BLOCK_BYTES``.
+    The search stops after min(m, n) + 1 levels; unreached matrices hold -1.
     """
-    sources = np.asarray(sources, dtype=np.int64).reshape(-1)
-    perms, cap = space.neighbor_perms, min(space.m, space.n) + 1
-    dist = np.full((len(sources), space.count), -1, dtype=np.int8)
-    dist[np.arange(len(sources)), sources] = 0
-    width = 8 * max(1, _BFS_BLOCK_BYTES // perms.size)
-    for lo in range(0, len(sources), width):
-        _bfs_block(perms, sources[lo:lo + width], dist[lo:lo + width], cap)
-    return dist
-
-
-def _bfs_block(perms, sources, dist, cap):
-    """Fill dist (a view, one row per source) level by level."""
-    start = np.zeros((perms.shape[1], len(sources)), dtype=bool)
-    start[sources, np.arange(len(sources))] = True
-    front = np.packbits(start, axis=1)
-    seen = front.copy()
-    chunk = max(1, _BFS_BLOCK_BYTES // front.nbytes)
-    for level in range(1, cap + 1):
-        nxt = np.zeros_like(front)
+    sp = space(A.field, A.m, A.n)
+    perms = sp.neighbor_perms
+    chunk = max(1, _BFS_BLOCK_BYTES // sp.count)
+    dist = np.full(sp.count, -1, dtype=np.int8)
+    dist[A.encode()] = 0
+    for level in range(1, min(A.m, A.n) + 2):
+        front, nxt = dist == level - 1, np.zeros(sp.count, dtype=bool)
         for lo in range(0, len(perms), chunk):
-            nxt |= np.bitwise_or.reduce(front[perms[lo:lo + chunk]], axis=0)
-        nxt &= ~seen
+            nxt |= front[perms[lo:lo + chunk]].any(axis=0)
+        nxt &= dist < 0
         if not nxt.any():
             break
-        seen |= nxt
-        bits = np.unpackbits(nxt, axis=1, count=len(sources)).view(np.int8)
-        dist += bits.T * np.int8(level + 1)
-        front = nxt
-
-
-def bfs_distances(A: Mat):
-    """Distance from A to every matrix in its space: the one-source case of
-    :func:`bfs_distance_rows`, with no rank consulted.  Unreached matrices
-    hold -1."""
-    sp = space(A.field, A.m, A.n)
-    return bfs_distance_rows(sp, [A.encode()])[0]
+        dist[nxt] = level
+    return dist
 
 
 def graph_distance(A: Mat, B: Mat) -> int:

@@ -18,7 +18,7 @@ from .homs import (MapTable, Orientation, TwistSide, _resolvent, build_witness_h
                    hom_exists, is_colouring, is_degenerate, is_graph_hom,
                    moebius_twist, proper_coloring, random_valid_params,
                    standard_table, validate_params)
-from .matrices import (TABLE_LIMIT, Mat, bfs_distance_rows, bounded, bounded_power,
+from .matrices import (TABLE_LIMIT, Mat, bfs_distances, bounded, bounded_power,
                        count_rank_matrices, space, space_size)
 from .recovery import _dim_bound_holds, recover_standard
 
@@ -59,14 +59,33 @@ def _pairwise_ranks(field: Field, entries):
 
 
 def distance_theorem_check(field: Field, m: int, n: int) -> dict:
-    """Exhaustive: BFS path length equals rank distance, every pair, and
-    the pairs at rank distance 1 are the q^(mn) N_1 / 2 edges of the
-    closed form, N_1 the number of rank-1 matrices."""
+    """Exhaustive, certified at 0: BFS path length equals rank distance for
+    every pair, the count^2 that ``pairs`` reports, and the pairs at rank
+    distance 1 are the q^(mn) N_1 / 2 edges of the closed form, N_1 the
+    number of rank-1 matrices.
+
+    Adjacency is X - Y in R_1, so every translation is an automorphism and
+    two checks on the BFS's own neighbour table prove d(A, B) = d(0, B - A)
+    = rank(B - A) for all pairs:
+    (a) row r of ``neighbor_perms`` is code(X + R_r) at every X, the right
+        side from ``entries`` and ``_bulk.encode``, not the code arithmetic
+        that built the table; a bad row is one witness, with its first bad
+        code and its number of bad codes;
+    (b) one BFS from 0 equals the rank of every point; a failure at b is
+        the witness "0:b".
+    Level 1 of (b) is the negated increments, which (b) pins to R_1, so the
+    edges are count * |level 1| / 2.  DomainTooLarge past TABLE_LIMIT
+    table entries, before anything is ranked."""
     sp = space(field, m, n)
-    ads = _pairwise_ranks(field, sp.entries)
-    a, b = np.nonzero(bfs_distance_rows(sp, np.arange(sp.count)) != ads)
-    mismatches = [f"{int(x)}:{int(y)}" for x, y in zip(a, b)]
-    edges = int((ads == 1).sum()) // 2
+    perms = sp.neighbor_perms
+    mismatches = []
+    for rows in _row_blocks(len(perms), 8 * sp.count * m * n):
+        bad = perms[rows] != _bulk.encode(field, field.vadd(sp.entries, sp.rank1[rows, None]))
+        mismatches += [f"row {r + rows.start}: code {int(np.argmax(bad[r]))}, "
+                       f"{int(bad[r].sum())} bad" for r in np.flatnonzero(bad.any(axis=1))]
+    dist = bfs_distances(Mat.zeros(field, m, n))
+    mismatches += [f"0:{int(b)}" for b in np.flatnonzero(dist != _bulk.rank(field, sp.entries))]
+    edges = sp.count * int((dist == 1).sum()) // 2
     if edges != (want := sp.count * count_rank_matrices(field, m, n, 1) // 2):
         mismatches.append(f"edges {edges}, closed form {want}")
     return {

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bfgeo import verify
 from bfgeo.cli import main
 from bfgeo.cliques import VertexSet, classify_clique
 from bfgeo.errors import (DomainTooLarge, DuplicateKey, FormatError,
@@ -17,7 +18,7 @@ from bfgeo.errors import (DomainTooLarge, DuplicateKey, FormatError,
 from bfgeo.fields import make_field
 from bfgeo.homs import MapTable, build_witness_hom
 from bfgeo.mapfile import parse_map_table, write_map_table
-from bfgeo.matrices import MINOR_LIMIT, TABLE_LIMIT, space
+from bfgeo.matrices import MINOR_LIMIT, TABLE_LIMIT, MatrixSpace, space
 from bfgeo.reports import RunReport, emit_report
 
 F4 = make_field(2, 2)
@@ -362,10 +363,55 @@ def test_cli_dim_bound_checks_exactly_the_requested_sets(count, capsys):
     ["bfs-check", "--field", "2,2", "--shape", "3x3"],
 ], ids=" ".join)
 def test_pairwise_sweeps_rejected_before_allocating(argv, capsys):
-    # 4^9 matrices: the space fits, its 2^36 pairs do not
+    # 4^9 matrices: the space fits, but not the twist sweep's 2^36 pairs nor
+    # the BFS's 1323 x 4^9 neighbour table
     code, rep = within_a_second(lambda: run_cli(capsys, *argv))
     assert code == 2
     assert rep["witnesses"][0].startswith("DomainTooLarge:")
+
+
+@pytest.mark.parametrize("field,shape,edges", [("2,3", "2x2", 1161216), ("3,1", "2x4", 1049760)])
+def test_bfs_check_on_spaces_past_the_old_pair_bound_within_a_second(field, shape, edges, capsys):
+    # 4096 and 6561 points: bfs-check once refused their 2^24 and 3^16
+    # pairs; the certificate at 0 needs one neighbour table within TABLE_LIMIT
+    code, rep = within_a_second(lambda: run_cli(capsys, "bfs-check", "--field", field,
+                                                "--shape", shape))
+    assert code == 0
+    assert rep["counts"]["edges"] == edges
+
+
+def test_bfs_check_on_a_1x20_space_refused_before_its_increments(capsys, monkeypatch):
+    # its 2^20 - 1 increments, 168 MB of int64 codes, were once built before
+    # the table bound refused the table they fill; the closed form comes first
+    sp = MatrixSpace(make_field(2, 1), 1, 20)
+    monkeypatch.setattr(verify, "space", lambda *a: sp)
+    code, rep = within_a_second(lambda: run_cli(capsys, "bfs-check", "--field", "2,1",
+                                                "--shape", "1x20"))
+    assert code == 2
+    assert rep["witnesses"] == ["DomainTooLarge: the 1048575 x 1048576 neighbour table of "
+                                f"GF(2)^(1x20) exceeds the table bound of {TABLE_LIMIT} entries"]
+    assert "rank1" not in vars(sp)
+
+
+def test_lemma_5_1_honours_the_target_shape(capsys):
+    # 5.1 once took its target shape from the source and checked 3x3 -> 3x3
+    code, rep = run_cli(capsys, "lemma-check", "--which", "5.1", "--src", "4:3x3",
+                        "--dst", "4:2x2", "--sample", "1")
+    assert code == 2
+    assert rep["witnesses"] == ["InvalidParams: target too small for either form: "
+                                "3x3 source, 2x2 target"]
+
+
+def test_lemma_5_1_params_name_both_spaces_and_the_sample(capsys):
+    # 5.1 once reported only the two fields, so these targets read alike
+    params = [run_cli(capsys, "lemma-check", "--which", "5.1", "--src", "4:2x2",
+                      "--dst", dst, "--sample", "2")[1]["params"] for dst in ("16:2x2", "16:3x3")]
+    assert params[0] != params[1]
+    assert params[1] == {"which": "5.1", "src": "4:2x2", "dst": "16:3x3", "sample": 2}
+    # --dst defaults to --src, and --sample to 20
+    code, rep = run_cli(capsys, "lemma-check", "--which", "5.1", "--src", "4:2x2")
+    assert code == 0
+    assert rep["params"] == {"which": "5.1", "src": "4:2x2", "dst": "4:2x2", "sample": 20}
 
 
 def _twenty(prefix):

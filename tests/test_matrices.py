@@ -13,8 +13,8 @@ from bfgeo.cliques import _clique_test
 from bfgeo.errors import DomainTooLarge, ShapeMismatch, Singular
 from bfgeo.fields import enumerate_homs, make_field
 from bfgeo.matrices import (Mat, MatrixSpace, adjacent, arithmetic_distance,
-                            bfs_distance_rows, bfs_distances, count_rank_matrices,
-                            graph_distance, random_invertible, space)
+                            bfs_distances, count_rank_matrices, graph_distance,
+                            random_invertible, space)
 
 F4 = make_field(2, 2)
 F5 = make_field(5, 1)
@@ -208,7 +208,7 @@ def test_graph_distance_equals_rank_distance_exhaustive_small():
 def frontier_bfs_oracle(A: Mat):
     """One-source BFS that scatters frontier codes through neighbor_perms
     and deduplicates them with np.unique, level by level: the form
-    bfs_distances had before the bit-packed gather, kept as its reference."""
+    bfs_distances had before the gather, kept as its reference."""
     sp = space(A.field, A.m, A.n)
     cap = min(A.m, A.n) + 1
     dist = np.full(sp.count, -1, dtype=np.int8)
@@ -228,7 +228,7 @@ def frontier_bfs_oracle(A: Mat):
 
 @pytest.mark.parametrize("p,k,m,n", [(2, 1, 2, 3), (3, 1, 2, 2), (2, 2, 3, 2),
                                      (2, 1, 1, 4), (5, 1, 2, 2)])
-def test_bfs_rows_match_the_frontier_bfs(p, k, m, n, monkeypatch):
+def test_bfs_distances_match_the_frontier_bfs(p, k, m, n, monkeypatch):
     F = make_field(p, k)
     sp = space(F, m, n)
     if sp.count <= 100:
@@ -236,46 +236,114 @@ def test_bfs_rows_match_the_frontier_bfs(p, k, m, n, monkeypatch):
     else:  # unsorted, with a repeat, both ends of the code range
         rng = np.random.default_rng(sp.count)
         sources = np.r_[sp.count - 1, rng.integers(sp.count, size=40), 0, 7, 7]
-    want = np.stack([frontier_bfs_oracle(sp.mat(int(a))) for a in sources])
-    assert np.array_equal(bfs_distance_rows(sp, sources), want)
-    for a in sources[:3]:
-        assert np.array_equal(bfs_distances(sp.mat(int(a))), want[sources == a][0])
-    # blocks of 8 and of 16 sources; then 8 sources and one increment per gather
+    want = [frontier_bfs_oracle(sp.mat(int(a))) for a in sources]
+    # every increment in one gather, within one budget and within two; then
+    # one increment per gather
     for budget in (sp.neighbor_perms.size, 2 * sp.neighbor_perms.size, 1):
         monkeypatch.setattr(matrices, "_BFS_BLOCK_BYTES", budget)
-        assert np.array_equal(bfs_distance_rows(sp, sources), want)
+        for a, dist in zip(sources, want):
+            assert np.array_equal(bfs_distances(sp.mat(int(a))), dist)
+
+
+def all_pairs_distance_oracle(field, m, n):
+    """distance_theorem_check's report as it was computed before the
+    certificate at 0: a BFS from every point against _pairwise_ranks on all
+    count^2 pairs, each failing pair a witness "a:b", and the edges counted
+    among the pairs at rank 1."""
+    sp = space(field, m, n)
+    ads = verify._pairwise_ranks(field, sp.entries)
+    a, b = np.nonzero(np.stack([bfs_distances(A) for A in sp]) != ads)
+    mismatches = [f"{x}:{y}" for x, y in zip(a, b)]
+    edges = int((ads == 1).sum()) // 2
+    if edges != (want := sp.count * count_rank_matrices(field, m, n, 1) // 2):
+        mismatches.append(f"edges {edges}, closed form {want}")
+    return {"vertices": sp.count, "pairs": sp.count**2, "edges": edges,
+            "mismatches": sorted(mismatches)}
+
+
+@pytest.mark.parametrize("p,k,m,n", [(2, 1, 2, 2), (3, 1, 2, 2), (2, 2, 2, 2), (5, 1, 2, 2),
+                                     (3, 1, 2, 3), (2, 1, 1, 4), (2, 1, 3, 2)])
+def test_distance_certificate_agrees_with_the_all_pairs_oracle(p, k, m, n):
+    F = make_field(p, k)
+    info = verify.distance_theorem_check(F, m, n)
+    assert info == all_pairs_distance_oracle(F, m, n)
+    assert info["mismatches"] == []
+
+
+def checked_on(sp, monkeypatch):
+    """distance_theorem_check on sp, an uncached space, so the shared one
+    stays intact; the check and its BFS both read sp's table."""
+    for module in (verify, matrices):
+        monkeypatch.setattr(module, "space", lambda *a: sp)
+    return verify.distance_theorem_check(sp.field, sp.m, sp.n)
 
 
 def test_distance_check_reports_a_corrupted_neighbour_row(monkeypatch):
     F = make_field(3, 1)
-    sp = MatrixSpace(F, 2, 2)  # uncached, so the shared space stays intact
-    assert verify.distance_theorem_check(F, 2, 2)["mismatches"] == []
+    sp = MatrixSpace(F, 2, 2)
     sp.neighbor_perms[5] = np.arange(sp.count)  # the increment R_5 leads nowhere
-    monkeypatch.setattr(verify, "space", lambda *a: sp)
-    info = verify.distance_theorem_check(F, 2, 2)
-    # a source A no longer reaches A - R_5 in one step, and nothing else moves
-    codes = np.arange(sp.count)
-    lost = sp.code_sub(codes, sp.rank1_codes[5])
-    assert info["mismatches"] == sorted(f"{a}:{b}" for a, b in zip(codes, lost))
-    assert info["edges"] == sp.count * len(sp.rank1) // 2
+    info = checked_on(sp, monkeypatch)
+    # (a) finds every code of row 5 wrong, in one witness; from 0 the BFS
+    # now reaches -R_5 at level 2 only, and level 1 has one point too few
+    neg = int(sp.code_sub(0, sp.rank1_codes[5]))
+    assert info["mismatches"] == sorted(["row 5: code 0, 81 bad", f"0:{neg}",
+                                         "edges 1255, closed form 1296"])
+    assert info["edges"] == 81 * 31 // 2
+
+
+def test_distance_check_reports_one_wrong_entry_the_bfs_cannot_see(monkeypatch):
+    F = make_field(3, 1)
+    sp = MatrixSpace(F, 2, 2)
+    ranks, perms = _bulk.rank(F, sp.entries), sp.neighbor_perms
+    # a rank-2 point X whose neighbours X + R_0 and X + R_r have one rank:
+    # pointing row 0 at X + R_r leaves every distance from 0 as it was
+    x = int(np.flatnonzero(ranks == 2)[0])
+    r = next(r for r in range(1, len(perms))
+             if ranks[perms[r, x]] == ranks[perms[0, x]] and perms[r, x] != perms[0, x])
+    perms[0, x] = perms[r, x]
+    info = checked_on(sp, monkeypatch)
+    assert info["mismatches"] == [f"row 0: code {x}, 1 bad"]
+    assert info["edges"] == 1296
+    assert np.array_equal(bfs_distances(Mat.zeros(F, 2, 2)), ranks)  # on sp's table
+
+
+def test_distance_check_reports_a_wrong_rank(monkeypatch):
+    F = make_field(3, 1)
+    real = _bulk.rank
+
+    def one_rank_off(field, mats):
+        out = real(field, mats)
+        out[7] += 1
+        return out
+
+    monkeypatch.setattr(_bulk, "rank", one_rank_off)
+    assert verify.distance_theorem_check(F, 2, 2)["mismatches"] == ["0:7"]
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (2, 2)])
+def test_distance_check_reports_a_dropped_increment(p, k, monkeypatch):
+    # the table walks the listed increments faithfully, so (a) passes; the
+    # BFS from 0 misses -R_0 at level 1, and the edges fall short
+    F = make_field(p, k)
+    sp = MatrixSpace(F, 2, 2)
+    full = _bulk.encode(F, sp.rank1)
+    sp.rank1 = sp.rank1[1:]
+    neg = int(sp.code_sub(0, full[0]))
+    edges, want = sp.count * (len(full) - 1) // 2, sp.count * len(full) // 2
+    info = checked_on(sp, monkeypatch)
+    assert info["mismatches"] == sorted([f"0:{neg}", f"edges {edges}, closed form {want}"])
+    assert info["edges"] == edges
 
 
 def test_distance_check_counts_edges_against_the_closed_form(monkeypatch):
     F = make_field(3, 1)
     edges = 81 * count_rank_matrices(F, 2, 2, 1) // 2
     assert verify.distance_theorem_check(F, 2, 2)["edges"] == edges == 1296
-    real = verify._pairwise_ranks
-
-    def one_edge_lost(field, entries):
-        out = real(field, entries)
-        b = int(space(field, 2, 2).rank1_codes[0])
-        out[0, b] = out[b, 0] = 2
-        return out
-
-    monkeypatch.setattr(verify, "_pairwise_ranks", one_edge_lost)
+    # a closed form that counts one rank-1 matrix too many
+    monkeypatch.setattr(verify, "count_rank_matrices", lambda *a: count_rank_matrices(*a) + 1)
     info = verify.distance_theorem_check(F, 2, 2)
-    assert info["edges"] == edges - 1
-    assert f"edges {edges - 1}, closed form {edges}" in info["mismatches"]
+    assert info["edges"] == edges
+    assert info["mismatches"] == [f"edges {edges}, closed form {81 * 33 // 2}"]
 
 
 def test_pairwise_ranks_equal_a_direct_rref_of_every_difference(monkeypatch):

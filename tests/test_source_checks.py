@@ -16,7 +16,7 @@ import numpy as np
 from bfgeo import _bulk, cliques, recovery, verify
 from bfgeo.fields import Field, make_field
 from bfgeo.homs import random_valid_params, standard_table
-from bfgeo.matrices import MatrixSpace
+from bfgeo.matrices import MatrixSpace, space
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -80,6 +80,28 @@ def test_maximal_cliques_are_certified_not_searched():
     text = "".join(p.read_text() for p in sorted((ROOT / "src" / "bfgeo").glob("*.py")))
     gone = ("bron_kerbosch", "_neighbour_bits", "_clique_kinds")
     assert [w for w in gone if w in text] == []
+
+
+def test_distances_are_certified_at_0_not_swept_over_pairs(monkeypatch):
+    # distance_theorem_check once ran a BFS from every point, through the
+    # multi-source bfs_distance_rows, against _pairwise_ranks on all pairs;
+    # the certificate at 0 checks the neighbour table on its own right side,
+    # from entries and encode, with no code arithmetic
+    import bfgeo
+    text = "".join(p.read_text() for p in sorted((ROOT / "src" / "bfgeo").glob("*.py")))
+    assert "bfs_distance_rows" not in text and "bfs_distance_rows" not in bfgeo.__all__
+    tree = ast.parse(textwrap.dedent(inspect.getsource(verify.distance_theorem_check)))
+    names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
+    assert "_pairwise_ranks" not in names
+    F = make_field(3, 1)
+    space(F, 2, 2).neighbor_perms  # built by code_add before the check seals it
+
+    def sealed(*args):
+        raise AssertionError("code arithmetic in the distance check")
+
+    for name in ("code_add", "code_sub"):
+        monkeypatch.setattr(MatrixSpace, name, sealed)
+    assert verify.distance_theorem_check(F, 2, 2)["mismatches"] == []
 
 
 def test_point_sets_reach_the_clique_test_through_one_front_end():
