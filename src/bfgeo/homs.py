@@ -264,10 +264,10 @@ def validate_params(params: StandardHomParams):
     return True, None
 
 
-# Byte budget for one block of the twist search's denominator stacks
-# (candidates x source points x m x m in either orientation, sized at 8
-# bytes an entry); it bounds the search's working memory whatever the
-# number of tries.
+# Byte budget for one block of the twist search's whole-space denominator
+# stack (candidates x source points x m x m in either orientation, sized at
+# 8 bytes an entry), its largest array; it bounds the search's working
+# memory whatever the number of tries.
 _TWIST_BLOCK_BYTES = 2 << 20
 
 
@@ -281,7 +281,8 @@ def random_valid_params(rng, src_field: Field, m: int, n: int,
     nonzero_L_tries candidate twists L and keeps the first nonzero one with
     every denominator invertible, else L = 0.  Valid twists are sparse
     (0.5 % at GF(4) 2x2 inside GF(16)), so the candidates are checked in
-    blocks, on the rank-1 points first; the chosen L and the rng state
+    blocks: on the rank-1 points by one trace product, then on the whole
+    space by one determinant stack; the chosen L and the rng state
     afterwards are those of drawing and checking one candidate at a time.
     A surjective tau admits only L = 0 (any nonzero twist makes some
     denominator singular), so the search is skipped in that case.  Raises
@@ -323,11 +324,13 @@ def _first_valid_twist(rng, tau: FieldHom, orientation: Orientation,
     the rng is rewound to the block's start and advanced past that one
     only.  Per block, the nonzero candidates are checked on the rank-1
     points first, which reject nearly every invalid twist, and the
-    survivors on the whole source space: one determinant stack each.
+    survivors on the whole source space: one trace product
+    (``_rank1_traces``), then one determinant stack.
     """
     F2, sp = tau.dst, space(tau.src, m, n)
-    X1, side = _oriented(tau, orientation, sp.rank1)
-    X, _ = _oriented(tau, orientation, sp.entries)
+    X1, _ = _oriented(tau, orientation, sp.rank1)
+    X, side = _oriented(tau, orientation, sp.entries)
+    X1 = X1.reshape(len(X1), m * n)
     shape = _twist_shape(orientation, m, n)
     block = max(1, _TWIST_BLOCK_BYTES // (len(X) * m * m * 8))
     for start in range(0, tries, block):
@@ -335,14 +338,29 @@ def _first_valid_twist(rng, tau: FieldHom, orientation: Orientation,
         state = rng.bit_generator.state
         cands = rng.integers(0, F2.q, size=(size,) + shape).astype(F2.dtype)
         live = np.flatnonzero(cands.any(axis=(1, 2)))
-        for pts in (X1, X):
-            ok, _ = _resolvent(F2, pts, cands[live, None], side, invert=False)
+        traces = _rank1_traces(F2, X1, cands[live])
+        live = live[(traces != F2.neg(1)).all(axis=0)]
+        if len(live):
+            ok, _ = _resolvent(F2, X, cands[live, None], side, invert=False)
             live = live[ok.all(axis=-1)]
         if len(live):
             rng.bit_generator.state = state
             rng.integers(0, F2.q, size=(live[0] + 1,) + shape)
             return cands[live[0]]
     return None
+
+
+def _rank1_traces(F: Field, X1, L):
+    """(N, B) traces tr(X L) of the flat (N, mn) stack X1 of rank-1 points,
+    oriented as ``_oriented`` gives them, against a (B, ., .) stack of
+    twists: one product of the points with the flat transposed twists.
+
+    At a rank-1 X the determinant lemma gives det(I + X L) = det(I + L X)
+    = 1 + tr(X L) on either side, so a denominator is singular exactly
+    where its trace is -1.
+    """
+    flat = np.swapaxes(L, 1, 2).reshape(len(L), X1.shape[1])
+    return _bulk.matmul(F, X1, flat.T)
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,10 @@ def _verified_fit(F: Field, tau: FieldHom, xs, table, sol):
     """The first point of the solution coset sol (x0 alone when the coset
     is too large to scan) whose map reproduces the table, or None.
 
+    The candidates are checked together: their denominators k as one
+    (N, C) product, and, for those whose k never vanishes, k(x) g(x) =
+    x^tau P as one stack of numerators against the table.
+
     The scan stays for GF(2) sources, where x^tau has 0/1 entries and the
     degree-2 terms of k(x) g(x) = x^tau P no longer pin the solution: the
     table [[0],[7],[6],[0],[6],[0],[0],[7]] of GF(2)^3 -> GF(8) has x0 =
@@ -148,15 +152,18 @@ def _verified_fit(F: Field, tau: FieldHom, xs, table, sol):
     else:
         coeffs = _bulk.decode(F, np.arange(F.q ** len(basis)), 1, len(basis))[:, 0, :]
         candidates = F.vadd(x0[None], _bulk.matmul(F, coeffs.astype(np.int64), basis))
-    for u in candidates:
-        wsa = WeightedSemiAffine(tau, Mat(F, u[n:].reshape(n, n2)),
-                                 tuple(int(t) for t in u[:n]), 1)
-        if np.any(wsa.k_values(xs) == 0):
-            continue
-        if np.array_equal(np.asarray(wsa.evaluate(xs), dtype=np.int64),
-                          table.astype(np.int64)):
-            return wsa
-    return None
+    xt = tau.vapply(xs).astype(np.int64)
+    k = F.vadd(_bulk.matmul(F, xt, candidates[:, :n].T), np.int64(1))  # (N, C)
+    good = np.flatnonzero(k.all(axis=0))
+    P = candidates[good, n:].reshape(len(good), n, n2)
+    num = _bulk.matmul(F, xt, P)  # (C', N, n2): x^tau P
+    lhs = F.vmul(k[:, good].T[..., None], table.astype(np.int64))  # k(x) g(x)
+    fits = good[(lhs == num).all(axis=(1, 2))]
+    if len(fits) == 0:
+        return None
+    u = candidates[fits[0]]
+    return WeightedSemiAffine(tau, Mat(F, u[n:].reshape(n, n2)),
+                              tuple(int(t) for t in u[:n]), 1)
 
 
 # ---------------------------------------------------------------------------

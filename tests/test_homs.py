@@ -210,24 +210,73 @@ def test_a_zero_twist_keeps_the_identity_sweep_and_copies_the_table():
 
 
 @pytest.mark.parametrize("orientation", list(Orientation))
-def test_twist_search_takes_two_determinants_per_block_and_no_inverse(orientation,
-                                                                      monkeypatch):
+def test_twist_search_takes_one_determinant_per_block_and_no_inverse(orientation,
+                                                                     monkeypatch):
     calls = _stack_det_counts(monkeypatch)
     monkeypatch.setattr(_bulk, "_adjugate", _no_call("_adjugate"))
     monkeypatch.setattr(_bulk, "inverse", _no_call("inverse"))
-    points, rank1 = len(space(F4, 2, 2).entries), len(space(F4, 2, 2).rank1)
+    points = len(space(F4, 2, 2).entries)
     block = homs._TWIST_BLOCK_BYTES // (points * 2 * 2 * 8)
     blocks = -(-400 // block)
     rng = np.random.default_rng(4)
+    stacks = 0
     for _ in range(10):
         calls.clear()
         homs._first_valid_twist(rng, EMB_4_16, orientation, 2, 2, 400)
-        # the rank-1 filter, then the whole space for its survivors
-        assert 0 < len(calls) <= 2 * blocks
+        # the rank-1 points take a trace product, only the whole space a
+        # determinant stack
+        assert len(calls) <= blocks
         assert all(count == 1 for _, count in calls)
-        pairs = len(calls) // 2
-        assert [shape[1:] for shape, _ in calls] == [(rank1, 2, 2), (points, 2, 2)] * pairs
-        assert all(shape[0] <= block for shape, _ in calls)
+        assert all(shape[0] <= block and shape[1:] == (points, 2, 2)
+                   for shape, _ in calls)
+        stacks += len(calls)
+    assert stacks
+
+
+_TRACE_CASES = [
+    (3, 1, 2, 2, 2),   # GF(3) 2x2 -> GF(9)
+    (3, 1, 2, 3, 2),   # GF(3) 2x3 -> GF(9)
+    (2, 2, 2, 2, 4),   # GF(4) 2x2 -> GF(16)
+    (2, 2, 3, 2, 4),   # GF(4) 3x2 -> GF(16)
+    (5, 1, 2, 2, 2),   # GF(5) 2x2 -> GF(25)
+    (2, 1, 5, 1, 2),   # GF(2) 5x1 -> GF(4)
+]
+
+
+@pytest.mark.parametrize("case", _TRACE_CASES,
+                         ids=["3-9", "3-9-2x3", "4-16", "4-16-3x2", "5-25", "2-4-5x1"])
+def test_rank1_traces_agree_with_the_determinant_oracle(case):
+    # det(I + X L) = 1 + tr(X L) at rank-1 X, entry by entry, and the mask
+    # of traces other than -1 is the denominators' invertibility mask, on
+    # every tau and both orientations
+    p, k, m, n, k2 = case
+    src, dst = make_field(p, k), make_field(p, k2)
+    rng = np.random.default_rng(p * 100 + m * 10 + n)
+    rank1 = space(src, m, n).rank1
+    singular = 0
+    for tau in enumerate_homs(src, dst):
+        for orientation in Orientation:
+            X1, side = homs._oriented(tau, orientation, rank1)
+            flat = X1.reshape(len(X1), m * n)
+            shape = homs._twist_shape(orientation, m, n)
+            cands = rng.integers(0, dst.q, size=(64,) + shape).astype(dst.dtype)
+            cands[:3] = 0  # zero twists keep every denominator I
+            cands[3] = np.eye(*shape, dtype=dst.dtype) * dst.neg(1)
+            traces = homs._rank1_traces(dst, flat, cands)
+            assert traces.shape == (len(X1), 64)
+            L = cands[:, None]
+            left = side is TwistSide.LEFT
+            prod = _bulk.matmul(dst, X1, L) if left else _bulk.matmul(dst, L, X1)
+            G = dst.vadd(_bulk.identity(dst, prod.shape[-1]), prod)
+            assert np.array_equal(dst.vadd(traces, 1), _bulk.det(dst, G).T)
+            ok, _ = homs._resolvent(dst, X1, L, side, invert=False)
+            mask = (traces != dst.neg(1)).all(axis=0)
+            assert np.array_equal(mask, ok.all(axis=-1))
+            assert mask[:3].all() and not mask[3]
+            singular += int((~mask).sum())
+            # a block whose candidates are all zero leaves none to check
+            assert homs._rank1_traces(dst, flat, cands[:0]).shape == (len(X1), 0)
+    assert singular
 
 
 def _per_candidate_params(rng, src, m, n, dst, m2, n2, orientation, tries):

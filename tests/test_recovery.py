@@ -470,6 +470,37 @@ def test_stacked_fits_recover_the_parameters_of_the_one_system_fits(src, shape, 
             assert np.array_equal(g.a, w.a)
 
 
+@pytest.mark.parametrize("k2", [2, 3, 4])
+def test_the_coset_check_keeps_the_first_fitting_candidate(k2):
+    # GF(2) sources leave a solution coset of several candidates; the
+    # batched check returns the one the candidate-by-candidate loop returns
+    src, dst = F2, make_field(2, k2)
+    rng = np.random.default_rng(dst.q)
+    scanned = 0
+    for trial in range(60):
+        n, n2 = 1 + trial % 3, 1 + trial % 2
+        xs = row_points(src, n)
+        tau = enumerate_homs(src, dst)[0]
+        wsa = WeightedSemiAffine(tau, Mat(dst, rng.integers(dst.q, size=(n, n2))),
+                                 tuple(int(c) for c in rng.integers(dst.q, size=n)), 1)
+        if np.any(wsa.k_values(xs) == 0):
+            continue
+        table = wsa.evaluate(xs)
+        if trial % 5 == 4:
+            table = table.copy()
+            table[-1] = dst.vadd(table[-1], 1)  # off every fit
+        A, b = recovery._fit_system(dst, tau.vapply(xs).astype(np.int64), table)
+        sol = _bulk.solve_affine(dst, A, b)
+        scanned += sol is not None and len(sol[1]) > 0
+        got = recovery._verified_fit(dst, tau, xs, table, sol)
+        want = one_fit(src, dst, table, tau)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert (got.a, got.b) == (want.a, want.b)
+            assert np.array_equal(got.P.a, want.P.a)
+    assert scanned
+
+
 def test_fit_semiaffine_stacks_every_tau_and_keeps_the_first_fit():
     # over GF(16) from GF(4) there are two taus: the stack returns the fit
     # the tau-by-tau loop would, or NoFit where that loop finds none

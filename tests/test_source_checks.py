@@ -13,9 +13,9 @@ import pytest
 
 import numpy as np
 
-from bfgeo import _bulk, cliques, recovery, verify
-from bfgeo.fields import Field, make_field
-from bfgeo.homs import random_valid_params, standard_table
+from bfgeo import _bulk, cliques, homs, recovery, verify
+from bfgeo.fields import Field, enumerate_homs, make_field
+from bfgeo.homs import Orientation, random_valid_params, standard_table
 from bfgeo.matrices import MatrixSpace, space
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -196,6 +196,33 @@ def test_recovery_solves_at_most_three_stacks_per_twist_fit(monkeypatch):
         tbl = standard_table(random_valid_params(rng, F4, m, n, F16, 3, 3))
         assert recovery.recover_standard(tbl).residual_checked
     assert per_fit and max(per_fit) <= 3
+
+
+def test_the_twist_search_takes_no_determinant_on_rank1_points(monkeypatch):
+    # each block of candidate twists once took a determinant stack on the
+    # rank-1 points before the one on the whole space; at rank-1 X,
+    # det(I + X L) = 1 + tr(X L) leaves that stage a trace product
+    dets = counting(monkeypatch, _bulk, "det")
+    resolvents = counting(monkeypatch, homs, "_resolvent")
+    block, tries, stacks = 16, 400, 0
+    for p, k, m, n, k2 in ((2, 2, 2, 2, 4), (3, 1, 2, 3, 2), (2, 1, 5, 1, 2)):
+        src, dst = make_field(p, k), make_field(p, k2)
+        sp = space(src, m, n)
+        points, rank1 = len(sp.entries), len(sp.rank1)
+        monkeypatch.setattr(homs, "_TWIST_BLOCK_BYTES", block * points * m * m * 8)
+        for tau in enumerate_homs(src, dst):
+            for orientation in Orientation:
+                for seed in range(3):
+                    dets.clear()
+                    resolvents.clear()
+                    homs._first_valid_twist(np.random.default_rng(seed), tau,
+                                            orientation, m, n, tries)
+                    assert len(dets) <= len(resolvents) <= -(-tries // block)
+                    shapes = [np.shape(args[1]) for args in resolvents + dets]
+                    assert all(s[-3] == points != rank1 for s in shapes)
+                    assert all(np.shape(args[2])[0] <= block for args in resolvents)
+                    stacks += len(dets)
+    assert stacks
 
 
 # numpy's array % divides element by element and branches on the sign,
