@@ -136,9 +136,14 @@ def cmd_space_sweep(args):
 
 
 def cmd_exists_grid(args):
-    report = RunReport("exists", {"grid": "default"})
-    info = verify.existence_grid_check(verify_witnesses=not args.no_witnesses,
-                                       max_domain=args.max_domain)
+    """The default grid; its params name --no-witnesses and --max-domain
+    only when given, so the plain run's report keeps its bytes."""
+    report, kw = RunReport("exists", {"grid": "default"}), {}
+    if args.no_witnesses:
+        report.params["no_witnesses"] = 1
+    if args.max_domain is not None:
+        report.params["max_domain"] = kw["max_domain"] = args.max_domain
+    info = verify.existence_grid_check(verify_witnesses=not args.no_witnesses, **kw)
     report.params["results"] = ";".join(info.pop("results"))
     return _verdict_from(info, report)
 
@@ -175,6 +180,8 @@ def cmd_witness_hom(args):
 
 def cmd_hom_verify(args):
     f, report = _map_table(args, seed=args.seed)
+    if args.sample:
+        report.params["sample"] = args.sample
     mode = "sampled" if args.sample else "exhaustive"
     ok, w = is_graph_hom(f, mode=mode, samples=args.sample or 0, seed=args.seed)
     report.counts.update(is_hom=int(ok), is_colouring=int(is_colouring(f)))
@@ -272,6 +279,8 @@ def cmd_lemma_check(args):
     info = check(E, hom, args.m, args.n, args.k, *extra, a_sample=args.sample,
                  seed=args.seed, workers=_workers(args))
     report.params.update(info["params"], sampled=int(info["params"]["sampled"]))
+    if args.sample:
+        report.params["sample"] = args.sample
     report.counts = {"strata_checked": info["strata_checked"],
                      "vacuous": len(info["vacuous"]), **info["branch_counts"]}
     if info["counterexamples"]:
@@ -380,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-witnesses", action="store_true")
     p.add_argument("--certificate", action="store_true",
                    help="pigeonhole-certify a negative answer")
-    p.add_argument("--max-domain", type=_count(1), default=1 << 16)
+    p.add_argument("--max-domain", type=_count(1))
 
     add("witness-hom", ("src", "dst", "table-out"), (None, ("src", "dst"), cmd_witness_hom))
 

@@ -19,7 +19,7 @@ from . import _bulk
 from .errors import (Disjoint, NotAdjacent, NotAdjacentSet, NotMaximal, ShapeMismatch,
                      TheoremViolated, WrongKinds, ZeroNotMember)
 from .fields import Field, _check_indices
-from .matrices import Mat, adjacent, bounded_power, check_codes, space
+from .matrices import Mat, _row_blocks, adjacent, bounded_power, check_codes, space
 
 
 class Kind(enum.Enum):
@@ -134,15 +134,6 @@ class VertexSet:
         self.m = m
         self.n = n
         self.codes = check_codes(field, m, n, np.unique(np.asarray(codes, dtype=np.int64)))
-
-    @staticmethod
-    def from_mats(mats) -> "VertexSet":
-        mats = list(mats)
-        if not mats:
-            raise ValueError("empty vertex set has no shape")
-        first = mats[0]
-        return VertexSet(first.field, first.m, first.n,
-                         [M.encode() for M in mats])
 
     @staticmethod
     def from_entries(field: Field, entries) -> "VertexSet":
@@ -292,15 +283,14 @@ def _first_torn_pair(field: Field, pts, stop=None):
     not adjacent, scanning rows i < stop (all by default); None if none is.
     A block of rows at a time keeps each difference stack within
     _CLIQUE_BLOCK_BYTES."""
-    stop = len(pts) if stop is None else stop
-    step = max(1, _CLIQUE_BLOCK_BYTES // (pts.size * 8))
-    for a in range(0, stop, step):
-        rows = np.arange(a, min(a + step, stop))
+    for block in _row_blocks(len(pts) if stop is None else stop, pts.size * 8,
+                             _CLIQUE_BLOCK_BYTES):
+        rows = np.arange(block.start, block.stop)
         D = field.vsub(pts[None, :], pts[rows, None])
         torn = ~_bulk.adjacent_mask(field, D) & (np.arange(len(pts)) > rows[:, None])
         if torn.any():
             i, j = np.unravel_index(np.argmax(torn), torn.shape)
-            return a + int(i), int(j)
+            return block.start + int(i), int(j)
     return None
 
 

@@ -240,14 +240,8 @@ class Field:
 
     # -- scalar API -----------------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        return int(self.vadd(a, b))
-
     def neg(self, a: int) -> int:
         return int(self.neg_table[a])
-
-    def sub(self, a: int, b: int) -> int:
-        return int(self.vsub(a, b))
 
     def mul(self, a: int, b: int) -> int:
         return int(self.vmul(a, b))
@@ -307,21 +301,6 @@ class Field:
         b = np.asarray(b)
         out = self._exp[_mod(self._log[a].astype(np.int64) + self._log[b], self.q - 1)]
         return np.where((a == 0) | (b == 0), 0, out)
-
-    # -- encoding and iteration --------------------------------------------------
-
-    def coeffs(self, a: int):
-        """Coefficient vector (c_0, ..., c_{k-1}) of element ``a``."""
-        return tuple(int(c) for c in self._digits[a])
-
-    def element(self, coeffs) -> int:
-        coeffs = list(coeffs)
-        if len(coeffs) != self.k or any(not 0 <= c < self.p for c in coeffs):
-            raise ValueError(f"need {self.k} coefficients in [0, {self.p})")
-        return int(sum(c * self.p**i for i, c in enumerate(coeffs)))
-
-    def elements(self) -> range:
-        return range(self.q)
 
     @property
     def dtype(self):

@@ -16,7 +16,6 @@ documented extra branch Y = 0 on the top stratum with k = 2.
 from __future__ import annotations
 
 import enum
-import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -25,7 +24,7 @@ import numpy as np
 from . import _bulk
 from .errors import PreconditionViolated, ShapeMismatch, TheoremViolated
 from .fields import Field, FieldHom
-from .matrices import Mat, space
+from .matrices import Mat, _row_blocks, space
 
 
 class Side(enum.Enum):
@@ -81,20 +80,13 @@ def embed_graph_point(X: Mat) -> Flat:
 # strata of matrices by nonzero-row count and rank
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=8)
-def _strata_keys(field: Field, m: int, n: int, axis: str):
-    """(rank, nonzero row or column count) of every m x n matrix, in code
-    order; a sweep takes two strata of one space from a single rank pass."""
-    entries = space(field, m, n).entries
-    return (_bulk.rank(field, entries),
-            entries.any(axis=2 if axis == "row" else 1).sum(axis=1))
-
-
 def stratum(field: Field, m: int, n: int, k: int, r: int, axis: str) -> np.ndarray:
     """All m x n matrices of rank r with exactly k nonzero rows ("row") or
-    columns ("col"), in code order."""
-    ranks, nonzero = _strata_keys(field, m, n, axis)
-    return space(field, m, n).entries[(ranks == r) & (nonzero == k)]
+    columns ("col"), in code order: the ranks are the space's cached
+    ``MatrixSpace.ranks``, so a sweep's two strata share one rank pass."""
+    sp = space(field, m, n)
+    nonzero = sp.entries.any(axis=2 if axis == "row" else 1).sum(axis=1)
+    return sp.entries[(sp.ranks == r) & (nonzero == k)]
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +213,8 @@ def _codes_of_products(field: Field, xs, mats):
     """out[i, x]: the code of xs[x] mats[i], a chunk of mats at a time (the
     product's temporaries and encode's int64 copy within _CHUNK)."""
     out = np.empty((len(mats), len(xs)), dtype=np.int64)
-    step = max(1, _CHUNK // (32 * mats[0].size * len(xs)))
-    for lo in range(0, len(mats), step):
-        out[lo:lo + step] = _bulk.encode(field, _bulk.matmul(
-            field, xs[None], mats[lo:lo + step, None]))
+    for run in _row_blocks(len(mats), 32 * mats[0].size * len(xs), _CHUNK):
+        out[run] = _bulk.encode(field, _bulk.matmul(field, xs[None], mats[run, None]))
     return out
 
 
@@ -276,8 +266,7 @@ def _check_block(field: Field, xs, nbrs, block, m: int, n: int, top: bool, k: in
     pair_keys, pair_of = np.unique((np.repeat(first, sizes) * len(union) + member)[further],
                                    return_inverse=True)
     b1, bt = np.divmod(pair_keys, len(union))
-    step = max(1, _CHUNK // (64 * NX))  # code_sub takes several int64 temporaries
-    runs = [slice(lo, lo + step) for lo in range(0, len(pair_keys), step)]
+    runs = _row_blocks(len(pair_keys), 64 * NX, _CHUNK)  # code_sub takes int64 temporaries
 
     def diffs(run):
         return sp_y.code_sub(XB[bt[run]], XB[b1[run]])
@@ -293,10 +282,8 @@ def _check_block(field: Field, xs, nbrs, block, m: int, n: int, top: bool, k: in
     r1mask = np.zeros(sp_y.count, dtype=bool)
     r1mask[r1codes] = True
     W = np.empty((len(dcodes), words), dtype="<u8")
-    step = max(1, _CHUNK // K)
-    for lo in range(0, len(dcodes), step):
-        W[lo:lo + step] = _pack_bits(r1mask[sp_y.code_sub(
-            r1codes, dcodes[lo:lo + step, None])], words)
+    for run in _row_blocks(len(dcodes), K, _CHUNK):
+        W[run] = _pack_bits(r1mask[sp_y.code_sub(r1codes, dcodes[run, None])], words)
 
     # only full-rank (X | Y) are flats: every j for X invertible, else the
     # (col X, j) table row
@@ -425,9 +412,8 @@ def _run_rigidity(ctxE: Field, homEtoD: FieldHom, m: int, n: int, k: int,
 
     vacuous = []
     jobs = []  # (A, pencil): the indices in nbrs of A's unit perturbations
-    step = max(1, _CHUNK // (8 * m * n * max(1, len(nbrs))))
-    for lo in range(0, len(centers), step):
-        chunk = centers[lo:lo + step]
+    for run in _row_blocks(len(centers), 8 * m * n * max(1, len(nbrs)), _CHUNK):
+        chunk = centers[run]
         adjacent = _bulk.adjacent_mask(D, D.vsub(nbrs[None], chunk[:, None]))
         for A, row in zip(chunk, adjacent):
             pencil = np.flatnonzero(row)

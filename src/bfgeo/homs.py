@@ -21,7 +21,7 @@ from .errors import (InvalidParams, InvalidXi, NoHomExists, NotHom,
                      ShapeMismatch, Singular, SingularTwist, TheoremViolated)
 from .fields import (Field, FieldHom, _check_indices, enumerate_homs, field_from_order,
                      make_field)
-from .matrices import (Mat, bounded, bounded_power, random_invertible, space,
+from .matrices import (Mat, _row_blocks, bounded, bounded_power, random_invertible, space,
                        table_budget)
 
 # hom_exists' powers q^max(m,n): 2^(2^20), far above 65536^4096 = 2^65536,
@@ -332,9 +332,8 @@ def _first_valid_twist(rng, tau: FieldHom, orientation: Orientation,
     X, side = _oriented(tau, orientation, sp.entries)
     X1 = X1.reshape(len(X1), m * n)
     shape = _twist_shape(orientation, m, n)
-    block = max(1, _TWIST_BLOCK_BYTES // (len(X) * m * m * 8))
-    for start in range(0, tries, block):
-        size = min(block, tries - start)
+    for block in _row_blocks(tries, len(X) * m * m * 8, _TWIST_BLOCK_BYTES):
+        size = block.stop - block.start
         state = rng.bit_generator.state
         cands = rng.integers(0, F2.q, size=(size,) + shape).astype(F2.dtype)
         live = np.flatnonzero(cands.any(axis=(1, 2)))
@@ -432,11 +431,10 @@ class _CliqueSummary:
 def _summarise_cliques(F2: Field, img, rows) -> _CliqueSummary:
     """The clique test on every clique, a row of members (ascending, base
     first) each, a block of ``cliques._CLIQUE_BLOCK_BYTES`` at a time."""
-    size, entries = rows.shape[1], img[0].size
-    block = max(1, cliques._CLIQUE_BLOCK_BYTES // (size * entries * 8))
     parts = []
-    for start in range(0, len(rows), block):
-        members = rows[start:start + block]
+    for block in _row_blocks(len(rows), rows.shape[1] * img[0].size * 8,
+                             cliques._CLIQUE_BLOCK_BYTES):
+        members = rows[block]
         parts.append(_clique_test(F2, F2.vsub(img[members[:, 1:]], img[members[:, :1]])))
     return _CliqueSummary(*(np.concatenate(a) for a in zip(*parts)))
 
@@ -509,9 +507,8 @@ def is_degenerate(f: MapTable):
     stop = int(np.argmax(covered)) if covered.any() else len(ball0)
     pick = (ball0[stop], u[:, stop], v[:, stop]) if stop < len(ball0) else None
     todo = ball0[:stop][scan[:stop]]
-    block = max(1, _DEGENERACY_BLOCK_BYTES // (len(ball0) * f.m2 * f.n2 * 8))
-    for start in range(0, len(todo), block):
-        centers = todo[start:start + block]
+    for block in _row_blocks(len(todo), len(ball0) * f.m2 * f.n2 * 8, _DEGENERACY_BLOCK_BYTES):
+        centers = todo[block]
         torn, covered, u, v = _ball_hits(f, ball0, centers)
         hit = torn.any(axis=1) | covered
         if hit.any():
@@ -519,17 +516,12 @@ def is_degenerate(f: MapTable):
             if torn[b].any():
                 X = sp.code_add(ball0[np.argmax(torn[b])], centers[b])
                 raise NotHom("ball image tears: not a graph homomorphism",
-                             witness=(_decode(f, X), _decode(f, centers[b])))
+                             witness=(sp.mat(X), sp.mat(centers[b])))
             pick = (centers[b], u[:, b], v[:, b])
             break
     verdict = (False, None) if pick is None else _cover_verdict(f, ball0, *pick)
     f._verdicts["is_degenerate"] = verdict
     return verdict
-
-
-def _decode(f: MapTable, code) -> Mat:
-    """The source matrix with this code."""
-    return Mat.decode(f.src_field, int(code), f.m, f.n)
 
 
 def _ball_hits(f: MapTable, ball0, centers):
@@ -602,7 +594,7 @@ def _cover_verdict(f: MapTable, ball0, center, u, v):
     ball = f.images[f.src_space().code_add(ball0, center)]
     if not (M.contains_batch(ball) | N.contains_batch(ball)).all():
         raise TheoremViolated("the ball image leaves its two-clique cover")
-    return True, (_decode(f, center), M, N)
+    return True, (f.src_space().mat(center), M, N)
 
 
 # ---------------------------------------------------------------------------

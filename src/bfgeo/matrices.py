@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _bulk
 from .errors import DomainTooLarge, ShapeMismatch, Singular
-from .fields import Field, FieldHom, _check_indices, _mod
+from .fields import Field, _check_indices, _mod
 
 SPACE_LIMIT = 1 << 20
 # entries of one map table's image stack, q^(m*n) * m' * n', and of its
@@ -127,25 +127,7 @@ class Mat:
         except ZeroDivisionError:
             raise Singular("matrix has no inverse") from None
 
-    def apply_hom(self, h: FieldHom) -> "Mat":
-        """Entrywise image under a field homomorphism."""
-        if h.src != self.field:
-            raise ShapeMismatch("homomorphism source disagrees with the field")
-        return Mat(h.dst, h.vapply(self.a))
-
     # -- blocks ---------------------------------------------------------------
-
-    def embed(self, m: int, n: int, at=(0, 0)) -> "Mat":
-        """Place this matrix as a block inside an m x n zero matrix."""
-        i, j = at
-        if i + self.m > m or j + self.n > n:
-            raise ShapeMismatch("block does not fit")
-        a = np.zeros((m, n), dtype=self.field.dtype)
-        a[i:i + self.m, j:j + self.n] = self.a
-        return Mat(self.field, a)
-
-    def block(self, rows, cols) -> "Mat":
-        return Mat(self.field, self.a[np.ix_(rows, cols)])
 
     @staticmethod
     def hstack(left: "Mat", right: "Mat") -> "Mat":
@@ -241,6 +223,14 @@ def bounded_power(q: int, e: int, label: str, limit: int = SPACE_LIMIT,
     return bounded(limit + 1 if past else q ** e, f"{label} = {q}^{e}", limit, bound)
 
 
+def _row_blocks(rows: int, row_bytes: int, budget: int):
+    """Slices of range(rows), each block within budget bytes at row_bytes a
+    row (one row at least), the last one clipped to rows: the one place a
+    byte budget becomes blocks of rows."""
+    step = max(1, budget // row_bytes)
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
 def space_size(q: int, m: int, n: int) -> int:
     """q^(m*n), or DomainTooLarge past SPACE_LIMIT."""
     return bounded_power(q, m * n, "q^(m*n)")
@@ -280,6 +270,14 @@ class MatrixSpace:
     def entries(self):
         """(count, m, n) array of every matrix, in code order."""
         return _bulk.decode(self.field, np.arange(self.count), self.m, self.n)
+
+    @functools.cached_property
+    def ranks(self):
+        """(count,) int8 rank of every matrix, in code order, read-only: the
+        one rank pass over a whole space."""
+        ranks = _bulk.rank(self.field, self.entries).astype(np.int8)
+        ranks.setflags(write=False)
+        return ranks
 
     @functools.cached_property
     def monic_cols(self):
@@ -441,9 +439,6 @@ class MatrixSpace:
             w *= len(add)
         return out + w * add[c1, neg[c2] if negate else c2].astype(np.int64)
 
-    def random_mat(self, rng) -> Mat:
-        return self.mat(int(rng.integers(self.count)))
-
 
 def _monic_vectors(field: Field, length: int):
     """Vectors of the given length whose first nonzero entry is 1, in code order."""
@@ -486,13 +481,13 @@ def bfs_distances(A: Mat):
     """
     sp = space(A.field, A.m, A.n)
     perms = sp.neighbor_perms
-    chunk = max(1, _BFS_BLOCK_BYTES // sp.count)
+    chunks = _row_blocks(len(perms), sp.count, _BFS_BLOCK_BYTES)
     dist = np.full(sp.count, -1, dtype=np.int8)
     dist[A.encode()] = 0
     for level in range(1, min(A.m, A.n) + 2):
         front, nxt = dist == level - 1, np.zeros(sp.count, dtype=bool)
-        for lo in range(0, len(perms), chunk):
-            nxt |= front[perms[lo:lo + chunk]].any(axis=0)
+        for rows in chunks:
+            nxt |= front[perms[rows]].any(axis=0)
         nxt &= dist < 0
         if not nxt.any():
             break

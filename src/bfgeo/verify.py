@@ -18,7 +18,7 @@ from .homs import (MapTable, Orientation, TwistSide, _resolvent, build_witness_h
                    hom_exists, is_colouring, is_degenerate, is_graph_hom,
                    moebius_twist, proper_coloring, random_valid_params,
                    standard_table, validate_params)
-from .matrices import (TABLE_LIMIT, Mat, bfs_distances, bounded, bounded_power,
+from .matrices import (TABLE_LIMIT, Mat, _row_blocks, bfs_distances, bounded, bounded_power,
                        count_rank_matrices, space, space_size)
 from .recovery import _dim_bound_holds, recover_standard
 
@@ -26,35 +26,35 @@ from .recovery import _dim_bound_holds, recover_standard
 _PAIR_BLOCK_BYTES = 4 << 20
 
 
-def _row_blocks(rows: int, row_bytes: int):
-    """Slices of rows, each block within _PAIR_BLOCK_BYTES at row_bytes a row."""
-    step = max(1, _PAIR_BLOCK_BYTES // row_bytes)
-    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+def _pair_codes(field: Field, A, B, subtract: bool = False):
+    """Row blocks (rows, codes) of the (len(A), len(B)) int64 codes of
+    A_i + B_j, or A_i - B_j when subtract is set, for flat (N, mn) stacks A
+    and B of one space's matrices, rows a slice of A.
+
+    A code is built one entry position t at a time, code * q + digit, the
+    digit read from a (q, len(B)) table of x + B_j[t] (x - B_j[t]) at row
+    x = A_i[t]: field arithmetic only, no code arithmetic, which the BFS
+    uses.  Each block keeps its int64 codes under ``_PAIR_BLOCK_BYTES``."""
+    op, values = field.vsub if subtract else field.vadd, np.arange(field.q)[:, None]
+    for rows in _row_blocks(len(A), 8 * len(B), _PAIR_BLOCK_BYTES):
+        codes = np.zeros((rows.stop - rows.start, len(B)), dtype=np.int64)
+        for t in range(A.shape[1]):
+            codes *= field.q
+            codes += op(values, B[:, t])[A[rows, t]]
+        yield rows, codes
 
 
 def _pairwise_ranks(field: Field, entries):
     """(count, count) int8 array of rank(E_a - E_b) over a stack of
     matrices of one space; DomainTooLarge, before anything is allocated,
-    past SPACE_LIMIT pairs.
-
-    Each point of the space is ranked once by rref, and a pair reads the
-    rank of its difference at that difference's code.  The code is built
-    one entry position t at a time, code * q + (E_a - E_b)[t], the digit
-    read from a (q, count) table of field differences x - E_b[t] at row
-    x = E_a[t]: no code arithmetic, which the BFS uses, is involved.  Row
-    blocks keep the int64 codes under ``_PAIR_BLOCK_BYTES``."""
+    past SPACE_LIMIT pairs.  A pair reads ``MatrixSpace.ranks`` at the
+    code of its difference, from ``_pair_codes``."""
     count, m, n = entries.shape
     bounded_power(count, 2, "matrix pairs")
-    ranks = _bulk.rank(field, space(field, m, n).entries).astype(np.int8)
-    flat = entries.reshape(count, m * n)
-    values = np.arange(field.q)[:, None]
+    ranks, flat = space(field, m, n).ranks, entries.reshape(count, m * n)
     out = np.empty((count, count), dtype=np.int8)
-    for rows in _row_blocks(count, 8 * count):
-        code = np.zeros((len(flat[rows]), count), dtype=np.int64)
-        for t in range(m * n):
-            code *= field.q
-            code += field.vsub(values, flat[:, t])[flat[rows, t]]
-        out[rows] = ranks[code]
+    for rows, codes in _pair_codes(field, flat, flat, subtract=True):
+        out[rows] = ranks[codes]
     return out
 
 
@@ -68,23 +68,24 @@ def distance_theorem_check(field: Field, m: int, n: int) -> dict:
     two checks on the BFS's own neighbour table prove d(A, B) = d(0, B - A)
     = rank(B - A) for all pairs:
     (a) row r of ``neighbor_perms`` is code(X + R_r) at every X, the right
-        side from ``entries`` and ``_bulk.encode``, not the code arithmetic
-        that built the table; a bad row is one witness, with its first bad
-        code and its number of bad codes;
-    (b) one BFS from 0 equals the rank of every point; a failure at b is
-        the witness "0:b".
+        side built digit-wise by ``_pair_codes``, not by the code
+        arithmetic that built the table; a bad row is one witness, with its
+        first bad code and its number of bad codes;
+    (b) one BFS from 0 equals ``MatrixSpace.ranks``; a failure at b is the
+        witness "0:b".
     Level 1 of (b) is the negated increments, which (b) pins to R_1, so the
     edges are count * |level 1| / 2.  DomainTooLarge past TABLE_LIMIT
     table entries, before anything is ranked."""
     sp = space(field, m, n)
     perms = sp.neighbor_perms
     mismatches = []
-    for rows in _row_blocks(len(perms), 8 * sp.count * m * n):
-        bad = perms[rows] != _bulk.encode(field, field.vadd(sp.entries, sp.rank1[rows, None]))
+    for rows, codes in _pair_codes(field, sp.rank1.reshape(len(sp.rank1), m * n),
+                                   sp.entries.reshape(sp.count, m * n)):
+        bad = perms[rows] != codes
         mismatches += [f"row {r + rows.start}: code {int(np.argmax(bad[r]))}, "
                        f"{int(bad[r].sum())} bad" for r in np.flatnonzero(bad.any(axis=1))]
     dist = bfs_distances(Mat.zeros(field, m, n))
-    mismatches += [f"0:{int(b)}" for b in np.flatnonzero(dist != _bulk.rank(field, sp.entries))]
+    mismatches += [f"0:{int(b)}" for b in np.flatnonzero(dist != sp.ranks)]
     edges = sp.count * int((dist == 1).sum()) // 2
     if edges != (want := sp.count * count_rank_matrices(field, m, n, 1) // 2):
         mismatches.append(f"edges {edges}, closed form {want}")
@@ -151,7 +152,7 @@ def clique_structure_check(field: Field, m: int, n: int) -> dict:
     # each edge a < b once; its hosts are the cliques holding both ends
     perms = sp.neighbor_perms
     one_member = member[ones]
-    for rows in _row_blocks(sp.count, 4 * sp.count):
+    for rows in _row_blocks(sp.count, 4 * sp.count, _PAIR_BLOCK_BYTES):
         b = perms[:, rows]
         a = np.broadcast_to(np.arange(sp.count)[rows], b.shape)
         keep = a < b
@@ -164,7 +165,7 @@ def clique_structure_check(field: Field, m: int, n: int) -> dict:
 
     # shared points of clique i with every later j
     later = np.arange(len(codes))
-    for rows in _row_blocks(len(codes), 4 * len(codes)):
+    for rows in _row_blocks(len(codes), 4 * len(codes), _PAIR_BLOCK_BYTES):
         shared = (member[rows] @ member.T).astype(np.int64)
         first = later[rows, None]
         want = np.where(ones[first] == ones, 1, field.q)
@@ -205,7 +206,7 @@ def line_structure_check(field: Field, m: int, n: int) -> dict:
     one_codes, two_codes = sp.maximal_cliques("col"), sp.maximal_cliques("row")
     one_member, two_member = (_membership(c, sp.count) for c in (one_codes, two_codes))
     violations, meet = [], []
-    for rows in _row_blocks(len(one_codes), 4 * len(two_codes)):
+    for rows in _row_blocks(len(one_codes), 4 * len(two_codes), _PAIR_BLOCK_BYTES):
         sizes = one_member[rows] @ two_member.T
         violations += [f"intersection size {int(k)}" for k in sizes[(sizes != 0) & (sizes != q)]]
         i, j = np.nonzero(sizes == q)
@@ -214,7 +215,7 @@ def line_structure_check(field: Field, m: int, n: int) -> dict:
 
     # a pair's q points as an int64 stack, and their differences from the first
     lines = np.empty((len(meet), q), dtype=np.int64)
-    for rows in _row_blocks(len(meet), 8 * 8 * q * m * n):
+    for rows in _row_blocks(len(meet), 8 * 8 * q * m * n, _PAIR_BLOCK_BYTES):
         i, j = meet[rows].T
         held = two_member[j[:, None], one_codes[i]] != 0
         lines[rows] = one_codes[i][held].reshape(-1, q)
@@ -357,7 +358,7 @@ def identity_twist_sweep(field: Field, m: int, n: int) -> dict:
     base = _pairwise_ranks(field, sp.entries)
     f = MapTable.identity(field, m, n)
     valid, violations, singular, witnesses = [], [], [], []
-    for rows in _row_blocks(twists.count, 8 * sp.count * m * m):
+    for rows in _row_blocks(twists.count, 8 * sp.count * m * m, _PAIR_BLOCK_BYTES):
         ok, _ = _resolvent(field, sp.entries[None], twists.entries[rows, None],
                            TwistSide.LEFT, invert=False)
         bad = ~ok.all(axis=1)

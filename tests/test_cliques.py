@@ -111,7 +111,7 @@ def test_maximal_sets_through_random_pairs_are_maximal_cliques():
     rng = np.random.default_rng(2)
     sp = space(F4, 2, 3)
     for _ in range(5):
-        A = sp.random_mat(rng)
+        A = sp.mat(int(rng.integers(sp.count)))
         R = Mat(F4, sp.rank1[rng.integers(len(sp.rank1))])
         B = A + R
         one, two = maximal_sets_through(A, B)
@@ -148,7 +148,7 @@ def test_classify_full_standard_clique():
 
 
 def test_classify_proper_clique_returns_witness():
-    S = VertexSet.from_mats([Mat.zeros(F4, 2, 2), Mat.unit(F4, 2, 2, 0, 0)])
+    S = VertexSet.from_entries(F4, [Mat.zeros(F4, 2, 2).a, Mat.unit(F4, 2, 2, 0, 0).a])
     with pytest.raises(NotMaximal) as exc:
         classify_clique(S)
     w = exc.value.witness
@@ -157,7 +157,7 @@ def test_classify_proper_clique_returns_witness():
 
 
 def test_classify_rejects_non_adjacent_sets():
-    S = VertexSet.from_mats([Mat.zeros(F4, 2, 2), Mat.identity(F4, 2)])
+    S = VertexSet.from_entries(F4, [Mat.zeros(F4, 2, 2).a, Mat.identity(F4, 2).a])
     with pytest.raises(NotAdjacentSet):
         classify_clique(S)
     with pytest.raises(NotAdjacentSet):
@@ -170,7 +170,7 @@ def test_classify_recovers_transformed_cliques():
     sp = space(F5, 2, 2)
     for _ in range(100):
         P = random_invertible(rng, F5, 2)
-        A = sp.random_mat(rng)
+        A = sp.mat(int(rng.integers(sp.count)))
         # P M1 + A: matrices P [x;0] + A
         pts = []
         for xcode in range(25):
@@ -178,7 +178,7 @@ def test_classify_recovers_transformed_cliques():
             blk = np.zeros((2, 2), dtype=F5.dtype)
             blk[0] = x[0]
             pts.append(P @ Mat(F5, blk) + A)
-        got = classify_clique(VertexSet.from_mats(pts))
+        got = classify_clique(VertexSet.from_entries(F5, [M.a for M in pts]))
         assert got.kind is Kind.ONE
         member_codes = {M.encode() for M in pts}
         got_codes = {int(c) for c in _bulk.encode(F5, got.point_entries())}
@@ -208,7 +208,7 @@ def test_line_equals_intersection_random():
     sp = space(F4, 2, 3)
     hits = 0
     while hits < 5:
-        A = sp.random_mat(rng)
+        A = sp.mat(int(rng.integers(sp.count)))
         R1 = Mat(F4, sp.rank1[rng.integers(len(sp.rank1))])
         R2 = Mat(F4, sp.rank1[rng.integers(len(sp.rank1))])
         one, _ = maximal_sets_through(A, A + R1)
@@ -257,12 +257,12 @@ def test_every_line_sits_in_one_clique_of_each_kind():
 def test_dim_examples():
     M1pts = std_row_clique(F4, 2, 3, 0).points()
     assert dim_adjacent_set(M1pts) == 3
-    S = VertexSet.from_mats([Mat.zeros(F4, 2, 2),
-                             Mat.unit(F4, 2, 2, 0, 0, c=1),
-                             Mat.unit(F4, 2, 2, 0, 0, c=2)])
+    S = VertexSet.from_entries(F4, [Mat.zeros(F4, 2, 2).a,
+                                  Mat.unit(F4, 2, 2, 0, 0, c=1).a,
+                                  Mat.unit(F4, 2, 2, 0, 0, c=2).a])
     assert dim_adjacent_set(S) == 1
     with pytest.raises(ZeroNotMember):
-        dim_adjacent_set(VertexSet.from_mats([Mat.unit(F4, 2, 2, 0, 0)]))
+        dim_adjacent_set(VertexSet.from_entries(F4, [Mat.unit(F4, 2, 2, 0, 0).a]))
     # the entry core drops repeats, as the set's codes do
     pts = S.entries()
     assert dim_adjacent_entries(F4, np.concatenate([pts[::-1], pts[1:]])) == 1
@@ -301,7 +301,7 @@ def test_dim_invariant_under_equivalence():
 def test_unit_ball():
     assert len(unit_ball(Mat.zeros(F4, 2, 2))) == 76
     assert len(unit_ball(Mat.zeros(F2, 2, 2))) == 10
-    A = space(F4, 2, 2).random_mat(np.random.default_rng(0))
+    A = space(F4, 2, 2).mat(int(np.random.default_rng(0).integers(16)))
     assert unit_ball(A).contains(A)
 
 
@@ -535,7 +535,7 @@ def test_classification_and_dimension_match_the_pairwise_oracle(field, m, n, mon
 
 def test_an_adjacent_set_failing_the_clique_test_breaks_loudly(monkeypatch):
     S = std_row_clique(F4, 2, 3, 0).points()
-    far = VertexSet.from_mats([Mat.zeros(F4, 2, 2), Mat.identity(F4, 2)])
+    far = VertexSet.from_entries(F4, [Mat.zeros(F4, 2, 2).a, Mat.identity(F4, 2).a])
 
     def no_pair_scan(field, pts, stop=None):
         raise AssertionError("pairs are scanned only after the clique test fails")

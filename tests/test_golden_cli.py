@@ -152,6 +152,63 @@ def test_golden_report_file_matches_stdout(tables):
     assert (tables / "report.json").read_text() == got
 
 
+# options that never change a report: where it or a table is written, and
+# the worker count, across which every report is byte-identical
+REPORT_NEUTRAL = {"--workers", "--out", "--table-out"}
+# the params key of an option named under another name
+PARAM_KEYS = {"--twist": "L", "--e-field": "E", "--d-field": "D", "--src-field": "src",
+              "--dst-field": "dst"}
+# exists --certificate is named by the counts that only it adds; a params key
+# as well would change the committed report of every certified run
+NAMED_BY_COUNTS = {("exists", "--certificate"): {"pigeonhole_blocks", "source_max_clique",
+                                                 "target_clique_number"}}
+# runs that set the options no golden command sets
+PARAM_RUNS = [
+    ["exists", "--grid", "--no-witnesses"],
+    ["exists", "--grid", "--max-domain", "16"],
+    ["lemma-check", "--which", "4.1", "--e-field", "2,2", "--d-field", "2,2", "-m", "2",
+     "-n", "2", "-k", "2", "--sample", "2", "--seed", "3"],
+    ["recover", "--dim-bound", "10", "--src", "4:2x2", "--dst", "16:3x3", "--seed", "3"],
+]
+
+
+def test_every_option_is_named_in_the_report_params(tables):
+    # hom-verify --sample once left its report's params {"map": ...}, the
+    # params of an exhaustive pass.  Every option of every subcommand is set
+    # by a golden command or a PARAM_RUNS run, or is report-neutral; where
+    # set, it is a params key (--seed: the report's seed), unless its counts
+    # name it
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"} \
+        == {"--workers"}
+    runs = [expand(argv, tables) for argv in COMMANDS.values()] + PARAM_RUNS
+    unset, unnamed = set(), []
+    for name, command in sub.choices.items():
+        options = {o: a.dest for a in command._actions for o in a.option_strings
+                   if o not in ("-h", "--help")}
+        given = {(i, argv[j]) for i, argv in enumerate(runs) if argv[0] == name
+                 for j in range(1, len(argv)) if argv[j] in options}
+        unset |= {(name, o) for o in options
+                  if o not in REPORT_NEUTRAL and o not in {o2 for _, o2 in given}}
+        for i, option in sorted(given):
+            if option in REPORT_NEUTRAL:
+                continue
+            report = json.loads(run(runs[i])[1])
+            if report["verdict"] == "error" and not report["params"]:
+                continue  # main's report of a raised error names no option at all
+            if (name, option) in NAMED_BY_COUNTS:
+                named = NAMED_BY_COUNTS[name, option] <= set(report["counts"])
+            elif option == "--seed":
+                named = report["seed"] == int(runs[i][runs[i].index(option) + 1])
+            else:
+                named = PARAM_KEYS.get(option, options[option]) in report["params"]
+            if not named:
+                unnamed.append((name, option))
+    assert sorted(unset) == []
+    assert unnamed == []
+
+
 def regenerate(directory: Path):
     GOLDEN.mkdir(exist_ok=True)
     write_tables(directory)

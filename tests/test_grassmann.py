@@ -51,7 +51,7 @@ def test_representation_invariance():
             continue
         G = random_invertible(rng, F4, 2)
         assert Flat(F4, rep) == Flat(F4, G @ rep)
-        other = embed_graph_point(space(F4, 2, 2).random_mat(rng))
+        other = embed_graph_point(space(F4, 2, 2).mat(int(rng.integers(16))))
         assert flat_ad(Flat(F4, rep), other) == flat_ad(Flat(F4, G @ rep), other)
 
 
@@ -88,14 +88,14 @@ def test_change_of_representation_block_identity():
     F16 = make_field(2, 4)
     emb = enumerate_homs(F4, F16)[0]
     L = Mat(F16, rng.integers(0, 16, size=(2, 2)).astype(F16.dtype))
-    X = space(F4, 2, 2).random_mat(rng).apply_hom(emb)
+    X = Mat(F16, emb.vapply(space(F4, 2, 2).mat(int(rng.integers(16))).a))
     I2 = Mat.identity(F16, 2)
     G = I2 + X @ L
     M = Mat.vstack(Mat.hstack(-L, I2), Mat.hstack(I2, Mat.zeros(F16, 2, 2)))
     prod = Mat.hstack(X, G) @ M
     assert prod == Mat.hstack(I2, X)
     # and (A1, I) maps to (I - A1 L, A1)
-    A1 = space(F16, 2, 2).random_mat(rng)
+    A1 = space(F16, 2, 2).mat(int(rng.integers(16**4)))
     prod2 = Mat.hstack(A1, I2) @ M
     assert prod2 == Mat.hstack(I2 - A1 @ L, A1)
 

@@ -11,7 +11,7 @@ import pytest
 from bfgeo import _bulk, matrices, verify
 from bfgeo.cliques import _clique_test
 from bfgeo.errors import DomainTooLarge, ShapeMismatch, Singular
-from bfgeo.fields import enumerate_homs, make_field
+from bfgeo.fields import field_from_order, make_field
 from bfgeo.matrices import (Mat, MatrixSpace, adjacent, arithmetic_distance,
                             bfs_distances, count_rank_matrices, graph_distance,
                             random_invertible, space)
@@ -35,7 +35,7 @@ def brute_rank(M: Mat) -> int:
             # parity sign
             inv = sum(1 for x in range(len(perm)) for y in range(x + 1, len(perm))
                       if perm[x] > perm[y])
-            total = F.add(total, prod if inv % 2 == 0 else F.neg(prod))
+            total = int(F.vadd(total, prod if inv % 2 == 0 else F.neg(prod)))
         return total
 
     for r in range(min(M.m, M.n), 0, -1):
@@ -85,7 +85,7 @@ def test_metric_axioms_on_random_triples():
     rng = np.random.default_rng(3)
     sp = space(F5, 2, 2)
     for _ in range(300):
-        A, B, C = (sp.random_mat(rng) for _ in range(3))
+        A, B, C = (sp.mat(int(rng.integers(sp.count))) for _ in range(3))
         assert arithmetic_distance(A, B) == arithmetic_distance(B, A)
         assert (arithmetic_distance(A, B) == 0) == (A == B)
         assert arithmetic_distance(A, B) <= (arithmetic_distance(A, C)
@@ -93,9 +93,9 @@ def test_metric_axioms_on_random_triples():
 
 
 def test_rank_invariant_under_invertible_factors():
-    rng = np.random.default_rng(11)
+    rng, sp = np.random.default_rng(11), space(F4, 2, 3)
     for _ in range(40):
-        A = space(F4, 2, 3).random_mat(rng)
+        A = sp.mat(int(rng.integers(sp.count)))
         P = random_invertible(rng, F4, 2)
         Q = random_invertible(rng, F4, 3)
         assert (P @ A @ Q).rank() == A.rank()
@@ -122,17 +122,6 @@ def test_bulk_rank_and_inverse_take_any_leading_axes():
     assert inv.shape[1] > 1
     prod = _bulk.matmul(F4, inv, _bulk.inverse(F4, inv))
     assert (prod == _bulk.identity(F4, 5)).all()
-
-
-def test_apply_hom_entrywise():
-    ident, frob = enumerate_homs(F4, F4)
-    A = Mat.from_text(F4, "2,1;0,3")
-    assert A.apply_hom(ident) == A
-    assert Mat.zeros(F4, 2, 3).apply_hom(frob) == Mat.zeros(F4, 2, 3)
-    scaled = Mat.unit(F4, 2, 2, 0, 0, c=2)
-    assert scaled.apply_hom(frob) == Mat.unit(F4, 2, 2, 0, 0, c=3)
-    # commutes with transpose
-    assert A.apply_hom(frob).T == A.T.apply_hom(frob)
 
 
 def test_text_encoding_roundtrip():
@@ -308,16 +297,12 @@ def test_distance_check_reports_one_wrong_entry_the_bfs_cannot_see(monkeypatch):
 
 
 def test_distance_check_reports_a_wrong_rank(monkeypatch):
-    F = make_field(3, 1)
-    real = _bulk.rank
-
-    def one_rank_off(field, mats):
-        out = real(field, mats)
-        out[7] += 1
-        return out
-
-    monkeypatch.setattr(_bulk, "rank", one_rank_off)
-    assert verify.distance_theorem_check(F, 2, 2)["mismatches"] == ["0:7"]
+    # the ranks are cached on the space, so one is corrupted on an uncached one
+    sp = MatrixSpace(make_field(3, 1), 2, 2)
+    ranks = sp.ranks.copy()
+    ranks[7] += 1
+    sp.ranks = ranks
+    assert checked_on(sp, monkeypatch)["mismatches"] == ["0:7"]
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (2, 2)])
@@ -346,6 +331,24 @@ def test_distance_check_counts_edges_against_the_closed_form(monkeypatch):
     assert info["mismatches"] == [f"edges {edges}, closed form {81 * 33 // 2}"]
 
 
+@pytest.mark.parametrize("q,m,n", [(3, 2, 2), (4, 2, 2), (5, 2, 2), (8, 1, 3), (9, 2, 1)])
+def test_pair_codes_equal_the_codes_of_the_full_sum_and_difference_stacks(q, m, n, monkeypatch):
+    F = field_from_order(q)
+    ents = space(F, m, n).entries
+    A = ents[np.random.default_rng(q).permutation(len(ents))[:40]]
+    # one block; then blocks of 3 rows of int64 codes, the last one short
+    for budget in (verify._PAIR_BLOCK_BYTES, 3 * 8 * len(ents)):
+        monkeypatch.setattr(verify, "_PAIR_BLOCK_BYTES", budget)
+        for subtract, op in ((False, F.vadd), (True, F.vsub)):
+            blocks = list(verify._pair_codes(F, A.reshape(len(A), -1),
+                                             ents.reshape(len(ents), -1), subtract))
+            rows = [np.arange(len(A))[b] for b, _ in blocks]
+            assert [len(r) for r in rows] == ([40] if len(blocks) == 1 else [3] * 13 + [1])
+            assert np.array_equal(np.concatenate(rows), np.arange(len(A)))
+            codes = np.concatenate([c for _, c in blocks])
+            assert np.array_equal(codes, _bulk.encode(F, op(A[:, None], ents[None])))
+
+
 def test_pairwise_ranks_equal_a_direct_rref_of_every_difference(monkeypatch):
     F = make_field(3, 1)
     ents = space(F, 2, 2).entries
@@ -361,9 +364,6 @@ def test_pairwise_ranks_equal_a_direct_rref_of_every_difference(monkeypatch):
 
 def test_block_ops():
     A = Mat.from_text(F4, "1,2;3,0")
-    big = A.embed(3, 4, at=(1, 1))
-    assert big.block([1, 2], [1, 2]) == A
-    assert big.rank() == A.rank()
     stacked = Mat.vstack(A, Mat.zeros(F4, 1, 2))
     assert stacked.shape == (3, 2)
     side = Mat.hstack(A, Mat.identity(F4, 2))

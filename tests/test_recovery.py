@@ -39,7 +39,7 @@ def test_k_values_match_a_scalar_sum(src, dst):
     for x in xs:
         acc = b
         for xi, ai in zip(x, a):
-            acc = dst.add(acc, dst.mul(int(tau.table[xi]), ai))
+            acc = int(dst.vadd(acc, dst.mul(int(tau.table[xi]), ai)))
         want.append(acc)
     assert wsa.k_values(xs).tolist() == want
 
@@ -253,7 +253,7 @@ def test_dim_bound_check():
         sel[0] = 0
         assert dim_bound_check(tbl, VertexSet.from_entries(F4, sel))
     with pytest.raises(PreconditionViolated):
-        dim_bound_check(tbl, VertexSet.from_mats([Mat.unit(F4, 2, 2, 0, 0)]))
+        dim_bound_check(tbl, VertexSet.from_entries(F4, [Mat.unit(F4, 2, 2, 0, 0).a]))
 
 
 def test_recovery_into_a_space_past_int64_codes():

@@ -153,6 +153,51 @@ def test_the_clique_test_sorts_one_code_per_vector():
     assert "lexsort" not in calls and "sort" in calls
 
 
+def _functions(path):
+    """(function name, node) of every function in a source file, nested ones too."""
+    return [(f.name, f) for f in ast.walk(ast.parse(path.read_text()))
+            if isinstance(f, ast.FunctionDef)]
+
+
+def test_byte_budgets_become_row_blocks_in_one_function():
+    # nine loops once each turned a byte budget into a block step by hand,
+    # max(1, BUDGET // row_bytes); matrices._row_blocks is that rule now.
+    # The rigidity check's (centre x X) tiling divides its budget over two
+    # axes, and stays
+    paths, found = sorted((ROOT / "src" / "bfgeo").glob("*.py")), []
+    budgets = {t.id for path in paths for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.Assign) for t in node.targets
+               if isinstance(t, ast.Name) and (t.id.endswith("_BYTES") or t.id == "_CHUNK")}
+    assert len(budgets) >= 7  # the detector sees every budget of this tree
+    for path in paths:
+        for name, func in _functions(path):
+            lefts = {id(node.left) for node in ast.walk(func) if isinstance(node, ast.BinOp)}
+            for node in ast.walk(func):
+                if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+                        and id(node) not in lefts):
+                    lead = node
+                    while isinstance(lead, ast.BinOp):
+                        lead = lead.left
+                    if getattr(lead, "id", getattr(lead, "attr", None)) in budgets:
+                        found.append(f"{path.stem}.{name}: {ast.unparse(node)}")
+    assert sorted(found) == ["grassmann._check_block: _CHUNK // 4 // (cell * xstep)",
+                             "grassmann._check_block: _CHUNK // 4 // cell"]
+
+
+def test_a_whole_space_is_ranked_only_by_its_cached_ranks():
+    # the strata, the distance check and the pairwise ranks once each ranked
+    # every point of a space; MatrixSpace.ranks is that one pass now
+    found = []
+    for path in sorted((ROOT / "src" / "bfgeo").glob("*.py")):
+        for name, func in _functions(path):
+            found += [f"{path.stem}.{name}" for node in ast.walk(func)
+                      if isinstance(node, ast.Call)
+                      and ast.unparse(node.func) in ("_bulk.rank", "rank")
+                      and any("entries" in {getattr(n, "id", getattr(n, "attr", None))
+                                            for n in ast.walk(arg)} for arg in node.args)]
+    assert found == ["matrices.ranks"]
+
+
 def counting(monkeypatch, module, name):
     """Replace module.name by a wrapper that records each call's arguments."""
     real, calls = getattr(module, name), []
