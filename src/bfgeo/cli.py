@@ -44,17 +44,31 @@ def _spaces(args):
     return _parse_space(args.src) + _parse_space(args.dst)
 
 
+def _report(args, params: dict, **kw) -> RunReport:
+    """The handler's report, kept on args, so that main's report of an error
+    the handler raises later names its params and seed."""
+    args.report = RunReport(args.command, params, **kw)
+    return args.report
+
+
+def _error_report(args, e: Exception) -> RunReport:
+    built = getattr(args, "report", RunReport(args.command, {}))
+    return RunReport(args.command, built.params, seed=built.seed).error(
+        f"{type(e).__name__}: {e}")
+
+
 def _field_shape(args, **params):
     """(F, m, n, report) from --field and --shape."""
     F = parse_field_name(args.field)
     m, n = _parse_shape(args.shape)
-    return F, m, n, RunReport(args.command, {"field": F.name, "shape": f"{m}x{n}", **params})
+    return F, m, n, _report(args, {"field": F.name, "shape": f"{m}x{n}", **params})
 
 
 def _map_table(args, **kw):
-    """(table, report) from --map; the report names the file, not its path."""
-    f = parse_map_table(args.map)
-    return f, RunReport(args.command, {"map": os.path.basename(args.map)}, **kw)
+    """(table, report) from --map; the report names the file, not its path,
+    and is built first, so that a file that fails to parse is named too."""
+    report = _report(args, {"map": os.path.basename(args.map)}, **kw)
+    return parse_map_table(args.map), report
 
 
 def _count(minimum: int):
@@ -99,8 +113,8 @@ def _verdict_from(info: dict, report: RunReport):
 
 def cmd_field_info(args):
     F = parse_field_name(args.field)
-    return RunReport("field-info", {"field": F.name, "modulus": ",".join(map(str, F.modulus))},
-                     counts={"order": F.q, "characteristic": F.p, "degree": F.k,
+    return _report(args, {"field": F.name, "modulus": ",".join(map(str, F.modulus))},
+                   counts={"order": F.q, "characteristic": F.p, "degree": F.k,
                              "self_homs": len(enumerate_homs(F, F))})
 
 
@@ -130,15 +144,15 @@ SPACE_SWEEPS = {
 
 def cmd_space_sweep(args):
     count = getattr(args, args.mode)
-    report = RunReport(args.command, {"src": args.src, "dst": args.dst, args.mode: count},
-                       seed=args.seed)
+    report = _report(args, {"src": args.src, "dst": args.dst, args.mode: count},
+                     seed=args.seed)
     return _verdict_from(SPACE_SWEEPS[args.mode](_spaces(args), count, args.seed), report)
 
 
 def cmd_exists_grid(args):
     """The default grid; its params name --no-witnesses and --max-domain
     only when given, so the plain run's report keeps its bytes."""
-    report, kw = RunReport("exists", {"grid": "default"}), {}
+    report, kw = _report(args, {"grid": "default"}), {}
     if args.no_witnesses:
         report.params["no_witnesses"] = 1
     if args.max_domain is not None:
@@ -150,7 +164,7 @@ def cmd_exists_grid(args):
 
 def cmd_exists(args):
     src, m, n, dst, m2, n2 = _spaces(args)
-    report = RunReport("exists", {"src": args.src, "dst": args.dst})
+    report = _report(args, {"src": args.src, "dst": args.dst})
     result = hom_exists(src.q, m, n, dst.q, m2, n2)
     report.counts["exists"] = int(result)
     if args.certificate and not result:
@@ -163,7 +177,7 @@ def cmd_exists(args):
 
 def cmd_witness_hom(args):
     src, m, n, dst, m2, n2 = _spaces(args)
-    report = RunReport("witness-hom", {"src": args.src, "dst": args.dst})
+    report = _report(args, {"src": args.src, "dst": args.dst})
     try:
         w = build_witness_hom(src.q, m, n, dst.q, m2, n2)
     except NoHomExists as e:
@@ -205,7 +219,7 @@ def cmd_degeneracy_check(args):
 def cmd_xi_demo(args):
     src = parse_field_name(args.src_field)
     dst = parse_field_name(args.dst_field)
-    report = RunReport("xi-demo", {"src": src.name, "dst": dst.name, "cols": args.cols})
+    report = _report(args, {"src": src.name, "dst": dst.name, "cols": args.cols})
     homs = enumerate_homs(src, dst)
     if not homs or src.q == dst.q:
         return report.error("need a proper field extension")
@@ -254,7 +268,7 @@ def cmd_twist(args):
 
 def cmd_lemma_check(args):
     which = args.which
-    report = RunReport("lemma-check", {"which": which}, seed=args.seed)
+    report = _report(args, {"which": which}, seed=args.seed)
     if which == "3.1":
         F = parse_field_name(args.field)
         m, n = _parse_shape(args.shape)
@@ -481,11 +495,11 @@ def main(argv=None) -> int:
     try:
         report = handler(args)
     except (BfgeoError, ValueError, OSError) as e:
-        report = RunReport(args.command, {}).error(f"{type(e).__name__}: {e}")
+        report = _error_report(args, e)
     try:
         text = emit_report(report, args.out)
     except OSError as e:  # an unwritable --out: report on stdout only
-        report = RunReport(args.command, {}).error(f"{type(e).__name__}: {e}")
+        report = _error_report(args, e)
         text = emit_report(report)
     sys.stdout.write(text)
     return report.exit_code

@@ -195,10 +195,12 @@ def intersect(M: MaximalSet, N: MaximalSet) -> VertexSet:
 # classification of explicit cliques
 # ---------------------------------------------------------------------------
 
-def _clique_test(field: Field, D, pad=None):
-    """(passes, u, v) per item of the (B, K, m, n) stack of differences
-    from one point, K >= 1; pad, a (B, K) mask, marks slots that only fill
-    an item up to K, each a copy of the item's D_0.
+def _clique_test(field: Field, P, pad=None):
+    """(passes, u, v) per item of the (m, n, B, K) entry planes of B items'
+    differences from one point, K >= 1: P[i, j] is the (B, K) plane of
+    entry (i, j), so D_k of item b is P[:, :, b, k] and every comparison
+    below runs its inner loop over the K members.  pad, a (B, K) mask,
+    marks slots that only fill an item up to K, each a copy of its D_0.
 
     Two rank-1 matrices differ in rank <= 1 iff they share a generator, and
     if every pair does, all share one.  So the item's points are pairwise
@@ -209,66 +211,76 @@ def _clique_test(field: Field, D, pad=None):
     stays private: perfbench's tracer wraps public functions only, and its
     self-test expects ``adjacent_mask`` directly under ``is_graph_hom``.
 
-    The rank is checked on D_0 alone, whose generators u_0 and v_0 are
-    read.  With u_0[i] = 1, D_k has column generator u_0 iff
-    D_k = u_0 (x) D_k[i, :] with a nonzero coefficient row D_k[i, :], which
-    then determines it; that equation already bounds the rank by 1, so rank
-    exactly 1 is a nonzero coefficient vector.  Likewise v_0, with
-    v_0[j] = 1, and the coefficient column D_k[:, j].  On an item that
-    shares u_0, D_k = u_0 (x) r_k also shares v_0 iff r_k = r_k[j] v_0, so
-    the full row comparison runs only on the other items.  Distinctness is
-    a per-item sort of the coefficient vectors' packed codes (rows where
-    u_0 is shared, else columns), or of dense ids past the int64 code
-    range; padded slots take distinct negative ids, so they never repeat.
-    A copy of D_0 passes every other check.
+    The rank is checked on D_0 alone.  Its first nonzero row i_0 and column
+    j_0 give, one gather each, the coefficient rows R_k = D_k[i_0, :] and
+    columns C_k = D_k[:, j_0], and the generators u_0 = C_0 and v_0 = R_0
+    scaled by 1 / D_0[i_0, j_0].  D_k shares u_0 iff D_k = u_0 (x) R_k,
+    which bounds its rank by 1, so rank exactly 1 is a nonzero R_k;
+    likewise v_0 with D_k = C_k (x) v_0.  Routing gives each item one full
+    m x n comparison at most: C_k = a_k u_0, a_k = D_k[i_0, j_0], is
+    necessary for sharing u_0 and costs m planes, and only the items it
+    holds on take the full column comparison.  One of them that fails it
+    shares no v_0 either, as D_k = C_k (x) v_0 would be u_0 (x) a_k v_0; a
+    column item shares v_0 iff R_k = a_k v_0.  The other items take the
+    full row comparison.  Distinctness is a per-item sort of the
+    coefficient vectors' ids (rows where u_0 is shared, else columns);
+    padded slots take distinct negative ids, so they never repeat.  A copy
+    of D_0 passes every other check.
     """
-    B, K, m, n = D.shape
-    idx = np.nonzero(_bulk.adjacent_mask(field, D[:, 0]))[0]
-    Dk = D if len(idx) == B else D[idx]
-    gu, gv = (_bulk.generators(field, Dk[:, 0], axis) for axis in ("col", "row"))
-    i0, j0 = np.argmax(gu != 0, axis=1), np.argmax(gv != 0, axis=1)
-    rows = Dk[np.arange(len(idx)), :, i0]  # (B', K, n): D_k[i, :]
-    ids = _vector_ids(field, rows)
-    col = (field.vmul(gu[:, None, :, None], rows[:, :, None, :]) == Dk).all(axis=(1, 2, 3))
-    col &= (ids != 0).all(axis=1)
-    row = np.empty_like(col)
+    m, n, B, K = P.shape
+    idx = np.nonzero(_bulk.adjacent_mask(field, np.moveaxis(P[..., 0], -1, 0)))[0]
+    nz, items = P[:, :, idx, 0] != 0, np.arange(len(idx))
+    i0, j0 = np.argmax(nz.any(axis=1), axis=0), np.argmax(nz.any(axis=0), axis=0)
+    R = P[i0, np.arange(n)[:, None], idx]  # (n, B', K): D_k[i_0, :]
+    C = P[np.arange(m)[:, None], j0, idx]  # (m, B', K): D_k[:, j_0]
+    lead = C[i0, items]  # (B', K): D_k[i_0, j_0]
+    scale = field.inv_table[lead[:, :1]].astype(field.dtype)  # keeps full products narrow
+    U, V = field.vmul(C[..., :1], scale), field.vmul(R[..., :1], scale)  # (m | n, B', 1)
 
-    def part(a, sel):  # a on the selected items, uncopied when that is all of them
-        return a if len(sel) == len(col) else a[sel]
+    def part(a, sel):  # a on the selected items (axis -2), uncopied when that is all
+        return a if len(sel) == a.shape[-2] else a[..., sel, :]
 
-    short, full = np.nonzero(col)[0], np.nonzero(~col)[0]
-    if len(short):
-        r, g = part(rows, short), part(gv, short)
-        lead = r[np.arange(len(short)), :, part(j0, short)]  # (s, K): r_k[j]
-        row[short] = (field.vmul(lead[:, :, None], g[:, None, :]) == r).all(axis=(1, 2))
+    col, row = np.zeros(len(idx), dtype=bool), np.zeros(len(idx), dtype=bool)
+    ids = np.empty((len(idx), K), dtype=np.int64)
+    cand = (field.vmul(U, lead) == C).all(axis=(0, 2))
+    sel, full = np.nonzero(cand)[0], np.nonzero(~cand)[0]
+    if len(sel):
+        r = part(R, sel)
+        ids[sel] = _vector_ids(field, r)
+        col[sel] = (field.vmul(part(U, sel)[:, None], r) == part(P, idx[sel])).all(axis=(0, 1, 3))
+        col[sel] &= (ids[sel] != 0).all(axis=1)
+        short = sel[col[sel]]
+        row[short] = (field.vmul(part(V, short), part(lead, short)) == part(R, short)).all(axis=(0, 2))
     if len(full):
-        Df, g = part(Dk, full), part(gv, full)
-        cols = Df[np.arange(len(full)), :, :, part(j0, full)]  # (f, K, m): D_k[:, j]
-        col_ids = _vector_ids(field, cols)
-        row[full] = (field.vmul(cols[..., None], g[:, None, None, :]) == Df).all(axis=(1, 2, 3))
-        row[full] &= (col_ids != 0).all(axis=1)
-        ids[full] = col_ids
+        c = part(C, full)
+        ids[full] = _vector_ids(field, c)
+        row[full] = (field.vmul(c[:, None], part(V, full)) == part(P, idx[full])).all(axis=(0, 1, 3))
+        row[full] &= (ids[full] != 0).all(axis=1)
     if pad is not None:
         ids = np.where(pad[idx], -1 - np.arange(K), ids)
-    ids = np.sort(ids, axis=1)
+    ids.sort(axis=1)
     passes = np.zeros(B, dtype=bool)
     passes[idx] = (col | row) & (ids[:, 1:] != ids[:, :-1]).all(axis=1)
     u, v = np.zeros((B, m), dtype=field.dtype), np.zeros((B, n), dtype=field.dtype)
-    u[idx[col]] = gu[col]
-    v[idx[row]] = gv[row]
+    u[idx[col]] = U[:, col, 0].T
+    v[idx[row]] = V[:, row, 0].T
     return passes, u, v
 
 
 def _vector_ids(field: Field, V):
-    """One int64 per vector (last axis) of V, equal iff the vectors are and
-    0 for the zero vector: the code of the vector as a 1-row matrix while
-    it fits int64, else a dense id from np.unique over the stack and a
-    zero vector, which sorts first."""
-    length = V.shape[-1]
+    """One int64 per vector V[:, ...] along the first axis of V, equal iff
+    the vectors are and 0 for the zero vector: its Horner code over that
+    axis while it fits int64, else a dense id from np.unique over the
+    vectors and a zero vector, which sorts first."""
+    V, length = np.asarray(V, dtype=np.int64), len(V)
     if field.q ** length <= 2**63:
-        return _bulk.encode(field, V[..., None, :])
-    flat = np.concatenate([np.zeros((1, length), V.dtype), V.reshape(-1, length)])
-    return np.unique(flat, axis=0, return_inverse=True)[1][1:].reshape(V.shape[:-1])
+        ids = V[0].copy()
+        for plane in V[1:]:
+            ids *= field.q
+            ids += plane
+        return ids
+    flat = np.concatenate([np.zeros((1, length), V.dtype), V.reshape(length, -1).T])
+    return np.unique(flat, axis=0, return_inverse=True)[1][1:].reshape(V.shape[1:])
 
 
 # Byte budget for one block of a clique test's or a pair scan's difference
@@ -398,9 +410,10 @@ def _adjacent_sets(field: Field, sets):
 
     Each set drops its repeats by its :func:`_unique_points`, which leaves
     its points in code order, so 0, if present, comes first.  The
-    differences from 0 of every set are one (sets, K, m, n) stack: a short
-    set is filled up with copies of its first one, masked as padding for
-    the clique test, and a repeated row leaves a rank unchanged.  The
+    differences from 0 of every set are one (sets, K, m, n) stack, which
+    the clique test takes as its (m, n, sets, K) entry planes: a short set
+    is filled up with copies of its first one, masked as padding for the
+    clique test, and a repeated row leaves a rank unchanged.  The
     dimension is the rank of the coefficient vectors: the rows at u's
     leading 1 where u is shared, else the columns at v's, zero-filled to
     max(m, n) entries.  The first failing set in order raises what it
@@ -414,7 +427,7 @@ def _adjacent_sets(field: Field, sets):
         pad = k >= sizes[:, None]
         start = np.cumsum(sizes) - sizes
         D = np.concatenate([p[1:] for p in pts[:ok]])[start[:, None] + np.where(pad, 0, k)]
-        passes, u, v = _clique_test(field, D, pad)
+        passes, u, v = _clique_test(field, np.moveaxis(D, (0, 1), (2, 3)), pad)
         if not passes.all():
             _clique_failure(field, pts[int(np.argmin(passes))])
     if ok < len(pts):
@@ -433,7 +446,7 @@ def _unique_points(field: Field, stacks):
     """Each (N, m, n) stack's distinct matrices in code order, by the
     :func:`_vector_ids` of their entries, all taken at once."""
     m, n = stacks[0].shape[-2:]
-    ids = _vector_ids(field, np.concatenate(stacks).reshape(-1, m * n))
+    ids = _vector_ids(field, np.concatenate(stacks).reshape(-1, m * n).T)
     ids = np.split(ids, np.cumsum([len(s) for s in stacks])[:-1])
     return [s[np.unique(i, return_index=True)[1]] for s, i in zip(stacks, ids)]
 

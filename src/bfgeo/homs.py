@@ -430,12 +430,15 @@ class _CliqueSummary:
 
 def _summarise_cliques(F2: Field, img, rows) -> _CliqueSummary:
     """The clique test on every clique, a row of members (ascending, base
-    first) each, a block of ``cliques._CLIQUE_BLOCK_BYTES`` at a time."""
-    parts = []
+    first) each, a block of ``cliques._CLIQUE_BLOCK_BYTES`` at a time.  The
+    images are transposed once to (m', n', count) entry planes, so a
+    block's (m', n', cliques, members - 1) differences from the bases are
+    one gather and one subtraction."""
+    planes, parts = np.moveaxis(img, 0, -1).copy(), []
     for block in _row_blocks(len(rows), rows.shape[1] * img[0].size * 8,
                              cliques._CLIQUE_BLOCK_BYTES):
-        members = rows[block]
-        parts.append(_clique_test(F2, F2.vsub(img[members[:, 1:]], img[members[:, :1]])))
+        pts = planes.take(rows[block], axis=2)  # plane-major; a fancy index is item-major
+        parts.append(_clique_test(F2, F2.vsub(pts[..., 1:], pts[..., :1])))
     return _CliqueSummary(*(np.concatenate(a) for a in zip(*parts)))
 
 
@@ -472,7 +475,8 @@ def is_colouring(f: MapTable) -> bool:
     pts = np.unique(rows).view(f.images.dtype).reshape(-1, f.m2, f.n2)
     if len(pts) < 2:
         return True
-    return bool(_clique_test(f.dst_field, f.dst_field.vsub(pts[None, 1:], pts[0]))[0][0])
+    D = f.dst_field.vsub(pts[None, 1:], pts[0])
+    return bool(_clique_test(f.dst_field, np.moveaxis(D, (0, 1), (2, 3)))[0][0])
 
 
 # Byte budget for one block of the degeneracy scan's difference stack

@@ -14,7 +14,7 @@ from bfgeo.errors import (Disjoint, NotAdjacent, NotAdjacentSet, NotMaximal,
                           PreconditionViolated, ShapeMismatch, TheoremViolated,
                           WrongKinds, ZeroNotMember)
 from bfgeo.fields import make_field
-from bfgeo.homs import random_valid_params, standard_table
+from bfgeo.homs import Orientation, random_valid_params, standard_table
 from bfgeo.matrices import Mat, adjacent, space
 
 F2 = make_field(2, 1)
@@ -581,6 +581,12 @@ def test_the_pair_scan_of_a_failing_set_keeps_to_its_budget(rows, monkeypatch):
 # ---------------------------------------------------------------------------
 # the clique test against the per-difference generator oracle
 
+def planes(D):
+    """A (B, K, m, n) stack of differences as the clique test's (m, n, B, K)
+    entry planes."""
+    return np.moveaxis(D, (0, 1), (2, 3))
+
+
 def _reference_clique_test(field, D):
     """Both generators of every difference, compared with the first; the
     differences distinct on all m * n entries."""
@@ -660,7 +666,7 @@ def test_clique_test_matches_the_per_difference_oracle(p, k):
         for name, D in _difference_stacks(field, m, n, rng).items():
             for stack in (D, np.swapaxes(D, 2, 3)):  # both orientations
                 want = _reference_clique_test(field, stack)
-                got = cliques._clique_test(field, stack)
+                got = cliques._clique_test(field, planes(stack))
                 for w, g in zip(want, got):
                     assert g.dtype == w.dtype and np.array_equal(g, w), (name, m, n)
                 seen |= {(name, bool(want[0].any()), bool(want[0].all()))}
@@ -746,11 +752,144 @@ def test_the_padded_clique_test_equals_the_unpadded_one(name):
     K = max(len(D) for D in items)
     pad = np.arange(K) >= np.array([len(D) for D in items])[:, None]
     stack = np.stack([np.concatenate([D, D[:1].repeat(K - len(D), axis=0)]) for D in items])
-    got = cliques._clique_test(field, stack, pad)
+    got = cliques._clique_test(field, planes(stack), pad)
     for t, D in enumerate(items):
-        for g, w in zip(got, cliques._clique_test(field, D[None])):
+        for g, w in zip(got, cliques._clique_test(field, planes(D[None]))):
             assert np.array_equal(g[t], w[0]), (name, t)
     assert got[0].any() and not got[0].all()
+
+
+# ---------------------------------------------------------------------------
+# the entry-plane layout against the (B, K, m, n) stack layout it replaced
+
+def _stack_clique_test(field, D, pad=None):
+    """The clique test on a (B, K, m, n) stack, as it ran before the entry
+    planes, kept as the reference the plane layout must reproduce bit for
+    bit: the full column comparison on every item, the row comparison on
+    the items that fail it."""
+    B, K, m, n = D.shape
+    idx = np.nonzero(_bulk.adjacent_mask(field, D[:, 0]))[0]
+    Dk = D if len(idx) == B else D[idx]
+    gu, gv = (_bulk.generators(field, Dk[:, 0], axis) for axis in ("col", "row"))
+    i0, j0 = np.argmax(gu != 0, axis=1), np.argmax(gv != 0, axis=1)
+    rows = Dk[np.arange(len(idx)), :, i0]
+    ids = _stack_vector_ids(field, rows)
+    col = (field.vmul(gu[:, None, :, None], rows[:, :, None, :]) == Dk).all(axis=(1, 2, 3))
+    col &= (ids != 0).all(axis=1)
+    row = np.empty_like(col)
+    short, full = np.nonzero(col)[0], np.nonzero(~col)[0]
+    if len(short):
+        r, g = rows[short], gv[short]
+        lead = r[np.arange(len(short)), :, j0[short]]
+        row[short] = (field.vmul(lead[:, :, None], g[:, None, :]) == r).all(axis=(1, 2))
+    if len(full):
+        Df, g = Dk[full], gv[full]
+        cols = Df[np.arange(len(full)), :, :, j0[full]]
+        col_ids = _stack_vector_ids(field, cols)
+        row[full] = (field.vmul(cols[..., None], g[:, None, None, :]) == Df).all(axis=(1, 2, 3))
+        row[full] &= (col_ids != 0).all(axis=1)
+        ids[full] = col_ids
+    if pad is not None:
+        ids = np.where(pad[idx], -1 - np.arange(K), ids)
+    ids = np.sort(ids, axis=1)
+    passes = np.zeros(B, dtype=bool)
+    passes[idx] = (col | row) & (ids[:, 1:] != ids[:, :-1]).all(axis=1)
+    u, v = np.zeros((B, m), dtype=field.dtype), np.zeros((B, n), dtype=field.dtype)
+    u[idx[col]] = gu[col]
+    v[idx[row]] = gv[row]
+    return passes, u, v
+
+
+def _stack_vector_ids(field, V):
+    """Codes of the vectors on V's last axis while they fit int64, else dense ids."""
+    length = V.shape[-1]
+    if field.q ** length <= 2**63:
+        return _bulk.encode(field, V[..., None, :])
+    flat = np.concatenate([np.zeros((1, length), V.dtype), V.reshape(-1, length)])
+    return np.unique(flat, axis=0, return_inverse=True)[1][1:].reshape(V.shape[:-1])
+
+
+def mixed_blocks(field, m, n, rng, count=4):
+    """(name, (B, K, m, n) stack, pad mask or None) blocks whose items are
+    drawn at random from every named difference stack (column-kind,
+    row-kind, line, repeated and zero coefficient vectors, rank-2 D_0,
+    random), in both orientations, unpadded and padded.  Line items with
+    their last difference moved off column j_0 = 0 pass the routing compare
+    and fail the full column one.  A line has at most q - 1 differences, so
+    every stack is cut to the shortest one's K."""
+    named = _difference_stacks(field, m, n, rng)
+    off = named["line"].copy()
+    off[::2, -1, -1, -1] = field.vadd(off[::2, -1, -1, -1], 1)
+    stacks = list(named.values()) + [off]
+    K = min(D.shape[1] for D in stacks if D.shape[1] > 1)
+    pool = np.concatenate([D[:, :K] for D in stacks if D.shape[1] >= K])
+    for t in range(count):
+        D = pool[rng.choice(len(pool), size=40, replace=False)]
+        if t % 2:
+            D = np.swapaxes(D, 2, 3)
+        yield f"mixed {t}", D, None
+        K = D.shape[1]
+        pad = (np.arange(K) >= rng.integers(1, K + 1, size=len(D))[:, None]) \
+            & (rng.random(len(D)) < 0.5)[:, None]
+        yield f"padded {t}", np.where(pad[..., None, None], D[:, :1], D), pad
+
+
+def table_blocks(rng):
+    """(name, stack, None) per GF(4) 2x2 -> GF(16) 3x3 table: each source
+    clique's image differences from its base, on standard tables of both
+    orientations, a table with some images moved and a collapsed one."""
+    rows = space(F4, 2, 2).clique_members
+    for o in Orientation:
+        img = standard_table(random_valid_params(rng, F4, 2, 2, F16, 3, 3, orientation=o)).images
+        moved = img.copy()
+        moved[rng.choice(len(img), size=3, replace=False)] = rng.integers(16, size=(3, 3, 3))
+        collapsed = img.copy()
+        collapsed[:, 2] = 0
+        collapsed[:, :, 2] = 0
+        for name, I in (("standard", img), ("moved", moved), ("collapsed", collapsed)):
+            yield f"{o.value} {name}", F16.vsub(I[rows[:, 1:]], I[rows[:, :1]]), None
+
+
+PLANE_CASES = ["GF(2) 2x3", "GF(5) 2x3", "GF(5) 3x4", "GF(4) -> GF(16) 3x3 tables",
+               "GF(65536) 4x4"]
+
+
+@pytest.mark.parametrize("case", PLANE_CASES)
+def test_the_plane_layout_matches_the_stack_layout(case):
+    rng = np.random.default_rng(3401 + PLANE_CASES.index(case))
+    if case.startswith("GF(4)"):
+        field, blocks = F16, list(table_blocks(rng))
+    else:
+        q, shape = case.split(" ")
+        field = {"GF(2)": F2, "GF(5)": F5, "GF(65536)": make_field(2, 16)}[q]
+        blocks = list(mixed_blocks(field, *map(int, shape.split("x")), rng))
+    outcomes = set()
+    for name, D, pad in blocks:
+        want = _stack_clique_test(field, D, pad)
+        got = cliques._clique_test(field, planes(D), pad)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w), name
+        outcomes |= {bool(want[0].any()), bool(want[0].all())}
+    assert outcomes == {True, False}  # blocks with passing and failing items
+
+
+@pytest.mark.parametrize("kind", ["column", "row"])
+def test_one_flipped_entry_in_any_plane_fails_its_item(kind):
+    # a passing item's verdict must read every entry plane of every member
+    D = _difference_stacks(F5, 2, 3, np.random.default_rng(3409))[kind]
+    assert cliques._clique_test(F5, planes(D))[0].all()
+    B, K, m, n = D.shape
+    for i in range(m):
+        for j in range(n):
+            for k in (0, 1, K - 1):
+                b = (i * n + j + k) % B
+                P = planes(D).copy()
+                P[i, j, b, k] = F5.vadd(P[i, j, b, k], 1)
+                got = cliques._clique_test(F5, P)
+                want = _stack_clique_test(F5, np.moveaxis(P, (2, 3), (0, 1)))
+                assert np.flatnonzero(~got[0]).tolist() == [b], (i, j, k)
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w), (i, j, k)
 
 
 def adjacent_dims(field, sets):

@@ -195,8 +195,6 @@ def test_every_option_is_named_in_the_report_params(tables):
             if option in REPORT_NEUTRAL:
                 continue
             report = json.loads(run(runs[i])[1])
-            if report["verdict"] == "error" and not report["params"]:
-                continue  # main's report of a raised error names no option at all
             if (name, option) in NAMED_BY_COUNTS:
                 named = NAMED_BY_COUNTS[name, option] <= set(report["counts"])
             elif option == "--seed":

@@ -755,6 +755,36 @@ def test_the_clique_test_ranks_the_first_differences_only(monkeypatch):
     assert shapes and {(len(s),) + s[1:] for s in shapes} == {(3, 3, 4)}
 
 
+
+@pytest.mark.parametrize("orientation", list(Orientation), ids=lambda o: o.value)
+def test_row_kind_cliques_skip_the_full_column_comparison(orientation, monkeypatch):
+    # every item once paid the full u_0 (x) R_k = D_k comparison, row-kind
+    # ones before their full C_k (x) v_0 = D_k one.  The full products are
+    # the only 4-D vmul results, (m', n', items, K): a column product's u_0
+    # factor and a row product's v_0 factor are size 1 on the member axis.
+    # Straight tables map these source cliques to column-kind images,
+    # transposed ones to row-kind images; each takes one full product a block
+    rng = np.random.default_rng(3403)
+    f = standard_table(random_valid_params(rng, F5, 2, 3, F5, 3, 4, orientation=orientation))
+    blocks, products, vmul, test = [], [], F5.vmul, cliques._clique_test
+
+    def spy(a, b):
+        out = vmul(a, b)
+        if np.ndim(out) == 4:
+            products.append(("column" if np.shape(a)[-1] == 1 else "row", out.shape))
+        return out
+
+    def counted(field, P, pad=None):
+        blocks.append(P.shape)
+        return test(field, P, pad)
+
+    monkeypatch.setattr(F5, "vmul", spy)
+    monkeypatch.setattr(homs, "_clique_test", counted)
+    summary = homs._summarise_cliques(F5, f.images, f.src_space().clique_members)
+    assert summary.passes.all() and len(blocks) > 1
+    kind = "column" if orientation is Orientation.STRAIGHT else "row"
+    assert products == [(kind, shape) for shape in blocks]
+
 def test_map_table_owns_a_read_only_copy():
     imgs = space(F4, 2, 2).entries.copy()
     tbl = MapTable(F4, 2, 2, F4, 2, 2, imgs)

@@ -312,6 +312,23 @@ def test_cli_unwritable_out_exits_2(tmp_path, capsys):
     assert rep["witnesses"][0].startswith("FileNotFoundError:")
 
 
+
+def test_a_raised_error_keeps_the_params_the_handler_built(tmp_path, capsys):
+    # main once reported every raised error with params {}, so the report
+    # did not say which map, field or file had failed
+    write_map_table(build_witness_hom(2, 2, 2, 4, 2, 2), tmp_path / "w.bfmap")
+    (tmp_path / "bad.bfmap").write_text("not a map table\n")
+    runs = {("recover", "--map", str(tmp_path / "w.bfmap")): {"map": "w.bfmap"},
+            ("hom-verify", "--map", str(tmp_path / "bad.bfmap")): {"map": "bad.bfmap"},
+            ("field-info", "--field", "2,2", "--out", str(tmp_path / "missing" / "r.json")):
+                {"field": "2,2", "modulus": "1,1,1"}}
+    for argv, params in runs.items():
+        code, rep = run_cli(capsys, *argv)
+        assert (code, rep["verdict"], rep["params"]) == (2, "error", params), argv
+    # an error raised before the handler built its report still names nothing
+    code, rep = run_cli(capsys, "bfs-check", "--field", "2,2", "--shape", "0x2")
+    assert (code, rep["params"]) == (2, {})
+
 def test_cli_non_positive_shape_exit_2(capsys):
     code, rep = run_cli(capsys, "bfs-check", "--field", "2,2", "--shape", "0x2")
     assert code == 2

@@ -553,13 +553,14 @@ def test_monic_generators():
     w = np.array([2, 0, 4, 1])
     R = F5.vmul(u[:, None], w[None, :])  # rank 1 with column space u
     stack = np.stack([R, F5.vmul(R, 2)])
-    # the clique test reads the shared generator off differences from 0
-    passes, gu, gv = _clique_test(F5, stack[None])
+    # the clique test reads the shared generator off differences from 0,
+    # laid out as entry planes (m, n, 1 item, K members)
+    passes, gu, gv = _clique_test(F5, np.moveaxis(stack, 0, -1)[:, :, None])
     assert passes[0] and gu[0].any() and gv[0].any() and np.array_equal(gu[0], u)
-    passes, gu, _ = _clique_test(F5, np.swapaxes(stack, 1, 2)[None])
+    passes, gu, _ = _clique_test(F5, np.moveaxis(stack, 0, -1).swapaxes(0, 1)[:, :, None])
     assert passes[0] and gu[0].any() and np.array_equal(gu[0], [1, 0, 2, 3])
     other = F5.vmul(np.array([1, 0, 0])[:, None], w[None, :])
-    passes, gu, gv = _clique_test(F5, np.stack([R, other])[None])
+    passes, gu, gv = _clique_test(F5, np.stack([R, other], axis=-1)[:, :, None])
     assert passes[0] and not gu[0].any() and np.array_equal(gv[0], [1, 0, 2, 3])
     assert np.array_equal(space(F5, 2, 3).monic_rows,
                           _bulk.monic(F5, space(F5, 2, 3).monic_rows))

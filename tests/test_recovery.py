@@ -229,12 +229,12 @@ def test_image_kind_alignment_of_standard_tables():
                             orientation=Orientation.STRAIGHT)
     tbl = standard_table(p)
     for i in range(2):
-        d = tbl.images[_axis_codes(tbl, "row", i)]
-        passes, u, _ = _clique_test(F16, F16.vsub(d[None, 1:], d[0]))
+        d = np.moveaxis(tbl.images[_axis_codes(tbl, "row", i)], 0, -1)  # entry planes
+        passes, u, _ = _clique_test(F16, F16.vsub(d[:, :, None, 1:], d[:, :, None, :1]))
         assert passes[0] and u[0].any()
     for j in range(2):
-        d = np.swapaxes(tbl.images[_axis_codes(tbl, "col", j)], 1, 2)
-        passes, u, _ = _clique_test(F16, F16.vsub(d[None, 1:], d[0]))
+        d = np.moveaxis(tbl.images[_axis_codes(tbl, "col", j)], 0, -1).swapaxes(0, 1)
+        passes, u, _ = _clique_test(F16, F16.vsub(d[:, :, None, 1:], d[:, :, None, :1]))
         assert passes[0] and u[0].any()  # a column generator of D^t is a row one of D
 
 
@@ -350,17 +350,18 @@ def test_recovery_tests_each_axis_image_once(monkeypatch):
     tbl = standard_table(random_valid_params(rng, F4, 2, 2, F16, 3, 3))
     real, calls = cliques._clique_test, []
 
-    def counted(field, D, pad=None):
-        calls.append(D.shape)
-        return real(field, D, pad)
+    def counted(field, P, pad=None):
+        calls.append(P.shape)
+        return real(field, P, pad)
 
     # is_graph_hom's summary on a checked table is stored; recovery's own
-    # clique tests, all through cliques, are counted: both axis images share one
+    # clique tests, all through cliques, are counted: both axis images share
+    # one, as (m', n', 2 images, 15 differences) entry planes
     is_graph_hom(tbl, "exhaustive")
     is_degenerate(tbl)
     monkeypatch.setattr(cliques, "_clique_test", counted)
     recover_standard(tbl)
-    assert calls == [(2, 15, 3, 3)]
+    assert calls == [(3, 3, 2, 15)]
 
 
 def test_an_axis_image_failing_the_clique_test_breaks_loudly(monkeypatch):

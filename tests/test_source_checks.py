@@ -218,7 +218,7 @@ def test_the_dim_bound_sweep_runs_two_clique_tests_per_table(monkeypatch):
     info = verify.dim_bound_sweep(F4, 2, 2, F16, 3, 3, n_tables=2, n_sets=10, seed=5)
     assert info == {"sets_checked": 20, "violations": []}
     assert len(calls) <= 2 * 2
-    assert {D.shape[0] for _, D, _ in calls} == {10}
+    assert {P.shape[2] for _, P, _ in calls} == {10}  # (m, n, sets, K) entry planes
 
 
 def test_recovery_solves_at_most_three_stacks_per_twist_fit(monkeypatch):
