@@ -197,7 +197,7 @@ def cmd_hom_verify(args):
     if args.sample:
         report.params["sample"] = args.sample
     mode = "sampled" if args.sample else "exhaustive"
-    ok, w = is_graph_hom(f, mode=mode, samples=args.sample or 0, seed=args.seed)
+    ok, w = is_graph_hom(f, mode=mode, samples=args.sample, seed=args.seed)
     report.counts.update(is_hom=int(ok), is_colouring=int(is_colouring(f)))
     if not ok:
         report.fail(f"{w[0].to_text()} ~ {w[1].to_text()} torn")
@@ -266,30 +266,34 @@ def cmd_twist(args):
     return report
 
 
-def cmd_lemma_check(args):
-    which = args.which
-    report = _report(args, {"which": which}, seed=args.seed)
-    if which == "3.1":
-        F = parse_field_name(args.field)
-        m, n = _parse_shape(args.shape)
-        report.params.update({"field": F.name, "shape": f"{m}x{n}"})
-        info = verify.two_pencil_check(F, m, n, rows=[0], cols=[0])
-        return _verdict_from(info, report)
-    if which == "5.1":
-        args.dst, args.sample = args.dst or args.src, args.sample or 20
-        report.params.update(src=args.src, dst=args.dst, sample=args.sample)
-        info = SPACE_SWEEPS["random_standard"](_spaces(args), args.sample, args.seed)
-        return _verdict_from(info, report)
-    # flat rigidity sweeps
+def cmd_pencil_check(args):
+    """lemma-check --which 3.1: Lemma 3.1's two-pencil support dichotomy."""
+    F, m, n, report = _field_shape(args, which=args.which)
+    return _verdict_from(verify.two_pencil_check(F, m, n, rows=[0], cols=[0]), report)
+
+
+def cmd_resolvent_check(args):
+    """lemma-check --which 5.1: hom-verify --random-standard's sweep."""
+    args.dst = args.dst or args.src
+    report = _report(args, {"which": args.which, "src": args.src, "dst": args.dst,
+                            "sample": args.sample}, seed=args.seed)
+    info = SPACE_SWEEPS["random_standard"](_spaces(args), args.sample, args.seed)
+    return _verdict_from(info, report)
+
+
+def cmd_rigidity_check(args):
+    """lemma-check --which 4.1-4.4: a flat rigidity sweep, looked up here."""
+    report = _report(args, {"which": args.which}, seed=args.seed)
     E = parse_field_name(args.e_field)
     D = parse_field_name(args.d_field) if args.d_field else E
     homs = [identity_hom(E)] if E == D else enumerate_homs(E, D)
     if not homs:
         raise ValueError("no field homomorphism between these fields")
     hom = homs[0]
-    check, extra = {"4.1": (check_rigidity_top, ()), "4.2": (check_rigidity_step, (args.r,)),
-                    "4.3": (check_rigidity_top_cols, ()),
-                    "4.4": (check_rigidity_step_cols, (args.r,))}[which]
+    check = {"4.1": check_rigidity_top, "4.2": check_rigidity_step,
+             "4.3": check_rigidity_top_cols, "4.4": check_rigidity_step_cols}[args.which]
+    # only the stepped sweeps 4.2 and 4.4 read -r, so only they have it
+    extra = (args.r,) if hasattr(args, "r") else ()
     info = check(E, hom, args.m, args.n, args.k, *extra, a_sample=args.sample,
                  seed=args.seed, workers=_workers(args))
     report.params.update(info["params"], sampled=int(info["params"]["sampled"]))
@@ -344,42 +348,26 @@ def cmd_recover(args):
 
 # --- parser ----------------------------------------------------------------
 
-# options several subcommands take, each declared once
+# options several subcommands take, each declared once; only main's --out has a default
 SHARED = {
-    "out": dict(help="write the JSON report here"),
+    "out": dict(default=None, help="write the JSON report here"),
     "field": dict(help='"p,k"'),
     "shape": dict(help='"mxn"'),
     "src": dict(help='"q:mxn"'),
     "dst": dict(help='"q:mxn"'),
     "map": dict(help="map-table file"),
-    "seed": dict(type=int, default=0),
+    "seed": dict(type=int),
     "table-out": dict(help="write the resulting map table here"),
 }
-
-
-def _shared(names):
-    """A parent parser with the named shared options, fresh per subcommand:
-    parents share their actions, so a set_defaults would leak otherwise."""
-    parent = argparse.ArgumentParser(add_help=False)
-    for name in ("out",) + names:
-        parent.add_argument(f"--{name}", **SHARED[name])
-    return parent
-
-
-# lemma-check: the options each --which reads, and every option's default;
-# an option the selected sweep does not read is a usage error
-_RIGIDITY = ("e_field", "d_field", "m", "n", "k", "sample")
-LEMMA_READS = {"3.1": ("field", "shape"), "4.1": _RIGIDITY, "4.2": _RIGIDITY + ("r",),
-               "4.3": _RIGIDITY, "4.4": _RIGIDITY + ("r",), "5.1": ("src", "dst", "sample")}
-LEMMA_DEFAULTS = {"field": "2,2", "shape": "2x2", "src": "4:2x2", "dst": None,
-                  "e_field": "2,2", "d_field": None, "m": 2, "n": 2, "k": 2, "r": 1,
-                  "sample": None}
+# the reads entry of an option a mode cannot run without
+REQUIRED = object()
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The parser; each subcommand carries its modes as (selector option,
-    required options, handler).  The mode whose selector is set runs, the
-    last one when none is."""
+    """The parser; each subcommand carries its modes as (selector, reads,
+    handler).  The mode whose selector is set runs, the last one when none
+    is.  reads maps each option the mode reads, its selector among them, to
+    its default or to REQUIRED: a subcommand option has no other default."""
     ap = argparse.ArgumentParser(
         prog="bfgeo",
         description="verifiers and parameter recovery for matrix-space "
@@ -389,64 +377,84 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, shared, *modes, **kw):
-        p = sub.add_parser(name, parents=[_shared(shared)], **kw)
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS, **kw)
+        for option in ("out",) + shared:
+            p.add_argument(f"--{option}", **SHARED[option])
         p.set_defaults(modes=modes)
         return p
 
-    add("field-info", ("field",), (None, ("field",), cmd_field_info), help="field facts")
-    for name in SWEEPS:
-        add(name, ("field", "shape"), (None, ("field", "shape"), cmd_sweep))
+    field_shape = {"field": REQUIRED, "shape": REQUIRED}
+    space_sweep = {"src": REQUIRED, "dst": REQUIRED, "seed": 0}
 
-    p = add("exists", ("src", "dst"), ("grid", (), cmd_exists_grid),
-            ("src", ("src", "dst"), cmd_exists), help="existence criterion")
+    add("field-info", ("field",), (None, {"field": REQUIRED}, cmd_field_info), help="field facts")
+    for name in SWEEPS:
+        add(name, ("field", "shape"), (None, field_shape, cmd_sweep))
+
+    p = add("exists", ("src", "dst"),
+            ("grid", {"grid": REQUIRED, "no_witnesses": False, "max_domain": None},
+             cmd_exists_grid),
+            ("src", {"src": REQUIRED, "dst": REQUIRED, "certificate": False}, cmd_exists),
+            help="existence criterion")
     p.add_argument("--grid", action="store_true", help="run the default grid")
     p.add_argument("--no-witnesses", action="store_true")
     p.add_argument("--certificate", action="store_true",
                    help="pigeonhole-certify a negative answer")
     p.add_argument("--max-domain", type=_count(1))
 
-    add("witness-hom", ("src", "dst", "table-out"), (None, ("src", "dst"), cmd_witness_hom))
+    add("witness-hom", ("src", "dst", "table-out"),
+        (None, {"src": REQUIRED, "dst": REQUIRED, "table_out": None}, cmd_witness_hom))
 
     p = add("hom-verify", ("map", "seed", "src", "dst"),
-            ("random_standard", ("src", "dst"), cmd_space_sweep),
-            ("map", ("map",), cmd_hom_verify))
-    p.add_argument("--sample", type=_count(0), default=0,
-                   help="sampled mode with this many pairs")
-    p.add_argument("--random-standard", type=_count(0), default=0,
+            ("random_standard", {"random_standard": REQUIRED, **space_sweep}, cmd_space_sweep),
+            ("map", {"map": REQUIRED, "sample": 0, "seed": 0}, cmd_hom_verify))
+    p.add_argument("--sample", type=_count(0), help="sampled mode with this many pairs")
+    p.add_argument("--random-standard", type=_count(0),
                    help="verify this many random standard tables")
 
-    add("degeneracy-check", ("map",), (None, ("map",), cmd_degeneracy_check))
+    add("degeneracy-check", ("map",), (None, {"map": REQUIRED}, cmd_degeneracy_check))
 
-    p = add("xi-demo", ("table-out",), (None, (), cmd_xi_demo))
-    p.add_argument("--src-field", default="2,2")
-    p.add_argument("--dst-field", default="2,4")
-    p.add_argument("--cols", type=int, default=2)
+    p = add("xi-demo", ("table-out",), (None, {"src_field": "2,2", "dst_field": "2,4",
+                                               "cols": 2, "table_out": None}, cmd_xi_demo))
+    p.add_argument("--src-field")
+    p.add_argument("--dst-field")
+    p.add_argument("--cols", type=int)
 
     p = add("twist", ("map", "field", "shape", "table-out"),
-            ("identity_sweep", ("field", "shape"), cmd_twist_sweep),
-            ("map", ("map", "twist"), cmd_twist))
+            ("identity_sweep", {"identity_sweep": REQUIRED, **field_shape}, cmd_twist_sweep),
+            ("map", {"map": REQUIRED, "twist": REQUIRED, "side": "left", "table_out": None},
+             cmd_twist))
     p.add_argument("--twist", help="twist matrix in text form")
-    p.add_argument("--side", choices=["left", "right"], default="left")
+    p.add_argument("--side", choices=["left", "right"])
     p.add_argument("--identity-sweep", action="store_true")
 
+    rigidity = {"which": REQUIRED, "e_field": "2,2", "d_field": None, "m": 2, "n": 2, "k": 2,
+                "sample": None, "seed": 0}
     p = add("lemma-check", ("field", "shape", "src", "dst", "seed"),
-            (None, (), cmd_lemma_check))
-    p.add_argument("--which", required=True, choices=list(LEMMA_READS))
+            ("which 3.1", {"which": REQUIRED, "field": "2,2", "shape": "2x2"}, cmd_pencil_check),
+            ("which 4.1", rigidity, cmd_rigidity_check),
+            ("which 4.2", {**rigidity, "r": 1}, cmd_rigidity_check),
+            ("which 4.3", rigidity, cmd_rigidity_check),
+            ("which 4.4", {**rigidity, "r": 1}, cmd_rigidity_check),
+            ("which 5.1", {"which": REQUIRED, "src": "4:2x2", "dst": None, "sample": 20,
+                           "seed": 0}, cmd_resolvent_check))
+    p.add_argument("--which", required=True, choices=["3.1", "4.1", "4.2", "4.3", "4.4", "5.1"])
     p.add_argument("--e-field")
     p.add_argument("--d-field")
     for flag in ("-m", "-n", "-k", "-r"):
         p.add_argument(flag, type=int)
-    p.add_argument("--sample", type=_count(1), default=None)
+    p.add_argument("--sample", type=_count(1))
 
-    add("fit-semiaffine", ("map",), (None, ("map",), cmd_fit_semiaffine))
+    add("fit-semiaffine", ("map",), (None, {"map": REQUIRED}, cmd_fit_semiaffine))
 
     p = add("recover", ("map", "src", "dst", "seed"),
-            ("roundtrip", ("src", "dst"), cmd_space_sweep),
-            ("dim_bound", ("src", "dst"), cmd_space_sweep),
-            ("map", ("map",), cmd_recover))
-    p.add_argument("--roundtrip", type=_count(0), default=0)
-    p.add_argument("--dim-bound", type=_count(0), default=0)
+            ("roundtrip", {"roundtrip": REQUIRED, **space_sweep}, cmd_space_sweep),
+            ("dim_bound", {"dim_bound": REQUIRED, **space_sweep}, cmd_space_sweep),
+            ("map", {"map": REQUIRED}, cmd_recover))
+    p.add_argument("--roundtrip", type=_count(0))
+    p.add_argument("--dim-bound", type=_count(0))
 
+    for p in sub.choices.values():  # the options a mode may read, in parser order
+        p.set_defaults(options=[a.dest for a in p._actions if a.default is argparse.SUPPRESS])
     return ap
 
 
@@ -454,32 +462,28 @@ def _flag(dest: str) -> str:
     return ("-" if len(dest) == 1 else "--") + dest.replace("_", "-")
 
 
-def _lemma_options(ap, args):
-    """ap.error (exit 2) on an option the selected --which does not read;
-    else fill in the defaults."""
-    unread = [_flag(dest) for dest in LEMMA_DEFAULTS
-              if getattr(args, dest) is not None and dest not in LEMMA_READS[args.which]]
-    if unread:
-        ap.error(f"lemma-check --which {args.which} does not read " + ", ".join(unread))
-    for dest, default in LEMMA_DEFAULTS.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-
-
 def _mode_handler(ap, args):
-    """The handler of the mode args select, with args.mode its selector;
-    ap.error (exit 2) on a missing option or on two selected modes."""
-    chosen = [mode for mode in args.modes if mode[0] and getattr(args, mode[0])]
+    """The handler of the mode args select, args.mode its selector: a set
+    option ("grid") or an option's value ("which 4.1").  ap.error (exit 2) on
+    two modes, a missing or an unread option; else fills in reads' defaults."""
+    given = [dest for dest in args.options if hasattr(args, dest)]
+    selected = {dest for dest in given if getattr(args, dest)}
+    selected |= {f"{dest} {getattr(args, dest)}" for dest in given}
+    chosen = [mode for mode in args.modes if mode[0] in selected]
     if len(chosen) > 1:
         ap.error(f"{args.command}: choose one of "
                  + ", ".join(_flag(mode[0]) for mode in chosen))
-    args.mode, required, handler = chosen[0] if chosen else args.modes[-1]
-    missing = [_flag(dest) for dest in required if getattr(args, dest) is None]
+    args.mode, reads, handler = chosen[0] if chosen else args.modes[-1]
+    missing = [_flag(dest) for dest, default in reads.items()
+               if default is REQUIRED and not hasattr(args, dest)]
     if missing:
         ap.error(f"{args.command}: the following arguments are required: "
                  + ", ".join(missing))
-    if args.command == "lemma-check":
-        _lemma_options(ap, args)
+    unread = [_flag(dest) for dest in given if dest not in reads]
+    if unread:
+        ap.error(f"{args.command} {_flag(args.mode)} does not read " + ", ".join(unread))
+    for dest, default in reads.items():
+        vars(args).setdefault(dest, default)
     return handler
 
 

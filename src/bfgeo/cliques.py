@@ -26,9 +26,6 @@ class Kind(enum.Enum):
     ONE = "type_one"   # common column space u: A + u (x) GF(q)^(1 x n)
     TWO = "type_two"   # common row space v: A + GF(q)^(m x 1) (x) v
 
-    def other(self) -> "Kind":
-        return Kind.TWO if self is Kind.ONE else Kind.ONE
-
 
 class MaximalSet:
     """A maximal clique A + u (x) GF(q)^(1 x n) (kind ONE, u of length m)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bulk, cliques
-from .cliques import Kind, MaximalSet, _clique_test, _first_torn_pair
+from .cliques import Kind, MaximalSet, _clique_test, _first_torn_pair, _unique_points
 from .errors import (InvalidParams, InvalidXi, NoHomExists, NotHom,
                      ShapeMismatch, Singular, SingularTwist, TheoremViolated)
 from .fields import (Field, FieldHom, _check_indices, enumerate_homs, field_from_order,
@@ -471,8 +471,7 @@ def _first_torn_edge(f: MapTable):
 def is_colouring(f: MapTable) -> bool:
     """True iff the whole image is one adjacent set: the distinct images,
     taken as differences from the first, pass the clique test."""
-    rows = f.images.reshape(f.count, -1).view(np.dtype((np.void, f.images[0].nbytes)))
-    pts = np.unique(rows).view(f.images.dtype).reshape(-1, f.m2, f.n2)
+    pts = _unique_points(f.dst_field, [f.images])[0]
     if len(pts) < 2:
         return True
     D = f.dst_field.vsub(pts[None, 1:], pts[0])

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bfgeo.cli import build_parser, main
+from bfgeo.cli import REQUIRED, build_parser, main
 from bfgeo.fields import make_field
 from bfgeo.homs import MapTable, Orientation, random_valid_params, standard_table
 from bfgeo.mapfile import write_map_table
@@ -205,6 +205,48 @@ def test_every_option_is_named_in_the_report_params(tables):
                 unnamed.append((name, option))
     assert sorted(unset) == []
     assert unnamed == []
+
+
+# a value for each option a mode may read; a flag takes none
+OPTION_VALUES = {"field": "2,2", "shape": "2x2", "src": "4:2x2", "dst": "16:3x3",
+                 "map": "{dir}/w.bfmap", "seed": "1", "table_out": "{dir}/t.bfmap",
+                 "max_domain": "4", "sample": "5", "random_standard": "2", "src_field": "2,2",
+                 "dst_field": "2,4", "cols": "2", "twist": "1", "side": "right",
+                 "e_field": "2,2", "d_field": "2,2", "m": "2", "n": "2", "k": "2", "r": "1",
+                 "roundtrip": "2", "dim_bound": "10"}
+
+
+def test_every_mode_refuses_every_option_it_does_not_read(tables, capsys):
+    # only lemma-check once refused such an option: exists --grid --dst ...
+    # ran the grid with the params of the plain run.  Each mode runs with its
+    # selector and required options, plus one option it does not read; the
+    # selector of another mode selects two modes instead
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    wrong = []
+    for name, command in sub.choices.items():
+        actions = {a.dest: a for a in command._actions if a.dest not in ("help", "out")}
+
+        def tokens(dest, value=None):
+            flag = actions[dest].option_strings[0]
+            return [flag] if actions[dest].nargs == 0 else [flag, value or OPTION_VALUES[dest]]
+
+        modes = command.get_default("modes")
+        # a selector is an option ("grid") or an option and its value ("which 4.1")
+        selectors = {mode[0].split()[0] for mode in modes if mode[0]}
+        for selector, reads, _ in modes:
+            chosen = selector.split() if selector else []
+            base = [name] + (tokens(*chosen) if chosen else [])
+            base += [t for dest, default in reads.items()
+                     if default is REQUIRED and dest not in chosen for t in tokens(dest)]
+            for dest in sorted(actions.keys() - reads.keys()):
+                argv = expand(base + tokens(dest), tables)
+                expected = "choose one of" if dest in selectors else "does not read"
+                code = main(argv)
+                err = capsys.readouterr().err
+                if code != 2 or f"{expected} " not in err or tokens(dest)[0] not in err:
+                    wrong.append((argv, code, err.strip().splitlines()[-1:]))
+    assert wrong == []
 
 
 def regenerate(directory: Path):

@@ -698,15 +698,32 @@ def test_a_table_past_the_minor_bound_is_refused_when_built():
     MapTable(make_field(2, 1), 1, 1, make_field(2, 2), 16, 17, images[:, :16])
 
 
-@pytest.mark.parametrize("argv,unread", [
-    (["--which", "3.1", "-m", "100000"], "-m"),
-    (["--which", "4.1", "-r", "-1"], "-r"),
-    (["--which", "5.1", "--field", "2,2", "-k", "3"], "--field, -k"),
-    (["--which", "4.2", "--src", "4:2x2", "--shape", "2x2"], "--shape, --src"),
-], ids=" ".join)
-def test_lemma_check_refuses_options_its_sweep_does_not_read(argv, unread, capsys):
-    assert main(["lemma-check", *argv]) == 2
-    assert f"does not read {unread}" in capsys.readouterr().err
+UNREAD_OPTION_RUNS = [
+    (["lemma-check", "--which", "3.1", "-m", "100000"], "lemma-check --which 3.1 does not read -m"),
+    (["lemma-check", "--which", "4.1", "-r", "-1"], "lemma-check --which 4.1 does not read -r"),
+    (["lemma-check", "--which", "5.1", "--field", "2,2", "-k", "3"], "does not read --field, -k"),
+    (["lemma-check", "--which", "4.2", "--src", "4:2x2", "--shape", "2x2"],
+     "does not read --shape, --src"),
+    # these ran their mode with params that did not name the option
+    (["exists", "--grid", "--dst", "2:2x2", "--certificate"],
+     "exists --grid does not read --dst, --certificate"),
+    (["exists", "--src", "4:2x2", "--dst", "16:2x2", "--max-domain", "4"],
+     "exists --src does not read --max-domain"),
+    (["twist", "--identity-sweep", "--field", "2,2", "--shape", "2x2", "--side", "right",
+      "--twist", "1"], "twist --identity-sweep does not read --twist, --side"),
+    (["hom-verify", "--random-standard", "2", "--src", "4:2x2", "--dst", "16:3x3",
+      "--sample", "5"], "hom-verify --random-standard does not read --sample"),
+    (["recover", "--map", "{dir}/w.bfmap", "--seed", "3"], "recover --map does not read --seed"),
+    (["lemma-check", "--which", "3.1", "--seed", "4"], "lemma-check --which 3.1 does not read --seed"),
+]
+
+
+@pytest.mark.parametrize("argv,unread", UNREAD_OPTION_RUNS,
+                         ids=[" ".join(argv) for argv, _ in UNREAD_OPTION_RUNS])
+def test_every_subcommand_refuses_options_its_mode_does_not_read(argv, unread, tmp_path, capsys):
+    write_map_table(build_witness_hom(2, 2, 2, 4, 2, 2), tmp_path / "w.bfmap")
+    assert main([a.replace("{dir}", str(tmp_path)) for a in argv]) == 2
+    assert unread in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("build", [

@@ -82,6 +82,21 @@ def test_maximal_cliques_are_certified_not_searched():
     assert [w for w in gone if w in text] == []
 
 
+def test_every_cli_mode_is_checked_by_one_mode_table():
+    # lemma-check once checked its options against tables of its own, in a
+    # branch of _mode_handler on its command name; every mode now declares
+    # what it reads in build_parser, and _mode_handler reads only that
+    path = ROOT / "src" / "bfgeo" / "cli.py"
+    text = path.read_text()
+    gone = ("LEMMA_READS", "LEMMA_DEFAULTS", "_lemma_options", "_RIGIDITY", "cmd_lemma_check")
+    assert [w for w in gone if w in text] == []
+    handler = next(node for node in ast.walk(ast.parse(text))
+                   if isinstance(node, ast.FunctionDef) and node.name == "_mode_handler")
+    compared = [ast.unparse(node) for node in ast.walk(handler) if isinstance(node, ast.Compare)
+                and "args.command" in {ast.unparse(n) for n in [node.left, *node.comparators]}]
+    assert compared == []
+
+
 def test_distances_are_certified_at_0_not_swept_over_pairs(monkeypatch):
     # distance_theorem_check once ran a BFS from every point, through the
     # multi-source bfs_distance_rows, against _pairwise_ranks on all pairs;
