@@ -463,12 +463,12 @@ def _flag(dest: str) -> str:
 
 
 def _mode_handler(ap, args):
-    """The handler of the mode args select, args.mode its selector: a set
-    option ("grid") or an option's value ("which 4.1").  ap.error (exit 2) on
-    two modes, a missing or an unread option; else fills in reads' defaults."""
+    """The handler of the mode args select, args.mode its selector: a given
+    option ("grid", whatever its value, so a count of 0 too) or an option's
+    value ("which 4.1").  ap.error (exit 2) on two modes, a missing or an
+    unread option; else fills in reads' defaults."""
     given = [dest for dest in args.options if hasattr(args, dest)]
-    selected = {dest for dest in given if getattr(args, dest)}
-    selected |= {f"{dest} {getattr(args, dest)}" for dest in given}
+    selected = set(given) | {f"{dest} {getattr(args, dest)}" for dest in given}
     chosen = [mode for mode in args.modes if mode[0] in selected]
     if len(chosen) > 1:
         ap.error(f"{args.command}: choose one of "

@@ -5,10 +5,10 @@ homomorphism, non-degenerate, zero fixed, full-dimensional images of the
 two axis cliques), reconstruct (orientation, P, Q, tau, L) so that the
 standard form reproduces the table pointwise.  The pipeline mirrors the
 constructive normalization: align the two image cliques onto the standard
-axes, fit every row clique restriction as a weighted semi-affine map, read
-the twist matrix off the denominator coefficients, and fix the remaining
-diagonal freedom; the result is verified by exact functional equality over
-the whole domain.
+axes, fit every row clique restriction and the column axis as weighted
+semi-affine maps, read the twist matrix off the row cliques' denominators
+and the frames off the two axis fits; the result is verified by exact
+functional equality over the whole domain.
 
 Parameters are not unique; only functional equality is promised.  One
 normalization is pinned down here: denominators are scaled so their
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _bulk
 from .cliques import VertexSet, _adjacent_sets
-from .errors import (Degenerate, DimDeficient, NoFit, NotHom,
+from .errors import (Degenerate, DimDeficient, InvalidParams, NoFit, NotHom,
                      PreconditionViolated, UnsupportedField)
 from .fields import Field, FieldHom, enumerate_homs
 from .homs import (MapTable, Orientation, StandardHomParams, is_degenerate,
@@ -219,9 +219,10 @@ def recover_standard(f: MapTable) -> RecoveryResult:
     """Reconstruct standard-form parameters reproducing the table exactly.
 
     Pipeline: exhaustive homomorphism check, degeneracy check, image-clique
-    dimension check, orientation detection, axis normalization, per-clique
-    weighted semi-affine fits assembling the twist matrix, diagonal
-    correction, and one exact verification over the whole domain.
+    dimension check, orientation detection, axis normalization, then per
+    tau one stack of weighted semi-affine fits (the m row cliques, whose
+    denominators are the twist matrix, and the column axis) and one exact
+    verification over the whole domain.
     The transposed form is the straight one with (Q^t, P^t, L^t) on the
     transposed images, so it is fitted straight on the swapped image stack.
     """
@@ -276,30 +277,41 @@ def recover_standard(f: MapTable) -> RecoveryResult:
         else:
             params = StandardHomParams(Orientation.TRANSPOSED, Q.T, P.T, tau,
                                        L.T, f.m, f.n)
-        if np.array_equal(standard_table(params).images, f.images):
+        try:
+            images = standard_table(params).images
+        except InvalidParams:  # the fitted twist leaves a denominator singular
+            images = None
+        if np.array_equal(images, f.images):
             return RecoveryResult(params, True)
         failures.append(f"{tau!r}: assembled parameters failed the final verification")
     raise NoFit("no field homomorphism fits the table: " + "; ".join(failures))
 
 
 def _fit_straight(f: MapTable, img1, P0: Mat, Q0: Mat, tau: FieldHom):
-    """Straight (P, Q, L) for one tau, fitted on the axis-aligned images
-    img1 of the m row cliques, then of the column axis (straight or swapped;
-    m' and n' are read from its shape)."""
-    F2 = f.dst_field
-    m, n, m2, n2 = f.m, f.n, *img1.shape[1:]
-    k = f.src_field.q ** n
+    """Straight (P, Q, L) for one tau from one stack of fits on the
+    axis-aligned images img1 of the m row cliques, then of the column axis
+    (straight or swapped; m' and n' are read from its shape).
 
-    # first-stage fits on the two axis cliques pin down the inner frames;
-    # both are solved at once, and a failure is raised in pipeline order
-    g1, gN = img1[:k], img1[m * k:]
-    if g1[:, 1:, :].any():
+    On row clique i the standard form is x -> (P e_i) x^tau Q_top /
+    (1 + x^tau L[:, i]), so every row its image block uses is weighted
+    semi-affine with that denominator: the block is fitted at its first
+    used row, and the fit's denominator is L[:, i].  P completes the
+    column-axis fit; Q completes the row-axis fit with its rows scaled by
+    s^-1, s its P[0, 0].  Both axis fits take the image of E_00, so s is
+    nonzero once neither axis leaks and both fits have full rank.
+    """
+    F2 = f.dst_field
+    m, n, n2 = f.m, f.n, img1.shape[2]
+    k = f.src_field.q ** n
+    blocks, gN = img1[:m * k].reshape(m, k, *img1.shape[1:]), img1[m * k:]
+    if blocks[0, :, 1:].any():
         raise NoFit("row-axis image leaks outside the standard row clique")
-    fit1, fitN = _fit_tables(f.src_field, F2, [g1[:, 0, :], gN[:, :, 0]], [tau, tau])
-    if fit1 is None:
+    used = [blocks[i, :, r] for i, r in enumerate(blocks.any(axis=(1, 3)).argmax(axis=1))]
+    *fits, fitN = _fit_tables(f.src_field, F2, used + [gN[:, :, 0]], [tau] * (m + 1))
+    if fits[0] is None:
         raise NoFit(_NO_FIT)
     try:
-        Q2 = _complete_rows(F2, fit1.P.a)
+        Q2 = _complete_rows(F2, fits[0].P.a)
     except PreconditionViolated:
         raise NoFit("row-axis fit is rank deficient") from None
     if gN[:, :, 1:].any():
@@ -310,40 +322,12 @@ def _fit_straight(f: MapTable, img1, P0: Mat, Q0: Mat, tau: FieldHom):
         P2 = _complete_rows(F2, fitN.P.a).T
     except PreconditionViolated:
         raise NoFit("column-axis fit is rank deficient") from None
+    if any(fit is None for fit in fits):
+        raise NoFit(_NO_FIT)
 
-    img2 = _bulk.matmul(F2, P2.inverse().a, _bulk.matmul(F2, img1[:m * k], Q2.inverse().a))
-
-    # every axis clique must now map into its standard counterpart; the m
-    # row-clique fits are one stack
-    blocks = img2.reshape(m, k, m2, n2)
-    fits = _fit_tables(f.src_field, F2, [blocks[i, :, i, :] for i in range(m)], [tau] * m)
-    L = np.zeros((n, m), dtype=np.int64)
-    dref = None
-    pscale = np.zeros(m, dtype=np.int64)
-    for i, fit_i in enumerate(fits):
-        if np.delete(blocks[i], i, axis=1).any():
-            raise NoFit(f"row clique {i} does not align with its axis")
-        if fit_i is None:
-            raise NoFit(_NO_FIT)
-        Pi = fit_i.P.a.astype(np.int64)
-        if Pi[:, n:].any() or np.any((Pi[:, :n] != 0) & ~np.eye(n, dtype=bool)):
-            raise NoFit(f"row clique {i} fit is not diagonal")
-        diag = Pi[np.arange(n), np.arange(n)]
-        if np.any(diag == 0):
-            raise NoFit(f"row clique {i} fit has a vanishing diagonal entry")
-        if dref is None:
-            dref = diag
-            pscale[i] = 1
-        else:
-            ratio = F2.mul(int(diag[0]), F2.inv(int(dref[0])))
-            if np.any(diag != F2.vmul(dref, np.int64(ratio))):
-                raise NoFit(f"row clique {i} fit is not proportional to the first")
-            pscale[i] = ratio
-        L[:, i] = fit_i.a
-
-    Pstar = Mat.diag(F2, [int(p) for p in pscale] + [1] * (m2 - m))
-    Qstar = Mat.diag(F2, [int(d) for d in dref] + [1] * (n2 - n))
-    return P0 @ P2 @ Pstar, Qstar @ Q2 @ Q0, Mat(F2, L)
+    s = int(fits[0].P.a[0, 0])
+    L = Mat(F2, np.array([fit.a for fit in fits]).T)
+    return P0 @ P2, Mat.diag(F2, [F2.inv(s)] * n + [1] * (n2 - n)) @ Q2 @ Q0, L
 
 
 # ---------------------------------------------------------------------------

@@ -375,6 +375,20 @@ def test_cli_dim_bound_checks_exactly_the_requested_sets(count, capsys):
     assert rep["counts"]["sets_checked"] == count
 
 
+@pytest.mark.parametrize("command,selector,counts", [
+    ("hom-verify", "random_standard", {"nonzero_twist": 0, "transposed": 0, "tuples": 0}),
+    ("recover", "roundtrip", {"nonzero_twist": 0, "transposed": 0, "tuples": 0}),
+    ("recover", "dim_bound", {"sets_checked": 0}),
+])
+def test_a_count_selector_of_0_runs_an_empty_sweep(command, selector, counts, capsys):
+    # a mode was once selected by its option's truthiness, so a count of 0
+    # fell through to --map and was refused as a missing option
+    code, rep = run_cli(capsys, command, "--" + selector.replace("_", "-"), "0",
+                        "--src", "4:2x2", "--dst", "16:3x3")
+    assert (code, rep["verdict"], rep["counts"]) == (0, "pass", counts)
+    assert rep["params"][selector] == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["twist", "--identity-sweep", "--field", "2,2", "--shape", "3x3"],
     ["bfs-check", "--field", "2,2", "--shape", "3x3"],

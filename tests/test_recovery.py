@@ -1,11 +1,13 @@
 """Weighted semi-affine fitting and full parameter recovery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from bfgeo import _bulk, cliques, recovery, verify
 from bfgeo.cliques import VertexSet, _clique_test, maximal_sets_through
-from bfgeo.errors import (Degenerate, DimDeficient, NoFit, NotHom,
+from bfgeo.errors import (BfgeoError, Degenerate, DimDeficient, NoFit, NotHom,
                           PreconditionViolated, TheoremViolated, UnsupportedField)
 from bfgeo.fields import Field, FieldHom, enumerate_homs, identity_hom, make_field
 from bfgeo.homs import (MapTable, Orientation, StandardHomParams, XiMapParams,
@@ -296,20 +298,39 @@ def test_complete_rows_rejects_dependent_rows():
         _complete_rows(F4, np.array([[1, 2, 3], [2, 3, 1]]))
 
 
-@pytest.mark.parametrize("axis", ["row", "column"])
+def crafted_img1(broken):
+    """Axis-aligned images of GF(4) 2x2 -> 2x2 for the identity frames: row
+    clique 0, row clique 1 and the column axis, each x -> x P along its own
+    row or column.  P is rank 1 on the broken axis; a broken row clique 1
+    has the images of e_0 and e_1 swapped, which no weighted semi-affine
+    map gives."""
+    xs = row_points(F4, 2)
+    k = len(xs)
+    P = {a: np.eye(2, dtype=np.int64) for a in ("row", "column")}
+    if broken in P:
+        P[broken] = np.array([[1, 0], [1, 0]])
+    img1 = np.zeros((3 * k, 2, 2), dtype=np.int64)
+    img1[:k, 0, :] = _bulk.matmul(F4, xs, P["row"])
+    img1[k:2 * k, 1, :] = xs
+    img1[2 * k:, :, 0] = _bulk.matmul(F4, xs, P["column"])
+    if broken == "row clique 1":
+        e0, e1 = k + F4.q, k + 1  # codes of (1, 0) and (0, 1)
+        img1[[e0, e1]] = img1[[e1, e0]]
+    return img1
+
+
+@pytest.mark.parametrize("axis", ["row", "column", "row clique 1"])
 def test_a_rank_deficient_axis_fit_is_no_fit(axis):
     # axis images x P with a rank-1 P on the failing axis: every fit of
-    # them has a rank-1 P, which the completion's RREF turns into NoFit
-    f = MapTable.identity(F4, 2, 2)
-    xs = row_points(F4, 2)
-    P = {a: np.eye(2, dtype=np.int64) for a in ("row", "column")}
-    P[axis] = np.array([[1, 0], [1, 0]])
-    img1 = np.zeros((3 * len(xs), 2, 2), dtype=np.int64)
-    img1[:len(xs), 0, :] = _bulk.matmul(F4, xs, P["row"])
-    img1[2 * len(xs):, :, 0] = _bulk.matmul(F4, xs, P["column"])
-    eye = Mat.identity(F4, 2)
-    with pytest.raises(NoFit, match=f"^{axis}-axis fit is rank deficient$"):
-        recovery._fit_straight(f, img1, eye, eye, identity_hom(F4))
+    # them has a rank-1 P, which the completion's RREF turns into NoFit.
+    # A row clique past the first that no map fits is NoFit too, read off
+    # the one fit stack; the two-stage fit refused all three alike
+    message = {"row": "row-axis fit is rank deficient",
+               "column": "column-axis fit is rank deficient"}.get(axis, recovery._NO_FIT)
+    f, eye = MapTable.identity(F4, 2, 2), Mat.identity(F4, 2)
+    for fit in (recovery._fit_straight, two_stage_fit_straight):
+        with pytest.raises(NoFit, match=f"^{message}$"):
+            fit(f, crafted_img1(axis), eye, eye, identity_hom(F4))
 
 
 def test_recovery_ranks_no_axis_fit_twice(monkeypatch):
@@ -530,3 +551,164 @@ def test_fit_semiaffine_stacks_every_tau_and_keeps_the_first_fit():
         assert (got.tau, got.a, got.b) == (want.tau, want.a, want.b)
         assert np.array_equal(got.P.a, want.P.a)
     assert fitted
+
+
+# ---------------------------------------------------------------------------
+# the one fit stack per tau against the two-stage fit it replaced
+
+def two_stage_fit_straight(f, img1, P0, Q0, tau):
+    """_fit_straight as it was before one stack per tau: the two axis fits
+    give the frames, then the m row cliques are re-framed, refitted as a
+    second stack and checked aligned, diagonal and proportional, and their
+    diagonal scaling is undone."""
+    F2 = f.dst_field
+    m, n, m2, n2 = f.m, f.n, *img1.shape[1:]
+    k = f.src_field.q ** n
+    g1, gN = img1[:k], img1[m * k:]
+    if g1[:, 1:, :].any():
+        raise NoFit("row-axis image leaks outside the standard row clique")
+    fit1, fitN = recovery._fit_tables(f.src_field, F2, [g1[:, 0, :], gN[:, :, 0]], [tau, tau])
+    if fit1 is None:
+        raise NoFit(recovery._NO_FIT)
+    try:
+        Q2 = recovery._complete_rows(F2, fit1.P.a)
+    except PreconditionViolated:
+        raise NoFit("row-axis fit is rank deficient") from None
+    if gN[:, :, 1:].any():
+        raise NoFit("column-axis image leaks outside the standard column clique")
+    if fitN is None:
+        raise NoFit(recovery._NO_FIT)
+    try:
+        P2 = recovery._complete_rows(F2, fitN.P.a).T
+    except PreconditionViolated:
+        raise NoFit("column-axis fit is rank deficient") from None
+
+    img2 = _bulk.matmul(F2, P2.inverse().a, _bulk.matmul(F2, img1[:m * k], Q2.inverse().a))
+    blocks = img2.reshape(m, k, m2, n2)
+    fits = recovery._fit_tables(f.src_field, F2, [blocks[i, :, i, :] for i in range(m)],
+                                [tau] * m)
+    L = np.zeros((n, m), dtype=np.int64)
+    dref = None
+    pscale = np.zeros(m, dtype=np.int64)
+    for i, fit_i in enumerate(fits):
+        if np.delete(blocks[i], i, axis=1).any():
+            raise NoFit(f"row clique {i} does not align with its axis")
+        if fit_i is None:
+            raise NoFit(recovery._NO_FIT)
+        Pi = fit_i.P.a.astype(np.int64)
+        if Pi[:, n:].any() or np.any((Pi[:, :n] != 0) & ~np.eye(n, dtype=bool)):
+            raise NoFit(f"row clique {i} fit is not diagonal")
+        diag = Pi[np.arange(n), np.arange(n)]
+        if np.any(diag == 0):
+            raise NoFit(f"row clique {i} fit has a vanishing diagonal entry")
+        if dref is None:
+            dref = diag
+            pscale[i] = 1
+        else:
+            ratio = F2.mul(int(diag[0]), F2.inv(int(dref[0])))
+            if np.any(diag != F2.vmul(dref, np.int64(ratio))):
+                raise NoFit(f"row clique {i} fit is not proportional to the first")
+            pscale[i] = ratio
+        L[:, i] = fit_i.a
+    Pstar = Mat.diag(F2, [int(p) for p in pscale] + [1] * (m2 - m))
+    Qstar = Mat.diag(F2, [int(d) for d in dref] + [1] * (n2 - n))
+    return P0 @ P2 @ Pstar, Qstar @ Q2 @ Q0, Mat(F2, L)
+
+
+def both_recoveries(tbl, monkeypatch, trusted=False):
+    """recover_standard's params, or the name of the error it raises, with
+    the one-stack fit and with the two-stage one; trusted lets a table
+    that fails is_graph_hom or is degenerate reach the fits."""
+    outcomes = []
+    for fit in (recovery._fit_straight, two_stage_fit_straight):
+        with monkeypatch.context() as mp:
+            mp.setattr(recovery, "_fit_straight", fit)
+            if trusted:
+                mp.setattr(recovery, "is_graph_hom", lambda f, mode: (True, None))
+                mp.setattr(recovery, "is_degenerate", lambda f: (False, None))
+            try:
+                p = recover_standard(tbl).params
+            except BfgeoError as e:
+                outcomes.append(type(e).__name__)
+            else:
+                outcomes.append((p.orientation, p.tau, p.P.a.tolist(), p.Q.a.tolist(),
+                                 p.L.a.tolist()))
+    return outcomes
+
+
+ORACLE_PAIRS = [(F5, (2, 3), F5, (3, 4)), (F4, (2, 2), F16, (3, 3)),
+                (F4, (3, 2), F16, (4, 3)), (F4, (2, 3), F16, (3, 4))]
+
+
+def pair_id(v):
+    return f"GF({v.q})" if isinstance(v, Field) else "x".join(map(str, v))
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+@pytest.mark.parametrize("src,shape,dst,shape2", ORACLE_PAIRS, ids=pair_id)
+def test_one_fit_stack_recovers_the_params_of_the_two_stage_fit(src, shape, dst, shape2,
+                                                                orientation, monkeypatch):
+    # two tables with L = 0, then two with L = c E_ij where tau is not
+    # onto: for c outside tau's image every denominator 1 + c x^tau is
+    # invertible
+    rng = np.random.default_rng(src.q * 10 + shape[0])
+    for trial in range(4):
+        p = random_valid_params(rng, src, *shape, dst, *shape2, orientation=orientation,
+                                nonzero_L_tries=0)
+        if trial >= 2 and not p.tau.is_surjective():
+            L = np.zeros(p.L.shape, dtype=np.int64)
+            L[rng.integers(L.shape[0]), rng.integers(L.shape[1])] = rng.choice(
+                np.setdiff1d(np.arange(dst.q), p.tau.vapply(np.arange(src.q))))
+            p = dataclasses.replace(p, L=Mat(dst, L))
+        new, old = both_recoveries(standard_table(p), monkeypatch)
+        assert new == old and not isinstance(new, str)
+        assert new[-1] == p.L.a.tolist()
+
+
+def broken_tables(tbl, rng):
+    """(name, table) pairs: a standard table with row clique 1, or a point
+    off every axis, or the row axis, broken in one way each.  Row clique 1
+    precomposed with x -> x M, M fixing e_0 so that the column axis keeps
+    its images, stays weighted semi-affine, but a sheared, stretched or
+    collapsed one once failed the diagonal checks of the second stage."""
+    F, F2, images = tbl.src_field, tbl.dst_field, tbl.images
+    row0, row1 = _axis_codes(tbl, "row", 0), _axis_codes(tbl, "row", 1)
+    cases = {}
+    swapped = images.copy()
+    swapped[row1[[1, 2]]] = images[row1[[2, 1]]]
+    cases["swap two images"] = swapped
+    cases["borrow row clique 0"] = images.copy()
+    cases["borrow row clique 0"][row1] = images[row0]
+    xs = space(F, 1, tbl.n).entries
+    for name, (i, j, c) in (("shear", (1, 0, 1)), ("stretch", (1, 1, 2)), ("collapse", (1, 1, 0))):
+        M = np.eye(tbl.n, dtype=np.int64)
+        M[i, j] = c
+        cases[name] = images.copy()
+        cases[name][row1] = images[row1[_bulk.encode(F, _bulk.matmul(F, xs, M))]]
+    for name, codes in (("nudge", row1), ("nudge the row axis", row0),
+                        ("nudge off the axes", [0, len(images) - 1])):
+        cases[name] = images.copy()
+        code = codes[rng.integers(1, len(codes))]  # past 0, which f must fix
+        i, j = rng.integers(tbl.m2), rng.integers(tbl.n2)
+        cases[name][code, i, j] = F2.vadd(images[code, i, j], 1)
+    return [(name, MapTable(F, tbl.m, tbl.n, F2, tbl.m2, tbl.n2, img))
+            for name, img in cases.items()]
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+@pytest.mark.parametrize("src,shape,dst,shape2", ORACLE_PAIRS[:2], ids=pair_id)
+def test_one_fit_stack_fails_where_the_two_stage_fit_failed(src, shape, dst, shape2,
+                                                           orientation, monkeypatch):
+    # tables let past is_graph_hom: the two-stage fit refused each, and the
+    # one stack is refused with the same error, by the final verification
+    # where a dropped second-stage check refused it before
+    rng = np.random.default_rng(src.q + dst.q)
+    not_homs = 0
+    for _ in range(2):
+        tbl = standard_table(random_valid_params(rng, src, *shape, dst, *shape2,
+                                                 orientation=orientation))
+        for name, broken in broken_tables(tbl, rng):
+            new, old = both_recoveries(broken, monkeypatch, trusted=True)
+            assert new == old and isinstance(new, str), name
+            not_homs += not is_graph_hom(broken, "exhaustive")[0]
+    assert not_homs

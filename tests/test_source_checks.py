@@ -236,26 +236,33 @@ def test_the_dim_bound_sweep_runs_two_clique_tests_per_table(monkeypatch):
     assert {P.shape[2] for _, P, _ in calls} == {10}  # (m, n, sets, K) entry planes
 
 
-def test_recovery_solves_at_most_three_stacks_per_twist_fit(monkeypatch):
-    # the two axis fits share one solve when their shapes agree, and the m
-    # row-clique fits share another; each fit once took a solve of its own
+def test_recovery_fits_one_stack_per_twist(monkeypatch):
+    # each tau once took two fit stacks: the axes, then the m row cliques
+    # refitted on re-framed images.  Now one stack of m + 1 fits, whose
+    # systems share one solve where the shapes agree: (2, 2) -> (3, 3)
+    # fits 16-point rows and columns, (3, 2) -> (3, 3) 16-point rows and
+    # 64-point columns
     F4, F16 = make_field(2, 2), make_field(2, 4)
     rng = np.random.default_rng(31)
-    solves, per_fit = counting(monkeypatch, _bulk, "solve_affine"), []
-    real = recovery._fit_straight
+    solves = counting(monkeypatch, _bulk, "solve_affine")
+    stacks = counting(monkeypatch, recovery, "_fit_tables")
+    real, per_fit = recovery._fit_straight, []
 
     def fit(*args):
-        before = len(solves)
+        before = len(stacks), len(solves)
         try:
             return real(*args)
         finally:
-            per_fit.append(len(solves) - before)
+            per_fit.append((len(stacks) - before[0], len(solves) - before[1]))
 
     monkeypatch.setattr(recovery, "_fit_straight", fit)
-    for m, n in ((2, 2), (3, 2)):
-        tbl = standard_table(random_valid_params(rng, F4, m, n, F16, 3, 3))
-        assert recovery.recover_standard(tbl).residual_checked
-    assert per_fit and max(per_fit) <= 3
+    for (m, n), solves_per_stack in (((2, 2), 1), ((3, 2), 2)):
+        per_fit.clear()
+        for orientation in Orientation:
+            tbl = standard_table(random_valid_params(rng, F4, m, n, F16, 3, 3,
+                                                     orientation=orientation))
+            assert recovery.recover_standard(tbl).residual_checked
+        assert per_fit and set(per_fit) == {(1, solves_per_stack)}
 
 
 def test_the_twist_search_takes_no_determinant_on_rank1_points(monkeypatch):
