@@ -478,96 +478,59 @@ def is_colouring(f: MapTable) -> bool:
     return bool(_clique_test(f.dst_field, np.moveaxis(D, (0, 1), (2, 3)))[0][0])
 
 
-# Byte budget for one block of the degeneracy scan's difference stack
-# (centers x ball points x target entries, sized at 8 bytes an entry); it
-# bounds the scan's working memory whatever the table's shape.
-_DEGENERACY_BLOCK_BYTES = 2 << 20
-
-
 def is_degenerate(f: MapTable):
-    """Search for a collapsed unit ball around a rank <= 1 center.
+    """Does the unit ball around some rank <= 1 center map into the union
+    of two opposite-kind maximal sets?
 
-    Returns (True, (A, M, N)) with the center and the two opposite-kind
-    cliques hosting the ball image, or (False, None).  Raises NotHom when
-    some ball edge is torn, since the search presumes a homomorphism.
-    The first center in code order that tears or has a two-clique cover
-    decides.  Centers whose cliques all pass the clique test are decided,
-    witness included, from the clique summary; the others are scanned, a
-    block of them at a time.  A cover is returned only once the deciding
-    ball's image is seen to lie in the union of M and N.  The verdict is
-    kept on the table; a NotHom is raised again on every call.
+    Degeneracy is defined on graph homomorphisms: any other table raises
+    NotHom with ``is_graph_hom``'s witness, its lexicographically first
+    torn edge.  On a homomorphism every source clique passes the clique
+    test, so the clique summary decides, at the first center in code order
+    whose cliques admit a two-clique cover.  Returns (True, (A, M, N)) with
+    that center and the two cliques hosting its ball image, or (False,
+    None).  A cover is returned only once the ball's image is seen to lie
+    in the union of M and N.  The verdict is kept on the table.
     """
     if "is_degenerate" in f._verdicts:
         return f._verdicts["is_degenerate"]
+    ok, witness = is_graph_hom(f)
+    if not ok:
+        raise NotHom("not a graph homomorphism", witness=witness)
     sp, summary = f.src_space(), f._clique_summary
     ball0 = np.sort(np.concatenate([np.zeros(1, dtype=np.int64), sp.rank1_codes]))
     through = sp.cliques_through(ball0)
-    passing = summary.passes[through]
-    scan = ~passing.all(axis=1)
     covered, u, v = _two_clique_cover(np.moveaxis(summary.u[through], -1, 0),
-                                      np.moveaxis(summary.v[through], -1, 0), passing)
-    covered &= ~scan
-    stop = int(np.argmax(covered)) if covered.any() else len(ball0)
-    pick = (ball0[stop], u[:, stop], v[:, stop]) if stop < len(ball0) else None
-    todo = ball0[:stop][scan[:stop]]
-    for block in _row_blocks(len(todo), len(ball0) * f.m2 * f.n2 * 8, _DEGENERACY_BLOCK_BYTES):
-        centers = todo[block]
-        torn, covered, u, v = _ball_hits(f, ball0, centers)
-        hit = torn.any(axis=1) | covered
-        if hit.any():
-            b = int(np.argmax(hit))
-            if torn[b].any():
-                X = sp.code_add(ball0[np.argmax(torn[b])], centers[b])
-                raise NotHom("ball image tears: not a graph homomorphism",
-                             witness=(sp.mat(X), sp.mat(centers[b])))
-            pick = (centers[b], u[:, b], v[:, b])
-            break
-    verdict = (False, None) if pick is None else _cover_verdict(f, ball0, *pick)
+                                      np.moveaxis(summary.v[through], -1, 0))
+    verdict = (False, None)
+    if covered.any():
+        b = int(np.argmax(covered))
+        verdict = _cover_verdict(f, ball0, ball0[b], u[:, b], v[:, b])
     f._verdicts["is_degenerate"] = verdict
     return verdict
 
 
-def _ball_hits(f: MapTable, ball0, centers):
-    """(torn, covered, u, v) for a block of centers: which of their ball
-    items tear, and the two-clique cover of their nonzero differences."""
-    F2 = f.dst_field
-    balls = f.src_space().code_add(ball0[None, :], centers[:, None])
-    D = F2.vsub(f.images[balls], f.images[centers][:, None])
-    nz = D.any(axis=(2, 3))
-    Dnz = D[nz]
-    u, v = (np.zeros((D.shape[a],) + nz.shape, dtype=F2.dtype) for a in (2, 3))
-    u[:, nz] = _bulk.generators(F2, Dnz, "col").T
-    v[:, nz] = _bulk.generators(F2, Dnz, "row").T
-    return (nz & ~_bulk.rank_le1_mask(F2, D),) + _two_clique_cover(u, v, nz)
-
-
-def _two_clique_cover(u, v, mask):
+def _two_clique_cover(u, v):
     """Per row b of the (E, B, K) column and row generator stacks u and v:
-    is there a pair (u0, v0) with u = u0 or v = v0 at every masked item?
+    is there a pair (u0, v0) with u = u0 or v = v0 at every item?
     Returns (covered, u0, v0), the pairs as (E, B) stacks.
 
     A zero generator matches nothing, and a side left free comes back as
-    zero (a row with no masked item is covered by (0, 0)).  The pair is
-    (u0, 0) when every item has u0, else (0, v0) when every item has v0.
-    Otherwise the first item has u0 or v0, so the pair is (u of the first
-    item, the v shared by the items whose u differs) or (the u shared by
-    the items whose v differs, v of the first item): where both hold, the
-    one whose u is lexicographically smaller.
+    zero.  The pair is (u0, 0) when every item has u0, else (0, v0) when
+    every item has v0.  Otherwise the first item has u0 or v0, so the pair
+    is (u of the first item, the v shared by the items whose u differs) or
+    (the u shared by the items whose v differs, v of the first item): where
+    both hold, the one whose u is lexicographically smaller.
 
-    ``is_degenerate`` asks this of two kinds of item around a center A,
-    which admit the same pairs and so give the same answer.  The ball scan
-    passes the nonzero differences f(X) - f(A) over A's unit ball.  The
-    summary passes the source cliques through A of the kind of
-    ``clique_members`` (one per direction; their union is the ball), each
-    with the generators (u_C, v_C) its clique test shares, all of them
-    passing.  Then each clique image, f(A) included, lies in the target
-    column clique through f(A) of u_C or the row clique of v_C, and its
-    images are distinct, so its differences from f(A) are nonzero and no
-    ball edge tears.  On a line clique every difference has generators
-    (u_C, v_C): it is covered iff u_C = u0 or v_C = v0.  A column-kind
-    clique off a line has every difference with column generator u_C and
-    row generators not all one (else it lies on a line): it is covered iff
-    u_C = u0, as its zero v_C says.  Row-kind cliques likewise.
+    ``is_degenerate`` passes, around a center A, the source cliques through
+    A of the kind of ``clique_members`` (one per direction; their union is
+    the ball), each with the generators (u_C, v_C) its clique test shares,
+    all of them passing.  Then each clique image, f(A) included, lies in
+    the target column clique through f(A) of u_C or the row clique of v_C.
+    On a line clique every difference from f(A) has generators (u_C, v_C):
+    it is covered iff u_C = u0 or v_C = v0.  A column-kind clique off a
+    line has every difference with column generator u_C and row generators
+    not all one (else it lies on a line): it is covered iff u_C = u0, as
+    its zero v_C says.  Row-kind cliques likewise.
     """
     def first(keys, where):  # the first item's row where there is one, else zero
         row = np.take_along_axis(keys, np.argmax(where, axis=1)[None, :, None], axis=2)
@@ -576,8 +539,8 @@ def _two_clique_cover(u, v, mask):
     def on(keys, key):  # the items equal to a nonzero key
         return (keys == key[..., None]).all(axis=0) & key.any(axis=0)[:, None]
 
-    u1, v1 = first(u, mask), first(v, mask)
-    off_u1, off_v1 = mask & ~on(u, u1), mask & ~on(v, v1)
+    u1, v1 = u[..., 0], v[..., 0]
+    off_u1, off_v1 = ~on(u, u1), ~on(v, v1)
     u2, v2 = first(u, off_v1), first(v, off_u1)
     ok1 = ~(off_u1 & ~on(v, v2)).any(axis=1)
     ok2 = ~(off_v1 & ~on(u, u2)).any(axis=1)

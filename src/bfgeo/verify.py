@@ -19,7 +19,7 @@ from .homs import (MapTable, Orientation, TwistSide, _resolvent, build_witness_h
                    moebius_twist, proper_coloring, random_valid_params,
                    standard_table, validate_params)
 from .matrices import (TABLE_LIMIT, Mat, _row_blocks, bfs_distances, bounded, bounded_power,
-                       count_rank_matrices, space, space_size)
+                       count_rank_matrices, space, space_size, table_budget)
 from .recovery import _dim_bound_holds, recover_standard
 
 
@@ -387,7 +387,11 @@ def standard_form_sweep(src: Field, m: int, n: int, dst: Field, m2: int,
                         n2: int, count: int, seed: int = 0,
                         recover: bool = False) -> dict:
     """Random valid parameter tuples: verify table properties (and
-    optionally the recovery round-trip) for each."""
+    optionally the recovery round-trip) for each.  DomainTooLarge past the
+    table bound, then PreconditionViolated on a 1 x n or m x 1 source, as
+    in clique_structure_check, before any draw."""
+    table_budget(src.q, m, n, m2, n2)
+    _require_grid(src, m, n)
     rng = np.random.default_rng(seed)
     nonzero_L = 0
     transposed = 0

@@ -108,7 +108,8 @@ def write_tables(directory: Path):
     write_map_table(f, directory / "f.bfmap")
     g = random_valid_params(rng, F4, 1, 2, F16, 1, 3, Orientation.STRAIGHT)
     write_map_table(standard_table(g), directory / "g.bfmap")
-    # a constant table collapses every ball; a rank-2 image next to f(0) tears one
+    # neither is a homomorphism: a constant table collapses every edge, and a
+    # rank-2 image next to f(0) tears one
     write_map_table(MapTable(F2, 2, 2, F4, 2, 2, np.zeros((16, 2, 2), dtype=F4.dtype)),
                     directory / "const.bfmap")
     torn = f.images.copy()

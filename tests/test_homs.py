@@ -13,8 +13,9 @@ from bfgeo.homs import (MapTable, Orientation, StandardHomParams, TwistSide,
                         hom_exists, is_colouring, is_degenerate, is_graph_hom,
                         make_xi_map, moebius_twist, proper_coloring,
                         random_valid_params, standard_table, validate_params)
+from bfgeo.mapfile import write_map_table
 from bfgeo.matrices import Mat, arithmetic_distance, random_invertible, space
-from test_mapfile_cli import within_a_second
+from test_mapfile_cli import run_cli, within_a_second
 
 F2 = make_field(2, 1)
 F4 = make_field(2, 2)
@@ -440,6 +441,24 @@ def test_is_degenerate():
         is_degenerate(MapTable(F4, 2, 2, F4, 2, 2, torn_imgs))
 
 
+def test_a_collapsed_ball_is_no_homomorphism_on_every_path(tmp_path, capsys):
+    # the ball scan counted no zero difference as torn: degeneracy-check
+    # passed this table as degenerate at 0,0;0,3, the centre of the edge
+    # that hom-verify reports torn
+    f = MapTable(F4, 2, 2, F4, 2, 2, _collapsed_ball_images(F4, 2, 2, 3))
+    torn = is_graph_hom(f)[1]
+    for _ in range(2):  # refused again, not stored
+        with pytest.raises(NotHom, match="^not a graph homomorphism$") as e:
+            is_degenerate(f)
+        assert e.value.witness is torn
+    path = tmp_path / "collapsed.bfmap"
+    write_map_table(f, path)
+    code, rep = run_cli(capsys, "degeneracy-check", "--map", str(path))
+    assert (code, rep["verdict"], rep["witnesses"]) == (2, "error", ["not a graph homomorphism"])
+    code, rep = run_cli(capsys, "hom-verify", "--map", str(path))
+    assert (code, rep["witnesses"]) == (1, ["0,0;0,3 ~ 1,0;0,3 torn"])
+
+
 def _stab_with_two(us, vs):
     """Indices (iu, iv) such that every item shares u with iu or v with iv.
 
@@ -461,7 +480,8 @@ def _stab_with_two(us, vs):
 
 def _degenerate_oracle(f, decided):
     """The per-center degeneracy loop, kept as the reference for the
-    batched scan; appends the index of the deciding center to decided."""
+    summary-decided verdict on homomorphisms; appends the index of the
+    deciding center to decided."""
     sp = f.src_space()
     F2 = f.dst_field
     ball0 = np.sort(np.concatenate([np.zeros(1, dtype=np.int64), sp.rank1_codes]))
@@ -510,6 +530,17 @@ def _degeneracy_outcome(fn, f):
         (S.kind, S.direction.tolist(), S.offset.a.tolist()) for S in (M, N))
 
 
+def _degeneracy_reference(f, decided=None):
+    """is_degenerate(f)'s expected outcome, as _degeneracy_outcome gives it:
+    NotHom with the first torn edge when _edge_scan_oracle finds one, else
+    _degenerate_oracle's verdict (its deciding center appended to decided)."""
+    ok, edge = _edge_scan_oracle(f)
+    if not ok:
+        return "NotHom", edge
+    decided = [] if decided is None else decided
+    return _degeneracy_outcome(lambda t: _degenerate_oracle(t, decided), f)
+
+
 def _collapsed_ball_images(F, m, n, index):
     """Identity on F^(m x n), except that the rank >= 2 points of the ball
     around the index-th center map to that center: the earlier centers
@@ -523,9 +554,9 @@ def _collapsed_ball_images(F, m, n, index):
 
 
 def _torn_late_images(f):
-    """f's images with a tear at the latest center that can host one: the
-    rank-2 point first reached by the latest center's ball gets the
-    center's image plus a rank-2 matrix."""
+    """f's images with a tear far from 0, at the latest center that can
+    host one: the rank-2 point first reached by the latest center's ball
+    gets the center's image plus a rank-2 matrix."""
     sp = f.src_space()
     ball0 = np.sort(np.r_[0, sp.rank1_codes])
     first = np.full(sp.count, len(ball0))
@@ -537,7 +568,7 @@ def _torn_late_images(f):
     lift[0, 0] = lift[1, 1] = 1
     imgs = f.images.copy()
     imgs[p] = f.dst_field.vadd(f.images[c], lift)
-    return imgs, int(first[p])
+    return imgs
 
 
 def _two_family_images(emb, m2, n2):
@@ -555,36 +586,31 @@ def _two_family_images(emb, m2, n2):
 
 @pytest.mark.parametrize("src,dst,shape", [
     (F4, F4, (2, 2, 2, 2)), (F4, F16, (2, 2, 3, 3)), (F5, F5, (2, 2, 2, 2))])
-@pytest.mark.parametrize("block", [1, 3, None])
-def test_batched_degeneracy_scan_matches_per_center_loop(src, dst, shape, block,
-                                                          monkeypatch):
+def test_batched_degeneracy_scan_matches_per_center_loop(src, dst, shape):
     m, n, m2, n2 = shape
     sp = space(src, m, n)
     centers = 1 + len(sp.rank1_codes)
-    if block is not None:  # force block boundaries inside the scan
-        monkeypatch.setattr(homs, "_DEGENERACY_BLOCK_BYTES", block * centers * m2 * n2 * 8)
     emb = enumerate_homs(src, dst)[0]
     std = standard_table(random_valid_params(np.random.default_rng(5), src, m, n,
                                              dst, m2, n2))
-    torn, torn_at = _torn_late_images(std)
     late = src.q - 1  # the last multiple of the last unit matrix
-    cases = [
+    cases = [  # (table, the oracle's deciding center, None on a table that tears)
         (std, centers),
-        (MapTable(src, m, n, dst, m2, n2, torn), torn_at),
+        (MapTable(src, m, n, dst, m2, n2, _torn_late_images(std)), None),
         (MapTable(src, m, n, dst, m, n,
-                  emb.vapply(_collapsed_ball_images(src, m, n, late))), late),
+                  emb.vapply(_collapsed_ball_images(src, m, n, late))), None),
         (build_witness_hom(src.q, m, n, dst.q, m2, n2), 0),
-        (MapTable(src, m, n, dst, m2, n2, _two_family_images(emb, m2, n2)), 0),
+        (MapTable(src, m, n, dst, m2, n2, _two_family_images(emb, m2, n2)), None),
         (MapTable(src, m, n, dst, m2, n2,  # the first item only in the first clique
-                  np.swapaxes(_two_family_images(emb, m2, n2), 1, 2)), 0),
+                  np.swapaxes(_two_family_images(emb, m2, n2), 1, 2)), None),
         (MapTable(src, m, n, dst, m2, n2,
-                  np.zeros((sp.count, m2, n2), dtype=dst.dtype)), 0),
+                  np.zeros((sp.count, m2, n2), dtype=dst.dtype)), None),
     ]
-    assert torn_at >= 3
     for f, want_at in cases:
         decided = []
-        want = _degeneracy_outcome(lambda t: _degenerate_oracle(t, decided), f)
-        assert decided == [want_at]
+        want = _degeneracy_reference(f, decided)
+        assert decided == ([] if want_at is None else [want_at])
+        assert (want[0] == "NotHom") == (want_at is None)
         fresh = MapTable(src, m, n, f.dst_field, f.m2, f.n2, f.images)
         assert _degeneracy_outcome(is_degenerate, fresh) == want
         assert _degeneracy_outcome(is_degenerate, fresh) == want  # stored or re-raised
@@ -598,18 +624,19 @@ def test_degeneracy_and_colouring_on_a_target_whose_codes_overflow_int64():
                                              F65536, 4, 4, nonzero_L_tries=20))
     assert is_degenerate(std) == (False, None)
     assert not is_colouring(std)
-    late = F4.q - 1
+    witness = build_witness_hom(4, 2, 2, 65536, 4, 4)
+    deg, (A, M, N) = is_degenerate(witness)
+    assert deg and is_colouring(witness)
+    assert {M.kind, N.kind} == {Kind.ONE, Kind.TWO}
+    assert all(M.contains(witness.apply(X)) or N.contains(witness.apply(X))
+               for X in unit_ball(A))
+    # a collapsed ball is no homomorphism: refused with the first torn edge
     imgs = np.zeros((256, 4, 4), dtype=F65536.dtype)
     imgs[:, :2, :2] = enumerate_homs(F4, F65536)[0].vapply(
-        _collapsed_ball_images(F4, 2, 2, late))
+        _collapsed_ball_images(F4, 2, 2, F4.q - 1))
     collapsed = MapTable(F4, 2, 2, F65536, 4, 4, imgs)
-    deg, (A, M, N) = is_degenerate(collapsed)
-    assert deg and A.encode() == np.sort(np.r_[0, space(F4, 2, 2).rank1_codes])[late]
-    assert {M.kind, N.kind} == {Kind.ONE, Kind.TWO}
-    assert all(M.contains(collapsed.apply(X)) or N.contains(collapsed.apply(X))
-               for X in unit_ball(A))
-    witness = build_witness_hom(4, 2, 2, 65536, 4, 4)
-    assert is_colouring(witness) and is_degenerate(witness)[0]
+    want = _degeneracy_reference(collapsed)
+    assert want[0] == "NotHom" and _degeneracy_outcome(is_degenerate, collapsed) == want
 
 
 def _edge_scan_oracle(f):
@@ -1053,6 +1080,16 @@ STAR_PLANS = {  # each distinguishes the summary rule from a near miss
 }
 
 
+def _covered_at_zero(f):
+    """Does ``_two_clique_cover`` cover the summary's cliques through 0?"""
+    through = f.src_space().cliques_through(np.zeros(1, dtype=np.int64))
+    summary = f._clique_summary
+    assert summary.passes[through].all()
+    covered, _, _ = homs._two_clique_cover(np.moveaxis(summary.u[through], -1, 0),
+                                           np.moveaxis(summary.v[through], -1, 0))
+    return bool(covered[0])
+
+
 def _hom_outcome(f):
     """is_graph_hom(f) as comparable plain data, as _edge_scan_oracle gives it."""
     ok, w = is_graph_hom(f)
@@ -1077,47 +1114,31 @@ def _spread_witness_images(f):
 @pytest.mark.parametrize("block", [1, 3, None])
 def test_summary_decided_degeneracy_matches_the_per_center_loop(
         src, m, n, dst, m2, n2, block, monkeypatch):
-    sp = space(src, m, n)
-    centers = np.sort(np.r_[0, sp.rank1_codes])
-    if block is not None:  # force block boundaries: centers, and cliques
-        size = sp.clique_members.shape[1]
-        monkeypatch.setattr(homs, "_DEGENERACY_BLOCK_BYTES", block * len(centers) * m2 * n2 * 8)
+    if block is not None:  # force block boundaries between cliques
+        size = space(src, m, n).clique_members.shape[1]
         monkeypatch.setattr(cliques, "_CLIQUE_BLOCK_BYTES", block * size * m2 * n2 * 8)
-    scanned = []
-    real_hits = homs._ball_hits
-    monkeypatch.setattr(homs, "_ball_hits",
-                        lambda f, ball0, c: scanned.extend(c.tolist()) or real_hits(f, ball0, c))
     cases = _hom_cases(src, m, n, dst, m2, n2, seed=m * 100 + n * 10 + src.q)
     if min(m, n) >= 2:
         std = MapTable(src, m, n, dst, m2, n2, cases["standard"])
-        cases["torn late"], torn_at = _torn_late_images(std)
-        torn_center = centers[torn_at]
+        cases["torn late"] = _torn_late_images(std)
         cases["witness spread"] = _spread_witness_images(
             MapTable(src, m, n, dst, m2, n2, cases["witness"]))
     if (src, m, n, dst, m2, n2) == (F2, 2, 2, F4, 2, 2):
         cases.update({name: _star_images(plan) for name, plan in STAR_PLANS.items()})
     for name, imgs in cases.items():
-        decided = []
         f = MapTable(src, m, n, dst, m2, n2, imgs)
-        want = _degeneracy_outcome(lambda t: _degenerate_oracle(t, decided), f)
+        want = _degeneracy_reference(f)
         want_hom = _edge_scan_oracle(f)
         for hom_first in (False, True):
             f = MapTable(src, m, n, dst, m2, n2, imgs)
-            del scanned[:]
             if hom_first:
                 assert _hom_outcome(f) == want_hom, name
             assert _degeneracy_outcome(is_degenerate, f) == want, (name, block, hom_first)
             assert _degeneracy_outcome(is_degenerate, f) == want  # stored or re-raised
-            if name == "witness spread" and src.q ** max(m, n) > dst.q:
-                # no clique image fits on a target line: decided at 0 from
-                # the summaries, though later centers would need a scan
-                assert decided == [0] and not f._clique_summary.passes.all()
-                assert scanned == []
-            if name == "torn late":  # decided by a scan after summary-decided centers
-                assert torn_center in scanned and centers[0] not in scanned
             assert _hom_outcome(f) == want_hom, name  # stored, or built on the summary
-        if name in STAR_PLANS:
-            assert (decided == [0]) == (name != "column e2, rows e1 and e2"), name
+        if name in STAR_PLANS:  # no homomorphism, yet the summary through 0 decides
+            assert want[0] == "NotHom"
+            assert _covered_at_zero(f) == (name != "column e2, rows e1 and e2"), name
 
 
 def _cover_oracle(u, v, mask):
@@ -1155,9 +1176,11 @@ def test_two_clique_cover_matches_the_witness_search(K):
             g[:, b, :] = rows[rng.integers(len(rows), size=K)].T
         zero = rng.random(K) < 0.15
         (u if rng.random() < 0.5 else v)[:, b, zero] = 0
-    mask = rng.random((B, K)) < 0.85
-    mask[:20] = False  # empty rows
-    covered, u0, v0 = homs._two_clique_cover(u, v, mask)
+        repeat = rng.random(K) < 0.15  # items repeating the first: fewer distinct ones
+        repeat[0] = False
+        u[:, b, repeat], v[:, b, repeat] = u[:, b, :1], v[:, b, :1]
+    mask = np.ones((B, K), dtype=bool)
+    covered, u0, v0 = homs._two_clique_cover(u, v)
     seen = set()
     for b, want in enumerate(_cover_oracle(u, v, mask)):
         assert covered[b] == (want is not None), b
@@ -1168,9 +1191,7 @@ def test_two_clique_cover_matches_the_witness_search(K):
         uk, vk = u[:, b, on], v[:, b, on]
         valid = lambda p, q: ((uk == p[:, None]).all(axis=0) & p.any()
                               | (vk == q[:, None]).all(axis=0) & q.any()).all()
-        if not on.any():
-            seen.add("empty")
-        elif not want[1].any():
+        if not want[1].any():
             seen.add("all u")
         elif not want[0].any():
             seen.add("all v")
@@ -1178,9 +1199,9 @@ def test_two_clique_cover_matches_the_witness_search(K):
             first = uk[:, 0], vk[:, (uk != uk[:, :1]).any(axis=0)]
             if first[1].size and valid(first[0], first[1][:, 0]):
                 seen.add("tie, second u smaller")  # ... though the first holds too
-        if on.any() and not (uk.any(axis=0) & vk.any(axis=0)).all():
+        if not (uk.any(axis=0) & vk.any(axis=0)).all():
             seen.add("zero generator")
-    want_seen = {"empty", "all u", "all v", "zero generator"}
+    want_seen = {"all u", "all v", "zero generator"}
     if K >= 2:
         want_seen.add("tie, second u smaller")
     assert seen >= want_seen
@@ -1195,33 +1216,32 @@ LINE_CENTRE_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(LINE_CENTRE_CASES))
-def test_a_centre_on_line_cliques_is_decided_without_a_ball_scan(name, monkeypatch):
+def test_a_centre_on_line_cliques_is_decided_without_a_ball_scan(name):
     f = LINE_CENTRE_CASES[name]()
     sp, summary = f.src_space(), f._clique_summary
     through = sp.cliques_through(np.zeros(1, dtype=np.int64))[0]
-    assert summary.passes[through].all()
     assert (summary.u[through].any(axis=1) & summary.v[through].any(axis=1)).any()
+    assert _covered_at_zero(f)
     decided = []
-    want = _degeneracy_outcome(lambda t: _degenerate_oracle(t, decided), f)
-    assert want[0] is True and decided == [0]
-    scanned = []
-    real_hits = homs._ball_hits
-    monkeypatch.setattr(homs, "_ball_hits",
-                        lambda f, ball0, c: scanned.extend(c.tolist()) or real_hits(f, ball0, c))
+    want = _degeneracy_reference(f, decided)
+    if name == "line and columns":  # every rank-2 point goes to 0: no homomorphism
+        assert want[0] == "NotHom" and decided == []
+    else:
+        assert want[0] is True and decided == [0]
     assert _degeneracy_outcome(is_degenerate, f) == want
-    assert scanned == []
 
 
 def test_a_wrong_cover_pair_breaks_loudly(monkeypatch):
     real = homs._two_clique_cover
 
-    def shifted(u, v, mask):  # the column generator moved one entry down
-        covered, u0, v0 = real(u, v, mask)
+    def shifted(u, v):  # the column generator moved one entry down
+        covered, u0, v0 = real(u, v)
         return covered, np.roll(u0, 1, axis=0), v0
 
     monkeypatch.setattr(homs, "_two_clique_cover", shifted)
-    for make in LINE_CENTRE_CASES.values():
-        with pytest.raises(TheoremViolated):
+    for name, make in LINE_CENTRE_CASES.items():
+        # the cover is checked on homomorphisms; any other table is refused first
+        with pytest.raises(NotHom if name == "line and columns" else TheoremViolated):
             is_degenerate(make())
 
 
