@@ -463,12 +463,13 @@ CLIQUE_NUMBER_LIMIT = 1 << 12
 
 def clique_certificate(sp) -> list:
     """The failed steps of a proof that ``sp.maximal_cliques`` of the two
-    kinds are exactly the maximal cliques of sp; empty when it holds.
+    kinds are exactly the maximal cliques of sp, each listed once; empty
+    when it holds.
 
     X ~ Y iff X - Y is in R1, ``sp.rank1_codes``, so every translation is
-    an automorphism and the proof runs at 0.  It reads R1, ``code_sub`` and
-    the listed rows, nothing of the coset theory.  S are the kind ONE rows
-    whose member 0 is code 0, T the kind TWO ones:
+    an automorphism and the proof runs at 0.  It reads R1, ``code_add``,
+    ``code_sub`` and the listed rows, nothing of the coset theory.  S are
+    the kind ONE rows whose member 0 is code 0, T the kind TWO ones:
     (a) each S and T is a clique: every member difference is in R1;
     (b) each is maximal: no point of R1 (the neighbours of 0) outside it
         is adjacent to all its members;
@@ -476,13 +477,19 @@ def clique_certificate(sp) -> list:
     (c) 0 and each R in R1 have q^m + q^n - q - 2 common neighbours, and
         each S meets each T in q points;
     (d) no point of S - T is adjacent to a point of T - S, for each pair;
-    (e) each listed row less its member 0 is an S (kind ONE) or T row.
+    (e) each listed row less its member 0 is an S (kind ONE) or T row;
+    (f) each S and T is closed under ``code_add``;
+    (g) the rows of each set S (or T) by (e) have distinct keys (the index
+        of S, the lex-min member), and there are count / |S| of them.
     A maximal clique K on an edge (a, a + R): K - a is a clique on 0 and R,
     so by (a), (c') and (c) it lies in the union of the S and T holding R,
     which is 0, R and their q^m + q^n - q - 2 common neighbours; by (d) it
     lies in one of the two, and as K is maximal it is that set.  So the
-    maximal cliques are the translates of S and T, and by (e) so is every
-    listed row.
+    maximal cliques are the translates of S and T.  A finite set closed
+    under addition is a subgroup, so by (f) and (e) each listed row r_0 + S
+    is a coset of S.  Two cosets are equal or disjoint, and equal ones
+    share their lex-min member, so by (g) the rows of S are count / |S|
+    distinct cosets: every coset of S, each once.
     """
     q, m, n = sp.field.q, sp.m, sp.n
     r1 = sp.rank1_codes
@@ -492,8 +499,8 @@ def clique_certificate(sp) -> list:
     for kind, axis in ((Kind.ONE, "col"), (Kind.TWO, "row")):
         rows = sp.maximal_cliques(axis)
         Z = np.sort(rows[rows[:, 0] == 0], axis=1)
-        held = np.zeros((len(Z), sp.count), dtype=bool)
-        held[np.arange(len(Z))[:, None], Z] = True
+        held, sets = np.zeros((len(Z), sp.count), dtype=bool), np.arange(len(Z))[:, None]
+        held[sets, Z] = True
         through0.append(Z)
         inside.append(held)
         pairs = adj[sp.code_sub(Z[:, :, None], Z[:, None, :])] | np.eye(Z.shape[1], dtype=bool)
@@ -503,10 +510,17 @@ def clique_certificate(sp) -> list:
             fails.append(f"certificate (b): a {kind.value} set through 0 is not maximal")
         if (held[:, r1].sum(axis=0) != 1).any():
             fails.append(f"certificate (c'): a rank-1 point in other than one {kind.value} set")
+        if not held[sets[..., None], sp.code_add(Z[:, :, None], Z[:, None, :])].all():
+            fails.append(f"certificate (f): a {kind.value} set through 0 not closed under addition")
         # the set through 0 holding a translate's first nonzero member
         t = np.sort(sp.code_sub(rows, rows[:, :1]), axis=1)
-        if not len(Z) or not (t == Z[held.argmax(axis=0)[t[:, 1]]]).all():
+        which = held.argmax(axis=0)[t[:, 1]] if len(Z) else np.zeros(len(rows), dtype=np.int64)
+        if not len(Z) or not (t == Z[which]).all():
             fails.append(f"certificate (e): a {kind.value} row is no translate of a set through 0")
+        keys = which * sp.count + rows.min(axis=1)
+        if (len(np.unique(keys)) < len(rows)
+                or (np.bincount(which, minlength=len(Z)) != sp.count // Z.shape[1]).any()):
+            fails.append(f"certificate (g): a {kind.value} coset listed twice or not at all")
     S, T = through0
     if (adj[sp.code_sub(r1[:, None], r1)].sum(axis=1) != q**m + q**n - q - 2).any():
         fails.append("certificate (c): 0 and a rank-1 point with a wrong common-neighbour count")

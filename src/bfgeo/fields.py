@@ -224,19 +224,14 @@ class Field:
         inv[1:] = exp[(q - 1 - log[1:]) % (q - 1)]
         self.inv_table = inv
 
-        # dense q x q tables for the hot vectorized paths
-        if q <= 256:
-            a = idx[:, None]
-            b = idx[None, :]
-            self.add_table = self._vadd_nocache(a, b).astype(np.uint8)
-            mul = np.zeros((q, q), dtype=np.uint8)
-            nz = self._exp.astype(np.int64)
-            lg = self._log
-            mul[1:, 1:] = nz[(lg[1:, None] + lg[None, 1:]) % (q - 1)]
-            self.mul_table = mul
-        else:
-            self.add_table = None
-            self.mul_table = None
+        # dense q x q tables where vadd and vmul read them: not for k = 1,
+        # which reduces mod p, nor addition for p = 2, which XORs codes
+        self.add_table = self.mul_table = None
+        if q <= 256 and k > 1:
+            if p > 2:
+                self.add_table = self._vadd_nocache(idx[:, None], idx).astype(np.uint8)
+            self.mul_table = np.zeros((q, q), dtype=np.uint8)
+            self.mul_table[1:, 1:] = exp[(log[1:, None] + log[1:]) % (q - 1)]
 
     # -- scalar API -----------------------------------------------------------
 
@@ -261,10 +256,7 @@ class Field:
     # -- vectorized API ---------------------------------------------------------
 
     def _vadd_nocache(self, a, b):
-        if self.p == 2:
-            return np.bitwise_xor(a, b)
-        if self.k == 1:
-            return _mod(a + b, self.p)
+        """a + b of an odd extension field, digit by digit."""
         d = _mod(self._digits[a] + self._digits[b], self.p)
         return (d @ self._powers).astype(np.int64)
 

@@ -113,89 +113,64 @@ def _maximal_set_counts(q: int, m: int, n: int):
             (q**n - 1) // (q - 1) * (count // q**m))
 
 
-def _membership(codes, count: int) -> np.ndarray:
-    """(sets, count) float32 0/1 matrix of the sets of point codes.  A
-    product of two such matrices counts shared points exactly: every count
-    is at most count <= SPACE_LIMIT < 2^24, below float32's integer range."""
-    out = np.zeros((len(codes), count), dtype=np.float32)
-    for t, c in enumerate(codes):
-        out[t, c] = 1
-    return out
-
-
 def clique_structure_check(field: Field, m: int, n: int) -> dict:
     """Every edge lies in exactly two maximal cliques, one of each kind,
-    and distinct cliques meet in 1 point (same kind) or q (different).
+    and distinct cliques meet in 1 point (same kind) or q (different), read
+    off ``cliques.clique_certificate`` at 0.
 
-    The cliques are ``maximal_cliques`` of each kind.  A step failed by
-    ``cliques.clique_certificate``, which proves from the neighbour
-    structure alone that they are every maximal clique, is a violation, as
-    is a count other than the closed form.  Shared points of every pair of
-    cliques, and the cliques hosting each edge, are read from products of
-    one (cliques x points) membership matrix.  DomainTooLarge past
-    SPACE_LIMIT clique pairs, from the closed-form clique count.
-    PreconditionViolated on a 1 x n or m x 1 space, which is one complete
-    graph with a single maximal clique.
+    The cliques are ``maximal_cliques`` of each kind.  A failed step of the
+    certificate is a violation, as is a count other than the closed form.
+    Once every step holds, the listed rows are the cosets of the sets
+    through 0, S_i (kind ONE) and T_j (kind TWO), each listed once, so the
+    rows through a point X are exactly X + S_i and X + T_j, one per set.
+    An edge (X, X + R) lies in the one S and the one T that hold R, by
+    (c').  Cosets of one set are disjoint, and a meeting pair of rows meets
+    in a coset of the intersection of their sets: S_i cap S_j = {0} for
+    i != j, as S_i - {0} lies in R_1 by (a) and R_1 is split by (c'), and
+    |S_i cap T_j| = q, by (c).  DomainTooLarge past SPACE_LIMIT clique
+    pairs, from the closed-form clique count.  PreconditionViolated on a
+    1 x n or m x 1 space, which is one complete graph with a single maximal
+    clique.
     """
     _require_grid(field, m, n)
     total = sum(_maximal_set_counts(field.q, m, n))
     bounded(pairs := total * (total - 1) // 2, f"clique pairs = {pairs}")
     sp = space(field, m, n)
-    one, two = sp.maximal_cliques("col"), sp.maximal_cliques("row")
-    codes = [*one, *two]
-    ones = np.arange(len(codes)) < len(one)
-    member = _membership(codes, sp.count)
+    count = len(sp.maximal_cliques("col")) + len(sp.maximal_cliques("row"))
     violations = cliques.clique_certificate(sp)
-    if len(codes) != total:
-        violations.append(f"{len(codes)} cliques, closed form {total}")
-
-    # each edge a < b once; its hosts are the cliques holding both ends
-    perms = sp.neighbor_perms
-    one_member = member[ones]
-    for rows in _row_blocks(sp.count, 4 * sp.count, _PAIR_BLOCK_BYTES):
-        b = perms[:, rows]
-        a = np.broadcast_to(np.arange(sp.count)[rows], b.shape)
-        keep = a < b
-        a, b = a[keep], b[keep]
-        hosts = (member[:, rows].T @ member)[a - rows.start, b]
-        hosts_one = (one_member[:, rows].T @ one_member)[a - rows.start, b]
-        bad = (hosts != 2) | (hosts_one != 1)
-        violations += [f"edge {int(x)}-{int(y)}" for x, y in zip(a[bad], b[bad])]
-    edges = sp.count * len(perms) // 2
-
-    # shared points of clique i with every later j
-    later = np.arange(len(codes))
-    for rows in _row_blocks(len(codes), 4 * len(codes), _PAIR_BLOCK_BYTES):
-        shared = (member[rows] @ member.T).astype(np.int64)
-        first = later[rows, None]
-        want = np.where(ones[first] == ones, 1, field.q)
-        i, j = np.nonzero((later > first) & (shared != 0) & (shared != want))
-        violations += [f"cliques {x + rows.start},{y}: {shared[x, y]}" for x, y in zip(i, j)]
+    if count != total:
+        violations.append(f"{count} cliques, closed form {total}")
     return {
-        "cliques": len(codes),
-        "edges_checked": edges,
-        "clique_pairs": len(codes) * (len(codes) - 1) // 2,
+        "cliques": count,
+        "edges_checked": sp.count * len(sp.rank1_codes) // 2,
+        "clique_pairs": count * (count - 1) // 2,
         "violations": sorted(violations),
     }
 
 
-# meeting pairs whose line the check also takes through the public line_through
+# lines the check also takes through the public line_through
 _LINE_SAMPLE = 8
 
 
 def line_structure_check(field: Field, m: int, n: int) -> dict:
-    """Lines of a clique's affine geometry = opposite-kind intersections.
+    """Lines of a clique's affine geometry = opposite-kind intersections,
+    read off ``cliques.clique_certificate`` at 0.
 
-    Every ONE x TWO intersection size comes from one membership product
-    and must be 0 or q.  Each meeting pair's q points are the members of
-    its ONE clique that the TWO clique holds.  q distinct points form an
-    affine line iff their differences from the first have rank <= 1, so
-    each pair's (q - 1) x mn difference stack is ranked, every pair in one
-    batched rref; and each line must have a unique host pair.  A fixed sample of lines is also taken by the public
-    line_through, in the cliques maximal_sets_through gives for two of its
-    points.  Every parametric line of the standard row clique must be an
-    intersection.  PreconditionViolated on a 1 x n or m x 1 space, as in
-    clique_structure_check; DomainTooLarge past SPACE_LIMIT ONE x TWO
+    A failed step of the certificate is a violation, and the steps below
+    run only once every step holds.  Then the rows through a point X are
+    exactly X + S_i and X + T_j, one per set through 0, as in
+    clique_structure_check, and |S_i cap T_j| = q by (c).  So a ONE x TWO
+    intersection is empty or a coset X + (S_i cap T_j): its differences
+    lie in S_i cap T_j, inside {0} and R_1, and only that pair hosts it, by
+    (c').  It is an affine line iff S_i cap T_j is {lambda D}, D its first
+    nonzero member, which is checked for every pair.  Each point lies on
+    one intersection per pair (S_i, T_j), so lines = pairs * count / q.  A
+    fixed sample of lines is also taken by the public line_through, in the
+    cliques maximal_sets_through gives for two of its points.  A
+    parametric line of the standard row clique, e_0 (x) (lambda alpha +
+    beta), is an intersection iff its direction set {lambda e_0 (x) alpha}
+    is some S_i cap T_j.  PreconditionViolated on a 1 x n or m x 1 space,
+    as in clique_structure_check; DomainTooLarge past SPACE_LIMIT ONE x TWO
     pairs, before any set is built.
     """
     _require_grid(field, m, n)
@@ -203,45 +178,31 @@ def line_structure_check(field: Field, m: int, n: int) -> dict:
     one_count, two_count = _maximal_set_counts(q, m, n)
     bounded(pairs := one_count * two_count, f"opposite-kind pairs = {pairs}")
     sp = space(field, m, n)
-    one_codes, two_codes = sp.maximal_cliques("col"), sp.maximal_cliques("row")
-    one_member, two_member = (_membership(c, sp.count) for c in (one_codes, two_codes))
-    violations, meet = [], []
-    for rows in _row_blocks(len(one_codes), 4 * len(two_codes), _PAIR_BLOCK_BYTES):
-        sizes = one_member[rows] @ two_member.T
-        violations += [f"intersection size {int(k)}" for k in sizes[(sizes != 0) & (sizes != q)]]
-        i, j = np.nonzero(sizes == q)
-        meet.append(np.stack([i + rows.start, j], axis=1))
-    meet = np.concatenate(meet)
-
-    # a pair's q points as an int64 stack, and their differences from the first
-    lines = np.empty((len(meet), q), dtype=np.int64)
-    for rows in _row_blocks(len(meet), 8 * 8 * q * m * n, _PAIR_BLOCK_BYTES):
-        i, j = meet[rows].T
-        held = two_member[j[:, None], one_codes[i]] != 0
-        lines[rows] = one_codes[i][held].reshape(-1, q)
-        pts = sp.entries[lines[rows]]
-        diffs = field.vsub(pts[:, 1:], pts[:, :1]).reshape(len(pts), q - 1, m * n)
-        wrong = _bulk.rank(field, diffs) > 1
-        violations += ["line does not reproduce the intersection"] * int(wrong.sum())
-    for t in np.unique(np.linspace(0, len(meet) - 1, min(_LINE_SAMPLE, len(meet))).astype(np.int64)):
-        M, N = maximal_sets_through(sp.mat(lines[t, 0]), sp.mat(lines[t, 1]))
-        if not np.array_equal(cliques.line_through(M, N).points().codes, lines[t]):
-            violations.append("line_through disagrees with the batched line")
-    known, hosts = np.unique(lines, axis=0, return_counts=True)
-    violations += [f"line with {int(k)} host pairs" for k in hosts[hosts != 1]]
-
-    # every parametric line of the standard row clique is an intersection
-    row_space = space(field, 1, n)
-    lam = np.arange(q, dtype=np.int64)[:, None]
-    mats = np.zeros((len(row_space.monic_rows), row_space.count, q, m, n), dtype=field.dtype)
-    mats[..., 0, :] = field.vadd(field.vmul(lam, row_space.monic_rows[:, None, None]),
-                                 row_space.entries[None])
-    param_lines = np.unique(np.sort(_bulk.encode(field, mats).reshape(-1, q), axis=1), axis=0)
-    missing = len(np.unique(np.concatenate([known, param_lines]), axis=0)) - len(known)
-    violations += ["parametric line missing from intersections"] * missing
+    S, T = (np.sort(c[c[:, 0] == 0], axis=1) for c in map(sp.maximal_cliques, ("col", "row")))
+    alphas = space(field, 1, n).monic_rows
+    violations = cliques.clique_certificate(sp)
+    if not violations:
+        held = np.zeros((len(T), sp.count), dtype=bool)
+        held[np.arange(len(T))[:, None], T] = True
+        # S_i cap T_j, each of q points by (c), in code order, 0 first
+        meet = np.broadcast_to(S, (len(T), *S.shape))[held[:, S]].reshape(-1, q)
+        lam = np.arange(q)[:, None]
+        span = _bulk.encode(field, field.vmul(lam[..., None, None], sp.entries[meet[:, 1]]))
+        bad = (np.sort(span, axis=0).T != meet).any(axis=1)
+        violations += ["line does not reproduce the intersection"] * int(bad.sum())
+        for t, x in enumerate(np.linspace(0, sp.count - 1, _LINE_SAMPLE).astype(np.int64)):
+            line = np.sort(sp.code_add(x, meet[t * len(meet) // _LINE_SAMPLE]))
+            M, N = maximal_sets_through(sp.mat(line[0]), sp.mat(line[1]))
+            if not np.array_equal(cliques.line_through(M, N).points().codes, line):
+                violations.append("line_through disagrees with the batched line")
+        dirs = np.zeros((len(alphas), q, m, n), dtype=field.dtype)
+        dirs[:, :, 0] = field.vmul(lam, alphas[:, None])
+        dirs = np.sort(_bulk.encode(field, dirs), axis=1)
+        missing = int((~(dirs[:, None] == meet).all(axis=2).any(axis=1)).sum()) * q ** (n - 1)
+        violations += ["parametric line missing from intersections"] * missing
     return {
-        "lines": len(known),
-        "param_lines_row_clique": len(param_lines),
+        "lines": len(S) * len(T) * sp.count // q,
+        "param_lines_row_clique": len(alphas) * q ** (n - 1),
         "violations": sorted(violations),
     }
 
@@ -433,7 +394,11 @@ def dim_bound_sweep(src: Field, m: int, n: int, dst: Field, m2: int, n2: int,
     """Random adjacent sets through 0 under random standard tables: n_sets
     per table, and total sets in all when given (the last table may take
     fewer).  Each set is drawn from the host of a random kind through 0 and
-    a random rank-1 point, and a table's sets are checked together."""
+    a random rank-1 point, and a table's sets are checked together.
+    DomainTooLarge past the table bound, then PreconditionViolated on a
+    1 x n or m x 1 source, as in standard_form_sweep, before any draw."""
+    table_budget(src.q, m, n, m2, n2)
+    _require_grid(src, m, n)
     rng = np.random.default_rng(seed)
     sp = space(src, m, n)
     host = _rank1_hosts(sp)

@@ -1039,8 +1039,45 @@ def test_clique_members_off_a_line_fail_the_line_check(field, monkeypatch):
     line = np.intersect1d(one[0], two[j])
     two[j, two[j] == line[-1]] = np.setdiff1d(one[0], line)[0]
     monkeypatch.setattr(sp, "maximal_cliques", lambda kind: one if kind == "col" else two)
+    for check in (verify.clique_structure_check, verify.line_structure_check):
+        assert any(v.startswith("certificate") for v in check(field, 2, 2)["violations"])
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=lambda f: f"GF({f.q})")
+def test_a_coset_listed_twice_fails_both_checks(field, monkeypatch):
+    # a kind ONE row away from 0 replaced by a copy of another row of its
+    # direction: every row is still a coset, one coset twice and one lost
+    sp = space(field, 2, 2)
+    one, real = sp.maximal_cliques("col").copy(), sp.maximal_cliques
+    t = int(np.argmax(one[:, 0] != 0))
+    one[t] = one[t + 1]
+    monkeypatch.setattr(sp, "maximal_cliques", lambda axis: one if axis == "col" else real(axis))
+    for check in (verify.clique_structure_check, verify.line_structure_check):
+        violations = check(field, 2, 2)["violations"]
+        assert violations and all(v.startswith("certificate (g)") for v in violations)
+    with pytest.raises(TheoremViolated, match=r"certificate \(g\)"):
+        clique_number(field, 2, 2)
+
+
+def test_an_intersection_off_its_span_fails_the_line_check(monkeypatch):
+    # the line check reads each S_i cap T_j against the multiples of its
+    # first nonzero member D; D's entries moved to another rank-1 point
+    assert verify.line_structure_check(F4, 2, 2)["violations"] == []
+    sp = space(F4, 2, 2)
+    entries, swap = sp.entries.copy(), sp.rank1_codes[[0, -1]]
+    entries[swap] = entries[swap[::-1]]
+    monkeypatch.setattr(sp, "entries", entries)
     assert "line does not reproduce the intersection" in \
-        verify.line_structure_check(field, 2, 2)["violations"]
+        verify.line_structure_check(F4, 2, 2)["violations"]
+
+
+def test_a_parametric_direction_off_every_intersection_fails_the_line_check(monkeypatch):
+    # a zero direction alpha: its q^(n - 1) parametric lines are single points
+    assert verify.line_structure_check(F4, 2, 2)["violations"] == []
+    rows = space(F4, 1, 2)
+    monkeypatch.setattr(rows, "monic_rows", np.r_[rows.monic_rows[:-1], [[0, 0]]])
+    assert verify.line_structure_check(F4, 2, 2)["violations"] == \
+        ["parametric line missing from intersections"] * 4
 
 
 def test_a_wrong_line_through_fails_the_line_check(monkeypatch):

@@ -138,8 +138,10 @@ def oracle_tables(F):
     d, pw = np.array(digits), p ** np.arange(k)
     out = {"generator": gen, "_exp": exp, "_log": log, "inv_table": inv,
            "neg_table": (-d % p @ pw).astype(np.int32), "add_table": None, "mul_table": None}
-    if q <= 256:
+    # the dense tables exist only where vadd and vmul read them
+    if q <= 256 and k > 1 and p > 2:
         out["add_table"] = ((d[:, None] + d[None]) % p @ pw).astype(np.uint8)
+    if q <= 256 and k > 1:
         out["mul_table"] = np.zeros((q, q), dtype=np.uint8)
         out["mul_table"][1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
     return out

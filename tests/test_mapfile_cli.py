@@ -527,11 +527,13 @@ def test_clique_sweeps_on_a_single_clique_exit_2(argv, shape, capsys):
 @pytest.mark.parametrize("src", ["4:1x2", "4:2x1"])
 @pytest.mark.parametrize("argv", [["hom-verify", "--random-standard", "3"],
                                   ["lemma-check", "--which", "5.1"],
-                                  ["recover", "--roundtrip", "2"]], ids=" ".join)
+                                  ["recover", "--roundtrip", "2"],
+                                  ["recover", "--dim-bound", "2"]], ids=" ".join)
 def test_standard_sweeps_from_a_single_clique_exit_2(argv, src, capsys):
     # from GF(4)^(1x2) hom-verify and lemma-check reported every tuple as
-    # degenerate and recover --roundtrip raised Degenerate: one complete
-    # graph has no two-clique cover to miss
+    # degenerate, recover --roundtrip raised Degenerate and recover
+    # --dim-bound passed its sets: one complete graph has no two-clique
+    # cover to miss
     code, rep = run_cli(capsys, *argv, "--src", src, "--dst", "16:1x2")
     assert code == 2
     shape = src.split(":")[1]

@@ -119,6 +119,22 @@ def test_distances_are_certified_at_0_not_swept_over_pairs(monkeypatch):
     assert verify.distance_theorem_check(F, 2, 2)["mismatches"] == []
 
 
+def test_clique_and_line_structure_are_certified_at_0():
+    # the clique and line checks once counted shared points by float32
+    # (cliques x points) membership products, row block by row block, and
+    # ranked every intersection's differences; the clique certificate's
+    # coset steps prove both at 0 now, and the library has no floating point
+    text = "".join(p.read_text() for p in sorted((ROOT / "src" / "bfgeo").glob("*.py")))
+    assert "_membership" not in text
+    assert [w for w in ("float16", "float32", "float64", "np.double") if w in text] == []
+    for check in (verify.clique_structure_check, verify.line_structure_check):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(check)))
+        calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        assert "cliques.clique_certificate" in calls
+        assert calls & {"_row_blocks", "_bulk.rank", "rank"} == set()
+        assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree))
+
+
 def test_point_sets_reach_the_clique_test_through_one_front_end():
     # classification, dimension and recovery's axis test once each turned a
     # point set into generators and a dimension their own way, beside two
